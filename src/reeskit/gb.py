@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from operator import gt
 
 from .polyring import (
     FreeModuleMap, Polynomial, RingDescriptor, RingMap, RingMismatchError,
@@ -110,6 +111,16 @@ def _gb_core(vectors, amb, rkey=None, padding=None, want_rep=False):
     ascending lead, each dict carrying its lead under the key ``"_lead"``;
     ``reps`` (when requested) expresses each basis element as a combination
     of the input vectors, as dicts {input index: {exps: coeff}}.
+
+    Pairs are pruned when an element is added, by the Gebauer-Moeller
+    installation of Buchberger's criteria: criterion B drops pending pairs,
+    criteria M and F thin out the new pairs, and an element whose lead is
+    divisible by the new lead makes no further pairs.  B, M and F hold for
+    every element.  A new pair known to reduce to zero serves as a witness
+    in M and F and is then dropped: coprime leads (the product criterion,
+    sound only when both elements live in a single component) and two
+    elements of the quotient padding (a Groebner basis already).  Pairs are
+    popped smallest lcm first.
     """
     p = amb.p
     rkey = rkey or amb.key
@@ -119,8 +130,9 @@ def _gb_core(vectors, amb, rkey=None, padding=None, want_rep=False):
 
     G, Glead, Gpad, Grep = [], [], [], []
     Gsingle = []  # element lives in a single component (coprime criterion OK)
+    Gpairs = []   # no later lead divides this lead: it still makes new pairs
     bycomp = {}
-    pending = set()
+    pending = {}  # pair (i, j) -> lcm of the two leads
     heap = []
 
     def find_reducer(m):
@@ -175,6 +187,46 @@ def _gb_core(vectors, amb, rkey=None, padding=None, want_rep=False):
                             dst.pop(ne, None)
         return rem
 
+    def update(gi):
+        comp, le = Glead[gi]
+        # criterion B: the new lead divides lcm(i, j) and differs from
+        # lcm(i, gi) and lcm(j, gi), so (i, j) follows from those two pairs
+        for pair, (pc, lcm) in list(pending.items()):
+            if pc != comp or any(map(gt, le, lcm)):
+                continue
+            i, j = pair
+            if (tuple(map(max, Glead[i][1], le)) != lcm
+                    and tuple(map(max, Glead[j][1], le)) != lcm):
+                del pending[pair]
+        # criterion F: one new pair per lcm, a zero witness preferred
+        groups = {}
+        for gj in range(gi):
+            lj = Glead[gj]
+            if lj[0] != comp or not Gpairs[gj]:
+                continue
+            lj = lj[1]
+            lcm = tuple(map(max, lj, le))
+            zero = ((Gpad[gj] and Gpad[gi])
+                    or (Gsingle[gj] and Gsingle[gi]
+                        and not any(map(min, lj, le))))
+            got = groups.get(lcm)
+            if got is None or (zero and not got[1]):
+                groups[lcm] = (gj, zero)
+            if not any(map(gt, le, lj)):
+                Gpairs[gj] = False
+        # criterion M: drop an lcm properly divisible by another new lcm;
+        # a proper divisor has smaller total degree, so ascending degree
+        # order only needs the minimal lcms kept so far
+        kept = []
+        for lcm in sorted(groups, key=sum):
+            if any(not any(map(gt, m, lcm)) for m in kept):
+                continue
+            kept.append(lcm)
+            gj, zero = groups[lcm]
+            if not zero:
+                pending[(gj, gi)] = (comp, lcm)
+                heapq.heappush(heap, (mkey((comp, lcm)), gj, gi))
+
     def add(vec, rep, pad):
         lc = None
         lead = max(vec, key=mkey)
@@ -191,15 +243,9 @@ def _gb_core(vectors, amb, rkey=None, padding=None, want_rep=False):
         Gpad.append(pad)
         Grep.append(rep)
         Gsingle.append(len({m[0] for m in vec}) == 1)
+        Gpairs.append(True)
         bycomp.setdefault(lead[0], []).append((lead[1], gi))
-        for gj in range(gi):
-            lj = Glead[gj]
-            if lj[0] != lead[0]:
-                continue
-            lcm = (lead[0], tuple(max(a, b) for a, b in zip(lj[1], lead[1])))
-            pair = (gj, gi)
-            pending.add(pair)
-            heapq.heappush(heap, (mkey(lcm), gj, gi))
+        update(gi)
         return gi
 
     zero_unit = (0,) * amb.nvars
@@ -214,28 +260,11 @@ def _gb_core(vectors, amb, rkey=None, padding=None, want_rep=False):
 
     while heap:
         _, i, j = heapq.heappop(heap)
-        if (i, j) not in pending:
-            continue
-        pending.discard((i, j))
+        got = pending.pop((i, j), None)
+        if got is None:
+            continue  # dropped by criterion B after it was queued
+        lcm = got[1]
         li, lj = Glead[i], Glead[j]
-        lcm = tuple(max(a, b) for a, b in zip(li[1], lj[1]))
-        if Gpad[i] and Gpad[j]:
-            continue  # both copies of the quotient basis: S-pair reduces to 0
-        if (Gsingle[i] and Gsingle[j]
-                and all(a + b == m for a, b, m in zip(li[1], lj[1], lcm))):
-            continue  # coprime leads; only sound for single-component elements
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j) or Glead[k][0] != li[0]:
-                continue
-            if all(a <= b for a, b in zip(Glead[k][1], lcm)):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik not in pending and pjk not in pending:
-                    skip = True
-                    break
-        if skip:
-            continue
         qi = tuple(m - a for a, m in zip(li[1], lcm))
         qj = tuple(m - a for a, m in zip(lj[1], lcm))
         s = {}
@@ -403,15 +432,17 @@ class Ideal:
         b = self.groebner().ambient_elements
         return len(b) == 1 and b[0].is_constant() and not b[0].is_zero()
 
+    def _basis_terms(self):
+        return tuple(g.terms for g in self.groebner().ambient_elements)
+
     def __eq__(self, other):
         if not isinstance(other, Ideal) or self.ring != other.ring:
             return False
-        a = tuple(g.terms for g in self.groebner().ambient_elements)
-        b = tuple(g.terms for g in other.groebner().ambient_elements)
-        return a == b
+        return self._basis_terms() == other._basis_terms()
 
     def __hash__(self):
-        return hash((self.ring, self.gens))
+        # equal ideals share their reduced basis, so hash that, not the gens
+        return hash((self.ring, self._basis_terms()))
 
     def __add__(self, other):
         if isinstance(other, Ideal):
@@ -744,10 +775,6 @@ def colon(I: Ideal, by) -> Ideal:
     raise TypeError("colon by a polynomial or an ideal")
 
 
-def _same_ideal(I: Ideal, J: Ideal) -> bool:
-    return I == J
-
-
 def saturate(I: Ideal, by, method="colon", max_rounds=64):
     """I : by^infinity, by iterated colon (default) or Rabinowitsch."""
     if method == "rabinowitsch":
@@ -763,13 +790,7 @@ def saturate(I: Ideal, by, method="colon", max_rounds=64):
         gens.append(transport(by, ext) * z - ext.one())
         _, kept = _eliminate_raw(gens, ext, [z_name])
         return Ideal(ring, tuple(transport(g, ring) for g in kept))
-    current = I
-    for _ in range(max_rounds):
-        nxt = colon(current, by)
-        if _same_ideal(nxt, current):
-            return current
-        current = nxt
-    raise RuntimeError("saturation did not stabilize")
+    return saturation_exponent(I, by, cap=max_rounds)[1]
 
 
 def saturation_exponent(I: Ideal, by, cap=64):
@@ -778,7 +799,7 @@ def saturation_exponent(I: Ideal, by, cap=64):
     n = 0
     while n < cap:
         nxt = colon(current, by)
-        if _same_ideal(nxt, current):
+        if nxt == current:
             return n, current
         current = nxt
         n += 1

@@ -12,8 +12,8 @@ from reeskit.gb import (
     saturate, saturation_exponent, standard_monomials, trim_homogeneous,
     colon,
 )
-from reeskit.polyring import (FreeModuleMap, RingMap, make_ring, random_poly,
-                              transport)
+from reeskit.polyring import (FreeModuleMap, RingMap, make_ring,
+                              matrix_from_columns, random_poly, transport)
 
 
 def spoly(f, g):
@@ -36,6 +36,111 @@ def brute_monomial_count(lt_gens, nvars, degree):
         if not any(all(a >= b for a, b in zip(e, m)) for m in lt_gens):
             count += 1
     return count
+
+
+def sparse_poly(ring, rng, terms=range(3), degrees=range(3)):
+    """A few random monomials with random coefficients (possibly zero)."""
+    d = {}
+    for _ in range(rng.choice(terms)):
+        e = [0] * ring.nvars
+        for _ in range(rng.choice(degrees)):
+            e[rng.randrange(ring.nvars)] += 1
+        d[tuple(e)] = rng.randrange(ring.p)
+    return ring.poly(d)
+
+
+def brute_reduced_basis(vectors, key, p):
+    """Oracle: reduced basis of a submodule by Buchberger's algorithm with
+    every same-component pair reduced and no criterion at all.
+
+    Vectors are dicts {(component, exps): coeff}; the module order is
+    position over term (lower component first), then ``key`` on exps.
+    """
+    def mk(m):
+        return (-m[0], key(m[1]))
+
+    def lead(v):
+        return max(v, key=mk)
+
+    def divides(a, b):
+        return a[0] == b[0] and all(x <= y for x, y in zip(a[1], b[1]))
+
+    def reduce(v, G):
+        work, out = dict(v), {}
+        while work:
+            m = max(work, key=mk)
+            c = work.pop(m)
+            g = next((g for g in G if divides(lead(g), m)), None)
+            if g is None:
+                out[m] = c
+                continue
+            lg = lead(g)
+            f = c * pow(g[lg], -1, p) % p
+            q = tuple(b - a for a, b in zip(lg[1], m[1]))
+            for gm, gc in g.items():
+                if gm == lg:
+                    continue
+                nm = (gm[0], tuple(a + b for a, b in zip(gm[1], q)))
+                nv = (work.get(nm, 0) - f * gc) % p
+                if nv:
+                    work[nm] = nv
+                else:
+                    work.pop(nm, None)
+        return out
+
+    def spair(f, g):
+        lf, lg = lead(f), lead(g)
+        lcm = tuple(max(a, b) for a, b in zip(lf[1], lg[1]))
+        s = {}
+        for h, lh, sign in ((f, lf, 1), (g, lg, -1)):
+            c = sign * pow(h[lh], -1, p)
+            q = tuple(m - a for a, m in zip(lh[1], lcm))
+            for hm, hc in h.items():
+                nm = (hm[0], tuple(a + b for a, b in zip(hm[1], q)))
+                s[nm] = (s.get(nm, 0) + c * hc) % p
+        return {m: c for m, c in s.items() if c}
+
+    G = [dict(v) for v in vectors if v]
+    pairs = list(itertools.combinations(range(len(G)), 2))
+    while pairs:
+        i, j = pairs.pop()
+        if lead(G[i])[0] != lead(G[j])[0]:
+            continue
+        r = reduce(spair(G[i], G[j]), G)
+        if r:
+            pairs.extend((k, len(G)) for k in range(len(G)))
+            G.append(r)
+    minimal = []
+    for g in sorted(G, key=lambda g: mk(lead(g))):
+        if not any(divides(lead(h), lead(g)) for h in minimal):
+            minimal.append(g)
+    out = []
+    for g in minimal:
+        r = reduce(g, [h for h in minimal if h is not g])
+        inv = pow(r[lead(r)], -1, p)
+        out.append({m: c * inv % p for m, c in r.items()})
+    return out
+
+
+def vec_of(polys):
+    return {(i, e): c for i, f in enumerate(polys) for e, c in f.terms}
+
+
+def spair_vector(u, v, amb):
+    """S-vector of two ambient vectors (tuples of polynomials), and whether
+    their leads share a component (only then is the S-vector a syzygy test)."""
+    def mk(m):
+        return (-m[0], amb.key(m[1]))
+
+    du, dv = vec_of(u), vec_of(v)
+    lu, lv = max(du, key=mk), max(dv, key=mk)
+    lcm = tuple(max(a, b) for a, b in zip(lu[1], lv[1]))
+    p = amb.p
+    mu = amb.monomial(tuple(m - a for a, m in zip(lu[1], lcm)),
+                      pow(du[lu], -1, p))
+    mv = amb.monomial(tuple(m - a for a, m in zip(lv[1], lcm)),
+                      pow(dv[lv], -1, p))
+    return tuple(mu * f - mv * g for f, g in zip(u, v)), lu[0] == lv[0]
 
 
 class TestGroebnerBasis:
@@ -75,6 +180,65 @@ class TestGroebnerBasis:
                 back = back + coef * I.gens[idx]
             assert back == elt
 
+    def test_representation_coefficients_over_quotient(self):
+        # each basis element is rebuilt from the generators modulo Q; the
+        # rows past the generators belong to the quotient padding
+        R0 = make_ring(101, ["x", "y"])
+        x0, y0 = R0.gens()
+        R = make_ring(101, ["x", "y"],
+                      quotient=[x0 ** 3 - y0 ** 2, x0 * y0 ** 2])
+        x, y = R.gens()
+        I = Ideal(R, (x ** 2 - y, x * y + y ** 2))
+        amb = R.ambient
+        gbr = I.groebner(want_rep=True)
+        assert gbr.representation is not None
+        for elt, rep in zip(gbr.ambient_elements, gbr.representation):
+            back = amb.zero()
+            for idx, coef in rep.items():
+                if idx < len(I.gens):
+                    back = back + coef * transport(I.gens[idx], amb)
+            assert transport(elt - back, R).is_zero()
+
+    def test_equal_ideals_hash_equal(self, A2):
+        x, y = A2.gens()
+        I, J = Ideal(A2, (x, y)), Ideal(A2, (y, x, x + y))
+        assert I == J
+        assert hash(I) == hash(J)
+        assert len({I, J}) == 1
+        assert len({I, Ideal(A2, (x,))}) == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_module_engine_matches_brute_force(self, seed):
+        # submodules of R^2 over a quotient R of GF(7)[x,y] or GF(7)[x,y,z]:
+        # multi-component columns and the quotient padding, where pair
+        # criteria are easiest to get wrong
+        rng = random.Random(seed)
+        p = 7
+        names = ["x", "y", "z"][:2 + rng.randrange(2)]
+        R0 = make_ring(p, names)
+        qdeg = (3, 4) if len(names) == 2 else (2, 3)
+        q = [sparse_poly(R0, rng, terms=[2], degrees=[d]) for d in qdeg]
+        R = make_ring(p, names, quotient=[f for f in q if not f.is_zero()])
+        amb = R.ambient
+        rows = 2
+        cols = [tuple(sparse_poly(R, rng, degrees=range(1, 4))
+                      for _ in range(rows))
+                for _ in range(3)]
+        M = matrix_from_columns(R, cols, rows=rows)
+        gb = groebner_basis(M)
+        inputs = [vec_of(tuple(transport(f, amb) for f in c)) for c in cols]
+        inputs += [{(i, e): c for e, c in g.terms}
+                   for g in R.quotient for i in range(rows)]
+        want = brute_reduced_basis(inputs, amb.key, p)
+        got = [vec_of(v) for v in gb.ambient_elements]
+        assert sorted(sorted(g.items()) for g in got) == \
+            sorted(sorted(g.items()) for g in want)
+        for u, v in itertools.combinations(gb.ambient_elements, 2):
+            s, same = spair_vector(u, v, amb)
+            if same:
+                assert module_contains(gb, s)
+
     @settings(max_examples=12, deadline=None)
     @given(st.integers(0, 10 ** 6))
     def test_all_spairs_reduce_to_zero(self, seed):
@@ -86,6 +250,35 @@ class TestGroebnerBasis:
         basis = I.groebner().elements
         for f, g in itertools.combinations(basis, 2):
             assert normal_form(spoly(f, g), I).is_zero()
+
+
+class TestSympyOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_reduced_basis_matches_sympy(self, seed):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(seed)
+        p = rng.choice([7, 101, 32003])
+        names = ["x", "y", "z"][:2 + rng.randrange(2)]
+        ring = make_ring(p, names)
+        gens = [sparse_poly(ring, rng, range(2, 5), range(1, 5))
+                for _ in range(2 + rng.randrange(2))]
+        gens = [g for g in gens if not g.is_zero()]
+        if not gens:
+            return
+        syms = sympy.symbols(names)
+
+        def to_sympy(f):
+            return sum(c * sympy.prod(s ** a for s, a in zip(syms, e))
+                       for e, c in f.terms)
+
+        oracle = sympy.groebner([to_sympy(g) for g in gens], *syms,
+                                modulus=p, order="grevlex")
+        want = {frozenset((e, int(c) % p) for e, c in g.terms())
+                for g in oracle.polys}
+        got = {frozenset(g.terms) for g in Ideal(ring, tuple(gens))
+               .groebner().ambient_elements}
+        assert got == want
 
 
 class TestNormalForm:
