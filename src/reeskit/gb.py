@@ -6,6 +6,12 @@ are reduced back.  Module elements are dicts mapping (component, exponents)
 to coefficients; ideals are rank-one modules with component 0.  The module
 order is position-over-term on top of the ring order, which gives both
 submodule Groebner bases and syzygies by the usual graph construction.
+
+Every normal form, here and in quotient rings, is computed by the one term
+reducer ``polyring._reduce_vec`` over reducers built by
+``polyring._prep_reducers``.  The engine's final interreduction is a single
+pass: its minimal basis is already a Groebner basis, so one reduction of
+each tail gives the unique reduced basis.
 """
 
 from __future__ import annotations
@@ -13,12 +19,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import defaultdict
 from operator import gt
 
 from .polyring import (
     FreeModuleMap, Polynomial, RingDescriptor, RingMap, RingMismatchError,
-    elimination_spec, extend_ring, is_degree_compatible, make_key_function,
-    matrix_from_columns, transport,
+    _prep_reducers, _reduce_vec, elimination_spec, extend_ring,
+    is_degree_compatible, make_key_function, matrix_from_columns, transport,
 )
 
 INFINITY = math.inf
@@ -57,51 +64,15 @@ def _vec_to_polys(vec, amb, rank):
     return tuple(amb.poly(b) for b in buckets)
 
 
-def _reduce_vec(vec, prepped, p, mkey, track=None):
-    """Full normal form of a vector against prepared monic reducers.
-
-    ``track``, when given, is a list of dicts receiving the multiplier
-    monomials used against each reducer (the division quotients).
-    """
-    bycomp = {}
-    for i, (lead, _) in enumerate(prepped):
-        bycomp.setdefault(lead[0], []).append((lead[1], i))
-    work = dict(vec)
-    rem = {}
-    while work:
-        m = max(work, key=mkey)
-        c = work.pop(m)
-        if not c:
-            continue
-        hit = -1
-        cands = bycomp.get(m[0])
-        if cands:
-            me = m[1]
-            for le, gi in cands:
-                ok = True
-                for a, b in zip(le, me):
-                    if a > b:
-                        ok = False
-                        break
-                if ok:
-                    hit = gi
-                    break
-        if hit < 0:
-            rem[m] = c
-            continue
-        lead, tail = prepped[hit]
-        q = tuple(b - a for a, b in zip(lead[1], m[1]))
-        for (gc, ge), gco in tail:
-            nm = (gc, tuple(a + b for a, b in zip(ge, q)))
-            nv = (work.get(nm, 0) - c * gco) % p
-            if nv:
-                work[nm] = nv
-            else:
-                work.pop(nm, None)
-        if track is not None:
-            tq = track[hit]
-            tq[q] = (tq.get(q, 0) + c) % p
-    return rem
+def _add_shifted(dst, src, q, c, p):
+    """dst += c * x^q * src on {exponents: coeff} dicts, dropping zeros."""
+    for e, d in src.items():
+        ne = tuple(a + b for a, b in zip(e, q))
+        nv = (dst.get(ne, 0) + c * d) % p
+        if nv:
+            dst[ne] = nv
+        else:
+            dst.pop(ne, None)
 
 
 def _gb_core(vectors, amb, rkey=None, padding=None, want_rep=False):
@@ -112,6 +83,9 @@ def _gb_core(vectors, amb, rkey=None, padding=None, want_rep=False):
     ``reps`` (when requested) expresses each basis element as a combination
     of the input vectors, as dicts {input index: {exps: coeff}}.
 
+    Every reduction is ``polyring._reduce_vec`` against the live reducer
+    index ``bycomp`` and the monic ``tails`` that ``add`` appends to.
+
     Pairs are pruned when an element is added, by the Gebauer-Moeller
     installation of Buchberger's criteria: criterion B drops pending pairs,
     criteria M and F thin out the new pairs, and an element whose lead is
@@ -121,6 +95,12 @@ def _gb_core(vectors, amb, rkey=None, padding=None, want_rep=False):
     sound only when both elements live in a single component) and two
     elements of the quotient padding (a Groebner basis already).  Pairs are
     popped smallest lcm first.
+
+    Each new element is reduced by all earlier ones, so its lead is
+    divisible by no earlier lead; the elements that no later lead divides
+    (``Gpairs`` still set) are therefore a minimal basis.  Reducing each of
+    their tails once against that Groebner basis gives the unique normal
+    form, so one pass yields the reduced basis.
     """
     p = amb.p
     rkey = rkey or amb.key
@@ -128,64 +108,27 @@ def _gb_core(vectors, amb, rkey=None, padding=None, want_rep=False):
     if padding is None:
         padding = [False] * len(vectors)
 
-    G, Glead, Gpad, Grep = [], [], [], []
+    Glead, tails, Gpad, Grep = [], [], [], []
     Gsingle = []  # element lives in a single component (coprime criterion OK)
     Gpairs = []   # no later lead divides this lead: it still makes new pairs
     bycomp = {}
     pending = {}  # pair (i, j) -> lcm of the two leads
     heap = []
 
-    def find_reducer(m):
-        cands = bycomp.get(m[0])
-        if not cands:
-            return -1
-        me = m[1]
-        for le, gi in cands:
-            ok = True
-            for a, b in zip(le, me):
-                if a > b:
-                    ok = False
-                    break
-            if ok:
-                return gi
-        return -1
+    def reduce_rows(rep, track):
+        # rep -= sum of c * x^q * (rep of reducer gi) over the quotients
+        for gi, quo in track.items():
+            for q, c in quo.items():
+                for idx, terms in Grep[gi].items():
+                    _add_shifted(rep.setdefault(idx, {}), terms, q, -c, p)
+        return rep
 
     def nf(vec, rep):
-        work = dict(vec)
-        rem = {}
-        while work:
-            m = max(work, key=mkey)
-            c = work.pop(m)
-            if not c:
-                continue
-            gi = find_reducer(m)
-            if gi < 0:
-                rem[m] = c
-                continue
-            lead = Glead[gi]
-            g = G[gi]
-            q = tuple(b - a for a, b in zip(lead[1], m[1]))
-            for gm, gco in g.items():
-                if gm == lead:
-                    continue
-                nm = (gm[0], tuple(a + b for a, b in zip(gm[1], q)))
-                nv = (work.get(nm, 0) - c * gco) % p
-                if nv:
-                    work[nm] = nv
-                else:
-                    work.pop(nm, None)
-            if rep is not None:
-                grep = Grep[gi]
-                for idx, terms in grep.items():
-                    dst = rep.setdefault(idx, {})
-                    for e, d in terms.items():
-                        ne = tuple(a + b for a, b in zip(e, q))
-                        nv = (dst.get(ne, 0) - c * d) % p
-                        if nv:
-                            dst[ne] = nv
-                        else:
-                            dst.pop(ne, None)
-        return rem
+        track = defaultdict(dict) if rep is not None else None
+        red = _reduce_vec(vec, bycomp, tails, p, mkey, track)
+        if track:
+            reduce_rows(rep, track)
+        return red
 
     def update(gi):
         comp, le = Glead[gi]
@@ -228,25 +171,21 @@ def _gb_core(vectors, amb, rkey=None, padding=None, want_rep=False):
                 heapq.heappush(heap, (mkey((comp, lcm)), gj, gi))
 
     def add(vec, rep, pad):
-        lc = None
         lead = max(vec, key=mkey)
-        lc = vec[lead]
-        if lc != 1:
-            inv = pow(lc, -1, p)
-            vec = {m: c * inv % p for m, c in vec.items()}
-            if rep is not None:
-                rep = {i: {e: c * inv % p for e, c in t.items()}
-                       for i, t in rep.items()}
-        gi = len(G)
-        G.append(vec)
+        inv = pow(vec[lead], -1, p)
+        if inv != 1 and rep is not None:
+            rep = {i: {e: c * inv % p for e, c in t.items()}
+                   for i, t in rep.items()}
+        gi = len(tails)
         Glead.append(lead)
+        tails.append(tuple((m, c * inv % p) for m, c in vec.items()
+                           if m != lead))
         Gpad.append(pad)
         Grep.append(rep)
         Gsingle.append(len({m[0] for m in vec}) == 1)
         Gpairs.append(True)
         bycomp.setdefault(lead[0], []).append((lead[1], gi))
         update(gi)
-        return gi
 
     zero_unit = (0,) * amb.nvars
     for k, vec in enumerate(vectors):
@@ -264,99 +203,39 @@ def _gb_core(vectors, amb, rkey=None, padding=None, want_rep=False):
         if got is None:
             continue  # dropped by criterion B after it was queued
         lcm = got[1]
-        li, lj = Glead[i], Glead[j]
-        qi = tuple(m - a for a, m in zip(li[1], lcm))
-        qj = tuple(m - a for a, m in zip(lj[1], lcm))
+        # the monic leads cancel, so the S-vector is built from the tails
         s = {}
-        for gm, gco in G[i].items():
-            nm = (gm[0], tuple(a + b for a, b in zip(gm[1], qi)))
-            s[nm] = (s.get(nm, 0) + gco) % p
-        for gm, gco in G[j].items():
-            nm = (gm[0], tuple(a + b for a, b in zip(gm[1], qj)))
-            s[nm] = (s.get(nm, 0) - gco) % p
-        s = {m: c for m, c in s.items() if c}
-        rep = None
-        if want_rep:
-            rep = {}
-            for src, sign, q in ((i, 1, qi), (j, -1, qj)):
+        rep = {} if want_rep else None
+        for src, sign in ((i, 1), (j, -1)):
+            q = tuple(m - a for a, m in zip(Glead[src][1], lcm))
+            for (gc, ge), gco in tails[src]:
+                nm = (gc, tuple(a + b for a, b in zip(ge, q)))
+                s[nm] = (s.get(nm, 0) + sign * gco) % p
+            if want_rep:
                 for idx, terms in Grep[src].items():
-                    dst = rep.setdefault(idx, {})
-                    for e, d in terms.items():
-                        ne = tuple(a + b for a, b in zip(e, q))
-                        nv = (dst.get(ne, 0) + sign * d) % p
-                        if nv:
-                            dst[ne] = nv
-                        else:
-                            dst.pop(ne, None)
-        red = nf(s, rep)
+                    _add_shifted(rep.setdefault(idx, {}), terms, q, sign, p)
+        red = nf({m: c for m, c in s.items() if c}, rep)
         if red:
             add(red, rep, False)
 
-    # final inter-reduction to the unique reduced basis
-    alive = list(range(len(G)))
-    changed = True
-    while changed:
-        changed = False
-        for pos, gi in enumerate(list(alive)):
-            others = [G[k] for k in alive if k != gi]
-            prepped = []
-            for k in alive:
-                if k == gi:
-                    continue
-                prepped.append((Glead[k], tuple(
-                    (m, c) for m, c in G[k].items() if m != Glead[k])))
-            track = [dict() for _ in prepped] if want_rep else None
-            red = _reduce_vec(G[gi], prepped, p, mkey, track)
-            if red != G[gi]:
-                changed = True
-                if not red:
-                    alive.remove(gi)
-                    continue
-                lead = max(red, key=mkey)
-                lc = red[lead]
-                if want_rep:
-                    rep = dict()
-                    for idx, terms in Grep[gi].items():
-                        rep[idx] = dict(terms)
-                    kpos = 0
-                    for k in alive:
-                        if k == gi:
-                            continue
-                        quo = track[kpos]
-                        kpos += 1
-                        for q, c in quo.items():
-                            for idx, terms in Grep[k].items():
-                                dst = rep.setdefault(idx, {})
-                                for e, d in terms.items():
-                                    ne = tuple(a + b for a, b in zip(e, q))
-                                    nv = (dst.get(ne, 0) - c * d) % p
-                                    if nv:
-                                        dst[ne] = nv
-                                    else:
-                                        dst.pop(ne, None)
-                else:
-                    rep = None
-                if lc != 1:
-                    inv = pow(lc, -1, p)
-                    red = {m: c * inv % p for m, c in red.items()}
-                    if rep is not None:
-                        rep = {i2: {e: c * inv % p for e, c in t.items()}
-                               for i2, t in rep.items()}
-                G[gi] = red
-                Glead[gi] = lead
-                Grep[gi] = rep
-        # rebuild reducer index after a full sweep
-        bycomp.clear()
-        for k in alive:
-            bycomp.setdefault(Glead[k][0], []).append((Glead[k][1], k))
-
-    alive.sort(key=lambda k: mkey(Glead[k]))
+    # one pass over the tails of the minimal basis; results are kept apart
+    # from ``tails`` and ``Grep``, so every reducer pairs its old tail with
+    # its old rep
+    alive = sorted((k for k in range(len(Glead)) if Gpairs[k]),
+                   key=lambda k: mkey(Glead[k]))
+    index = {c: [(le, k) for le, k in cands if Gpairs[k]]
+             for c, cands in bycomp.items()}
     basis, reps = [], []
     for k in alive:
-        d = dict(G[k])
+        track = defaultdict(dict) if want_rep else None
+        d = {Glead[k]: 1}
+        d.update(_reduce_vec(tails[k], index, tails, p, mkey, track))
         d["_lead"] = Glead[k]
         basis.append(d)
-        reps.append(Grep[k])
+        rep = Grep[k]
+        if track:
+            rep = reduce_rows({i: dict(t) for i, t in rep.items()}, track)
+        reps.append(rep)
     return basis, reps
 
 
@@ -581,14 +460,11 @@ def normal_form(f: Polynomial, basis, want_quotients=False):
         raise ValueError("normal form of a polynomial needs an ideal basis")
     amb = ring.ambient
     mkey = _module_key(amb.key)
-    prepped = []
-    for g in basis.ambient_elements:
-        lead = (0, g.terms[0][0])
-        tail = tuple(((0, e), c) for e, c in g.terms[1:])
-        prepped.append((lead, tail))
-    track = [dict() for _ in prepped] if want_quotients else None
+    index, tails = _prep_reducers(
+        [_poly_to_vec(g) for g in basis.ambient_elements], amb.p, mkey)
+    track = [dict() for _ in tails] if want_quotients else None
     vec = _poly_to_vec(transport(f, amb))
-    rem = _reduce_vec(vec, prepped, amb.p, mkey, track)
+    rem = _reduce_vec(vec, index, tails, amb.p, mkey, track)
     r = transport(amb.poly({e: c for (_, e), c in rem.items()}), ring)
     if not want_quotients:
         return r
@@ -735,13 +611,12 @@ def _exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
     amb = f.ring
     p = amb.p
     mkey = _module_key(amb.key)
-    glead = (0, g.terms[0][0])
-    lcinv = pow(g.terms[0][1], -1, p)
-    prepped = [(glead, tuple(((0, e), c * lcinv % p) for e, c in g.terms[1:]))]
+    index, tails = _prep_reducers([_poly_to_vec(g)], p, mkey)
     track = [dict()]
-    rem = _reduce_vec(_poly_to_vec(f), prepped, p, mkey, track)
-    if rem:
+    if _reduce_vec(_poly_to_vec(f), index, tails, p, mkey, track):
         raise ArithmeticError("division is not exact")
+    # the quotient by the monic divisor g / lc(g), divided by lc(g)
+    lcinv = pow(g.terms[0][1], -1, p)
     return amb.poly({e: c * lcinv % p for e, c in track[0].items()})
 
 
@@ -790,6 +665,8 @@ def saturate(I: Ideal, by, method="colon", max_rounds=64):
         gens.append(transport(by, ext) * z - ext.one())
         _, kept = _eliminate_raw(gens, ext, [z_name])
         return Ideal(ring, tuple(transport(g, ring) for g in kept))
+    if method != "colon":
+        raise ValueError(f"unknown saturation method {method!r}")
     return saturation_exponent(I, by, cap=max_rounds)[1]
 
 
@@ -1060,96 +937,54 @@ def _pure_power_bounds(lt, nvars):
     return bounds
 
 
-def _count_standard(lt, weights, degree):
-    """Number of monomials of the given weighted degree outside (lt)."""
-    n = len(weights)
+def _standard_exponents(lt, n, weights=None, degree=None):
+    """Exponents outside the monomial ideal (lt), in enumeration order.
+
+    Without ``weights`` all of them (the quotient must be finite
+    dimensional); with ``weights`` only those of weighted degree ``degree``.
+    """
     if any(not any(e) for e in lt):
-        return 0  # unit ideal: no standard monomials at all
+        return []  # unit ideal: no standard monomials at all
     bounds = _pure_power_bounds(lt, n)
     for i in range(n):
-        if weights[i] == 0 and bounds[i] is None:
-            raise ValueError("infinite-dimensional graded piece")
-    count = 0
+        if bounds[i] is None and (weights is None or weights[i] == 0):
+            raise ValueError("quotient is not finite dimensional"
+                             if weights is None
+                             else "infinite-dimensional graded piece")
+    out = []
     expo = [0] * n
 
     def rec(i, rem):
-        nonlocal count
         if i == n:
-            if rem == 0:
-                e = tuple(expo)
-                if not any(all(a >= b for a, b in zip(e, m)) for m in lt):
-                    count += 1
+            e = tuple(expo)
+            if not rem and not any(all(a >= b for a, b in zip(e, m))
+                                   for m in lt):
+                out.append(e)
             return
-        w = weights[i]
         cap = bounds[i] - 1 if bounds[i] is not None else None
+        w = weights[i] if weights is not None else 0
         if w > 0:
-            wcap = rem // w
-            cap = wcap if cap is None else min(cap, wcap)
+            cap = rem // w if cap is None else min(cap, rem // w)
         for a in range(cap + 1):
             expo[i] = a
             rec(i + 1, rem - a * w)
         expo[i] = 0
 
-    rec(0, degree)
-    return count
+    rec(0, degree if weights is not None else 0)
+    return out
 
 
 def vector_space_dimension(I: Ideal) -> int:
     """dim_k of ring/I for a zero-dimensional ideal."""
-    basis = I.groebner().ambient_elements
-    amb = I.ring.ambient
-    if len(basis) == 1 and basis[0].is_constant() and not basis[0].is_zero():
-        return 0
-    lt = _minimal_monomials([g.terms[0][0] for g in basis])
-    n = amb.nvars
-    bounds = _pure_power_bounds(lt, n)
-    if any(b is None for b in bounds):
-        raise ValueError("quotient is not finite dimensional")
-    count = 0
-    expo = [0] * n
-
-    def rec(i):
-        nonlocal count
-        if i == n:
-            e = tuple(expo)
-            if not any(all(a >= b for a, b in zip(e, m)) for m in lt):
-                count += 1
-            return
-        for a in range(bounds[i]):
-            expo[i] = a
-            rec(i + 1)
-        expo[i] = 0
-
-    rec(0)
-    return count
+    return len(standard_monomials(I))
 
 
 def standard_monomials(I: Ideal):
     """Monomial basis of ring/I for zero-dimensional I (exponent tuples)."""
-    basis = I.groebner().ambient_elements
     amb = I.ring.ambient
-    if len(basis) == 1 and basis[0].is_constant() and not basis[0].is_zero():
-        return []
-    lt = _minimal_monomials([g.terms[0][0] for g in basis])
-    n = amb.nvars
-    bounds = _pure_power_bounds(lt, n)
-    if any(b is None for b in bounds):
-        raise ValueError("quotient is not finite dimensional")
-    out = []
-    expo = [0] * n
-
-    def rec(i):
-        if i == n:
-            e = tuple(expo)
-            if not any(all(a >= b for a, b in zip(e, m)) for m in lt):
-                out.append(e)
-            return
-        for a in range(bounds[i]):
-            expo[i] = a
-            rec(i + 1)
-        expo[i] = 0
-
-    rec(0)
+    lt = _minimal_monomials(
+        [g.terms[0][0] for g in I.groebner().ambient_elements])
+    out = _standard_exponents(lt, amb.nvars)
     out.sort(key=amb.key)
     return out
 
@@ -1176,9 +1011,9 @@ def graded_piece_dim(degree, I: Ideal, grading="total") -> int:
     lt_full = _minimal_monomials([g.terms[0][0] for g in basis]) if basis else []
     lt_q = (_minimal_monomials([q.terms[0][0] for q in ring.quotient])
             if ring.quotient else [])
-    total = _count_standard(lt_q, weights, degree)
-    rest = _count_standard(lt_full, weights, degree)
-    return total - rest
+    n = ring.nvars
+    return (len(_standard_exponents(lt_q, n, weights, degree))
+            - len(_standard_exponents(lt_full, n, weights, degree)))
 
 
 # ---------------------------------------------------------------------------
@@ -1247,22 +1082,16 @@ def module_contains(gb: GroebnerBasis, vector) -> bool:
     """Membership of a vector of polynomials in a submodule GB."""
     amb = gb.ring.ambient
     mkey = _module_key(amb.key)
-    prepped = []
-    for v in gb.ambient_elements:
+
+    def to_vec(polys):
         vec = {}
-        for i, f in enumerate(v):
-            vec.update(_poly_to_vec(f, comp=i))
-        lead = max(vec, key=mkey)
-        lc = vec[lead]
-        inv = pow(lc, -1, amb.p)
-        vec = {m: c * inv % amb.p for m, c in vec.items()}
-        tail = tuple((m, c) for m, c in vec.items() if m != lead)
-        prepped.append((lead, tail))
-    target = {}
-    for i, f in enumerate(vector):
-        target.update(_poly_to_vec(transport(f, amb), comp=i))
-    rem = _reduce_vec(target, prepped, amb.p, mkey)
-    return not rem
+        for i, f in enumerate(polys):
+            vec.update(_poly_to_vec(transport(f, amb), comp=i))
+        return vec
+
+    index, tails = _prep_reducers(
+        [to_vec(v) for v in gb.ambient_elements], amb.p, mkey)
+    return not _reduce_vec(to_vec(vector), index, tails, amb.p, mkey)
 
 
 def minors_ideal(k: int, A: FreeModuleMap) -> Ideal:

@@ -190,7 +190,10 @@ class RingDescriptor:
         p = self.p
         terms = {e: c % p for e, c in termdict.items() if c % p}
         if self.quotient:
-            terms = _reduce_terms(terms, self._quotient_prepped(), p, self.key)
+            index, tails, key = self._quotient_reducer()
+            rem = _reduce_vec({(0, e): c for e, c in terms.items()},
+                              index, tails, p, key)
+            terms = {e: c for (_, e), c in rem.items()}
         items = sorted(terms.items(), key=lambda t: self.key(t[0]), reverse=True)
         return Polynomial(self, tuple(items))
 
@@ -218,12 +221,18 @@ class RingDescriptor:
     def monomial(self, exps, coeff=1):
         return self.poly({tuple(exps): coeff})
 
-    def _quotient_prepped(self):
+    def _quotient_reducer(self):
+        """Cached (index, tails, key) reducing component-0 terms modulo Q."""
         if self._qprep is None:
-            self._qprep = [
-                (g.terms[0][0], pow(g.terms[0][1], -1, self.p), g.terms[1:])
-                for g in self.quotient
-            ]
+            akey = self.ambient.key  # not self.key: no cycle through self
+
+            def key(m):
+                return akey(m[1])
+
+            index, tails = _prep_reducers(
+                [{(0, e): c for e, c in g.terms} for g in self.quotient],
+                self.p, key)
+            self._qprep = (index, tails, key)
         return self._qprep
 
 
@@ -269,25 +278,70 @@ def make_ring(p, blocks, order="grevlex", quotient=None, degrees=None,
 # polynomials
 # ---------------------------------------------------------------------------
 
-def _reduce_terms(terms, prepped, p, key):
-    """Long division of a term dict by prepared divisors; returns remainder dict."""
-    work = dict(terms)
+def _prep_reducers(vectors, p, key):
+    """Monic reducers for ``_reduce_vec`` from term dicts.
+
+    Terms are (component, exponents) pairs.  Returns ``(index, tails)``:
+    ``index`` maps a component to the (lead exponents, position) of every
+    reducer with its lead there, in input order, and ``tails[position]`` is
+    the reducer without its lead, divided by the lead coefficient.
+    """
+    index, tails = {}, []
+    for vec in vectors:
+        lead = max(vec, key=key)
+        inv = pow(vec[lead], -1, p)
+        index.setdefault(lead[0], []).append((lead[1], len(tails)))
+        tails.append(tuple((m, c * inv % p) for m, c in vec.items()
+                           if m != lead))
+    return index, tails
+
+
+def _reduce_vec(vec, index, tails, p, key, track=None):
+    """Full normal form of a term dict against monic reducers.
+
+    This is the one term reducer: the Groebner engine, normal forms, exact
+    division, module membership and quotient-ring normalisation all call
+    it.  ``index`` and ``tails`` are as built by ``_prep_reducers``; the
+    first reducer in ``index`` order whose lead divides a term is used.
+    ``index`` may list only some positions of ``tails``.  ``track``, when
+    given, is indexed by reducer position (a list, or a defaultdict) and
+    collects the multiplier monomials used against each reducer, i.e. the
+    division quotients.
+    """
+    work = dict(vec)
     rem = {}
     while work:
         m = max(work, key=key)
         c = work.pop(m)
         if not c:
             continue
-        for lead, lcinv, tail in prepped:
-            if all(a >= b for a, b in zip(m, lead)):
-                q = tuple(a - b for a, b in zip(m, lead))
-                f = c * lcinv % p
-                for e, d in tail:
-                    me = tuple(a + b for a, b in zip(e, q))
-                    work[me] = (work.get(me, 0) - f * d) % p
-                break
-        else:
+        hit = -1
+        cands = index.get(m[0])
+        if cands:
+            me = m[1]
+            for le, gi in cands:
+                ok = True
+                for a, b in zip(le, me):
+                    if a > b:
+                        ok = False
+                        break
+                if ok:
+                    hit = gi
+                    break
+        if hit < 0:
             rem[m] = c
+            continue
+        q = tuple(b - a for a, b in zip(le, me))
+        for (gc, ge), gco in tails[hit]:
+            nm = (gc, tuple(a + b for a, b in zip(ge, q)))
+            nv = (work.get(nm, 0) - c * gco) % p
+            if nv:
+                work[nm] = nv
+            else:
+                work.pop(nm, None)
+        if track is not None:
+            tq = track[hit]
+            tq[q] = (tq.get(q, 0) + c) % p
     return rem
 
 
@@ -344,9 +398,6 @@ class Polynomial:
                 if a:
                     used.add(i)
         return sorted(used)
-
-    def coeff_dict(self):
-        return dict(self.terms)
 
     def monic(self):
         if not self.terms:
@@ -578,10 +629,6 @@ class RingMap:
     def __repr__(self):
         ims = ", ".join(f"{n} -> {f}" for n, f in zip(self.source.names, self.images))
         return f"ringmap[ {ims} ]"
-
-
-def identity_map(ring):
-    return RingMap(ring, ring, ring.gens(), check=False)
 
 
 class FreeModuleMap:

@@ -10,7 +10,7 @@ from reeskit.gb import (
     intersect_ideals, kernel_of_matrix, kernel_of_ring_map, minors_ideal,
     module_contains, normal_form, radical_membership, ring_dimension,
     saturate, saturation_exponent, standard_monomials, trim_homogeneous,
-    colon,
+    vector_space_dimension, colon, _exact_divide,
 )
 from reeskit.polyring import (FreeModuleMap, RingMap, make_ring,
                               matrix_from_columns, random_poly, transport)
@@ -280,6 +280,51 @@ class TestSympyOracle:
                .groebner().ambient_elements}
         assert got == want
 
+    @staticmethod
+    def _random_reduction(seed):
+        """A random ideal, its sympy basis, a random f and sympy's remainder
+        of f (as a set of (exps, coeff) terms)."""
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(seed)
+        p = rng.choice([7, 101, 32003])
+        names = ["x", "y", "z"][:2 + rng.randrange(2)]
+        ring = make_ring(p, names)
+        gens = [g for g in (sparse_poly(ring, rng, range(2, 5), range(1, 5))
+                            for _ in range(2 + rng.randrange(2)))
+                if not g.is_zero()]
+        f = sparse_poly(ring, rng, range(1, 7), range(6))
+        syms = sympy.symbols(names)
+
+        def to_sympy(h):
+            return sum((c * sympy.prod(s ** a for s, a in zip(syms, e))
+                        for e, c in h.terms), sympy.Integer(0))
+
+        opts = dict(modulus=p, order="grevlex")
+        G = sympy.groebner([to_sympy(g) for g in gens], *syms, **opts)
+        _, r = sympy.reduced(to_sympy(f), G.exprs, *syms, **opts)
+        want = {(e, int(c) % p) for e, c in
+                sympy.Poly(r, *syms, modulus=p).terms() if int(c) % p}
+        return ring, gens, f, want
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_normal_form_matches_sympy(self, seed):
+        ring, gens, f, want = self._random_reduction(seed)
+        if not gens:
+            return
+        assert set(normal_form(f, Ideal(ring, tuple(gens))).terms) == want
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_quotient_ring_normalisation_matches_sympy(self, seed):
+        ring, gens, f, want = self._random_reduction(seed)
+        try:
+            Q = ring.with_quotient(gens)
+        except ValueError:  # the unit ideal is not a quotient
+            assert not want
+            return
+        assert set(transport(f, Q).terms) == want
+
 
 class TestNormalForm:
     def test_single_division_step(self, A2):
@@ -297,15 +342,29 @@ class TestNormalForm:
     @given(st.integers(0, 10 ** 6))
     def test_exact_division_identity(self, seed):
         rng = random.Random(seed)
-        ring = make_ring(101, ["x", "y"])
-        I = Ideal(ring, tuple(random_poly(ring, 1 + rng.randrange(2), rng)
-                              for _ in range(2)))
-        f = random_poly(ring, 3, rng)
-        r, quots = normal_form(f, I, want_quotients=True)
-        back = r
-        for b, q in quots:
-            back = back + q * b
-        assert back == f
+        plain = make_ring(101, ["x", "y"])
+        x, y = plain.gens()
+        # the quotient generators are padding: their quotients vanish in R/Q
+        quotient = make_ring(101, ["x", "y"],
+                             quotient=[x ** 3 - y ** 2, x * y ** 2])
+        for ring in (plain, quotient):
+            I = Ideal(ring, tuple(random_poly(ring, 1 + rng.randrange(2), rng)
+                                  for _ in range(2)))
+            f = random_poly(ring, 3, rng)
+            r, quots = normal_form(f, I, want_quotients=True)
+            back = r
+            for b, q in quots:
+                back = back + q * b
+            assert back == f
+
+    def test_exact_divide(self, A2):
+        x, y = A2.gens()
+        g = 3 * x * y - 5 * y ** 2 + 7  # lead coefficient 3, not monic
+        h = x ** 2 + 4 * y - 1
+        assert _exact_divide(g * h, g) == h
+        assert _exact_divide(g, g) == A2.one()
+        with pytest.raises(ArithmeticError):
+            _exact_divide(g * h + x, g)
 
 
 class TestEliminate:
@@ -391,6 +450,11 @@ class TestColonSaturate:
     def test_colon_by_zero_ideal_rejected(self, A2):
         with pytest.raises(ValueError):
             colon(Ideal(A2, (A2.var("x"),)), Ideal(A2, ()))
+
+    def test_unknown_method_rejected(self, A2):
+        x, y = A2.gens()
+        with pytest.raises(ValueError, match="unknown saturation method"):
+            saturate(Ideal(A2, (x * y,)), x, method="rabinowich")
 
     def test_saturation_stability_properties(self, A2):
         x, y = A2.gens()
@@ -592,6 +656,20 @@ class TestGradedPieces:
 
     def test_zero_ideal(self, A2):
         assert graded_piece_dim(3, Ideal(A2, ())) == 0
+
+    def test_positive_dimensional_quotient_rejected(self, A2):
+        I = Ideal(A2, (A2.var("x"),))
+        with pytest.raises(ValueError, match="not finite dimensional"):
+            vector_space_dimension(I)
+        with pytest.raises(ValueError, match="not finite dimensional"):
+            standard_monomials(I)
+
+    def test_standard_monomials_count(self, A2):
+        x, y = A2.gens()
+        I = Ideal(A2, (x ** 2, x * y, y ** 3))
+        assert standard_monomials(I) == [(0, 0), (0, 1), (1, 0), (0, 2)]
+        assert vector_space_dimension(I) == 4
+        assert vector_space_dimension(Ideal(A2, (A2.one(),))) == 0
 
     def test_infinite_piece_reported(self):
         ring = make_ring(101, [["x"], ["w"]]).with_rees_block(1)
