@@ -20,7 +20,7 @@ import heapq
 import itertools
 import math
 from collections import defaultdict
-from operator import gt
+from operator import ge, gt
 
 from .polyring import (
     FreeModuleMap, Polynomial, RingDescriptor, RingMap, RingMismatchError,
@@ -260,7 +260,12 @@ def reduced_groebner_raw(polys, amb, rkey=None):
 # ---------------------------------------------------------------------------
 
 class Ideal:
-    """Finitely generated ideal; generator list is kept verbatim."""
+    """Finitely generated ideal.
+
+    The constructor keeps its generator list verbatim.  Products (and so
+    powers) keep each nonzero pairwise product once, in the order of first
+    occurrence; they do not interreduce.
+    """
 
     __slots__ = ("ring", "gens", "_cache")
 
@@ -335,8 +340,8 @@ class Ideal:
             other = Ideal(self.ring, (other,))
         if not isinstance(other, Ideal) or other.ring != self.ring:
             raise RingMismatchError("ideal product needs matching rings")
-        gens = tuple(a * b for a in self.gens for b in other.gens)
-        return Ideal(self.ring, gens)
+        gens = dict.fromkeys(a * b for a in self.gens for b in other.gens)
+        return Ideal(self.ring, tuple(g for g in gens if not g.is_zero()))
 
     __rmul__ = __mul__
 
@@ -926,28 +931,27 @@ def codimension(I: Ideal):
 # standard monomials and graded pieces
 # ---------------------------------------------------------------------------
 
-def _pure_power_bounds(lt, nvars):
-    bounds = [None] * nvars
-    for e in lt:
-        nz = [i for i, a in enumerate(e) if a]
-        if len(nz) == 1:
-            i = nz[0]
-            if bounds[i] is None or e[i] < bounds[i]:
-                bounds[i] = e[i]
-    return bounds
-
-
 def _standard_exponents(lt, n, weights=None, degree=None):
     """Exponents outside the monomial ideal (lt), in enumeration order.
 
     Without ``weights`` all of them (the quotient must be finite
     dimensional); with ``weights`` only those of weighted degree ``degree``.
+    The walk stops at the staircase: once the exponents of variables 0..i-1
+    lie above the prefix of a lead whose last nonzero variable is i, the
+    exponent of variable i stays below that lead's, since from there on
+    every point and every extension lies in (lt).  Pure powers are the
+    leads with an all-zero prefix, so they bound the walk in their variable.
     """
     if any(not any(e) for e in lt):
         return []  # unit ideal: no standard monomials at all
-    bounds = _pure_power_bounds(lt, n)
+    # leads by their last nonzero variable i: (exponents of 0..i-1, of i)
+    ends = [[] for _ in range(n)]
+    for m in lt:
+        last = max(i for i, a in enumerate(m) if a)
+        ends[last].append((m[:last], m[last]))
     for i in range(n):
-        if bounds[i] is None and (weights is None or weights[i] == 0):
+        if ((weights is None or weights[i] == 0)
+                and not any(not any(pre) for pre, _ in ends[i])):
             raise ValueError("quotient is not finite dimensional"
                              if weights is None
                              else "infinite-dimensional graded piece")
@@ -956,16 +960,15 @@ def _standard_exponents(lt, n, weights=None, degree=None):
 
     def rec(i, rem):
         if i == n:
-            e = tuple(expo)
-            if not rem and not any(all(a >= b for a, b in zip(e, m))
-                                   for m in lt):
-                out.append(e)
+            if not rem:
+                out.append(tuple(expo))
             return
-        cap = bounds[i] - 1 if bounds[i] is not None else None
+        stop = min((t for pre, t in ends[i] if all(map(ge, expo, pre))),
+                   default=None)
         w = weights[i] if weights is not None else 0
         if w > 0:
-            cap = rem // w if cap is None else min(cap, rem // w)
-        for a in range(cap + 1):
+            stop = rem // w + 1 if stop is None else min(stop, rem // w + 1)
+        for a in range(stop):
             expo[i] = a
             rec(i + 1, rem - a * w)
         expo[i] = 0

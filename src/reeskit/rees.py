@@ -296,7 +296,9 @@ def multiplicity(I: Ideal, cap=DEFAULT_MULTIPLICITY_CAP) -> int:
 
     Computes len(ring/I^(n+1)) until d+2 consecutive values fit a degree-d
     polynomial that also predicts the next two (d = ring dimension); the
-    normalized leading coefficient is the d-th finite difference.
+    normalized leading coefficient is the d-th finite difference.  Each
+    power is the reduced basis of the previous power times the reduced
+    basis of I, so generator lists stay as small as the bases.
     """
     ring = I.ring
     if any(d != 1 for d in ring.degrees):
@@ -307,10 +309,12 @@ def multiplicity(I: Ideal, cap=DEFAULT_MULTIPLICITY_CAP) -> int:
     d = ring_dimension(ring)
     if dimension_and_degree(I)[0] != 0:
         raise ValueError("multiplicity needs a zero-dimensional ideal")
+    base = Ideal(ring, tuple(I.display_gens()))
     lengths = []
-    power = None
+    power = I
     for n in range(cap + 1):
-        power = I if power is None else power * I
+        if n:
+            power = Ideal(ring, tuple(power.display_gens())) * base
         lengths.append(vector_space_dimension(power))
         if len(lengths) >= d + 4:
             window = lengths[-(d + 4):]
@@ -400,7 +404,8 @@ def minimal_reduction(I: Ideal, seed=0, tries=10,
     combinations of all of them generically vanish outside V(I) and the
     global identity J*I^r = I^(r+1) cannot hold; in that case combinations
     of the lowest-degree generators (then widening the degree window) are
-    attempted as well.
+    attempted as well.  A homogeneous generating set with a redundant
+    generator is trimmed first, so that it does not skew those windows.
     """
     ring = I.ring
     ell = analytic_spread(I)
@@ -411,6 +416,9 @@ def minimal_reduction(I: Ideal, seed=0, tries=10,
     all_homog = all(g.is_homogeneous() for g in gens)
     pools = [list(enumerate(I.gens))]
     if all_homog:
+        trimmed = trim_homogeneous(I)
+        if len(trimmed.gens) < len(gens):
+            return minimal_reduction(trimmed, seed, tries, cap)
         degs = sorted({g.total_degree() for g in gens})
         windows = []
         for k in range(1, len(degs)):

@@ -10,7 +10,7 @@ from reeskit.gb import (
     intersect_ideals, kernel_of_matrix, kernel_of_ring_map, minors_ideal,
     module_contains, normal_form, radical_membership, ring_dimension,
     saturate, saturation_exponent, standard_monomials, trim_homogeneous,
-    vector_space_dimension, colon, _exact_divide,
+    vector_space_dimension, colon, _exact_divide, _standard_exponents,
 )
 from reeskit.polyring import (FreeModuleMap, RingMap, make_ring,
                               matrix_from_columns, random_poly, transport)
@@ -676,6 +676,60 @@ class TestGradedPieces:
         I = Ideal(ring, (ring.var("w"),))
         with pytest.raises(ValueError):
             graded_piece_dim(1, I, "wblock")
+
+
+class TestIdealProducts:
+    def test_power_keeps_distinct_products(self, A2):
+        x, y = A2.gens()
+        m = Ideal(A2, (x, y))
+        cube = m ** 3
+        assert cube.gens == (x ** 3, x ** 2 * y, x * y ** 2, y ** 3)
+        verbatim = Ideal(A2, tuple(a * b * c for a in m.gens
+                                   for b in m.gens for c in m.gens))
+        assert len(verbatim.gens) == 8
+        assert cube == verbatim
+
+    def test_zero_products_dropped(self):
+        R0 = make_ring(101, ["x", "y"])
+        R = make_ring(101, ["x", "y"], quotient=[R0.var("x") ** 2])
+        x, y = R.gens()
+        got = Ideal(R, (x, y)) * Ideal(R, (x,))
+        assert got.gens == (x * y,)
+        assert (Ideal(R, (x,)) * Ideal(R, (x,))).gens == ()
+
+
+def brute_standard_exponents(lt, n, weights=None, degree=None):
+    """Oracle: filter a box that holds every candidate, in the same
+    (variable 0 outermost) order."""
+    side = max([degree or 0] + [a for m in lt for a in m]) + 1
+    out = []
+    for e in itertools.product(range(side), repeat=n):
+        if weights is not None and sum(
+                a * w for a, w in zip(e, weights)) != degree:
+            continue
+        if not any(all(a >= b for a, b in zip(e, m)) for m in lt):
+            out.append(e)
+    return out
+
+
+class TestStandardExponents:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_matches_box_filter(self, seed):
+        rng = random.Random(seed)
+        n = rng.choice((2, 3))
+        # a pure power of every variable keeps the ungraded walk finite
+        lt = [tuple(rng.randint(1, 6) if j == i else 0 for j in range(n))
+              for i in range(n)]
+        lt += [tuple(rng.randint(0, 4) for _ in range(n))
+               for _ in range(rng.randint(0, 4))]
+        lt = [m for m in lt if any(m)]
+        rng.shuffle(lt)
+        assert _standard_exponents(lt, n) == brute_standard_exponents(lt, n)
+        weights = tuple(rng.randint(0, 2) for _ in range(n))
+        degree = rng.randint(0, 8)
+        assert (_standard_exponents(lt, n, weights, degree)
+                == brute_standard_exponents(lt, n, weights, degree))
 
 
 class TestRadicalMembership:

@@ -187,13 +187,16 @@ class TestMultiplicity:
         assert brute_colength(I) == 2
         assert brute_colength(I * I) == 6  # dim k[x,y]/(x^2,y)^2
 
-    def test_squares_of_maximal_ideal(self, A2):
+    def test_squares_of_maximal_ideal(self, A2, A3):
         x, y = A2.gens()
         d_values = {}
-        for d in (1, 2, 3):
+        for d in range(1, 7):
             I = Ideal(A2, (x, y)) ** d
             d_values[d] = multiplicity(I)
-        assert d_values == {1: 1, 2: 4, 3: 9}
+        assert d_values == {d: d * d for d in range(1, 7)}
+        assert multiplicity(Ideal(A3, A3.gens()) ** 2) == 8
+        # not monomial: a complete intersection of two quadrics
+        assert multiplicity(Ideal(A2, (x ** 2 + y ** 2, x * y))) == 4
 
     def test_normal_cone_degree_cross_check(self, A2):
         # the w-graded pieces of the normal cone are I^n/I^(n+1); their
@@ -306,6 +309,16 @@ class TestReductions:
         I = Ideal(A2, (x, y))
         J = minimal_reduction(I, seed=0)
         assert reduction_number(I, J) == 0
+
+    def test_redundant_generator_trimmed(self, A2):
+        # x*y^2 lies in (y^2); kept, it skews the degree windows and no
+        # draw passed the reduction test
+        x, y = A2.gens()
+        for gens in ((x ** 6, x * y ** 2, y ** 2), (y ** 2, x * y ** 2, x ** 6)):
+            I = Ideal(A2, gens)
+            J = minimal_reduction(I, seed=0)
+            assert len(J.gens) == 2
+            assert reduction_number(I, J) == 0
 
     def test_principal_returns_itself(self, A2):
         x, _ = A2.gens()
