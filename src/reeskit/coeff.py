@@ -1,14 +1,24 @@
 """Exact arithmetic in GF(p) and polynomial factorization over prime fields.
 
-Univariate factorization is distinct-degree decomposition followed by
-Cantor-Zassenhaus equal-degree splitting (trace splitting for p = 2).
+Univariate polynomials are ascending coefficient lists with entries in
+[0, p).  Products are Kronecker-packed: each list becomes one Python int,
+one big-int multiplication does the convolution, and the slots are read
+back.  Univariate factorization is distinct-degree decomposition followed
+by Cantor-Zassenhaus equal-degree splitting (trace splitting for p = 2);
+both, and Rabin's irreducibility test, step h -> h^p mod f as a linear
+combination of the Frobenius rows x^(ip) mod f.
 Multivariate factorization reduces to one variable through Kronecker
-substitution and recombines univariate factors by trial division.
+substitution and recombines univariate factors without division: a subset
+of the image's factors is accepted when it and the product of the others
+decode to polynomials whose degrees add up to at most those of the input,
+which makes their product the input.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 
 from .polyring import MAX_MODULUS, Polynomial, is_prime
 
@@ -104,15 +114,72 @@ def _deg(f):
     return len(f) - 1
 
 
+# Kronecker packing: a coefficient list becomes one int whose i-th slot of
+# `size` bytes holds coefficient i.  Slots are byte-aligned so that packing
+# and unpacking run through array/bytes conversions in C; widths 1, 2, 4 and
+# 8 have an array typecode, wider slots (p near 2^31) go through bytes.
+_SLOT_CODES = sorted((array(c).itemsize, c) for c in "BHIQ")
+_BIG_ENDIAN = sys.byteorder == "big"
+
+# uv_mul multiplies schoolbook when one factor is a constant or when
+# len(f) * len(g) is at most this: there the fixed cost of packing two ints
+# and unpacking one exceeds the double loop.  Measured on CPython 3.11,
+# p = 101, schoolbook against packed: 3 x 3 1.5 against 2.4 us, 4 x 6 2.7
+# against 2.7 us, 4 x 8 3.5 against 2.8 us, 1 x 64 5.1 against 6.1 us.
+_SCHOOLBOOK_TERMS = 24
+
+# _Modulus multiplies schoolbook below this modulus degree.  Packed, the
+# distinct-degree split of degree-2 and degree-3 inputs over GF(7) took
+# 16.3 and 22.1 us against 13.7 and 18.6 us schoolbook; from degree 4 the
+# packed product is faster (3.4 against 6.2 us at p = 101).
+_PACKED_MODULUS_DEGREE = 4
+
+
+def _slot(bound):
+    """(bytes per slot, array typecode or None) for slot values <= bound."""
+    need = (bound.bit_length() + 7) // 8
+    for size, code in _SLOT_CODES:
+        if size >= need:
+            return size, code
+    return need, None
+
+
+def _pack(f, size, code):
+    if code is None:
+        return int.from_bytes(
+            b"".join([c.to_bytes(size, "little") for c in f]), "little")
+    a = array(code, f)
+    if _BIG_ENDIAN:
+        a.byteswap()
+    return int.from_bytes(a, "little")
+
+
+def _unpack(x, n, size, code, p):
+    """The n slots of x (x < 2^(8 n size)), each reduced mod p."""
+    b = x.to_bytes(n * size, "little")
+    if code is None:
+        return [int.from_bytes(b[i:i + size], "little") % p
+                for i in range(0, n * size, size)]
+    a = array(code, b)
+    if _BIG_ENDIAN:
+        a.byteswap()
+    return [c % p for c in a]
+
+
 def uv_mul(f, g, p):
     if not f or not g:
         return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _trim(out)
+    if min(len(f), len(g)) == 1 or len(f) * len(g) <= _SCHOOLBOOK_TERMS:
+        out = [0] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            if a:
+                for j, b in enumerate(g):
+                    out[i + j] = (out[i + j] + a * b) % p
+        return _trim(out)
+    # a slot sums at most min(len f, len g) products of residues
+    size, code = _slot(min(len(f), len(g)) * (p - 1) ** 2)
+    r = _pack(f, size, code) * _pack(g, size, code)
+    return _trim(_unpack(r, len(f) + len(g) - 1, size, code, p))
 
 
 def uv_add(f, g, p):
@@ -134,8 +201,10 @@ def uv_sub(f, g, p):
 
 
 def uv_divmod(f, g, p):
-    if not g:
-        raise ZeroDivisionError("univariate division by zero")
+    if not g or not g[-1]:
+        g = _trim(list(g))
+        if not g:
+            raise ZeroDivisionError("univariate division by zero")
     f = list(f)
     q = [0] * max(len(f) - len(g) + 1, 0)
     inv = pow(g[-1], -1, p)
@@ -147,8 +216,7 @@ def uv_divmod(f, g, p):
         q[k] = c
         for i, b in enumerate(g):
             f[k + i] = (f[k + i] - c * b) % p
-        _trim(f)
-    return _trim(q), f
+    return _trim(q), _trim(f)
 
 
 def uv_mod(f, g, p):
@@ -156,10 +224,23 @@ def uv_mod(f, g, p):
 
 
 def uv_gcd(f, g, p):
-    f, g = list(f), list(g)
+    """Monic gcd by Euclid; each divisor is made monic, so a remainder step
+    subtracts top * x^k * g without a multiplication by an inverse."""
+    f, g = _trim(list(f)), _trim(list(g))
     while g:
-        f, g = g, uv_mod(f, g, p)
-    if f:
+        if g[-1] != 1:
+            inv = pow(g[-1], -1, p)
+            g = [c * inv % p for c in g]
+        n = len(g) - 1
+        low = g[:-1]
+        while len(f) > n:
+            c = f.pop()
+            if c:
+                for i, b in enumerate(low, len(f) - n):
+                    f[i] = (f[i] - c * b) % p
+        _trim(f)
+        f, g = g, f
+    if f and f[-1] != 1:
         inv = pow(f[-1], -1, p)
         f = [c * inv % p for c in f]
     return f
@@ -172,16 +253,114 @@ def uv_monic(f, p):
     return [c * inv % p for c in f]
 
 
+class _Modulus:
+    """Arithmetic modulo a fixed polynomial m of degree n >= 1 over GF(p).
+
+    Residues are trimmed coefficient lists of length at most n.  A product
+    of two residues is reduced through the packed rows x^(n+k) mod m,
+    k < n - 1, built on the first product that needs them: the product's
+    high coefficients, reduced mod p, scale those rows and are added to
+    its packed low part.  Row k comes from row k-1 by one shift and one
+    multiple of row 0, so its slots are left unreduced below
+    (p-1) + k (p-1)^2; the slot width covers the sum this gives.
+
+    The Frobenius rows x^(ip) mod m, i < n, are built on first use; h^p mod
+    m is then the linear combination sum h_i x^(ip), since h_i^p = h_i in
+    GF(p).
+    """
+
+    def __init__(self, m, p, xp=None, frob=None):
+        self.m, self.p, self.n = m, p, len(m) - 1
+        n = self.n
+        self.size, self.code = _slot((2 * n - 1) * (p - 1) ** 2
+                                     + (n - 1) * (n - 2) * (p - 1) ** 3 // 2)
+        self.low_bits = 8 * self.size * n
+        self.rows = None
+        self.xp = xp            # x^p mod m, once known
+        self.frob = frob        # coefficient lists x^(ip) mod m, once built
+        self.packed_frob = None
+
+    def _build_rows(self):
+        m, p, n = self.m, self.p, self.n
+        inv = pow(m[-1], -1, p)
+        row = _pack([-c * inv % p for c in m[:-1]], self.size, self.code)
+        top = 8 * self.size * (n - 1)
+        low = (1 << top) - 1
+        rows = [row]
+        for _ in range(n - 2):
+            rows.append(((rows[-1] & low) << 8 * self.size)
+                        + (rows[-1] >> top) % p * row)
+        self.rows = rows
+
+    def mul(self, a, b):
+        if not a or not b:
+            return []
+        if self.n < _PACKED_MODULUS_DEGREE:
+            return uv_mod(uv_mul(a, b, self.p), self.m, self.p)
+        size, code, p = self.size, self.code, self.p
+        pa = _pack(a, size, code)
+        c = pa * (pa if a is b else _pack(b, size, code))
+        high = len(a) + len(b) - 1 - self.n
+        if high <= 0:
+            return _trim(_unpack(c, len(a) + len(b) - 1, size, code, p))
+        if self.rows is None:
+            self._build_rows()
+        acc = c & ((1 << self.low_bits) - 1)
+        for t, row in zip(_unpack(c >> self.low_bits, high, size, code, p),
+                          self.rows):
+            if t:
+                acc += t * row
+        return _trim(_unpack(acc, self.n, size, code, p))
+
+    def pow(self, a, e):
+        """a^e mod m for a residue a (left-to-right binary powering)."""
+        if not e:
+            return [1]
+        r = a
+        for bit in bin(e)[3:]:
+            r = self.mul(r, r)
+            if bit == "1":
+                r = self.mul(r, a)
+        return r
+
+    def frobenius(self, h):
+        """h^p mod m for a residue h."""
+        if self.xp is None:
+            self.xp = self.pow([0, 1], self.p)
+        if h == [0, 1]:
+            return self.xp
+        if self.packed_frob is None:
+            if self.frob is None:
+                frob = [[1], self.xp]
+                while len(frob) < self.n:
+                    frob.append(self.mul(frob[-1], self.xp))
+                self.frob = frob
+            self.packed_frob = [_pack(r, self.size, self.code)
+                                for r in self.frob]
+        acc = 0
+        for c, row in zip(h, self.packed_frob):
+            if c:
+                acc += c * row
+        return _trim(_unpack(acc, self.n, self.size, self.code, self.p))
+
+    def reduced(self, f):
+        """The modulus f, a factor of m of degree >= 1, keeping x^p and the
+        Frobenius rows known for m, reduced mod f."""
+        p = self.p
+        xp = None if self.xp is None else uv_mod(self.xp, f, p)
+        frob = None
+        if self.frob is not None:
+            frob = [uv_mod(r, f, p) for r in self.frob[:_deg(f)]]
+        return _Modulus(f, p, xp, frob)
+
+
 def uv_pow_mod(f, n, mod, p):
-    result = [1]
+    """f^n mod `mod`; every class is 0 modulo a unit."""
+    mod = _trim(list(mod))
     base = uv_mod(f, mod, p)
-    while n:
-        if n & 1:
-            result = uv_mod(uv_mul(result, base, p), mod, p)
-        n >>= 1
-        if n:
-            base = uv_mod(uv_mul(base, base, p), mod, p)
-    return result
+    if len(mod) == 1:
+        return []
+    return _Modulus(mod, p).pow(base, n)
 
 
 def uv_deriv(f, p):
@@ -224,43 +403,56 @@ def uv_squarefree_decomposition(f, p):
 
 
 def _distinct_degree(f, p):
-    """[(product of irreducibles of degree d, d)] for monic squarefree f."""
+    """[(product of irreducibles of degree d, d)] for monic squarefree f.
+
+    x^(p^d) mod f comes from x^(p^(d-1)) by one Frobenius step; when a
+    factor splits off, the Frobenius rows are reduced mod the cofactor."""
     out = []
     x = [0, 1]
-    h = list(x)
+    h = x
     d = 0
+    mod = _Modulus(f, p)
     while _deg(f) > 0:
         d += 1
         if 2 * d > _deg(f):
             out.append((f, _deg(f)))
             break
-        h = uv_pow_mod(h, p, f, p)
+        h = mod.frobenius(h)
         g = uv_gcd(uv_sub(h, x, p), f, p)
         if _deg(g) > 0:
             out.append((g, d))
             f = uv_divmod(f, g, p)[0]
             h = uv_mod(h, f, p)
+            if 2 * (d + 1) <= _deg(f):
+                mod = mod.reduced(f)
     return out
 
 
 def _equal_degree_split(f, d, p, rng):
-    """Cantor-Zassenhaus split of a product of degree-d irreducibles."""
+    """Cantor-Zassenhaus split of a product of degree-d irreducibles.
+
+    For odd p, a^((p^d - 1)/2) is computed as
+    (a a^p ... a^(p^(d-1)))^((p-1)/2), the product taking d - 1 Frobenius
+    steps; for p = 2 the trace a + a^2 + ... + a^(2^(d-1)) splits."""
     n = _deg(f)
     if n == d:
         return [f]
+    mod = _Modulus(f, p)
     while True:
         a = [rng.randrange(p) for _ in range(n)]
         a = _trim(a)
         if _deg(a) < 1:
             continue
+        b = t = a
         if p == 2:
-            b = list(a)
-            t = list(a)
             for _ in range(d - 1):
-                t = uv_pow_mod(t, 2, f, p)
+                t = mod.mul(t, t)
                 b = uv_add(b, t, p)
         else:
-            b = uv_sub(uv_pow_mod(a, (p ** d - 1) // 2, f, p), [1], p)
+            for _ in range(d - 1):
+                t = mod.frobenius(t)
+                b = mod.mul(b, t)
+            b = uv_sub(mod.pow(b, (p - 1) // 2), [1], p)
         g = uv_gcd(b, f, p)
         if 0 < _deg(g) < n:
             left = _equal_degree_split(g, d, p, rng)
@@ -286,23 +478,39 @@ def factor_univariate_list(f, p, rng=None):
     return unit, [(list(q), m) for q, m in ordered]
 
 
+def _prime_divisors(n):
+    out = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def is_irreducible_univariate(f, p) -> bool:
-    """gcd certificate: f of degree d divides x^(p^d) - x and no smaller one."""
+    """Rabin's test: f of degree d >= 1 is irreducible over GF(p) iff f
+    divides x^(p^d) - x and gcd(x^(p^(d/q)) - x, f) = 1 for every prime q
+    dividing d.  Each x^(p^e) mod f is one Frobenius step from the last."""
     f = uv_monic(_trim([c % p for c in f]), p)
     d = _deg(f)
     if d <= 0:
         return False
     if d == 1:
         return True
+    checks = {d // q for q in _prime_divisors(d)}
+    mod = _Modulus(f, p)
     x = [0, 1]
-    h = list(x)
-    for e in range(1, d):
-        h = uv_pow_mod(h, p, f, p)
-        if d % e == 0:
-            if _deg(uv_gcd(uv_sub(h, x, p), f, p)) > 0:
-                return False
-    h = uv_pow_mod(h, p, f, p)
-    return not uv_mod(uv_sub(h, x, p), f, p)
+    h = x
+    for e in range(1, d + 1):
+        h = mod.frobenius(h)
+        if e in checks and _deg(uv_gcd(uv_sub(h, x, p), f, p)) > 0:
+            return False
+    return h == x
 
 
 # ---------------------------------------------------------------------------
@@ -401,15 +609,6 @@ def _multiset_combinations(indexed, size):
     yield from rec(0, size, [])
 
 
-def _try_divide(f: Polynomial, g: Polynomial):
-    """Quotient f/g or None; g nonconstant."""
-    from .gb import _exact_divide
-    try:
-        return _exact_divide(f, g)
-    except ArithmeticError:
-        return None
-
-
 def factor_multivariate(f: Polynomial, seed=0, bound=KRONECKER_DEGREE_BOUND):
     """Factor into irreducibles over GF(p) via Kronecker substitution.
 
@@ -448,15 +647,14 @@ def factor_multivariate(f: Polynomial, seed=0, bound=KRONECKER_DEGREE_BOUND):
                 key = _canon_key(g)
                 factors[key] = factors.get(key, 0) + m
             break
-        g = _kronecker_step(f, used, p, rng, bound)
-        if g is None:
+        step = _kronecker_step(f, used, p, rng, bound)
+        if step is None:
             lc = f.lead_coeff()
             unit = unit * lc % p
             key = _canon_key(f.monic())
             factors[key] = factors.get(key, 0) + 1
             break
-        quo = _try_divide(f, g)
-        assert quo is not None
+        g, quo = step
         lc = g.lead_coeff()
         key = _canon_key(g.monic())
         factors[key] = factors.get(key, 0) + 1
@@ -471,25 +669,22 @@ def factor_multivariate(f: Polynomial, seed=0, bound=KRONECKER_DEGREE_BOUND):
 def _restrict_to_line(f: Polynomial, used, p, rng):
     """f evaluated along a random affine line, as a univariate coeffs list."""
     line = {i: (rng.randrange(p), rng.randrange(p)) for i in used}
-    powcache = {}
-    acc = []
+    powers = {i: [[1]] for i in used}       # powers[i][k] = (b + a t)^k
+    acc = [0] * (f.total_degree() + 1)
     for e, c in f.terms:
-        piece = [c]
+        piece = None
         for i in used:
             k = e[i]
             if not k:
                 continue
-            key = (i, k)
-            pw = powcache.get(key)
-            if pw is None:
+            pw = powers[i]
+            while len(pw) <= k:
                 a, b = line[i]
-                pw = [1]
-                for _ in range(k):
-                    pw = uv_mul(pw, [b, a], p)
-                powcache[key] = pw
-            piece = uv_mul(piece, pw, p)
-        acc = uv_add(acc, piece, p)
-    return acc
+                pw.append(uv_mul(pw[-1], [b, a], p))
+            piece = pw[k] if piece is None else uv_mul(piece, pw[k], p)
+        for j, v in enumerate([1] if piece is None else piece):
+            acc[j] += c * v
+    return _trim([v % p for v in acc])
 
 
 def _line_certifies_irreducible(f: Polynomial, used, p, rng, attempts=12):
@@ -506,8 +701,8 @@ def _line_certifies_irreducible(f: Polynomial, used, p, rng, attempts=12):
 
 
 def _kronecker_step(f: Polynomial, used, p, rng, bound):
-    """One irreducible factor of f (nonconstant, truly multivariate), or
-    None when f is irreducible."""
+    """(g, f / g) for an irreducible factor g of f (nonconstant, truly
+    multivariate), or None when f is irreducible."""
     ring = f.ring
     if _line_certifies_irreducible(f, used, p, rng):
         return None
@@ -528,7 +723,7 @@ def _kronecker_step(f: Polynomial, used, p, rng, bound):
         k = sum(e[i] * weight[i] for i in used)
         image[k] = (image[k] + c) % p
     _trim(image)
-    _, pieces = factor_univariate_list(image, p, rng)
+    lc, pieces = factor_univariate_list(image, p, rng)
     expanded = []
     for q, m in pieces:
         expanded.extend([tuple(q)] * m)
@@ -538,7 +733,10 @@ def _kronecker_step(f: Polynomial, used, p, rng, bound):
             f"too many Kronecker pieces ({len(expanded)}) to recombine")
 
     def decode(coeffs):
+        """(term dict, degree in each used variable) of the polynomial with
+        image coeffs, or None when no polynomial in the degree box has it."""
         d = {}
+        top = dict.fromkeys(used, 0)
         nv = ring.nvars
         for k, c in enumerate(coeffs):
             if not c:
@@ -552,9 +750,17 @@ def _kronecker_step(f: Polynomial, used, p, rng, bound):
             for i in used:
                 if e[i] > degs[i]:
                     return None
+                if e[i] > top[i]:
+                    top[i] = e[i]
             d[tuple(e)] = c
-        return ring.poly(d)
+        return d, top
 
+    # The image map is a ring homomorphism, injective on polynomials of
+    # degree < D in each variable.  A candidate and the decoded image of
+    # lc * (the other pieces) multiply to a polynomial with the image of f;
+    # when their degrees add up to at most those of f, that product lies in
+    # the box, so it is f: the pair is an exact factorization, no division
+    # needed.  Conversely a true factor always passes this test.
     total = len(expanded)
     budget = 200_000
     for size in range(1, total):
@@ -563,12 +769,18 @@ def _kronecker_step(f: Polynomial, used, p, rng, bound):
             if budget < 0:
                 raise KroneckerBoundError(
                     "Kronecker recombination budget exceeded")
-            prod = [1]
-            for i in combo:
-                prod = uv_mul(prod, list(expanded[i]), p)
+            prod = expanded[combo[0]]
+            for i in combo[1:]:
+                prod = uv_mul(prod, expanded[i], p)
             cand = decode(prod)
-            if cand is None or cand.is_constant():
+            if cand is None:
                 continue
-            if _try_divide(f, cand) is not None:
-                return cand
+            rest = [lc]
+            for i in range(total):
+                if i not in combo:
+                    rest = uv_mul(rest, expanded[i], p)
+            quo = decode(rest)
+            if quo is not None and all(cand[1][i] + quo[1][i] <= degs[i]
+                                       for i in used):
+                return ring.poly(cand[0]), ring.poly(quo[0])
     return None

@@ -4,11 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reeskit.coeff import (
-    GFElement, factor_multivariate, factor_univariate, gf_add, gf_div,
-    gf_inv, gf_mul, gf_pow, gf_sub, is_irreducible_univariate,
-    KroneckerBoundError, uv_gcd, uv_mul, uv_pow_mod, uv_sub,
+    _Modulus, _restrict_to_line, GFElement, factor_multivariate,
+    factor_univariate, factor_univariate_list, gf_add, gf_div, gf_inv, gf_mul,
+    gf_pow, gf_sub, is_irreducible_univariate, KroneckerBoundError,
+    uv_divmod, uv_gcd, uv_mul, uv_pow_mod, uv_sub,
 )
-from reeskit.polyring import make_ring
+from reeskit.polyring import make_ring, parse_poly
+
+# 2147483647 = 2^31 - 1 is the largest prime below MAX_MODULUS: its products
+# need slots wider than 8 bytes, the other primes fit array slots
+KERNEL_PRIMES = (2, 3, 7, 101, 32003, 2147483647)
 
 
 class TestFieldOps:
@@ -205,3 +210,260 @@ class TestUnivariateHelpers:
         f = uv_mul([1, 1], [2, 1], p)
         g = uv_mul([1, 1], [5, 7], p)
         assert uv_gcd(f, g, p) == [1, 1]
+
+    def test_divmod_trims_the_divisor(self):
+        assert uv_divmod([1, 2, 3], [1, 0], 7) == ([1, 2, 3], [])
+        assert uv_divmod([1, 2, 3], [0, 1, 0, 0], 7) == ([2, 3], [1])
+        for g in ([], [0], [0, 0]):
+            with pytest.raises(ZeroDivisionError):
+                uv_divmod([1, 2], g, 7)
+
+    def test_pow_mod_by_a_unit_is_zero(self):
+        # every class is 0 modulo a unit, x^0 included
+        for n in range(4):
+            assert uv_pow_mod([1, 2], n, [3], 7) == []
+            assert uv_pow_mod([1, 2], n, [3, 0], 7) == []
+        assert uv_pow_mod([1, 2], 0, [0, 1], 7) == [1]
+
+
+# ---------------------------------------------------------------------------
+# packed kernels against schoolbook references written here
+# ---------------------------------------------------------------------------
+
+def _strip(f):
+    f = list(f)
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _school_mul(f, g, p):
+    out = [0] * max(len(f) + len(g) - 1, 0)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    return _strip(out)
+
+
+def _school_mod(f, m, p):
+    f, m = _strip(f), _strip(m)
+    inv = pow(m[-1], -1, p)
+    while len(f) >= len(m):
+        c = f[-1] * inv % p
+        k = len(f) - len(m)
+        for i, b in enumerate(m):
+            f[k + i] = (f[k + i] - c * b) % p
+        f = _strip(f)
+    return f
+
+
+def _school_pow_mod(f, n, m, p):
+    result, base = _school_mod([1], m, p), _school_mod(f, m, p)
+    while n:
+        if n & 1:
+            result = _school_mod(_school_mul(result, base, p), m, p)
+        base = _school_mod(_school_mul(base, base, p), m, p)
+        n >>= 1
+    return result
+
+
+def _school_gcd(f, g, p):
+    f, g = _strip(f), _strip(g)
+    while g:
+        f, g = g, _school_mod(f, g, p)
+    return f
+
+
+def _school_is_irreducible(f, p):
+    """f of degree d divides x^(p^d) - x and shares no factor with
+    x^(p^e) - x for any proper divisor e of d."""
+    f = _strip(f)
+    d = len(f) - 1
+    if d < 1:
+        return False
+    x = _school_mod([0, 1], f, p)
+    h = x
+    for e in range(1, d):
+        h = _school_pow_mod(h, p, f, p)
+        diff = _strip([(a - b) % p for a, b in
+                       zip(h + [0] * d, x + [0] * d)])
+        if d % e == 0 and len(_school_gcd(diff, f, p)) > 1:
+            return False
+    return _school_pow_mod(h, p, f, p) == x
+
+
+def _shapes(n, p, rng):
+    """Length-n inputs: all p-1 (the largest slot sums), random, and random
+    with trailing zeros."""
+    top = [p - 1] * n
+    rand = [rng.randrange(p) for _ in range(n)]
+    zeros = rand[:n - n // 3] + [0] * (n // 3)
+    return top, rand, zeros
+
+
+class TestPackedKernels:
+    @pytest.mark.parametrize("p", KERNEL_PRIMES)
+    def test_mul_matches_schoolbook(self, p):
+        rng = random.Random(p)
+        for n in range(81):
+            for m in sorted({0, 1, 3, n, 80 - n}):
+                fs, gs = _shapes(n, p, rng), _shapes(m, p, rng)
+                for f, g in ((fs[0], gs[0]), (fs[1], gs[2]), (fs[2], gs[0])):
+                    assert uv_mul(f, g, p) == _school_mul(f, g, p), (n, m)
+
+    @pytest.mark.parametrize("p", KERNEL_PRIMES)
+    def test_pow_mod_matches_schoolbook(self, p):
+        rng = random.Random(p)
+        for n in range(1, 81):
+            m = _shapes(n, p, rng)[n % 2][:n - 1] + [rng.randrange(1, p)]
+            f = rng.choice(_shapes(rng.randrange(2 * n + 2), p, rng))
+            e = rng.choice([0, 1, 2, rng.randrange(3, 70)])
+            assert uv_pow_mod(f, e, m, p) == _school_pow_mod(f, e, m, p), n
+
+    @pytest.mark.parametrize("p", KERNEL_PRIMES)
+    def test_frobenius_rows_match_schoolbook(self, p):
+        rng = random.Random(p)
+        for n in (2, 3, 4, 5, 7, 12, 20, 33, 54, 79):
+            top, rand, _ = _shapes(n, p, rng)
+            for m in (top + [1], rand + [rng.randrange(1, p)]):
+                mod = _Modulus(m, p)
+                h = _strip(rng.choice(_shapes(n, p, rng)))
+                got = mod.frobenius(h)
+                assert mod.frobenius([1]) == [1]    # builds rows if h == x
+                xp = _school_pow_mod([0, 1], p, m, p)
+                rows = [[1], xp]
+                while len(rows) < n:
+                    rows.append(_school_mod(_school_mul(rows[-1], xp, p),
+                                            m, p))
+                assert mod.frob == rows, n
+                want = [0] * n
+                for c, row in zip(h, rows):
+                    for i, a in enumerate(row):
+                        want[i] = (want[i] + c * a) % p
+                assert got == _strip(want), n
+                if p <= 101:
+                    assert got == _school_pow_mod(h, p, m, p), n
+
+    @pytest.mark.parametrize("p", KERNEL_PRIMES)
+    def test_irreducibility_matches_schoolbook(self, p):
+        rng = random.Random(p)
+        top_len = 81 if p <= 3 else 25
+        seen = set()
+        for n in range(top_len):
+            for f in _shapes(n, p, rng):
+                got = is_irreducible_univariate(f, p)
+                assert got == _school_is_irreducible(f, p), f
+                seen.add(got)
+        # an irreducible of degree 2 or 3 (no root), then its square
+        while True:
+            f = [rng.randrange(p) for _ in range(rng.choice([2, 3]))] + [1]
+            if all(sum(c * pow(a, i, p) for i, c in enumerate(f)) % p
+                   for a in range(min(p, 200))) and _school_is_irreducible(
+                       f, p):
+                break
+        assert is_irreducible_univariate(f, p)
+        assert not is_irreducible_univariate(_school_mul(f, f, p), p)
+        assert seen == {False, True} or p > 3
+
+
+# ---------------------------------------------------------------------------
+# factorization against an independent oracle, and Kronecker recombination
+# ---------------------------------------------------------------------------
+
+class TestSympyOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3, 7, 101, 32003]),
+           st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=24),
+           st.lists(st.integers(0, 10 ** 6), max_size=6),
+           st.integers(0, 10 ** 6))
+    def test_univariate_matches_sympy(self, p, raw, square, seed):
+        """f = g * h^2, so repeated factors and their multiplicities show."""
+        sympy = pytest.importorskip("sympy")
+        h = [c % p for c in square] + [1]
+        f = uv_mul([c % p for c in raw[:-1]] + [raw[-1] % (p - 1) + 1],
+                   uv_mul(h, h, p), p)
+        poly = sympy.Poly(f[::-1], sympy.Symbol("x"), modulus=p)
+        lc, parts = poly.factor_list()
+        want = sorted((tuple(int(c) % p for c in q.all_coeffs()[::-1]), m)
+                      for q, m in parts)
+        unit, factors = factor_univariate_list(f, p, random.Random(seed))
+        assert unit == int(lc) % p
+        assert sorted((tuple(q), m) for q, m in factors) == want
+        assert is_irreducible_univariate(f, p) == (
+            len(f) > 1 and poly.is_irreducible)
+
+
+def _piece(R, rng, d):
+    """Dense bivariate polynomial of total degree exactly d."""
+    x, y = R.gens()
+    p = R.p
+    f = R.const(rng.randrange(1, p)) * x ** d
+    for a in range(d + 1):
+        for b in range(d + 1 - a):
+            if (a, b) != (d, 0):
+                f = f + R.const(rng.randrange(p)) * x ** a * y ** b
+    return f
+
+
+class TestKroneckerRecombination:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([7, 101, 32003]),
+           st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           st.integers(0, 10 ** 6))
+    def test_products_of_dense_pieces(self, p, degs, seed):
+        rng = random.Random(seed)
+        R = make_ring(p, ["x", "y"])
+        f = R.const(rng.randrange(1, p))
+        for d in degs:
+            f = f * _piece(R, rng, d)
+        unit, factors = factor_multivariate(f, seed=seed)
+        assert all(not g.is_constant() for g, _ in factors)
+        back = R.const(unit)
+        for g, m in factors:
+            back = back * g ** m
+        assert back == f
+        assert sum(m for _, m in factors) >= len(degs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 3, 7, 101]), st.integers(0, 10 ** 6))
+    def test_line_restriction(self, p, seed):
+        """f(b + a t) term by term, with the line drawn as (a, b) per used
+        variable in order; p = 2, 3 often draw a = 0 or b = 0."""
+        rng = random.Random(seed)
+        R = make_ring(p, ["x", "y", "z"])
+        f = R.zero()
+        while f.is_zero():
+            for _ in range(rng.randrange(1, 6)):
+                e = [rng.randrange(4) for _ in range(3)]
+                f = f + R.const(rng.randrange(1, p)) * R.monomial(e)
+        used = f.support_vars()
+        draws = random.Random(seed + 1)
+        line = {i: (draws.randrange(p), draws.randrange(p)) for i in used}
+        want = []
+        for e, c in f.terms:
+            piece = [c]
+            for i in used:
+                a, b = line[i]
+                for _ in range(e[i]):
+                    piece = _school_mul(piece, [b, a], p)
+            want = _strip([(u + v) % p for u, v in zip(
+                want + [0] * len(piece), piece + [0] * len(want))])
+        got = _restrict_to_line(f, used, p, random.Random(seed + 1))
+        assert got == want
+
+    @pytest.mark.parametrize("p, seed, text", [
+        (101, 75, "-7*x^2 - 40*x*y + 27*y^2"),
+        (3, 75, "x^4 - x^3*y + x^3 - x^2*y"),
+        (101, 31, "-33*x^3*y + 27*x^2*y^2 + 26*x^3 + 43*x^2*y"),
+    ])
+    def test_degree_sum_check(self, p, seed, text):
+        """Here a candidate and its cofactor both decode, but their degrees
+        in some variable add up to more than f's: their product wraps around
+        in the Kronecker image and is not f."""
+        R = make_ring(p, ["x", "y"])
+        f = parse_poly(R, text)
+        unit, factors = factor_multivariate(f, seed=seed)
+        back = R.const(unit)
+        for g, m in factors:
+            back = back * g ** m
+        assert back == f
