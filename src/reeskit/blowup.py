@@ -1,9 +1,12 @@
 """Blowup as Proj of the Rees algebra: transforms and smoothness checks.
 
 A chart is global: one flattened Rees ring with the Rees ideal installed as
-its quotient.  Smoothness of a transform is decided after saturating the
-Jacobian-minor locus by the irrelevant ideal (the w-block), exactly like
-testing Proj instead of the affine cone.
+its quotient.  The strict transform is the total transform saturated by the
+exceptional ideal.  Smoothness of a transform is decided after saturating
+the Jacobian-minor locus by the irrelevant ideal (the w-block), exactly like
+testing Proj instead of the affine cone.  Both saturations are by an ideal:
+``gb.saturate`` makes one Rabinowitsch elimination per generator and
+intersects the pieces once.
 """
 
 from __future__ import annotations

@@ -587,9 +587,8 @@ def _registry():
     def _(ctx, I, by):
         by2 = by if isinstance(by, (Polynomial, Ideal)) else _as_poly(ctx, by)
         out = gb_mod.saturate(_as_ideal(ctx, I), by2)
-        if ctx.config.verify and isinstance(by2, Polynomial):
-            alt = gb_mod.saturate(_as_ideal(ctx, I), by2,
-                                  method="rabinowitsch")
+        if ctx.config.verify:
+            alt = gb_mod.saturate(_as_ideal(ctx, I), by2, method="colon")
             if alt != out:
                 raise ScriptError("saturation cross-check failed")
         return out

@@ -655,24 +655,56 @@ def colon(I: Ideal, by) -> Ideal:
     raise TypeError("colon by a polynomial or an ideal")
 
 
-def saturate(I: Ideal, by, method="colon", max_rounds=64):
-    """I : by^infinity, by iterated colon (default) or Rabinowitsch."""
-    if method == "rabinowitsch":
-        if not isinstance(by, Polynomial):
-            raise ValueError("Rabinowitsch saturation needs a single element")
-        ring = I.ring
-        amb = ring.ambient
-        z_name = _fresh_name(set(amb.names), "#z")
-        ext = extend_ring(amb, [z_name])
-        z = ext.var(z_name)
-        gens = [transport(g, ext) for g in I.gens if not g.is_zero()]
-        gens += [transport(q, ext) for q in ring.quotient]
-        gens.append(transport(by, ext) * z - ext.one())
-        _, kept = _eliminate_raw(gens, ext, [z_name])
-        return Ideal(ring, tuple(transport(g, ring) for g in kept))
-    if method != "colon":
+def _rabinowitsch_input(I: Ideal, f: Polynomial):
+    """Generators of I + Q + (f*z - 1) in the ambient ring extended by a
+    fresh variable z; returns (extended ring, name of z, generators)."""
+    ring = I.ring
+    amb = ring.ambient
+    z_name = _fresh_name(set(amb.names), "#z")
+    ext = extend_ring(amb, [z_name])
+    gens = [transport(g, ext) for g in I.gens if not g.is_zero()]
+    gens += [transport(q, ext) for q in ring.quotient]
+    gens.append(transport(transport(f, amb), ext) * ext.var(z_name) - ext.one())
+    return ext, z_name, gens
+
+
+def saturate(I: Ideal, by, method="rabinowitsch"):
+    """I : by^infinity for an element or an ideal ``by``.
+
+    Default: for each nonzero generator g of ``by`` (or ``by`` itself), one
+    Rabinowitsch elimination (I + Q + (g*z - 1)) meet k[x] gives I : g^inf,
+    and the pieces are intersected once, since I : J^inf is the
+    intersection of the I : g^inf.  ``method="colon"`` iterates
+    ``colon(I, by)`` until it is stable (``saturation_exponent``); it is
+    kept as the reference.  A zero element, or an ideal with no nonzero
+    generator, raises ValueError on either path.
+    """
+    if method == "colon":
+        return saturation_exponent(I, by)[1]
+    if method != "rabinowitsch":
         raise ValueError(f"unknown saturation method {method!r}")
-    return saturation_exponent(I, by, cap=max_rounds)[1]
+    ring = I.ring
+    if not isinstance(by, (Polynomial, Ideal)):
+        raise TypeError("saturate by a polynomial or an ideal")
+    if by.ring != ring:
+        raise RingMismatchError("saturation needs matching rings")
+    if isinstance(by, Polynomial):
+        if by.is_zero():
+            raise ValueError("colon by zero")
+        elements = [by]
+    else:
+        elements = [g for g in by.gens if not g.is_zero()]
+        if not elements:
+            raise ValueError("colon by the empty (zero) ideal")
+    amb = ring.ambient
+    out = None
+    for g in elements:
+        ext, z_name, gens = _rabinowitsch_input(I, g)
+        _, kept = _eliminate_raw(gens, ext, [z_name])
+        piece = [transport(h, amb) for h in kept]
+        out = piece if out is None else _intersect_raw(out, piece, amb)
+    return Ideal(ring, tuple(h for h in (transport(g, ring) for g in out)
+                             if not h.is_zero()))
 
 
 def saturation_exponent(I: Ideal, by, cap=64):
@@ -690,17 +722,11 @@ def saturation_exponent(I: Ideal, by, cap=64):
 
 def radical_membership(f: Polynomial, I: Ideal) -> bool:
     """Rabinowitsch test: f in rad(I) iff 1 in I + (f*z - 1)."""
-    ring = I.ring
-    if f.ring != ring:
+    if f.ring != I.ring:
         raise RingMismatchError("radical membership needs matching rings")
     if f.is_zero():
         return True
-    amb = ring.ambient
-    z_name = _fresh_name(set(amb.names), "#z")
-    ext = extend_ring(amb, [z_name])
-    gens = [transport(g, ext) for g in I.gens if not g.is_zero()]
-    gens += [transport(q, ext) for q in ring.quotient]
-    gens.append(transport(transport(f, amb), ext) * ext.var(z_name) - ext.one())
+    ext, _, gens = _rabinowitsch_input(I, f)
     basis = reduced_groebner_raw(gens, ext)
     return len(basis) == 1 and basis[0].is_constant()
 

@@ -2,8 +2,9 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from reeskit.blowup import blowup_of
 from reeskit.gb import (
     GroebnerBasis, HilbertSeries, Ideal, codimension, dimension_and_degree,
     eliminate, graded_piece_dim, groebner_basis, hilbert_series,
@@ -451,6 +452,14 @@ class TestColonSaturate:
         with pytest.raises(ValueError):
             colon(Ideal(A2, (A2.var("x"),)), Ideal(A2, ()))
 
+    @pytest.mark.parametrize("method", ["rabinowitsch", "colon"])
+    def test_saturate_by_zero_rejected(self, A2, method):
+        I = Ideal(A2, (A2.var("x"),))
+        with pytest.raises(ValueError, match="colon by zero"):
+            saturate(I, A2.zero(), method=method)
+        with pytest.raises(ValueError, match="zero"):
+            saturate(I, Ideal(A2, (A2.zero(),)), method=method)
+
     def test_unknown_method_rejected(self, A2):
         x, y = A2.gens()
         with pytest.raises(ValueError, match="unknown saturation method"):
@@ -477,6 +486,33 @@ class TestColonSaturate:
         f = random_poly(ring, 1 + rng.randrange(2), rng)
         I = Ideal(ring, gens)
         assert saturate(I, f) == saturate(I, f, method="rabinowitsch")
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["polynomial", "chart", "quotient"]),
+           st.integers(0, 10 ** 6))
+    def test_saturate_by_ideal_agrees_with_iterated_colon(self, kind, seed):
+        """Per-generator eliminations intersected once give I : J^inf."""
+        rng = random.Random(seed)
+        if kind == "polynomial":
+            ring = make_ring(13, ["x", "y", "z"])
+        elif kind == "chart":
+            A = make_ring(13, ["x", "y"])
+            ring = blowup_of(Ideal(A, A.gens())).ring
+        else:
+            R0 = make_ring(13, ["x", "y", "z"])
+            x, y, z = R0.gens()
+            ring = make_ring(13, ["x", "y", "z"],
+                             quotient=[x * y - z ** 2, x ** 3])
+        J = Ideal(ring, tuple(sparse_poly(ring, rng, range(1, 3), range(1, 3))
+                              for _ in range(1 + rng.randrange(3))))
+        assume(any(not g.is_zero() for g in J.gens))
+        # multiples of powers of J's generators, so that I : J^inf is
+        # mostly neither I nor the unit ideal
+        I = Ideal(ring, tuple(
+            sparse_poly(ring, rng, range(1, 3), range(3))
+            * rng.choice(J.gens) ** rng.randrange(1, 3)
+            for _ in range(1 + rng.randrange(2))))
+        assert saturate(I, J) == saturate(I, J, method="colon")
 
 
 class TestIntersect:
