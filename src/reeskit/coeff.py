@@ -7,11 +7,15 @@ back.  Univariate factorization is distinct-degree decomposition followed
 by Cantor-Zassenhaus equal-degree splitting (trace splitting for p = 2);
 both, and Rabin's irreducibility test, step h -> h^p mod f as a linear
 combination of the Frobenius rows x^(ip) mod f.
-Multivariate factorization reduces to one variable through Kronecker
-substitution and recombines univariate factors without division: a subset
-of the image's factors is accepted when it and the product of the others
-decode to polynomials whose degrees add up to at most those of the input,
-which makes their product the input.
+Multivariate factorization first tries to certify irreducibility on a few
+random lines, and stops drawing lines once their factor-degree patterns
+settle.  Otherwise it reduces to one variable through Kronecker
+substitution, factors the image once and peels the input's factors off it,
+smallest subsets of image factors first, without division: a subset is
+accepted when it and the product of the others decode to polynomials whose
+degrees add up to at most those of the input, which makes their product
+the input.  A subset whose lead exponent, read off the base-D digits of its
+degree, exceeds the input's is rejected before any product is formed.
 """
 
 from __future__ import annotations
@@ -586,29 +590,6 @@ def _canon_key(f: Polynomial):
     return tuple((e, c) for e, c in f.terms)
 
 
-def _multiset_combinations(indexed, size):
-    """Combinations of indices of a multiset without duplicate selections."""
-    n = len(indexed)
-
-    def rec(start, need, acc):
-        if need == 0:
-            yield tuple(acc)
-            return
-        if n - start < need:
-            return
-        prev = None
-        for i in range(start, n):
-            if indexed[i] == prev:
-                continue
-            # skipping equal pieces at the same level avoids duplicates
-            prev = indexed[i]
-            acc.append(i)
-            yield from rec(i + 1, need - 1, acc)
-            acc.pop()
-
-    yield from rec(0, size, [])
-
-
 def factor_multivariate(f: Polynomial, seed=0, bound=KRONECKER_DEGREE_BOUND):
     """Factor into irreducibles over GF(p) via Kronecker substitution.
 
@@ -634,32 +615,19 @@ def factor_multivariate(f: Polynomial, seed=0, bound=KRONECKER_DEGREE_BOUND):
             if m:
                 factors[_canon_key(ring.var(ring.names[i]))] = m
 
-    while True:
-        used = f.support_vars()
-        if not used:
-            unit = unit * f.constant_value() % p
-            break
-        if len(used) == 1:
-            u, parts = factor_univariate_list(_poly_to_uv(f, used[0]), p, rng)
-            unit = unit * u % p
-            for q, m in parts:
-                g = _uv_to_poly(q, ring, used[0])
-                key = _canon_key(g)
-                factors[key] = factors.get(key, 0) + m
-            break
-        step = _kronecker_step(f, used, p, rng, bound)
-        if step is None:
-            lc = f.lead_coeff()
-            unit = unit * lc % p
-            key = _canon_key(f.monic())
+    used = f.support_vars()
+    if not used:
+        unit = f.constant_value()
+    elif len(used) == 1:
+        unit, parts = factor_univariate_list(_poly_to_uv(f, used[0]), p, rng)
+        for q, m in parts:
+            key = _canon_key(_uv_to_poly(q, ring, used[0]))
+            factors[key] = factors.get(key, 0) + m
+    else:
+        for g in _kronecker_factors(f, used, p, rng, bound):
+            unit = unit * g.lead_coeff() % p
+            key = _canon_key(g.monic())
             factors[key] = factors.get(key, 0) + 1
-            break
-        g, quo = step
-        lc = g.lead_coeff()
-        key = _canon_key(g.monic())
-        factors[key] = factors.get(key, 0) + 1
-        unit = unit * lc % p
-        f = quo
 
     out = [(Polynomial(ring, key), m) for key, m in factors.items()]
     out.sort(key=lambda t: (t[0].total_degree(), _canon_key(t[0])))
@@ -687,25 +655,144 @@ def _restrict_to_line(f: Polynomial, used, p, rng):
     return _trim([v % p for v in acc])
 
 
-def _line_certifies_irreducible(f: Polynomial, used, p, rng, attempts=12):
+def _line_certifies_irreducible(f: Polynomial, used, p, rng, attempts=12,
+                                give_up=False):
     """Sound one-sided test: if a full-degree line restriction is
-    irreducible then so is f (factors would restrict to factors)."""
+    irreducible then so is f (factors would restrict to factors).
+
+    A factor g of f restricts to a factor of every full-degree restriction,
+    of full degree deg g, so deg g is a sum of degrees of that
+    restriction's irreducible factors.  With give_up, each squarefree
+    full-degree restriction is split by degree, and the set of such subset
+    sums, a bitmask, is intersected over the draws; the test returns False
+    once two draws in a row leave that set unchanged, as further draws
+    would most likely not certify either.  Giving up early changes no
+    output, because the recombination that follows a False is exhaustive;
+    without give_up all `attempts` draws are tried.
+    """
     d = f.total_degree()
     if d == 1:
         return True
+    sums = None         # bit k set: k is a subset sum in every draw so far
+    still = 0
     for _ in range(attempts):
         g = _restrict_to_line(f, used, p, rng)
-        if len(g) - 1 == d and is_irreducible_univariate(g, p):
-            return True
+        if not give_up:
+            if len(g) - 1 == d and is_irreducible_univariate(g, p):
+                return True
+            continue
+        seen = sums
+        if len(g) - 1 == d:
+            g = uv_monic(g, p)
+            if _deg(uv_gcd(g, uv_deriv(g, p), p)) == 0:
+                parts = _distinct_degree(g, p)
+                if parts[0][1] == d:
+                    return True
+                mask = 1
+                for h, k in parts:
+                    for _ in range(_deg(h) // k):
+                        mask |= mask << k
+                seen = mask if sums is None else sums & mask
+        if seen == sums:
+            still += 1
+            if still == 2:
+                return False
+        else:
+            sums, still = seen, 0
     return False
 
 
-def _kronecker_step(f: Polynomial, used, p, rng, bound):
-    """(g, f / g) for an irreducible factor g of f (nonconstant, truly
-    multivariate), or None when f is irreducible."""
+def _decode(coeffs, D, order, box, nv):
+    """(term dict, degree in each variable of box) of the polynomial in nv
+    variables with Kronecker image coeffs, or None when no polynomial in the
+    degree box has it; order lists the variables from the low digit up."""
+    d = {}
+    top = dict.fromkeys(box, 0)
+    for k, c in enumerate(coeffs):
+        if not c:
+            continue
+        e = [0] * nv
+        for i in order:
+            e[i] = k % D
+            k //= D
+        if k:
+            return None
+        for i, b in box.items():
+            if e[i] > b:
+                return None
+            if e[i] > top[i]:
+                top[i] = e[i]
+        d[tuple(e)] = c
+    return d, top
+
+
+def _piece_subsets(pieces, sizes, size):
+    """(indices, summed sizes) of each sub-multiset of `size` pieces, in
+    lexicographic order; equal pieces must be adjacent, and an equal piece
+    is skipped at a depth where it would repeat a selection."""
+    n = len(pieces)
+    acc = []
+
+    def rec(start, need, k):
+        if not need:
+            yield tuple(acc), k
+            return
+        prev = None
+        for i in range(start, n - need + 1):
+            if pieces[i] == prev:
+                continue
+            prev = pieces[i]
+            acc.append(i)
+            yield from rec(i + 1, need - 1, k + sizes[i])
+            acc.pop()
+
+    yield from rec(0, size, 0)
+
+
+def _lead_digits_fit(k, lead, D):
+    """Whether every base-D digit of k, least significant first, is at most
+    the matching entry of lead; k < D^len(lead)."""
+    for top in lead:
+        if k % D > top:
+            return False
+        k //= D
+    return True
+
+
+def _kronecker_factors(f: Polynomial, used, p, rng, bound):
+    """The irreducible factors of f (nonconstant, truly multivariate), one
+    per multiplicity, whose product is f.
+
+    Variable i is sent to t^(D^k) with D - 1 the largest degree of f in one
+    variable, k a digit position; this image map is a ring homomorphism,
+    injective on polynomials of degree < D in each variable.  The image of
+    f is factored once, and factors of f are peeled off it as products of
+    its pieces, smallest number of pieces first: a candidate and the
+    decoded image of lc * (the other pieces) multiply to a polynomial with
+    the image of f; when their degrees add up to at most those of f, that
+    product lies in the box, so it is f: the pair is an exact
+    factorization, no division needed.  Conversely a true factor always
+    passes this test.
+
+    A factor found at size s is irreducible, since a proper factor of it
+    would have been found with fewer pieces.  The quotient replaces f and
+    the search goes on at size s: a factor of the quotient is one of f, so
+    no smaller subset can be one.  Once 2s exceeds the pieces left, a
+    factor would leave s or fewer of them on one side, so what is left is
+    irreducible.  Products of the leading pieces of a subset are kept for
+    the next subset that shares them.
+
+    Before a product is formed, a subset is rejected unless the base-D
+    digits of its summed piece degrees are, digit by digit, at most those
+    of the current image degree.  The weights order monomials, the image
+    degree of a polynomial in the box is its leading monomial read as
+    base-D digits, and lead(g) + lead(f / g) = lead(f) with no digit
+    carrying (each is below D), so a true factor always passes.
+
+    Weights above `bound` raise KroneckerBoundError, after line
+    certification has had all its draws.
+    """
     ring = f.ring
-    if _line_certifies_irreducible(f, used, p, rng):
-        return None
     degs = {i: f.degree_in(ring.names[i]) for i in used}
     D = max(degs.values()) + 1
     # higher-degree variables get the low Kronecker digits: smaller image
@@ -716,71 +803,69 @@ def _kronecker_step(f: Polynomial, used, p, rng, bound):
         weight[i] = w
         w *= D
         if w > bound:
-            raise KroneckerBoundError(
-                f"Kronecker substitution degree {w} exceeds bound {bound}")
+            break
+    if _line_certifies_irreducible(f, used, p, rng, give_up=w <= bound):
+        return [f]
+    if w > bound:
+        raise KroneckerBoundError(
+            f"Kronecker substitution degree {w} exceeds bound {bound}")
     image = [0] * (sum(degs[i] * weight[i] for i in used) + 1)
     for e, c in f.terms:
         k = sum(e[i] * weight[i] for i in used)
         image[k] = (image[k] + c) % p
     _trim(image)
-    lc, pieces = factor_univariate_list(image, p, rng)
-    expanded = []
-    for q, m in pieces:
-        expanded.extend([tuple(q)] * m)
-    expanded.sort()
-    if len(expanded) > 26:
+    lc, parts = factor_univariate_list(image, p, rng)
+    pieces = sorted(tuple(q) for q, m in parts for _ in range(m))
+    if len(pieces) > 26:
         raise KroneckerBoundError(
-            f"too many Kronecker pieces ({len(expanded)}) to recombine")
+            f"too many Kronecker pieces ({len(pieces)}) to recombine")
 
-    def decode(coeffs):
-        """(term dict, degree in each used variable) of the polynomial with
-        image coeffs, or None when no polynomial in the degree box has it."""
-        d = {}
-        top = dict.fromkeys(used, 0)
-        nv = ring.nvars
-        for k, c in enumerate(coeffs):
-            if not c:
-                continue
-            e = [0] * nv
-            for i in order:
-                e[i] = k % D
-                k //= D
-            if k:
-                return None
-            for i in used:
-                if e[i] > degs[i]:
-                    return None
-                if e[i] > top[i]:
-                    top[i] = e[i]
-            d[tuple(e)] = c
-        return d, top
-
-    # The image map is a ring homomorphism, injective on polynomials of
-    # degree < D in each variable.  A candidate and the decoded image of
-    # lc * (the other pieces) multiply to a polynomial with the image of f;
-    # when their degrees add up to at most those of f, that product lies in
-    # the box, so it is f: the pair is an exact factorization, no division
-    # needed.  Conversely a true factor always passes this test.
-    total = len(expanded)
+    nv = ring.nvars
+    out = []
     budget = 200_000
-    for size in range(1, total):
-        for combo in _multiset_combinations(expanded, size):
+    size = 1
+    while 2 * size <= len(pieces):
+        sizes = [len(q) - 1 for q in pieces]
+        lead, k = [], sum(sizes)
+        for _ in order:
+            lead.append(k % D)
+            k //= D
+        hit = None
+        built, prods = (), []   # prods[j]: product of pieces built[:j + 1]
+        for combo, k in _piece_subsets(pieces, sizes, size):
             budget -= 1
             if budget < 0:
                 raise KroneckerBoundError(
                     "Kronecker recombination budget exceeded")
-            prod = expanded[combo[0]]
-            for i in combo[1:]:
-                prod = uv_mul(prod, expanded[i], p)
-            cand = decode(prod)
+            if not _lead_digits_fit(k, lead, D):
+                continue
+            j = 0
+            while j < len(prods) and built[j] == combo[j]:
+                j += 1
+            del prods[j:]
+            for i in combo[j:]:
+                prods.append(uv_mul(prods[-1], pieces[i], p) if prods
+                             else pieces[i])
+            built = combo
+            prod = prods[-1]
+            cand = _decode(prod, D, order, degs, nv)
             if cand is None:
                 continue
             rest = [lc]
-            for i in range(total):
+            for i in range(len(pieces)):
                 if i not in combo:
-                    rest = uv_mul(rest, expanded[i], p)
-            quo = decode(rest)
+                    rest = uv_mul(rest, pieces[i], p)
+            quo = _decode(rest, D, order, degs, nv)
             if quo is not None and all(cand[1][i] + quo[1][i] <= degs[i]
                                        for i in used):
-                return ring.poly(cand[0]), ring.poly(quo[0])
-    return None
+                hit = combo, cand[0], quo
+                break
+        if hit is None:
+            size += 1
+            continue
+        combo, terms, (quo_terms, degs) = hit
+        out.append(ring.poly(terms))
+        f = ring.poly(quo_terms)
+        pieces = [q for i, q in enumerate(pieces) if i not in combo]
+    out.append(f)
+    return out

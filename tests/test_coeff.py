@@ -3,11 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reeskit import coeff
 from reeskit.coeff import (
-    _Modulus, _restrict_to_line, GFElement, factor_multivariate,
-    factor_univariate, factor_univariate_list, gf_add, gf_div, gf_inv, gf_mul,
-    gf_pow, gf_sub, is_irreducible_univariate, KroneckerBoundError,
-    uv_divmod, uv_gcd, uv_mul, uv_pow_mod, uv_sub,
+    _line_certifies_irreducible, _Modulus, _restrict_to_line, GFElement,
+    factor_multivariate, factor_univariate, factor_univariate_list, gf_add,
+    gf_div, gf_inv, gf_mul, gf_pow, gf_sub, is_irreducible_univariate,
+    KroneckerBoundError, uv_divmod, uv_gcd, uv_mul, uv_pow_mod, uv_sub,
 )
 from reeskit.polyring import make_ring, parse_poly
 
@@ -405,6 +406,25 @@ def _piece(R, rng, d):
     return f
 
 
+def _sparse_piece(R, rng, deg):
+    """Nonconstant polynomial of total degree at most deg with at most four
+    terms, the first of them of degree deg."""
+    p = R.p
+    n = R.nvars
+    f = R.zero()
+    while f.is_constant():
+        e = [0] * n
+        for _ in range(deg):
+            e[rng.randrange(n)] += 1
+        f = R.const(rng.randrange(1, p)) * R.monomial(e)
+        for _ in range(rng.randrange(4)):
+            e = [0] * n
+            for _ in range(rng.randrange(deg + 1)):
+                e[rng.randrange(n)] += 1
+            f = f + R.const(rng.randrange(p)) * R.monomial(e)
+    return f
+
+
 class TestKroneckerRecombination:
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([7, 101, 32003]),
@@ -467,3 +487,113 @@ class TestKroneckerRecombination:
         for g, m in factors:
             back = back * g ** m
         assert back == f
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3, 7, 101, 32003]), st.integers(2, 3),
+           st.integers(1, 3), st.booleans(), st.integers(0, 10 ** 6))
+    def test_product_factors_are_the_pieces_factors(self, p, nv, count,
+                                                    repeat, seed):
+        """Factoring a product gives the union of its pieces' factors,
+        whatever the image factorization and the order of the peels."""
+        rng = random.Random(seed)
+        R = make_ring(p, ["x", "y", "z"][:nv])
+        pieces = [_sparse_piece(R, rng, 3 if nv == 2 else 2)
+                  for _ in range(count)]
+        if repeat:
+            pieces.append(pieces[0])
+        f = R.one()
+        want, want_unit = {}, 1
+        try:
+            for g in pieces:
+                f = f * g
+                unit, factors = factor_multivariate(g, seed=seed)
+                want_unit = want_unit * unit % p
+                for h, m in factors:
+                    want[h.terms] = want.get(h.terms, 0) + m
+            unit, factors = factor_multivariate(f, seed=seed)
+        except KroneckerBoundError as exc:
+            # over GF(2) and GF(3) an image can split into more than 26
+            # pieces; that refusal is typed, never a wrong factorization
+            assert "pieces" in str(exc)
+            return
+        assert unit == want_unit
+        assert {h.terms: m for h, m in factors} == want
+        back = R.const(unit)
+        for g, m in factors:
+            back = back * g ** m
+        assert back == f
+
+    def test_lead_digit_test_rejects_and_factor_found(self, monkeypatch):
+        """f = (y + x^3)(y^2 + x): x gets the low digit, D = 5, and the
+        image t^15 + t^13 + t^6 + t^4 has degree 15, digits (0, 3).  Its
+        piece t has digits (1, 0), above f's lead x^0 y^3, so every subset
+        of pieces with a nonzero low digit is rejected unformed.  The image
+        of y + x^3 is t^3 (t^2 + 1): a true factor whose pieces are so
+        rejected one by one still passes as a whole."""
+        R = make_ring(101, ["x", "y"])
+        x, y = R.gens()
+        f = (y + x ** 3) * (y ** 2 + x)
+        verdicts = []
+        fit = coeff._lead_digits_fit
+
+        def spy(k, lead, D):
+            verdicts.append(fit(k, lead, D))
+            return verdicts[-1]
+
+        monkeypatch.setattr(coeff, "_lead_digits_fit", spy)
+        unit, factors = factor_multivariate(f)
+        assert unit == 1
+        assert sorted(str(g) for g, _ in factors) == ["x^3 + y", "y^2 + x"]
+        assert False in verdicts and True in verdicts
+
+    def test_degree_box_shrinks_after_a_peel(self, monkeypatch):
+        """x + y + 1 peels off first; the search for the rest of f decodes
+        in the box of the quotient (x^2 + y)(x - y + 3), degrees (3, 2).
+        The box of f itself, (4, 3), would give the same factors, since it
+        stays below D = 5, but lets more candidates decode, each costing a
+        complementary product, so only the boxes show the difference."""
+        R = make_ring(101, ["x", "y"])
+        x, y = R.gens()
+        f = (x ** 2 + y) * (x + y + 1) * (x - y + 3)
+        boxes = []
+        decode = coeff._decode
+
+        def spy(coeffs, D, order, box, nv):
+            if not boxes or boxes[-1] != box:
+                boxes.append(dict(box))
+            return decode(coeffs, D, order, box, nv)
+
+        monkeypatch.setattr(coeff, "_decode", spy)
+        unit, factors = factor_multivariate(f)
+        assert [str(g) for g, _ in factors] == [
+            "x + y + 1", "x - y + 3", "x^2 + y"]
+        assert boxes == [{0: 4, 1: 3}, {0: 3, 1: 2}]
+
+    def test_line_test_gives_up_within_the_bound(self, monkeypatch):
+        """A reducible f never has an irreducible restriction: within the
+        bound the draws stop once the subset-sum set settles, over it all
+        twelve are made before KroneckerBoundError."""
+        R = make_ring(101, ["x", "y"])
+        x, y = R.gens()
+        f = (x + 3 * y + 1) * (x ** 2 - y + 2)
+        draws = []
+        restrict = coeff._restrict_to_line
+
+        def spy(*args):
+            draws.append(1)
+            return restrict(*args)
+
+        monkeypatch.setattr(coeff, "_restrict_to_line", spy)
+        assert not _line_certifies_irreducible(
+            f, [0, 1], 101, random.Random(0), give_up=True)
+        assert 2 <= len(draws) < 12
+        draws.clear()
+        unit, factors = factor_multivariate(f)
+        assert 2 <= len(draws) < 12
+        assert sorted(str(g) for g, _ in factors) == [
+            "x + 3*y + 1", "x^2 - y + 2"]
+        draws.clear()
+        # degrees 3 in x and 2 in y: D = 4, weights 1 and 4, 4^2 > 8
+        with pytest.raises(KroneckerBoundError):
+            factor_multivariate(f, bound=8)
+        assert len(draws) == 12

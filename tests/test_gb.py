@@ -485,7 +485,7 @@ class TestColonSaturate:
                      for _ in range(2))
         f = random_poly(ring, 1 + rng.randrange(2), rng)
         I = Ideal(ring, gens)
-        assert saturate(I, f) == saturate(I, f, method="rabinowitsch")
+        assert saturate(I, f) == saturate(I, f, method="colon")
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(["polynomial", "chart", "quotient"]),
