@@ -8,10 +8,15 @@ order is position-over-term on top of the ring order, which gives both
 submodule Groebner bases and syzygies by the usual graph construction.
 
 Every normal form, here and in quotient rings, is computed by the one term
-reducer ``polyring._reduce_vec`` over reducers built by
-``polyring._prep_reducers``.  The engine's final interreduction is a single
-pass: its minimal basis is already a Groebner basis, so one reduction of
-each tail gives the unique reduced basis.
+reducer ``polyring._reduce_vec``.  Normal forms against a finished basis
+use reducers built by ``polyring._prep_reducers``; the engine ``_gb_core``
+keeps each lead also packed into one int, a guarded bit slot per
+variable, so that its pair criteria get lcms, divisibility and degrees
+from a few integer operations and its reductions find their reducer by
+the same test.  Pairs of two monomials are never reduced: their S-vector
+is zero.  The engine's final interreduction is a single pass: its minimal
+basis is already a Groebner basis, so one reduction of each tail gives the
+unique reduced basis.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import heapq
 import itertools
 import math
 from collections import defaultdict
-from operator import ge, gt
+from operator import ge, lshift
 
 from .polyring import (
     FreeModuleMap, Polynomial, RingDescriptor, RingMap, RingMismatchError,
@@ -83,18 +88,49 @@ def _gb_core(vectors, amb, rkey=None, padding=None, want_rep=False):
     ``reps`` (when requested) expresses each basis element as a combination
     of the input vectors, as dicts {input index: {exps: coeff}}.
 
-    Every reduction is ``polyring._reduce_vec`` against the live reducer
-    index ``bycomp`` and the monic ``tails`` that ``add`` appends to.
+    Every reduction is ``polyring._reduce_vec``, searching the leads
+    ``bycomp`` of the elements so far and using the monic ``tails`` that
+    ``add`` appends to.
+
+    Packed leads.  Each lead's exponents are also kept as one int, exponent
+    k in a w-bit slot at bit w*k whose top bit is a guard (Bachmann and
+    Schoenemann, ISSAC 1998).  With every slot below its guard, no slot
+    borrows from or carries into the next, so for leads a and b, and
+    ``guard`` the int of all guard bits:
+
+    * b divides a iff ``((a | guard) - b) & guard == guard``;
+    * that difference ``t``, masked by ``guard``, marks the slots where
+      a >= b, ``t - (t >> (w - 1))`` fills them, and the lcm (slot-wise
+      max) is ``b ^ ((a ^ b) & filled)``;
+    * the leads are coprime iff ``a + b`` equals their lcm;
+    * the total degree is the top slot of the product with the int that
+      has a 1 in every slot.
+
+    The reductions search the packed leads for a divisor of each term the
+    same way; a term is clamped to the slot first, which keeps divisibility
+    by these leads exact.  Width rule: w is the least width whose guard
+    lies above twice the largest lead degree so far, so every lead and lcm
+    exponent, and every lcm degree, fits below it.  A lead of larger degree
+    repacks the leads, the divisor index and the pending lcms first, so
+    exponents of any size stay exact and only the width grows.
 
     Pairs are pruned when an element is added, by the Gebauer-Moeller
     installation of Buchberger's criteria: criterion B drops pending pairs,
     criteria M and F thin out the new pairs, and an element whose lead is
     divisible by the new lead makes no further pairs.  B, M and F hold for
     every element.  A new pair known to reduce to zero serves as a witness
-    in M and F and is then dropped: coprime leads (the product criterion,
-    sound only when both elements live in a single component) and two
-    elements of the quotient padding (a Groebner basis already).  Pairs are
-    popped smallest lcm first.
+    in M and F and is then dropped.  There are three kinds:
+
+    * coprime leads (the product criterion), sound only when both
+      elements live in a single component;
+    * two elements of the quotient padding, a Groebner basis already, so
+      their S-vector reduces to zero by the padding alone;
+    * two monomials (both tails empty): the S-vector of two monic terms
+      is exactly 0.
+
+    Each has a standard representation, which is all that F and M ask of a
+    witness.  Only a queued pair gets its lcm as an exponent tuple, for
+    the pop order and the S-vector.  Pairs are popped smallest lcm first.
 
     Each new element is reduced by all earlier ones, so its lead is
     divisible by no earlier lead; the elements that no later lead divides
@@ -107,13 +143,60 @@ def _gb_core(vectors, amb, rkey=None, padding=None, want_rep=False):
     mkey = _module_key(rkey)
     if padding is None:
         padding = [False] * len(vectors)
+    n = amb.nvars
 
     Glead, tails, Gpad, Grep = [], [], [], []
+    Gpack = []    # lead exponents packed
     Gsingle = []  # element lives in a single component (coprime criterion OK)
     Gpairs = []   # no later lead divides this lead: it still makes new pairs
-    bycomp = {}
-    pending = {}  # pair (i, j) -> lcm of the two leads
+    active = {}   # component -> elements there with Gpairs set, ascending
+    bycomp = {}   # component -> [(packed lead, (lead exps, element))]
+    pending = {}  # pair (i, j) -> (component, packed lcm, lcm)
     heap = []
+    # packing (set by ``widen``): slot width, the largest exponent a slot
+    # holds, the guard bits and the unit bits of all slots, the largest
+    # lead degree the width allows, and the slot offsets
+    w = slot = guard = ones = roof = 0
+    shifts = ()
+
+    def pack(e):
+        return sum(map(lshift, e, shifts))
+
+    def widen(d):
+        nonlocal w, slot, guard, ones, shifts, roof
+        w = (2 * d).bit_length() + 1
+        slot = (1 << (w - 1)) - 1
+        roof = slot // 2
+        shifts = tuple(range(0, w * n, w))
+        ones = pack((1,) * n)
+        guard = ones << (w - 1)
+        Gpack[:] = [pack(le) for _, le in Glead]
+        for c, cands in bycomp.items():
+            bycomp[c] = [(Gpack[hit[1]], hit) for _, hit in cands]
+        for pair, (c, _, lcm) in pending.items():
+            pending[pair] = (c, pack(lcm), lcm)
+
+    def lcm_packed(a, b):
+        t = ((b | guard) - a) & guard
+        return a ^ ((a ^ b) & (t - (t >> (w - 1))))
+
+    def lead_search(index):
+        # for _reduce_vec: the first element listed in ``index`` whose lead
+        # divides the term m, as (lead exps, element), or None
+        def search(m):
+            cands = index.get(m[0])
+            if cands:
+                me = m[1]
+                if sum(me) > slot:
+                    me = [min(e, slot) for e in me]
+                x = sum(map(lshift, me, shifts)) | guard
+                for lp, hit in cands:
+                    if (x - lp) & guard == guard:
+                        return hit
+            return None
+        return search
+
+    search = lead_search(bycomp)
 
     def reduce_rows(rep, track):
         # rep -= sum of c * x^q * (rep of reducer gi) over the quotients
@@ -125,50 +208,59 @@ def _gb_core(vectors, amb, rkey=None, padding=None, want_rep=False):
 
     def nf(vec, rep):
         track = defaultdict(dict) if rep is not None else None
-        red = _reduce_vec(vec, bycomp, tails, p, mkey, track)
+        red = _reduce_vec(vec, search, tails, p, mkey, track)
         if track:
             reduce_rows(rep, track)
         return red
 
     def update(gi):
         comp, le = Glead[gi]
+        a, g, w1 = Gpack[gi], guard, w - 1
         # criterion B: the new lead divides lcm(i, j) and differs from
         # lcm(i, gi) and lcm(j, gi), so (i, j) follows from those two pairs
-        for pair, (pc, lcm) in list(pending.items()):
-            if pc != comp or any(map(gt, le, lcm)):
+        for pair, (pc, lp, _) in list(pending.items()):
+            if pc != comp or ((lp | g) - a) & g != g:
                 continue
             i, j = pair
-            if (tuple(map(max, Glead[i][1], le)) != lcm
-                    and tuple(map(max, Glead[j][1], le)) != lcm):
+            if (lcm_packed(a, Gpack[i]) != lp
+                    and lcm_packed(a, Gpack[j]) != lp):
                 del pending[pair]
         # criterion F: one new pair per lcm, a zero witness preferred
         groups = {}
-        for gj in range(gi):
-            lj = Glead[gj]
-            if lj[0] != comp or not Gpairs[gj]:
-                continue
-            lj = lj[1]
-            lcm = tuple(map(max, lj, le))
-            zero = ((Gpad[gj] and Gpad[gi])
-                    or (Gsingle[gj] and Gsingle[gi]
-                        and not any(map(min, lj, le))))
+        pad, mono, single = Gpad[gi], not tails[gi], Gsingle[gi]
+        still = []
+        for gj in active.get(comp, ()):
+            b = Gpack[gj]
+            t = ((b | g) - a) & g  # guard of slot k set iff b_k >= a_k
+            lcm = a ^ ((a ^ b) & (t - (t >> w1)))
+            zero = ((pad and Gpad[gj]) or (mono and not tails[gj])
+                    or (single and Gsingle[gj] and a + b == lcm))
             got = groups.get(lcm)
             if got is None or (zero and not got[1]):
                 groups[lcm] = (gj, zero)
-            if not any(map(gt, le, lj)):
-                Gpairs[gj] = False
+            if t == g:
+                Gpairs[gj] = False  # the new lead divides this one
+            else:
+                still.append(gj)
+        still.append(gi)
+        active[comp] = still
         # criterion M: drop an lcm properly divisible by another new lcm;
         # a proper divisor has smaller total degree, so ascending degree
         # order only needs the minimal lcms kept so far
+        top, dmask = w * (n - 1) if n else 0, (1 << w) - 1
         kept = []
-        for lcm in sorted(groups, key=sum):
-            if any(not any(map(gt, m, lcm)) for m in kept):
-                continue
-            kept.append(lcm)
-            gj, zero = groups[lcm]
-            if not zero:
-                pending[(gj, gi)] = (comp, lcm)
-                heapq.heappush(heap, (mkey((comp, lcm)), gj, gi))
+        for lcm in sorted(groups, key=lambda x: ((x * ones) >> top) & dmask):
+            xg = lcm | g
+            for m in kept:
+                if (xg - m) & g == g:
+                    break
+            else:
+                kept.append(lcm)
+                gj, zero = groups[lcm]
+                if not zero:
+                    full = tuple(map(max, Glead[gj][1], le))
+                    pending[(gj, gi)] = (comp, lcm, full)
+                    heapq.heappush(heap, (mkey((comp, full)), gj, gi))
 
     def add(vec, rep, pad):
         lead = max(vec, key=mkey)
@@ -177,17 +269,22 @@ def _gb_core(vectors, amb, rkey=None, padding=None, want_rep=False):
             rep = {i: {e: c * inv % p for e, c in t.items()}
                    for i, t in rep.items()}
         gi = len(tails)
+        comp, le = lead
+        d = sum(le)
+        if d > roof or not gi:
+            widen(d)
         Glead.append(lead)
+        Gpack.append(pack(le))
         tails.append(tuple((m, c * inv % p) for m, c in vec.items()
                            if m != lead))
         Gpad.append(pad)
         Grep.append(rep)
         Gsingle.append(len({m[0] for m in vec}) == 1)
         Gpairs.append(True)
-        bycomp.setdefault(lead[0], []).append((lead[1], gi))
+        bycomp.setdefault(comp, []).append((Gpack[gi], (le, gi)))
         update(gi)
 
-    zero_unit = (0,) * amb.nvars
+    zero_unit = (0,) * n
     for k, vec in enumerate(vectors):
         vec = {m: c % p for m, c in vec.items() if c % p}
         if not vec:
@@ -202,15 +299,15 @@ def _gb_core(vectors, amb, rkey=None, padding=None, want_rep=False):
         got = pending.pop((i, j), None)
         if got is None:
             continue  # dropped by criterion B after it was queued
-        lcm = got[1]
+        lcm = got[2]
         # the monic leads cancel, so the S-vector is built from the tails
         s = {}
         rep = {} if want_rep else None
         for src, sign in ((i, 1), (j, -1)):
             q = tuple(m - a for a, m in zip(Glead[src][1], lcm))
-            for (gc, ge), gco in tails[src]:
-                nm = (gc, tuple(a + b for a, b in zip(ge, q)))
-                s[nm] = (s.get(nm, 0) + sign * gco) % p
+            for (tc, te), tco in tails[src]:
+                nm = (tc, tuple(a + b for a, b in zip(te, q)))
+                s[nm] = (s.get(nm, 0) + sign * tco) % p
             if want_rep:
                 for idx, terms in Grep[src].items():
                     _add_shifted(rep.setdefault(idx, {}), terms, q, sign, p)
@@ -223,13 +320,13 @@ def _gb_core(vectors, amb, rkey=None, padding=None, want_rep=False):
     # its old rep
     alive = sorted((k for k in range(len(Glead)) if Gpairs[k]),
                    key=lambda k: mkey(Glead[k]))
-    index = {c: [(le, k) for le, k in cands if Gpairs[k]]
-             for c, cands in bycomp.items()}
+    final = lead_search({c: [e for e in cands if Gpairs[e[1][1]]]
+                         for c, cands in bycomp.items()})
     basis, reps = [], []
     for k in alive:
         track = defaultdict(dict) if want_rep else None
         d = {Glead[k]: 1}
-        d.update(_reduce_vec(tails[k], index, tails, p, mkey, track))
+        d.update(_reduce_vec(tails[k], final, tails, p, mkey, track))
         d["_lead"] = Glead[k]
         basis.append(d)
         rep = Grep[k]

@@ -303,11 +303,14 @@ def _reduce_vec(vec, index, tails, p, key, track=None):
     division, module membership and quotient-ring normalisation all call
     it.  ``index`` and ``tails`` are as built by ``_prep_reducers``; the
     first reducer in ``index`` order whose lead divides a term is used.
-    ``index`` may list only some positions of ``tails``.  ``track``, when
-    given, is indexed by reducer position (a list, or a defaultdict) and
-    collects the multiplier monomials used against each reducer, i.e. the
-    division quotients.
+    ``index`` may list only some positions of ``tails``.  It may also be a
+    function from a term to that reducer's (lead exponents, position), or
+    None when no lead divides the term: the Groebner engine searches its
+    packed leads that way.  ``track``, when given, is indexed by reducer
+    position (a list, or a defaultdict) and collects the multiplier
+    monomials used against each reducer, i.e. the division quotients.
     """
+    search = index if callable(index) else None
     work = dict(vec)
     rem = {}
     while work:
@@ -315,24 +318,26 @@ def _reduce_vec(vec, index, tails, p, key, track=None):
         c = work.pop(m)
         if not c:
             continue
-        hit = -1
-        cands = index.get(m[0])
-        if cands:
-            me = m[1]
-            for le, gi in cands:
-                ok = True
-                for a, b in zip(le, me):
-                    if a > b:
-                        ok = False
+        if search is not None:
+            hit = search(m)
+        else:
+            hit = None
+            cands = index.get(m[0])
+            if cands:
+                me = m[1]
+                for cand in cands:
+                    for a, b in zip(cand[0], me):
+                        if a > b:
+                            break
+                    else:
+                        hit = cand
                         break
-                if ok:
-                    hit = gi
-                    break
-        if hit < 0:
+        if hit is None:
             rem[m] = c
             continue
-        q = tuple(b - a for a, b in zip(le, me))
-        for (gc, ge), gco in tails[hit]:
+        le, gi = hit
+        q = tuple(b - a for a, b in zip(le, m[1]))
+        for (gc, ge), gco in tails[gi]:
             nm = (gc, tuple(a + b for a, b in zip(ge, q)))
             nv = (work.get(nm, 0) - c * gco) % p
             if nv:
@@ -340,7 +345,7 @@ def _reduce_vec(vec, index, tails, p, key, track=None):
             else:
                 work.pop(nm, None)
         if track is not None:
-            tq = track[hit]
+            tq = track[gi]
             tq[q] = (tq.get(q, 0) + c) % p
     return rem
 

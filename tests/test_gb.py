@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from reeskit import gb as gb_module
 from reeskit.blowup import blowup_of
 from reeskit.gb import (
     GroebnerBasis, HilbertSeries, Ideal, codimension, dimension_and_degree,
@@ -50,6 +51,41 @@ def sparse_poly(ring, rng, terms=range(3), degrees=range(3)):
     return ring.poly(d)
 
 
+def _brute_lead(v, key):
+    return max(v, key=lambda m: (-m[0], key(m[1])))
+
+
+def _brute_divides(a, b):
+    return a[0] == b[0] and all(x <= y for x, y in zip(a[1], b[1]))
+
+
+def brute_reduce(v, G, key, p):
+    """Oracle: remainder of the term dict v on division by the vectors G,
+    each step by the first element of G whose lead divides the top term."""
+    work, out = dict(v), {}
+    while work:
+        m = _brute_lead(work, key)
+        c = work.pop(m)
+        g = next((g for g in G if _brute_divides(_brute_lead(g, key), m)),
+                 None)
+        if g is None:
+            out[m] = c
+            continue
+        lg = _brute_lead(g, key)
+        f = c * pow(g[lg], -1, p) % p
+        q = tuple(b - a for a, b in zip(lg[1], m[1]))
+        for gm, gc in g.items():
+            if gm == lg:
+                continue
+            nm = (gm[0], tuple(a + b for a, b in zip(gm[1], q)))
+            nv = (work.get(nm, 0) - f * gc) % p
+            if nv:
+                work[nm] = nv
+            else:
+                work.pop(nm, None)
+    return out
+
+
 def brute_reduced_basis(vectors, key, p):
     """Oracle: reduced basis of a submodule by Buchberger's algorithm with
     every same-component pair reduced and no criterion at all.
@@ -61,33 +97,12 @@ def brute_reduced_basis(vectors, key, p):
         return (-m[0], key(m[1]))
 
     def lead(v):
-        return max(v, key=mk)
+        return _brute_lead(v, key)
 
-    def divides(a, b):
-        return a[0] == b[0] and all(x <= y for x, y in zip(a[1], b[1]))
+    divides = _brute_divides
 
     def reduce(v, G):
-        work, out = dict(v), {}
-        while work:
-            m = max(work, key=mk)
-            c = work.pop(m)
-            g = next((g for g in G if divides(lead(g), m)), None)
-            if g is None:
-                out[m] = c
-                continue
-            lg = lead(g)
-            f = c * pow(g[lg], -1, p) % p
-            q = tuple(b - a for a, b in zip(lg[1], m[1]))
-            for gm, gc in g.items():
-                if gm == lg:
-                    continue
-                nm = (gm[0], tuple(a + b for a, b in zip(gm[1], q)))
-                nv = (work.get(nm, 0) - f * gc) % p
-                if nv:
-                    work[nm] = nv
-                else:
-                    work.pop(nm, None)
-        return out
+        return brute_reduce(v, G, key, p)
 
     def spair(f, g):
         lf, lg = lead(f), lead(g)
@@ -251,6 +266,163 @@ class TestGroebnerBasis:
         basis = I.groebner().elements
         for f, g in itertools.combinations(basis, 2):
             assert normal_form(spoly(f, g), I).is_zero()
+
+
+def same_vectors(got, want):
+    return (sorted(sorted(g.items()) for g in got)
+            == sorted(sorted(g.items()) for g in want))
+
+
+class TestPackedLeads:
+    """The engine keeps its leads packed into one int each; these inputs
+    check that the packing is exact and the pair criteria stay sound."""
+
+    @pytest.mark.parametrize("big", [32767, 32768, 40000, 2 ** 20])
+    def test_exponents_of_any_size(self, big):
+        # ring.monomial takes exponents past 2^15, so the packed width has
+        # no fixed cap; the first input fixes a small width, the second
+        # widens it while a pair is pending
+        p = 7
+        R = make_ring(p, ["x", "y", "z"])
+        x, y, z = R.gens()
+        mon = R.monomial
+        gens = [y ** 2 - x * z, mon((big, 1, 0)) - z]
+        I = Ideal(R, gens)
+        want = brute_reduced_basis([vec_of((g,)) for g in gens], R.key, p)
+        assert max(g.total_degree() for g in I.groebner().elements) > big
+        assert same_vectors([vec_of((g,)) for g in I.groebner().elements],
+                            want)
+        for f in (mon((big + 3, 3, 0)) + mon((0, 0, big), 2),
+                  mon((big, 2, big)) - mon((1, 0, 2 ** 20)),
+                  mon((2 * big, 1, 1), 3) + z):
+            assert vec_of((normal_form(f, I),)) == \
+                brute_reduce(vec_of((f,)), want, R.key, p)
+
+        cols = [(mon((big, 1, 0)), z), (y ** 2, mon((1, 0, big))), (x, y)]
+        gb = groebner_basis(matrix_from_columns(R, cols, rows=2))
+        want = brute_reduced_basis([vec_of(c) for c in cols], R.key, p)
+        assert same_vectors([vec_of(v) for v in gb.ambient_elements], want)
+        members = []
+        for v in ((mon((big, 2, 0)) + y, mon((1, 1, big)) + z),
+                  (mon((big, 0, 0)), R.zero()),
+                  (mon((big + 1, 1, 0)), x * z)):
+            members.append(not brute_reduce(vec_of(v), want, R.key, p))
+            assert module_contains(gb, v) == members[-1]
+        assert set(members) == {True, False}
+
+        Q = make_ring(p, ["x", "y", "z"], quotient=gens)
+        qwant = brute_reduced_basis([vec_of((g,)) for g in gens], R.key, p)
+        assert same_vectors([vec_of((g,)) for g in Q.quotient], qwant)
+        for t in ({(big + 3, 3, 0): 1, (0, 0, big): 2},
+                  {(big, 1, big): 4, (0, 5, 0): 1}):
+            got = vec_of((Q.poly(t),))
+            assert got == brute_reduce({(0, e): c for e, c in t.items()},
+                                       qwant, R.key, p)
+
+    def test_width_grows_while_pairs_are_pending(self):
+        # lex leads of degree 2, 4 and 7, then S-vectors up to degree 23:
+        # the packed width grows three times, twice with pairs still
+        # pending, whose packed lcms must be repacked with it
+        p = 7
+        R = make_ring(p, ["x", "y", "z"], order="lex")
+        x, y, z = R.gens()
+        gens = [x ** 2 + 6,
+                6 * x ** 2 * y ** 2 + 4 * x * y * z + z ** 2,
+                3 * y ** 3 * z ** 4 + 2 * y ** 2]
+        want = brute_reduced_basis([vec_of((g,)) for g in gens], R.key, p)
+        got = Ideal(R, gens).groebner().elements
+        assert max(g.total_degree() for g in got) > 8
+        assert same_vectors([vec_of((g,)) for g in got], want)
+
+    @pytest.mark.parametrize("first", ["y*z^2", "x^2*y"])
+    def test_chain_criterion_keeps_the_least_lcm(self, monkeypatch, first):
+        # the third lead's pair with the first has an lcm (x*y*z^2, or
+        # x^2*y*z) that is a proper multiple of x*y*z, the lcm of its pair
+        # with the second, so criterion M must drop it although it was
+        # formed first; no pair here is a zero witness.  The two cases put
+        # the extra factor in the last and in the first variable, so a
+        # degree read from any partial sum of the slots ties and fails
+        R = make_ring(7, ["x", "y", "z"])
+        x, y, z = R.gens()
+        if first == "y*z^2":
+            gens = [y * z ** 2 - 1, x * y - 1, x * z - 1]
+        else:
+            gens = [x ** 2 * y - 1, y * z - 1, x * z - 1]
+        queued = []
+        push = gb_module.heapq.heappush
+
+        def spy(heap, item):
+            queued.append(item[1:])
+            push(heap, item)
+
+        monkeypatch.setattr(gb_module.heapq, "heappush", spy)
+        basis = Ideal(R, gens).groebner().elements
+        monkeypatch.undo()
+        assert (1, 2) in queued
+        assert (0, 2) not in queued
+        want = brute_reduced_basis([vec_of((g,)) for g in gens], R.key, 7)
+        assert same_vectors([vec_of((g,)) for g in basis], want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_monomial_heavy_modules_match_brute_force(self, seed):
+        # columns that are mostly one term, so most pairs are two monomials
+        # (zero witnesses); a few binomial columns and the quotient padding
+        # make pairs that need reducing, where a witness that is not one
+        # would drop a basis element
+        rng = random.Random(seed)
+        p = 7
+        names = ["x", "y", "z"][:2 + rng.randrange(2)]
+        n = len(names)
+        rank = rng.choice([1, 2, 3])
+
+        def exps(lo, hi):
+            e = [0] * n
+            for _ in range(rng.randrange(lo, hi + 1)):
+                e[rng.randrange(n)] += 1
+            return tuple(e)
+
+        R0 = make_ring(p, names)
+        quotient = []
+        if rng.random() < 0.5:
+            quotient = [R0.monomial(exps(3, 3)) - R0.monomial(exps(3, 3)),
+                        R0.monomial(exps(4, 4))]
+        R = make_ring(p, names, quotient=quotient)
+        amb = R.ambient
+        cols = []
+        for _ in range(rng.randrange(2, 6)):
+            col = [R.zero()] * rank
+            col[rng.randrange(rank)] = R.monomial(exps(0, 3),
+                                                  rng.randrange(1, p))
+            if rng.random() < 0.25:
+                k = rng.randrange(rank)
+                col[k] = col[k] + R.monomial(exps(0, 3), rng.randrange(1, p))
+            cols.append(tuple(col))
+        padding = [{(i, e): c for e, c in q.terms}
+                   for q in R.quotient for i in range(rank)]
+
+        if rank == 1:
+            I = Ideal(R, [c[0] for c in cols])
+            gbr = I.groebner(want_rep=True)
+            lifted = [transport(g, amb) for g in I.gens] + list(R.quotient)
+            want = brute_reduced_basis(
+                [vec_of((g,)) for g in lifted[:len(I.gens)]] + padding,
+                amb.key, p)
+            assert same_vectors(
+                [vec_of((g,)) for g in gbr.ambient_elements], want)
+            for elt, rep in zip(gbr.ambient_elements, gbr.representation):
+                back = amb.zero()
+                for idx, coef in rep.items():
+                    back = back + coef * lifted[idx]
+                assert back == elt
+        else:
+            M = matrix_from_columns(R, cols, rows=rank)
+            gb = groebner_basis(M)
+            inputs = [vec_of(tuple(transport(f, amb) for f in c))
+                      for c in cols]
+            want = brute_reduced_basis(inputs + padding, amb.key, p)
+            assert same_vectors([vec_of(v) for v in gb.ambient_elements],
+                                want)
 
 
 class TestSympyOracle:
