@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gb import Ideal, dimension_and_degree, minors_ideal, saturate
+from .gb import (Ideal, _descend, _lift, dimension_and_degree, minors_ideal,
+                 saturate)
 from .polyring import FreeModuleMap, RingDescriptor, RingMap, transport
 from .rees import rees_presentation, rees_variable_names
 
@@ -37,10 +38,9 @@ def blowup_of(center: Ideal) -> BlowupChart:
         raise ValueError("cannot blow up the zero ideal")
     base = center.ring
     rp = rees_presentation(center)
-    W = rp.ring
-    quot = list(rp.ideal.gens) + [transport(q, W.ambient)
-                                  for q in base.quotient]
-    B = W.ambient.with_quotient(quot) if quot else W.ambient
+    # the Rees ring carries the base quotient, so lifting the Rees ideal
+    # adjoins it
+    B = rp.ring.ambient.with_quotient(_lift(rp.ideal))
     proj = RingMap(base, B, [B.var(n) for n in base.ambient.names])
     irrelevant = Ideal(B, tuple(B.var(n) for n in rees_variable_names(B)))
     exceptional = Ideal(B, tuple(transport(g, B) for g in center.gens))
@@ -59,8 +59,7 @@ def singular_locus_ideal(X: Ideal, expected_codim=None) -> Ideal:
     """(X + Q) plus the size-c Jacobian minors, c the codimension."""
     ring = X.ring
     amb = ring.ambient
-    full = [transport(g, amb) for g in X.gens if not g.is_zero()]
-    full += list(ring.quotient)
+    full = [g for g in _lift(X) if not g.is_zero()]
     I_amb = Ideal(amb, tuple(full))
     if not full:
         return Ideal(ring, (ring.one(),))
@@ -72,10 +71,7 @@ def singular_locus_ideal(X: Ideal, expected_codim=None) -> Ideal:
         return Ideal(ring, (ring.one(),))
     jac = FreeModuleMap(
         amb, [[g.derivative(n) for n in amb.names] for g in full])
-    mins = minors_ideal(c, jac)
-    gens = tuple(transport(g, ring) for g in full) + tuple(
-        transport(g, ring) for g in mins.gens)
-    return Ideal(ring, tuple(g for g in gens if not g.is_zero()))
+    return _descend(ring, full + list(minors_ideal(c, jac).gens))
 
 
 def is_smooth_away_from_irrelevant(chart: BlowupChart, X: Ideal) -> bool:

@@ -430,13 +430,9 @@ def _as_matrix(x):
 
 
 def _as_module(ctx, x):
-    if isinstance(x, PresentedModule):
-        return x
-    if isinstance(x, (Ideal, Polynomial)):
-        return PresentedModule.from_ideal(_as_ideal(ctx, x))
-    if isinstance(x, FreeModuleMap):
-        return PresentedModule.from_matrix(x)
-    raise ScriptError(f"expected a module, got {_kind_name(x)}")
+    if isinstance(x, Polynomial):
+        x = _as_ideal(ctx, x)
+    return rees_mod.as_module(x)
 
 
 def _var_names(ctx, args):
@@ -1109,11 +1105,6 @@ def render_value(v) -> str:
         return "infinity"
     if isinstance(v, int):
         return str(v)
-    if isinstance(v, Ideal):
-        gens = v.display_gens()
-        if not gens:
-            return "ideal[ 0 ]"
-        return "ideal[ " + ", ".join(str(g) for g in gens) + " ]"
     if isinstance(v, tuple) and not isinstance(v, (WeightedComponent,)):
         if v and isinstance(v[1], list):  # factorization (unit, factors)
             unit, factors = v
@@ -1123,16 +1114,8 @@ def render_value(v) -> str:
             return " * ".join(parts)
         return "(" + ", ".join(render_value(x) for x in v) + ")"
     if isinstance(v, list):
-        if v and isinstance(v[0], WeightedComponent):
-            body = ", ".join(
-                f"({w.multiplicity}, {render_value(w.prime)})"
-                + ("" if w.certified else " unverified") for w in v)
-            return "{ " + body + " }"
-        if v and isinstance(v[0], ComponentReport):
-            body = ", ".join(
-                render_value(c.prime)
-                + (" certified" if c.certified else " unverified") for c in v)
-            return "{ " + body + " }"
+        if v and isinstance(v[0], (WeightedComponent, ComponentReport)):
+            return "{ " + ", ".join(str(c) for c in v) + " }"
         return "[" + ", ".join(render_value(x) for x in v) + "]"
     return str(v)
 

@@ -14,8 +14,9 @@ import random
 from dataclasses import dataclass
 
 from .coeff import factor_multivariate, factor_univariate_list, uv_monic, _trim
-from .gb import (Ideal, dimension_and_degree, normal_form, standard_monomials)
-from .polyring import Polynomial, transport
+from .gb import (Ideal, _descend, _lift, dimension_and_degree, normal_form,
+                 standard_monomials)
+from .polyring import Polynomial
 
 
 @dataclass(frozen=True)
@@ -29,13 +30,9 @@ class ComponentReport:
         return f"{self.prime} {tag}"
 
 
-def _canon_ideal_key(J: Ideal):
-    return tuple(g.terms for g in J.groebner().ambient_elements)
-
-
 def _contains_ideal(A: Ideal, B: Ideal) -> bool:
     """A subseteq B, by normal forms of the generators."""
-    return all(normal_form(g, B).is_zero() for g in A.display_gens())
+    return all(B.contains(g) for g in A.display_gens())
 
 
 def _uv_squarefree_part(f, p):
@@ -123,7 +120,7 @@ class _Decomposer:
             J = stack.pop()
             if J.is_unit():
                 continue
-            key = _canon_ideal_key(J)
+            key = J._basis_terms()
             if key in self.seen:
                 continue
             self.seen.add(key)
@@ -234,10 +231,8 @@ class _Decomposer:
 
 def minimal_primes(I: Ideal, seed=0, shape_retries=5):
     """Minimal primes over I, as a deterministic list of ComponentReports."""
-    ring = I.ring
-    amb = ring.ambient
-    start = Ideal(amb, tuple(transport(g, amb) for g in I.gens)
-                  + ring.quotient)
+    amb = I.ring.ambient
+    start = Ideal(amb, tuple(_lift(I)))
     if start.is_unit():
         raise ValueError("minimal primes of the unit ideal")
     dec = _Decomposer(amb, seed, shape_retries)
@@ -246,7 +241,7 @@ def minimal_primes(I: Ideal, seed=0, shape_retries=5):
     # dedupe and drop non-minimal candidates
     by_key = {}
     for J, cert, dim in dec.found:
-        key = _canon_ideal_key(J)
+        key = J._basis_terms()
         old = by_key.get(key)
         if old is None or (cert and not old[1]):
             by_key[key] = (J, cert, dim)
@@ -262,14 +257,6 @@ def minimal_primes(I: Ideal, seed=0, shape_retries=5):
                 break
         if minimal:
             keep.append((J, cert, dim))
-    keep.sort(key=lambda t: (-t[2], _canon_ideal_key(t[0])))
-
-    out = []
-    for J, cert, _ in keep:
-        gens = []
-        for g in J.groebner().ambient_elements:
-            h = transport(g, ring)
-            if not h.is_zero():
-                gens.append(h)
-        out.append(ComponentReport(Ideal(ring, tuple(gens)), cert))
-    return out
+    keep.sort(key=lambda t: (-t[2], t[0]._basis_terms()))
+    return [ComponentReport(_descend(I.ring, J.groebner().ambient_elements),
+                            cert) for J, cert, _ in keep]

@@ -2,21 +2,28 @@
 
 Everything runs over the ambient polynomial ring: for a ring with quotient
 ideal Q the generators of Q are adjoined to every computation and results
-are reduced back.  Module elements are dicts mapping (component, exponents)
-to coefficients; ideals are rank-one modules with component 0.  The module
-order is position-over-term on top of the ring order, which gives both
-submodule Groebner bases and syzygies by the usual graph construction.
+are reduced back.  ``_lift`` and ``_descend`` are the only way in and out:
+``_lift(I)`` gives I's generators in the ambient ring followed by Q, and
+``_descend(ring, polys)`` the ideal of the nonzero images of ``polys``, so
+no result carries a generator that is zero in the ring.  A Groebner basis
+descends once, into ``GroebnerBasis.elements``, and that is what
+``Ideal.display_gens`` returns.
+
+Module elements are dicts mapping (component, exponents) to coefficients;
+ideals are rank-one modules with component 0.  The module order is
+position-over-term on top of the ring order, which gives both submodule
+Groebner bases and syzygies by the usual graph construction.
 
 Every normal form, here and in quotient rings, is computed by the one term
-reducer ``polyring._reduce_vec``.  Normal forms against a finished basis
-use reducers built by ``polyring._prep_reducers``; the engine ``_gb_core``
-keeps each lead also packed into one int, a guarded bit slot per
-variable, so that its pair criteria get lcms, divisibility and degrees
-from a few integer operations and its reductions find their reducer by
-the same test.  Pairs of two monomials are never reduced: their S-vector
-is zero.  The engine's final interreduction is a single pass: its minimal
-basis is already a Groebner basis, so one reduction of each tail gives the
-unique reduced basis.
+reducer ``polyring._reduce_vec``.  Normal forms and membership tests
+against a finished basis use the reducers that ``GroebnerBasis._reducers``
+builds once per basis; the engine ``_gb_core`` keeps each lead also packed
+into one int, a guarded bit slot per variable, so that its pair criteria
+get lcms, divisibility and degrees from a few integer operations and its
+reductions find their reducer by the same test.  Pairs of two monomials
+are never reduced: their S-vector is zero.  The engine's final
+interreduction is a single pass: its minimal basis is already a Groebner
+basis, so one reduction of each tail gives the unique reduced basis.
 """
 
 from __future__ import annotations
@@ -391,23 +398,13 @@ class Ideal:
         return got
 
     def display_gens(self):
-        ring = self.ring
-        basis = self.groebner().ambient_elements
-        if not ring.quotient:
-            return list(basis)
-        out = []
-        for g in basis:
-            h = transport(g, ring)
-            if not h.is_zero():
-                out.append(h)
-        return out
+        return list(self.groebner().elements)
 
     def contains(self, f) -> bool:
         return normal_form(f, self).is_zero()
 
     def is_zero(self):
-        return not self.groebner().ambient_elements or (
-            bool(self.ring.quotient) and not self.display_gens())
+        return not self.groebner().elements
 
     def is_unit(self):
         b = self.groebner().ambient_elements
@@ -465,7 +462,7 @@ class GroebnerBasis:
     """Reduced basis of an ideal or of a submodule of a free module."""
 
     __slots__ = ("ring", "rank", "ambient_elements", "elements",
-                 "order_spec", "representation")
+                 "order_spec", "representation", "_prep")
 
     def __init__(self, ring, rank, ambient_elements, elements, order_spec,
                  representation=None):
@@ -475,6 +472,18 @@ class GroebnerBasis:
         self.elements = tuple(elements)
         self.order_spec = order_spec
         self.representation = representation
+        self._prep = None
+
+    def _reducers(self):
+        """(index, tails, key) of the basis for ``_reduce_vec``, built once."""
+        if self._prep is None:
+            amb = self.ring.ambient
+            key = _module_key(amb.key)
+            index, tails = _prep_reducers(
+                [_module_vec(v if self.rank else (v,), amb)
+                 for v in self.ambient_elements], amb.p, key)
+            self._prep = (index, tails, key)
+        return self._prep
 
     def __str__(self):
         if self.rank == 0:
@@ -490,36 +499,44 @@ def ideal(ring, *gens) -> Ideal:
     return Ideal(ring, gens)
 
 
-def _ambient_input(I: Ideal):
-    """Lift generators and adjoin the quotient basis; padding flags mark Q.
+def _lift(I: Ideal):
+    """I's generators in the ambient ring, followed by the quotient basis."""
+    amb = I.ring.ambient
+    return [transport(g, amb) for g in I.gens] + list(I.ring.quotient)
 
-    Vector positions track generator positions so that representation
-    coefficients line up with I.gens.
-    """
-    ring = I.ring
-    amb = ring.ambient
-    vecs, padding = [], []
-    for g in I.gens:
-        vecs.append(_poly_to_vec(transport(g, amb)))
-        padding.append(False)
-    for q in ring.quotient:
-        vecs.append(_poly_to_vec(q))
-        padding.append(True)
-    return amb, vecs, padding
+
+def _descend(ring, polys) -> Ideal:
+    """The ideal of ``ring`` generated by the nonzero images of ``polys``."""
+    return Ideal(ring, tuple(h for h in (transport(g, ring) for g in polys)
+                             if not h.is_zero()))
+
+
+def _module_vec(polys, amb):
+    """Term dict of a vector of polynomials, entry i in component i."""
+    vec = {}
+    for i, f in enumerate(polys):
+        vec.update(_poly_to_vec(transport(f, amb), comp=i))
+    return vec
+
+
+def _padded(vecs, ring, rank=1):
+    """``vecs`` followed by the quotient basis in each of ``rank``
+    components, and the padding flags that mark the quotient."""
+    pad = [_poly_to_vec(q, comp=i) for q in ring.quotient for i in range(rank)]
+    return vecs + pad, [False] * len(vecs) + [True] * len(pad)
 
 
 def groebner_basis(target, want_rep=False) -> GroebnerBasis:
     if isinstance(target, Ideal):
         ring = target.ring
-        amb, vecs, padding = _ambient_input(target)
+        amb = ring.ambient
+        # vector positions track generator positions, so representation
+        # coefficients line up with target.gens
+        vecs, padding = _padded(
+            [_poly_to_vec(transport(g, amb)) for g in target.gens], ring)
         basis, reps = _gb_core(vecs, amb, padding=padding, want_rep=want_rep)
         ambient_elements = _basis_polys(basis, amb)
-        if ring.quotient:
-            elements = [h for h in
-                        (transport(g, ring) for g in ambient_elements)
-                        if not h.is_zero()]
-        else:
-            elements = list(ambient_elements)
+        elements = _descend(ring, ambient_elements).gens
         representation = None
         if want_rep:
             representation = tuple(
@@ -531,18 +548,9 @@ def groebner_basis(target, want_rep=False) -> GroebnerBasis:
         ring = target.ring
         amb = ring.ambient
         rank = target.rows
-        vecs, padding = [], []
-        for col in target.columns():
-            v = {}
-            for i, f in enumerate(col):
-                v.update(_poly_to_vec(transport(f, amb), comp=i))
-            if v:
-                vecs.append(v)
-                padding.append(False)
-        for q in ring.quotient:
-            for i in range(rank):
-                vecs.append(_poly_to_vec(q, comp=i))
-                padding.append(True)
+        vecs, padding = _padded(
+            [v for v in (_module_vec(col, amb) for col in target.columns())
+             if v], ring, rank)
         basis, _ = _gb_core(vecs, amb, padding=padding)
         vectors = [_vec_to_polys({m: c for m, c in g.items() if m != "_lead"},
                                  amb, rank) for g in basis]
@@ -561,9 +569,7 @@ def normal_form(f: Polynomial, basis, want_quotients=False):
     if basis.rank != 0:
         raise ValueError("normal form of a polynomial needs an ideal basis")
     amb = ring.ambient
-    mkey = _module_key(amb.key)
-    index, tails = _prep_reducers(
-        [_poly_to_vec(g) for g in basis.ambient_elements], amb.p, mkey)
+    index, tails, mkey = basis._reducers()
     track = [dict() for _ in tails] if want_quotients else None
     vec = _poly_to_vec(transport(f, amb))
     rem = _reduce_vec(vec, index, tails, amb.p, mkey, track)
@@ -630,12 +636,10 @@ def eliminate(I: Ideal, names) -> Ideal:
     names = list(names)
     if not names:
         return I
-    ring = I.ring
-    amb = ring.ambient
+    amb = I.ring.ambient
     for n in names:
         amb.var_index(n)
-    polys = [transport(g, amb) for g in I.gens] + list(ring.quotient)
-    sub, kept = _eliminate_raw(polys, amb, names)
+    sub, kept = _eliminate_raw(_lift(I), amb, names)
     return Ideal(sub, tuple(kept))
 
 
@@ -677,12 +681,9 @@ def kernel_of_ring_map(phi: RingMap) -> Ideal:
         gens.append(joint.var(Samb.names[i]) - transport(img, joint, rename_t))
     if fresh:
         _, kept = _eliminate_raw(gens, joint, fresh)
-        kept = [transport(g, S) for g in kept]
     else:
-        basis = reduced_groebner_raw(gens, joint)
-        kept = [transport(g, S) for g in basis]
-    kept = [g for g in kept if not g.is_zero()]
-    return Ideal(S, tuple(kept))
+        kept = reduced_groebner_raw(gens, joint)
+    return _descend(S, kept)
 
 
 def _intersect_raw(gens_a, gens_b, amb):
@@ -700,12 +701,7 @@ def _intersect_raw(gens_a, gens_b, amb):
 def intersect_ideals(I: Ideal, J: Ideal) -> Ideal:
     if I.ring != J.ring:
         raise RingMismatchError("intersection needs matching rings")
-    ring = I.ring
-    amb = ring.ambient
-    ga = [transport(g, amb) for g in I.gens] + list(ring.quotient)
-    gb_ = [transport(g, amb) for g in J.gens] + list(ring.quotient)
-    kept = _intersect_raw(ga, gb_, amb)
-    return Ideal(ring, tuple(transport(g, ring) for g in kept))
+    return _descend(I.ring, _intersect_raw(_lift(I), _lift(J), I.ring.ambient))
 
 
 def _exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -722,46 +718,48 @@ def _exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
     return amb.poly({e: c * lcinv % p for e, c in track[0].items()})
 
 
+def _colon_elements(ring, by):
+    """The nonzero elements of ``by``, an element or an ideal of ``ring``
+    to take a colon or a saturation by."""
+    if not isinstance(by, (Polynomial, Ideal)):
+        raise TypeError("colon by a polynomial or an ideal")
+    if by.ring != ring:
+        raise RingMismatchError("colon needs matching rings")
+    if isinstance(by, Polynomial):
+        if by.is_zero():
+            raise ValueError("colon by zero")
+        return [by]
+    elements = [g for g in by.gens if not g.is_zero()]
+    if not elements:
+        raise ValueError("colon by the empty (zero) ideal")
+    return elements
+
+
 def colon(I: Ideal, by) -> Ideal:
-    """Ideal quotient I : f or I : J."""
+    """Ideal quotient I : f, or I : J as the intersection of the I : g over
+    the generators g of J."""
     ring = I.ring
     amb = ring.ambient
-    if isinstance(by, Polynomial):
-        if by.ring != ring:
-            raise RingMismatchError("colon needs matching rings")
-        f = transport(by, amb)
-        if f.is_zero():
-            raise ValueError("colon by zero")
+    out = None
+    for g in _colon_elements(ring, by):
+        f = transport(g, amb)
         if f.is_constant():
-            return Ideal(ring, tuple(I.display_gens()))
-        ga = [transport(g, amb) for g in I.gens] + list(ring.quotient)
-        meet = _intersect_raw(ga, [f], amb)
-        gens = [transport(_exact_divide(w, f), ring) for w in meet]
-        return Ideal(ring, tuple(g for g in gens if not g.is_zero()))
-    if isinstance(by, Ideal):
-        if by.ring != ring:
-            raise RingMismatchError("colon needs matching rings")
-        gens = [g for g in by.gens if not g.is_zero()]
-        if not gens:
-            raise ValueError("colon by the empty (zero) ideal")
-        out = None
-        for g in gens:
-            piece = colon(I, g)
-            out = piece if out is None else intersect_ideals(out, piece)
-        return out
-    raise TypeError("colon by a polynomial or an ideal")
+            piece = Ideal(ring, tuple(I.display_gens()))
+        else:
+            meet = _intersect_raw(_lift(I), [f], amb)
+            piece = _descend(ring, [_exact_divide(w, f) for w in meet])
+        out = piece if out is None else intersect_ideals(out, piece)
+    return out
 
 
 def _rabinowitsch_input(I: Ideal, f: Polynomial):
     """Generators of I + Q + (f*z - 1) in the ambient ring extended by a
     fresh variable z; returns (extended ring, name of z, generators)."""
-    ring = I.ring
-    amb = ring.ambient
+    amb = I.ring.ambient
     z_name = _fresh_name(set(amb.names), "#z")
     ext = extend_ring(amb, [z_name])
-    gens = [transport(g, ext) for g in I.gens if not g.is_zero()]
-    gens += [transport(q, ext) for q in ring.quotient]
-    gens.append(transport(transport(f, amb), ext) * ext.var(z_name) - ext.one())
+    gens = [transport(g, ext) for g in _lift(I)]
+    gens.append(transport(f, ext) * ext.var(z_name) - ext.one())
     return ext, z_name, gens
 
 
@@ -781,27 +779,14 @@ def saturate(I: Ideal, by, method="rabinowitsch"):
     if method != "rabinowitsch":
         raise ValueError(f"unknown saturation method {method!r}")
     ring = I.ring
-    if not isinstance(by, (Polynomial, Ideal)):
-        raise TypeError("saturate by a polynomial or an ideal")
-    if by.ring != ring:
-        raise RingMismatchError("saturation needs matching rings")
-    if isinstance(by, Polynomial):
-        if by.is_zero():
-            raise ValueError("colon by zero")
-        elements = [by]
-    else:
-        elements = [g for g in by.gens if not g.is_zero()]
-        if not elements:
-            raise ValueError("colon by the empty (zero) ideal")
     amb = ring.ambient
     out = None
-    for g in elements:
+    for g in _colon_elements(ring, by):
         ext, z_name, gens = _rabinowitsch_input(I, g)
         _, kept = _eliminate_raw(gens, ext, [z_name])
         piece = [transport(h, amb) for h in kept]
         out = piece if out is None else _intersect_raw(out, piece, amb)
-    return Ideal(ring, tuple(h for h in (transport(g, ring) for g in out)
-                             if not h.is_zero()))
+    return _descend(ring, out)
 
 
 def saturation_exponent(I: Ideal, by, cap=64):
@@ -1154,29 +1139,21 @@ def kernel_of_matrix(A: FreeModuleMap) -> FreeModuleMap:
     if s == 0:
         return FreeModuleMap(ring, (), rows=0, cols=0)
     if s == 1:
-        entries = [transport(A.entries[i][0], amb) for i in range(m)]
-        nonzero = [f for f in entries if not f.is_zero()]
+        nonzero = [f for f in A.column(0) if not f.is_zero()]
         if not nonzero:
             return FreeModuleMap(ring, ((ring.one(),),))
-        out = None
-        for f in nonzero:
-            piece = _annihilator_of_element(f, ring)
-            out = piece if out is None else intersect_ideals(out, piece)
-        cols = [(g,) for g in out.display_gens()]
-        return matrix_from_columns(ring, cols, rows=1)
-    rank = m + s
-    vecs, padding = [], []
-    for j in range(s):
-        v = {}
-        for i in range(m):
-            v.update(_poly_to_vec(transport(A.entries[i][j], amb), comp=i))
+        if not ring.quotient:
+            return matrix_from_columns(ring, [], rows=1)
+        # the annihilator of the column: 0 : (its entries)
+        ann = colon(Ideal(ring, ()), Ideal(ring, tuple(nonzero)))
+        return matrix_from_columns(
+            ring, [(g,) for g in ann.display_gens()], rows=1)
+    vecs = []
+    for j, col in enumerate(A.columns()):
+        v = _module_vec(col, amb)
         v[(m + j, (0,) * amb.nvars)] = 1
         vecs.append(v)
-        padding.append(False)
-    for q in ring.quotient:
-        for i in range(m):
-            vecs.append(_poly_to_vec(q, comp=i))
-            padding.append(True)
+    vecs, padding = _padded(vecs, ring, m)
     basis, _ = _gb_core(vecs, amb, padding=padding)
     cols = []
     for g in basis:
@@ -1194,30 +1171,11 @@ def kernel_of_matrix(A: FreeModuleMap) -> FreeModuleMap:
     return matrix_from_columns(ring, cols, rows=s)
 
 
-def _annihilator_of_element(f: Polynomial, ring) -> Ideal:
-    """{g : g*f = 0 in ring} = (Q : f) for the ambient lift."""
-    amb = ring.ambient
-    if not ring.quotient:
-        return Ideal(ring, ())
-    meet = _intersect_raw(list(ring.quotient), [transport(f, amb)], amb)
-    gens = [transport(_exact_divide(w, transport(f, amb)), ring) for w in meet]
-    return Ideal(ring, tuple(g for g in gens if not g.is_zero()))
-
-
 def module_contains(gb: GroebnerBasis, vector) -> bool:
     """Membership of a vector of polynomials in a submodule GB."""
     amb = gb.ring.ambient
-    mkey = _module_key(amb.key)
-
-    def to_vec(polys):
-        vec = {}
-        for i, f in enumerate(polys):
-            vec.update(_poly_to_vec(transport(f, amb), comp=i))
-        return vec
-
-    index, tails = _prep_reducers(
-        [to_vec(v) for v in gb.ambient_elements], amb.p, mkey)
-    return not _reduce_vec(to_vec(vector), index, tails, amb.p, mkey)
+    index, tails, mkey = gb._reducers()
+    return not _reduce_vec(_module_vec(vector, amb), index, tails, amb.p, mkey)
 
 
 def minors_ideal(k: int, A: FreeModuleMap) -> Ideal:

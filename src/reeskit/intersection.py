@@ -17,8 +17,8 @@ import random
 from dataclasses import dataclass
 
 from .decompose import minimal_primes
-from .gb import (Ideal, dimension_and_degree, eliminate, kernel_of_ring_map,
-                 normal_form, saturate)
+from .gb import (Ideal, _descend, _lift, dimension_and_degree, eliminate,
+                 kernel_of_ring_map, normal_form, saturate)
 from .polyring import RingDescriptor, RingMap, transport
 from .rees import normal_cone, base_variable_names, rees_variable_names
 
@@ -35,6 +35,12 @@ class WeightedComponent:
         if not self.certified:
             s += " unverified"
         return s
+
+
+def _component_key(wc):
+    """Sort key of a component: larger dimension first, then its basis."""
+    return (-dimension_and_degree(wc.prime)[0],
+            tuple(g.terms for g in wc.prime.display_gens()))
 
 
 def _avoidance_element(parts, i, rng, p):
@@ -80,8 +86,6 @@ def distinguished(f: RingMap, I: Ideal, seed=0):
     ncS = normal_cone(I)
     images = [f(g) for g in I.gens]
     ncR = normal_cone(Ideal(f.target, tuple(images)))
-    TS = RingDescriptor(ncS.p, ncS.blocks, ncS.order_spec, ncS.degrees,
-                        ncS.quotient, ncS.rees_block)
     wS = rees_variable_names(ncS)
     wR = rees_variable_names(ncR)
     # the graded map sends base variables through f and w_i to w_i
@@ -90,11 +94,9 @@ def distinguished(f: RingMap, I: Ideal, seed=0):
         imgs.append(transport(f(S.var(n)), ncR))
     for a, b in zip(wS, wR):
         imgs.append(ncR.var(b))
-    graded = RingMap(TS, ncR, imgs)
-    K = kernel_of_ring_map(graded)
+    K = kernel_of_ring_map(RingMap(ncS, ncR, imgs))
     amb = ncS.ambient
-    K_full = Ideal(amb, tuple(transport(g, amb) for g in K.gens)
-                   + ncS.quotient)
+    K_full = Ideal(amb, tuple(_lift(K)))
     parts = minimal_primes(K_full, seed=seed)
     rng = random.Random(seed)
     out = []
@@ -113,9 +115,7 @@ def distinguished(f: RingMap, I: Ideal, seed=0):
                 f"non-integer multiplicity {deg_s}/{deg_p}; "
                 "decomposition needs re-examination")
         mult = deg_s // deg_p
-        contracted = eliminate(P, wS)
-        prime_S = Ideal(S, tuple(transport(g, S)
-                                 for g in contracted.display_gens()))
+        prime_S = _descend(S, eliminate(P, wS).display_gens())
         out.append(WeightedComponent(mult, prime_S, part.certified))
     # identical (multiplicity, prime) duplicates collapse; distinct
     # components with equal contraction are kept
@@ -125,11 +125,7 @@ def distinguished(f: RingMap, I: Ideal, seed=0):
                tuple(g.terms for g in wc.prime.display_gens()))
         if key not in seen:
             seen[key] = wc
-    result = list(seen.values())
-    result.sort(key=lambda wc: (-dimension_and_degree(wc.prime)[0],
-                                tuple(g.terms
-                                      for g in wc.prime.display_gens())))
-    return result
+    return sorted(seen.values(), key=_component_key)
 
 
 def intersect_in_p(I: Ideal, J: Ideal, seed=0):
@@ -161,7 +157,4 @@ def intersect_in_p(I: Ideal, J: Ideal, seed=0):
         gens = tuple(retract(g) for g in wc.prime.display_gens())
         prime = Ideal(ring, tuple(g for g in gens if not g.is_zero()))
         out.append(WeightedComponent(wc.multiplicity, prime, wc.certified))
-    out.sort(key=lambda wc: (-dimension_and_degree(wc.prime)[0],
-                             tuple(g.terms
-                                   for g in wc.prime.display_gens())))
-    return out
+    return sorted(out, key=_component_key)

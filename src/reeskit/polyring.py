@@ -733,11 +733,8 @@ def homogenize_ideal(I, new_name):
     if new_name in ring.ambient._index:
         raise ValueError(f"variable {new_name!r} already exists")
     ext = extend_ring(ring, [new_name])
-    basis = gb.reduced_groebner_raw(
-        [transport(g, ring.ambient) for g in I.gens] + list(ring.quotient),
-        ring.ambient)
     out = []
-    for g in basis:
+    for g in I.groebner().ambient_elements:
         d = g.total_degree()
         terms = {}
         for e, c in g.terms:

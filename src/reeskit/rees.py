@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .gb import (
-    Ideal, codimension, dimension_and_degree, eliminate, groebner_basis,
+    Ideal, _lift, codimension, dimension_and_degree, eliminate, groebner_basis,
     kernel_of_matrix, kernel_of_ring_map, minors_ideal,
     module_contains, normal_form, ring_dimension, saturate,
     trim_homogeneous, vector_space_dimension, INFINITY,
@@ -272,14 +272,10 @@ def normal_cone(I: Ideal) -> RingDescriptor:
         return got
     rp = rees_presentation(I)
     W = rp.ring
-    gens = list(rp.ideal.gens)
-    gens += [transport(g, W) for g in I.gens]
-    # base quotient generators must be lifted to the ambient ring, where
-    # they do not reduce away
-    gens += [transport(q, W.ambient) for q in I.ring.quotient]
-    nc = W.ambient.with_quotient(gens)
-    nc = RingDescriptor(nc.p, nc.blocks, nc.order_spec, nc.degrees,
-                        nc.quotient, W.rees_block)
+    # W carries the base quotient, which the lift adjoins, and the w-block
+    # tag, which its ambient ring keeps
+    cone = Ideal(W, rp.ideal.gens + tuple(transport(g, W) for g in I.gens))
+    nc = W.ambient.with_quotient(_lift(cone))
     I._cache["normal_cone"] = nc
     return nc
 

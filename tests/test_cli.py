@@ -109,6 +109,26 @@ class TestEmit:
             "print ideal(y*w_0 - x*w_1);\n")
         assert out == "ideal[ y*w_0 - x*w_1 ]\n"
 
+    def test_unverified_weighted_component(self):
+        from reeskit.gb import Ideal
+        from reeskit.intersection import WeightedComponent
+        from reeskit.polyring import make_ring
+        ring = make_ring(101, ["x", "y"])
+        x, y = ring.gens()
+        comps = [WeightedComponent(2, Ideal(ring, (x, y)), certified=False)]
+        assert render_value(comps) == "{ (2, ideal[ y, x ]) unverified }"
+
+    def test_certified_and_unverified_reports(self):
+        from reeskit.decompose import ComponentReport
+        from reeskit.gb import Ideal
+        from reeskit.polyring import make_ring
+        ring = make_ring(101, ["x", "y"])
+        x, y = ring.gens()
+        comps = [ComponentReport(Ideal(ring, (x,)), True),
+                 ComponentReport(Ideal(ring, (x - y, y ** 2)), False)]
+        assert render_value(comps) == (
+            "{ ideal[ x ] certified, ideal[ x - y, y^2 ] unverified }")
+
     def test_json_schema(self):
         doc, _ = run_text(
             "ring P = zmod 101 [x,y];\n"

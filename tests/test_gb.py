@@ -703,6 +703,15 @@ class TestIntersect:
         got = intersect_ideals(Ideal(A2, (x ** 2,)), Ideal(A2, (x,)))
         assert got == Ideal(A2, (x ** 2,))
 
+    def test_zero_meet_over_quotient_has_no_zero_generator(self):
+        # in GF(101)[x,y]/(xy) the axes meet in xy = 0
+        S = make_ring(101, ["x", "y"])
+        R = make_ring(101, ["x", "y"], quotient=[S.var("x") * S.var("y")])
+        x, y = R.gens()
+        got = intersect_ideals(Ideal(R, (x,)), Ideal(R, (y,)))
+        assert not any(g.is_zero() for g in got.gens)
+        assert got.is_zero()
+
 
 class TestDimensionDegree:
     def test_line(self, A2):
@@ -816,6 +825,16 @@ class TestKernelOfMatrix:
         degs = sorted({f.total_degree() for (f,) in ker.columns()})
         assert degs == [5]
         assert ker.cols == 19  # 21 degree-5 monomials minus x^5, y^5
+
+    def test_one_column_several_rows_over_quotient(self):
+        # in GF(101)[x,y]/(x^2, xy): ann(x) meet ann(y) = (x, y) meet (x)
+        S = make_ring(101, ["x", "y"])
+        R = make_ring(101, ["x", "y"], quotient=[S.var("x") ** 2,
+                                                 S.var("x") * S.var("y")])
+        x, y = R.gens()
+        ker = kernel_of_matrix(FreeModuleMap(R, [[x], [y]]))
+        assert ker.rows == 1
+        assert Ideal(R, tuple(f for (f,) in ker.columns())) == Ideal(R, (x,))
 
 
 class TestMinors:
