@@ -577,7 +577,22 @@ def _registry():
     @op("colonIdeal", "gb")
     def _(ctx, I, by):
         by2 = by if isinstance(by, (Polynomial, Ideal)) else _as_poly(ctx, by)
-        return gb_mod.colon(_as_ideal(ctx, I), by2)
+        I2 = _as_ideal(ctx, I)
+        out = gb_mod.colon(I2, by2)
+        if ctx.config.verify:
+            # the t-trick elimination gives I meet (g) = g * (I : g), and
+            # I : J is the meet of the I : g
+            meet = None
+            for g in gb_mod._colon_elements(I2.ring, by2):
+                piece = gb_mod.colon(I2, g)
+                g_ideal = Ideal(I2.ring, (g,))
+                if gb_mod.intersect_ideals(I2, g_ideal) != g_ideal * piece:
+                    raise ScriptError("colon cross-check failed")
+                meet = (piece if meet is None
+                        else gb_mod.intersect_ideals(meet, piece))
+            if meet != out:
+                raise ScriptError("colon cross-check failed")
+        return out
 
     @op("saturate", "gb")
     def _(ctx, I, by):

@@ -130,8 +130,8 @@ def _gb_core(vectors, amb, rkey=None, padding=None, want_rep=False):
 
     * coprime leads (the product criterion), sound only when both
       elements live in a single component;
-    * two elements of the quotient padding, a Groebner basis already, so
-      their S-vector reduces to zero by the padding alone;
+    * two elements of the padding (see ``_padded``), a Groebner basis
+      already, so their S-vector reduces to zero by the padding alone;
     * two monomials (both tails empty): the S-vector of two monic terms
       is exactly 0.
 
@@ -519,11 +519,37 @@ def _module_vec(polys, amb):
     return vec
 
 
-def _padded(vecs, ring, rank=1):
-    """``vecs`` followed by the quotient basis in each of ``rank``
-    components, and the padding flags that mark the quotient."""
-    pad = [_poly_to_vec(q, comp=i) for q in ring.quotient for i in range(rank)]
+def _padded(vecs, basis, rank=1):
+    """``vecs`` followed by ``basis`` in each of ``rank`` components, and the
+    padding flags that mark it.  ``basis`` is a Groebner basis in the ambient
+    ring (a quotient basis Q, or an ideal's ambient basis, Q included), so
+    the engine may skip the S-pairs between two of its copies."""
+    pad = [_poly_to_vec(q, comp=i) for q in basis for i in range(rank)]
     return vecs + pad, [False] * len(vecs) + [True] * len(pad)
+
+
+def _syzygies(columns, rows, basis, amb):
+    """Lifts of the syzygies of ``columns`` modulo ``basis`` in every row.
+
+    ``columns`` are vectors of ``rows`` polynomials.  Column j goes over the
+    unit vector e_(rows + j) and every row component is padded with
+    ``basis`` (see ``_padded``); one Groebner basis of that module in the
+    position-over-term order puts the rows first, so its elements with a
+    lead in a component >= ``rows`` are zero in every row and generate the
+    r with sum_j r_j * column_j in basis * R^rows.  Returns them as tuples
+    of ambient polynomials, one entry per column.
+    """
+    unit = (0,) * amb.nvars
+    vecs = []
+    for j, col in enumerate(columns):
+        v = _module_vec(col, amb)
+        v[(rows + j, unit)] = 1
+        vecs.append(v)
+    vecs, padding = _padded(vecs, basis, rows)
+    found, _ = _gb_core(vecs, amb, padding=padding)
+    return [_vec_to_polys({(m[0] - rows, m[1]): co for m, co in g.items()
+                           if m != "_lead"}, amb, len(columns))
+            for g in found if g["_lead"][0] >= rows]
 
 
 def groebner_basis(target, want_rep=False) -> GroebnerBasis:
@@ -533,7 +559,8 @@ def groebner_basis(target, want_rep=False) -> GroebnerBasis:
         # vector positions track generator positions, so representation
         # coefficients line up with target.gens
         vecs, padding = _padded(
-            [_poly_to_vec(transport(g, amb)) for g in target.gens], ring)
+            [_poly_to_vec(transport(g, amb)) for g in target.gens],
+            ring.quotient)
         basis, reps = _gb_core(vecs, amb, padding=padding, want_rep=want_rep)
         ambient_elements = _basis_polys(basis, amb)
         elements = _descend(ring, ambient_elements).gens
@@ -550,7 +577,7 @@ def groebner_basis(target, want_rep=False) -> GroebnerBasis:
         rank = target.rows
         vecs, padding = _padded(
             [v for v in (_module_vec(col, amb) for col in target.columns())
-             if v], ring, rank)
+             if v], ring.quotient, rank)
         basis, _ = _gb_core(vecs, amb, padding=padding)
         vectors = [_vec_to_polys({m: c for m, c in g.items() if m != "_lead"},
                                  amb, rank) for g in basis]
@@ -704,20 +731,6 @@ def intersect_ideals(I: Ideal, J: Ideal) -> Ideal:
     return _descend(I.ring, _intersect_raw(_lift(I), _lift(J), I.ring.ambient))
 
 
-def _exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
-    """f / g in the ambient ring; raises if the division is not exact."""
-    amb = f.ring
-    p = amb.p
-    mkey = _module_key(amb.key)
-    index, tails = _prep_reducers([_poly_to_vec(g)], p, mkey)
-    track = [dict()]
-    if _reduce_vec(_poly_to_vec(f), index, tails, p, mkey, track):
-        raise ArithmeticError("division is not exact")
-    # the quotient by the monic divisor g / lc(g), divided by lc(g)
-    lcinv = pow(g.terms[0][1], -1, p)
-    return amb.poly({e: c * lcinv % p for e, c in track[0].items()})
-
-
 def _colon_elements(ring, by):
     """The nonzero elements of ``by``, an element or an ideal of ``ring``
     to take a colon or a saturation by."""
@@ -736,20 +749,20 @@ def _colon_elements(ring, by):
 
 
 def colon(I: Ideal, by) -> Ideal:
-    """Ideal quotient I : f, or I : J as the intersection of the I : g over
-    the generators g of J."""
+    """Ideal quotient I : f, or I : J for an ideal J.
+
+    One syzygy computation (``_syzygies``): the column (g_1, ..., g_k) of
+    the nonzero generators of J (or of f alone), each row padded with I's
+    reduced ambient basis, Q included.  That basis is Groebner in every
+    row, so the padding is valid and the syzygy parts are the lifts of the
+    r with r * g_i in I + Q for every i, that is of I : J.  A constant g
+    needs no special case: r * g in I gives I itself.
+    """
     ring = I.ring
-    amb = ring.ambient
-    out = None
-    for g in _colon_elements(ring, by):
-        f = transport(g, amb)
-        if f.is_constant():
-            piece = Ideal(ring, tuple(I.display_gens()))
-        else:
-            meet = _intersect_raw(_lift(I), [f], amb)
-            piece = _descend(ring, [_exact_divide(w, f) for w in meet])
-        out = piece if out is None else intersect_ideals(out, piece)
-    return out
+    gens = _colon_elements(ring, by)
+    syz = _syzygies([gens], len(gens), I.groebner().ambient_elements,
+                    ring.ambient)
+    return _descend(ring, [r for (r,) in syz])
 
 
 def _rabinowitsch_input(I: Ideal, f: Polynomial):
@@ -976,13 +989,18 @@ class HilbertSeries:
     __repr__ = __str__
 
 
+def _require_homogeneous(I: Ideal, weights, message):
+    """Raise ValueError(message) unless I and the quotient are homogeneous."""
+    for g in I.gens + I.ring.quotient:
+        if not g.is_homogeneous(weights):
+            raise ValueError(message)
+
+
 def hilbert_series(I: Ideal) -> HilbertSeries:
     """Hilbert series of ring/I for homogeneous I (weighted by variable degrees)."""
     ring = I.ring
     weights = ring.degrees
-    for g in list(I.gens) + list(ring.quotient):
-        if not g.is_homogeneous(weights):
-            raise ValueError("hilbertSeries needs a homogeneous ideal")
+    _require_homogeneous(I, weights, "hilbertSeries needs a homogeneous ideal")
     basis = I.groebner().ambient_elements
     if len(basis) == 1 and basis[0].is_constant() and not basis[0].is_zero():
         return HilbertSeries({}, ())
@@ -1115,9 +1133,8 @@ def graded_piece_dim(degree, I: Ideal, grading="total") -> int:
     """k-dimension of the degree-d graded piece of the ideal I."""
     ring = I.ring
     weights = _grading_weights(ring, grading)
-    for g in list(I.gens) + list(ring.quotient):
-        if not g.is_homogeneous(weights):
-            raise ValueError("ideal is not homogeneous for this grading")
+    _require_homogeneous(I, weights,
+                         "ideal is not homogeneous for this grading")
     basis = I.groebner().ambient_elements
     lt_full = _minimal_monomials([g.terms[0][0] for g in basis]) if basis else []
     lt_q = (_minimal_monomials([q.terms[0][0] for q in ring.quotient])
@@ -1132,43 +1149,23 @@ def graded_piece_dim(degree, I: Ideal, grading="total") -> int:
 # ---------------------------------------------------------------------------
 
 def kernel_of_matrix(A: FreeModuleMap) -> FreeModuleMap:
-    """Columns generating ker(A) for A : R^s -> R^m."""
+    """Columns generating ker(A) for A : R^s -> R^m.
+
+    The syzygies of A's columns with every row padded with the quotient
+    basis Q (``_syzygies``), which is a Groebner basis in each row, so the
+    padding is valid; the lifts are reduced into the ring and zero columns
+    dropped.  A one-column A takes the same path: its kernel is the
+    annihilator of the column's entries.
+    """
     ring = A.ring
-    amb = ring.ambient
-    m, s = A.rows, A.cols
-    if s == 0:
+    if A.cols == 0:
         return FreeModuleMap(ring, (), rows=0, cols=0)
-    if s == 1:
-        nonzero = [f for f in A.column(0) if not f.is_zero()]
-        if not nonzero:
-            return FreeModuleMap(ring, ((ring.one(),),))
-        if not ring.quotient:
-            return matrix_from_columns(ring, [], rows=1)
-        # the annihilator of the column: 0 : (its entries)
-        ann = colon(Ideal(ring, ()), Ideal(ring, tuple(nonzero)))
-        return matrix_from_columns(
-            ring, [(g,) for g in ann.display_gens()], rows=1)
-    vecs = []
-    for j, col in enumerate(A.columns()):
-        v = _module_vec(col, amb)
-        v[(m + j, (0,) * amb.nvars)] = 1
-        vecs.append(v)
-    vecs, padding = _padded(vecs, ring, m)
-    basis, _ = _gb_core(vecs, amb, padding=padding)
     cols = []
-    for g in basis:
-        lead = g["_lead"]
-        if lead[0] < m:
-            continue
-        terms = [(mc, co) for mc, co in g.items() if mc != "_lead"]
-        vec = {(c - m, e): co for (c, e), co in terms}
-        polys = _vec_to_polys(vec, amb, s)
-        col = tuple(transport(f, ring) for f in polys)
+    for lift in _syzygies(A.columns(), A.rows, ring.quotient, ring.ambient):
+        col = tuple(transport(f, ring) for f in lift)
         if any(not f.is_zero() for f in col):
             cols.append(col)
-    if not cols:
-        return FreeModuleMap(ring, (), rows=s, cols=0)
-    return matrix_from_columns(ring, cols, rows=s)
+    return matrix_from_columns(ring, cols, rows=A.cols)
 
 
 def module_contains(gb: GroebnerBasis, vector) -> bool:

@@ -121,8 +121,7 @@ def distinguished(f: RingMap, I: Ideal, seed=0):
     # components with equal contraction are kept
     seen = {}
     for wc in out:
-        key = (wc.multiplicity,
-               tuple(g.terms for g in wc.prime.display_gens()))
+        key = (wc.multiplicity, wc.prime)
         if key not in seen:
             seen[key] = wc
     return sorted(seen.values(), key=_component_key)

@@ -367,5 +367,6 @@ class TestMainEntry:
         script.write_text("ring P = zmod 101 [x,y];\n"
                           "print reesIdeal(ideal(x^2, x*y, y^2));\n"
                           "print saturate(ideal(x^2*y), x);\n"
-                          "print saturate(ideal(x^2*y, x*y^2), ideal(x, y));\n")
+                          "print saturate(ideal(x^2*y, x*y^2), ideal(x, y));\n"
+                          "print colonIdeal(ideal(x^2*y, x*y^2), ideal(x, y));\n")
         assert main(["--verify", "run", str(script)]) == 0

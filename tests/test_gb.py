@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from reeskit import gb as gb_module
 from reeskit.blowup import blowup_of
@@ -12,7 +12,7 @@ from reeskit.gb import (
     intersect_ideals, kernel_of_matrix, kernel_of_ring_map, minors_ideal,
     module_contains, normal_form, radical_membership, ring_dimension,
     saturate, saturation_exponent, standard_monomials, trim_homogeneous,
-    vector_space_dimension, colon, _exact_divide, _standard_exponents,
+    vector_space_dimension, colon, _standard_exponents,
 )
 from reeskit.polyring import (FreeModuleMap, RingMap, make_ring,
                               matrix_from_columns, random_poly, transport)
@@ -530,15 +530,6 @@ class TestNormalForm:
                 back = back + q * b
             assert back == f
 
-    def test_exact_divide(self, A2):
-        x, y = A2.gens()
-        g = 3 * x * y - 5 * y ** 2 + 7  # lead coefficient 3, not monic
-        h = x ** 2 + 4 * y - 1
-        assert _exact_divide(g * h, g) == h
-        assert _exact_divide(g, g) == A2.one()
-        with pytest.raises(ArithmeticError):
-            _exact_divide(g * h + x, g)
-
 
 class TestEliminate:
     def test_cuspidal_cubic(self):
@@ -685,6 +676,36 @@ class TestColonSaturate:
             * rng.choice(J.gens) ** rng.randrange(1, 3)
             for _ in range(1 + rng.randrange(2))))
         assert saturate(I, J) == saturate(I, J, method="colon")
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(["polynomial", "artinian5"]),
+           st.integers(0, 10 ** 6))
+    def test_colon_agrees_with_elimination(self, artinian5, kind, seed):
+        """One syzygy basis against the t-trick: I meet (g) = g * (I : g),
+        which determines I : g in a domain, and I : J is the meet of the
+        I : g over J's generators."""
+        rng = random.Random(seed)
+        ring = (make_ring(13, ["x", "y", "z"]) if kind == "polynomial"
+                else artinian5)
+        J = Ideal(ring, tuple(sparse_poly(ring, rng, range(1, 3), range(1, 3))
+                              for _ in range(1 + rng.randrange(3))))
+        gens = [g for g in J.gens if not g.is_zero()]
+        assume(gens)
+        I = Ideal(ring, tuple(
+            sparse_poly(ring, rng, range(1, 3), range(3))
+            * rng.choice(gens) ** rng.randrange(1, 3)
+            for _ in range(1 + rng.randrange(2))))
+        meet = None
+        for g in gens:
+            piece = colon(I, g)
+            g_ideal = Ideal(ring, (g,))
+            assert g_ideal * piece == intersect_ideals(I, g_ideal)
+            if ring.quotient:
+                ann = colon(Ideal(ring, ()), g)
+                assert all(piece.contains(a) for a in ann.gens)
+            meet = piece if meet is None else intersect_ideals(meet, piece)
+        assert colon(I, J) == meet
 
 
 class TestIntersect:
