@@ -2,11 +2,12 @@
 
 A chart is global: one flattened Rees ring with the Rees ideal installed as
 its quotient.  The strict transform is the total transform saturated by the
-exceptional ideal.  Smoothness of a transform is decided after saturating
-the Jacobian-minor locus by the irrelevant ideal (the w-block), exactly like
-testing Proj instead of the affine cone.  Both saturations are by an ideal:
-``gb.saturate`` makes one Rabinowitsch elimination per generator and
-intersects the pieces once.
+exceptional ideal, by ``gb.saturate``: one Rabinowitsch elimination per
+generator and one intersection of the pieces.  A transform is smooth away
+from the irrelevant ideal J (the w-block), i.e. on Proj instead of the
+affine cone, when its Jacobian-minor locus S has S : J^oo = (1), that is
+when every generator of J lies in rad(S); this is tested by radical
+membership, one generator at a time, stopping at the first that fails.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gb import (Ideal, _descend, _lift, dimension_and_degree, minors_ideal,
-                 saturate)
+                 radical_membership, saturate)
 from .polyring import FreeModuleMap, RingDescriptor, RingMap, transport
 from .rees import rees_presentation, rees_variable_names
 
@@ -76,5 +77,4 @@ def singular_locus_ideal(X: Ideal, expected_codim=None) -> Ideal:
 
 def is_smooth_away_from_irrelevant(chart: BlowupChart, X: Ideal) -> bool:
     sing = singular_locus_ideal(X)
-    cleaned = saturate(sing, chart.irrelevant)
-    return cleaned.is_unit()
+    return all(radical_membership(w, sing) for w in chart.irrelevant.gens)

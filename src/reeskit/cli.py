@@ -774,7 +774,14 @@ def _registry():
     def _(ctx, chart, X):
         if not isinstance(chart, BlowupChart):
             raise ScriptError("strictTransform needs a blowup chart")
-        return blowup_mod.strict_transform(chart, _as_ideal(ctx, X))
+        X2 = _as_ideal(ctx, X)
+        out = blowup_mod.strict_transform(chart, X2)
+        if ctx.config.verify:
+            alt = gb_mod.saturate(blowup_mod.total_transform(chart, X2),
+                                  chart.exceptional, method="colon")
+            if alt != out:
+                raise ScriptError("strict transform cross-check failed")
+        return out
 
     @op("singularLocusIdeal", "blowup")
     def _(ctx, X, c=None):
@@ -785,8 +792,14 @@ def _registry():
     def _(ctx, chart, X):
         if not isinstance(chart, BlowupChart):
             raise ScriptError("needs a blowup chart")
-        return blowup_mod.is_smooth_away_from_irrelevant(
-            chart, _as_ideal(ctx, X))
+        X2 = _as_ideal(ctx, X)
+        out = blowup_mod.is_smooth_away_from_irrelevant(chart, X2)
+        if ctx.config.verify:
+            alt = gb_mod.saturate(blowup_mod.singular_locus_ideal(X2),
+                                  chart.irrelevant, method="colon")
+            if alt.is_unit() != out:
+                raise ScriptError("smoothness cross-check failed")
+        return out
 
     @op("chartRing", "blowup")
     def _(ctx, chart):

@@ -6,7 +6,9 @@ one big-int multiplication does the convolution, and the slots are read
 back.  Univariate factorization is distinct-degree decomposition followed
 by Cantor-Zassenhaus equal-degree splitting (trace splitting for p = 2);
 both, and Rabin's irreducibility test, step h -> h^p mod f as a linear
-combination of the Frobenius rows x^(ip) mod f.
+combination of the Frobenius rows x^(ip) mod f.  One modulus f serves a
+squarefree part's whole distinct-degree split, and the equal-degree split
+of each of its factors inherits x^p mod f.
 Multivariate factorization first tries to certify irreducibility on a few
 random lines, and stops drawing lines once their factor-degree patterns
 settle.  Otherwise it reduces to one variable through Kronecker
@@ -205,21 +207,24 @@ def uv_sub(f, g, p):
 
 
 def uv_divmod(f, g, p):
+    """(quotient, remainder) by the pop loop of uv_gcd: each top coefficient
+    of f, scaled by 1/lc(g), is the next quotient coefficient."""
     if not g or not g[-1]:
         g = _trim(list(g))
         if not g:
             raise ZeroDivisionError("univariate division by zero")
     f = list(f)
-    q = [0] * max(len(f) - len(g) + 1, 0)
+    n = len(g) - 1
+    low = g[:-1]
     inv = pow(g[-1], -1, p)
-    while len(f) >= len(g) and _trim(f):
-        if len(f) < len(g):
-            break
-        c = f[-1] * inv % p
-        k = len(f) - len(g)
-        q[k] = c
-        for i, b in enumerate(g):
-            f[k + i] = (f[k + i] - c * b) % p
+    q = [0] * max(len(f) - n, 0)
+    while len(f) > n:
+        c = f.pop()
+        if c:
+            k = len(f) - n
+            q[k] = c = c * inv % p
+            for i, b in enumerate(low, k):
+                f[i] = (f[i] - c * b) % p
     return _trim(q), _trim(f)
 
 
@@ -268,12 +273,13 @@ class _Modulus:
     multiple of row 0, so its slots are left unreduced below
     (p-1) + k (p-1)^2; the slot width covers the sum this gives.
 
-    The Frobenius rows x^(ip) mod m, i < n, are built on first use; h^p mod
-    m is then the linear combination sum h_i x^(ip), since h_i^p = h_i in
-    GF(p).
+    The Frobenius rows x^(ip) mod m, i < n, are built once, on first use;
+    h^p mod m is then the linear combination sum h_i x^(ip), since
+    h_i^p = h_i in GF(p).  x^p is computed on first use, or passed in
+    modulo a multiple of m and reduced mod m then.
     """
 
-    def __init__(self, m, p, xp=None, frob=None):
+    def __init__(self, m, p, xp=None):
         self.m, self.p, self.n = m, p, len(m) - 1
         n = self.n
         self.size, self.code = _slot((2 * n - 1) * (p - 1) ** 2
@@ -281,7 +287,7 @@ class _Modulus:
         self.low_bits = 8 * self.size * n
         self.rows = None
         self.xp = xp            # x^p mod m, once known
-        self.frob = frob        # coefficient lists x^(ip) mod m, once built
+        self.frob = None        # coefficient lists x^(ip) mod m, once built
         self.packed_frob = None
 
     def _build_rows(self):
@@ -331,31 +337,21 @@ class _Modulus:
         """h^p mod m for a residue h."""
         if self.xp is None:
             self.xp = self.pow([0, 1], self.p)
+        elif len(self.xp) > self.n:
+            self.xp = uv_mod(self.xp, self.m, self.p)
         if h == [0, 1]:
             return self.xp
         if self.packed_frob is None:
-            if self.frob is None:
-                frob = [[1], self.xp]
-                while len(frob) < self.n:
-                    frob.append(self.mul(frob[-1], self.xp))
-                self.frob = frob
-            self.packed_frob = [_pack(r, self.size, self.code)
-                                for r in self.frob]
+            frob = [[1], self.xp]
+            while len(frob) < self.n:
+                frob.append(self.mul(frob[-1], self.xp))
+            self.frob = frob
+            self.packed_frob = [_pack(r, self.size, self.code) for r in frob]
         acc = 0
         for c, row in zip(h, self.packed_frob):
             if c:
                 acc += c * row
         return _trim(_unpack(acc, self.n, self.size, self.code, self.p))
-
-    def reduced(self, f):
-        """The modulus f, a factor of m of degree >= 1, keeping x^p and the
-        Frobenius rows known for m, reduced mod f."""
-        p = self.p
-        xp = None if self.xp is None else uv_mod(self.xp, f, p)
-        frob = None
-        if self.frob is not None:
-            frob = [uv_mod(r, f, p) for r in self.frob[:_deg(f)]]
-        return _Modulus(f, p, xp, frob)
 
 
 def uv_pow_mod(f, n, mod, p):
@@ -407,10 +403,13 @@ def uv_squarefree_decomposition(f, p):
 
 
 def _distinct_degree(f, p):
-    """[(product of irreducibles of degree d, d)] for monic squarefree f.
+    """[(product of irreducibles of degree d, d, x^p mod f or None)] for
+    monic squarefree f.
 
-    x^(p^d) mod f comes from x^(p^(d-1)) by one Frobenius step; when a
-    factor splits off, the Frobenius rows are reduced mod the cofactor."""
+    One modulus serves the whole split: h = x^(p^d) mod f comes from
+    x^(p^(d-1)) by one Frobenius step through f's rows, built once.  h
+    stays reduced mod the input f when factors split off, since it is then
+    x^(p^d) modulo each of them too; uv_gcd reduces it mod the cofactor."""
     out = []
     x = [0, 1]
     h = x
@@ -419,29 +418,28 @@ def _distinct_degree(f, p):
     while _deg(f) > 0:
         d += 1
         if 2 * d > _deg(f):
-            out.append((f, _deg(f)))
+            out.append((f, _deg(f), mod.xp))
             break
         h = mod.frobenius(h)
         g = uv_gcd(uv_sub(h, x, p), f, p)
         if _deg(g) > 0:
-            out.append((g, d))
+            out.append((g, d, mod.xp))
             f = uv_divmod(f, g, p)[0]
-            h = uv_mod(h, f, p)
-            if 2 * (d + 1) <= _deg(f):
-                mod = mod.reduced(f)
     return out
 
 
-def _equal_degree_split(f, d, p, rng):
+def _equal_degree_split(f, d, p, rng, xp=None):
     """Cantor-Zassenhaus split of a product of degree-d irreducibles.
 
     For odd p, a^((p^d - 1)/2) is computed as
     (a a^p ... a^(p^(d-1)))^((p-1)/2), the product taking d - 1 Frobenius
-    steps; for p = 2 the trace a + a^2 + ... + a^(2^(d-1)) splits."""
+    steps; for p = 2 the trace a + a^2 + ... + a^(2^(d-1)) splits.  xp,
+    when given, is x^p modulo a multiple of f; the Frobenius steps reduce it
+    mod f, and both halves of a split inherit it."""
     n = _deg(f)
     if n == d:
         return [f]
-    mod = _Modulus(f, p)
+    mod = _Modulus(f, p, xp)
     while True:
         a = [rng.randrange(p) for _ in range(n)]
         a = _trim(a)
@@ -459,8 +457,9 @@ def _equal_degree_split(f, d, p, rng):
             b = uv_sub(mod.pow(b, (p - 1) // 2), [1], p)
         g = uv_gcd(b, f, p)
         if 0 < _deg(g) < n:
-            left = _equal_degree_split(g, d, p, rng)
-            right = _equal_degree_split(uv_divmod(f, g, p)[0], d, p, rng)
+            xp = mod.xp
+            left = _equal_degree_split(g, d, p, rng, xp)
+            right = _equal_degree_split(uv_divmod(f, g, p)[0], d, p, rng, xp)
             return left + right
 
 
@@ -474,8 +473,8 @@ def factor_univariate_list(f, p, rng=None):
     f = uv_monic(f, p)
     factors = {}
     for g, mult in uv_squarefree_decomposition(f, p):
-        for h, d in _distinct_degree(g, p):
-            for q in _equal_degree_split(h, d, p, rng):
+        for h, d, xp in _distinct_degree(g, p):
+            for q in _equal_degree_split(h, d, p, rng, xp):
                 key = tuple(q)
                 factors[key] = factors.get(key, 0) + mult
     ordered = sorted(factors.items(), key=lambda t: (len(t[0]), t[0]))
@@ -689,7 +688,7 @@ def _line_certifies_irreducible(f: Polynomial, used, p, rng, attempts=12,
                 if parts[0][1] == d:
                     return True
                 mask = 1
-                for h, k in parts:
+                for h, k, _ in parts:
                     for _ in range(_deg(h) // k):
                         mask |= mask << k
                 seen = mask if sums is None else sums & mask

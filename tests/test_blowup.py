@@ -146,3 +146,51 @@ class TestSmoothness:
         chart = blowup_of(Ideal(A2, (x, y)))
         st = strict_transform(chart, Ideal(A2, (y,)))
         assert is_smooth_away_from_irrelevant(chart, st)
+
+
+def _agrees_with_saturation(chart, X):
+    """is_smooth_away_from_irrelevant against the saturation it replaces:
+    S : J^oo = (1) for S the singular locus and J the irrelevant ideal."""
+    got = is_smooth_away_from_irrelevant(chart, X)
+    sing = singular_locus_ideal(X)
+    assert got == saturate(sing, chart.irrelevant).is_unit()
+    assert got == saturate(sing, chart.irrelevant, method="colon").is_unit()
+    return got
+
+
+class TestSmoothnessAgreement:
+    @pytest.mark.parametrize("c", [0, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_double_point_curves(self, c, n):
+        # (y + c x)^2 = x^n: one blowup of the origin resolves the node
+        # (n = 2) and the cusp (n = 3), not the tacnode or the higher cusp
+        R = make_ring(32003, ["x", "y"])
+        x, y = R.gens()
+        chart = blowup_of(Ideal(R, (x, y)))
+        st = strict_transform(chart, Ideal(R, ((y + c * x) ** 2 - x ** n,)))
+        assert _agrees_with_saturation(chart, st) == (n <= 3)
+
+    def test_tacnode(self, tacnode_setup):
+        _, tacnode, _, chart = tacnode_setup
+        assert _agrees_with_saturation(chart, strict_transform(chart, tacnode))
+        assert not _agrees_with_saturation(
+            chart, total_transform(chart, tacnode))
+
+    def test_square_of_the_maximal_ideal_as_center(self, A2):
+        x, y = A2.gens()
+        chart = blowup_of(Ideal(A2, (x ** 2, x * y, y ** 2)))
+        for f, smooth in ((y, True), (y ** 2 - x ** 3, True),
+                          (y ** 2 - x ** 4, False)):
+            st = strict_transform(chart, Ideal(A2, (f,)))
+            assert _agrees_with_saturation(chart, st) == smooth, f
+
+    def test_input_not_w_homogeneous(self, tacnode_setup):
+        _, _, _, chart = tacnode_setup
+        B = chart.ring
+        x, y, w0, w1 = (B.var(n) for n in ("x", "y", "w_0", "w_1"))
+        # the chart ring is singular along x = y = w_1 = 0, which w_0 = 1
+        # meets and w_1 = 1 - x misses
+        for X, smooth in ((Ideal(B, (w1 + x - 1,)), True),
+                          (Ideal(B, (w0 - x - 1,)), False),
+                          (Ideal(B, (w0 - 1, y ** 2 - x)), False)):
+            assert _agrees_with_saturation(chart, X) == smooth, X.gens

@@ -368,5 +368,25 @@ class TestMainEntry:
                           "print reesIdeal(ideal(x^2, x*y, y^2));\n"
                           "print saturate(ideal(x^2*y), x);\n"
                           "print saturate(ideal(x^2*y, x*y^2), ideal(x, y));\n"
-                          "print colonIdeal(ideal(x^2*y, x*y^2), ideal(x, y));\n")
+                          "print colonIdeal(ideal(x^2*y, x*y^2), ideal(x, y));\n"
+                          "let c = blowupOf(ideal(x, y^2));\n"
+                          "let st = strictTransform(c, ideal(x^2 - y^4));\n"
+                          "print st;\n"
+                          "print isSmoothAwayFromIrrelevant(c, st);\n")
         assert main(["--verify", "run", str(script)]) == 0
+
+    @pytest.mark.parametrize("name, wrong", [
+        ("strict_transform", lambda chart, X: chart.projection(X)),
+        ("is_smooth_away_from_irrelevant", lambda chart, X: False),
+    ])
+    def test_verify_catches_a_wrong_blowup_result(self, monkeypatch, name,
+                                                  wrong):
+        from reeskit import blowup
+        src = ("ring P = zmod 101 [x,y];\n"
+               "let c = blowupOf(ideal(x, y^2));\n"
+               "print isSmoothAwayFromIrrelevant(c, "
+               "strictTransform(c, ideal(x^2 - y^4)));\n")
+        assert run_text(src, verify=True)[0].status == 0
+        monkeypatch.setattr(blowup, name, wrong)
+        doc, _ = run_text(src, verify=True)
+        assert doc.status != 0 and "cross-check failed" in doc.message

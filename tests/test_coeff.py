@@ -246,16 +246,22 @@ def _school_mul(f, g, p):
     return _strip(out)
 
 
-def _school_mod(f, m, p):
+def _school_divmod(f, m, p):
     f, m = _strip(f), _strip(m)
     inv = pow(m[-1], -1, p)
+    q = [0] * max(len(f) - len(m) + 1, 0)
     while len(f) >= len(m):
         c = f[-1] * inv % p
         k = len(f) - len(m)
+        q[k] = c
         for i, b in enumerate(m):
             f[k + i] = (f[k + i] - c * b) % p
         f = _strip(f)
-    return f
+    return _strip(q), f
+
+
+def _school_mod(f, m, p):
+    return _school_divmod(f, m, p)[1]
 
 
 def _school_pow_mod(f, n, m, p):
@@ -291,6 +297,25 @@ def _school_is_irreducible(f, p):
         if d % e == 0 and len(_school_gcd(diff, f, p)) > 1:
             return False
     return _school_pow_mod(h, p, f, p) == x
+
+
+def _school_irreducibles(p, degrees, rng):
+    """Distinct monic irreducibles of the given degrees, by trial."""
+    out = []
+    for d in degrees:
+        while True:
+            f = [rng.randrange(p) for _ in range(d)] + [1]
+            if f not in out and _school_is_irreducible(f, p):
+                out.append(f)
+                break
+    return out
+
+
+def _school_prod(fs, p):
+    out = [1]
+    for f in fs:
+        out = _school_mul(out, f, p)
+    return out
 
 
 def _shapes(n, p, rng):
@@ -365,6 +390,68 @@ class TestPackedKernels:
         assert is_irreducible_univariate(f, p)
         assert not is_irreducible_univariate(_school_mul(f, f, p), p)
         assert seen == {False, True} or p > 3
+
+
+class TestSplitKernels:
+    @pytest.mark.parametrize("degrees", [(1, 9), (1, 2, 3, 3, 5, 7),
+                                         (1, 1, 4, 4, 6)])
+    @pytest.mark.parametrize("p", KERNEL_PRIMES)
+    def test_distinct_degree_of_known_products(self, p, degrees):
+        # the linear factor splits off at d = 1 and leaves a cofactor of
+        # degree 9 or more, which later gcds must reduce modulo
+        irr = _school_irreducibles(p, degrees, random.Random(p))
+        f = _school_prod(irr, p)
+        want = [(_school_prod([g for g, e in zip(irr, degrees) if e == d], p),
+                 d) for d in sorted(set(degrees))]
+        got = coeff._distinct_degree(f, p)
+        assert [(g, d) for g, d, _ in got] == want
+        xp = _school_pow_mod([0, 1], p, f, p)
+        assert all(x == xp for _, _, x in got)
+
+    @pytest.mark.parametrize("d", [1, 3, 4])
+    @pytest.mark.parametrize("p", KERNEL_PRIMES)
+    def test_equal_degree_split_with_inherited_x_to_the_p(self, p, d,
+                                                           monkeypatch):
+        # GF(2) has two monic irreducibles of degree 1 and of degree 3,
+        # GF(3) three of degree 1
+        rng = random.Random(p + d)
+        irr = _school_irreducibles(p, [d] * (2 if p <= 3 else 4) + [d + 1],
+                                   rng)
+        h = _school_prod(irr[:-1], p)
+        multiple = _school_mul(h, irr[-1], p)
+        seed = rng.randrange(10 ** 6)
+        r = random.Random(seed)
+        want = coeff._equal_degree_split(h, d, p, r)
+        assert sorted(want) == sorted(irr[:-1])
+        split = coeff._equal_degree_split
+
+        def spy(f, d, p, rng, xp=None):
+            # a wrong x^p would make the split retry forever: fail instead
+            assert xp is None or _school_mod(xp, f, p) == _school_pow_mod(
+                [0, 1], p, f, p)
+            return split(f, d, p, rng, xp)
+
+        monkeypatch.setattr(coeff, "_equal_degree_split", spy)
+        for m in (h, multiple):
+            r2 = random.Random(seed)
+            got = coeff._equal_degree_split(
+                h, d, p, r2, _school_pow_mod([0, 1], p, m, p))
+            assert got == want and r2.getstate() == r.getstate()
+
+    @pytest.mark.parametrize("p", KERNEL_PRIMES)
+    def test_divmod_matches_schoolbook(self, p):
+        # non-monic divisors, divisors with zero top coefficients,
+        # deg f < deg g, and zero dividends (n = 0)
+        rng = random.Random(p)
+        for n in range(40):
+            for m in sorted({1, 2, 5, n // 2 + 1, n, n + 3} - {0}):
+                f = rng.choice(_shapes(n, p, rng))
+                g = [rng.randrange(p) for _ in range(m - 1)]
+                g.append(rng.randrange(1, p))
+                want = _school_divmod(f, g, p)
+                assert uv_divmod(f, g, p) == want, (n, m)
+                assert uv_divmod(f, g + [0] * (n % 3 + 1), p) == want
+        assert uv_divmod([], [3, 5], p) == ([], [])
 
 
 # ---------------------------------------------------------------------------
