@@ -497,8 +497,20 @@ def _registry():
 
     @op("factorMultivariate", "coeff")
     def _(ctx, f):
-        return coeff_mod.factor_multivariate(_as_poly(ctx, f),
-                                             seed=ctx.config.seed)
+        g = _as_poly(ctx, f)
+        out = coeff_mod.factor_multivariate(g, seed=ctx.config.seed)
+        if ctx.config.verify and len(g.support_vars()) == 2:
+            # Hensel lifting against Kronecker substitution, where the
+            # latter does not refuse
+            try:
+                alt = coeff_mod.factor_multivariate(
+                    g, seed=ctx.config.seed, method="kronecker")
+            except coeff_mod.KroneckerBoundError:
+                pass
+            else:
+                if alt != out:
+                    raise ScriptError("factorization cross-check failed")
+        return out
 
     # polyring ----------------------------------------------------------
     @op("homogenize", "polyring")

@@ -9,11 +9,20 @@ both, and Rabin's irreducibility test, step h -> h^p mod f as a linear
 combination of the Frobenius rows x^(ip) mod f.  One modulus f serves a
 squarefree part's whole distinct-degree split, and the equal-degree split
 of each of its factors inherits x^p mod f.
-Multivariate factorization first tries to certify irreducibility on a few
-random lines, and stops drawing lines once their factor-degree patterns
-settle.  Otherwise it reduces to one variable through Kronecker
-substitution, factors the image once and peels the input's factors off it,
-smallest subsets of image factors first, without division: a subset is
+Bivariate factorization makes a random affine change of coordinates
+x, y -> b + a t + c s such that f becomes monic in t, factors one line
+restriction F(t, 0) of degree d, lifts its factors s-adically to precision
+s^(d+1) by linear multifactor Hensel lifting, and recombines them, smallest
+subsets first (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 15).
+A subset is accepted when its product, truncated, has total degree at
+most its degree in t, which makes it a factor of F.  An irreducible
+restriction certifies f irreducible at once.
+With three or more variables, or when no line gives a squarefree
+restriction of full degree (repeated factors, tiny fields), factorization
+first tries to certify irreducibility on a few random lines, and stops
+drawing lines once their factor-degree patterns settle.  Otherwise it
+reduces to one variable through Kronecker substitution, factors the image
+once and peels the input's factors off it the same way: a subset is
 accepted when it and the product of the others decode to polynomials whose
 degrees add up to at most those of the input, which makes their product
 the input.  A subset whose lead exponent, read off the base-D digits of its
@@ -260,6 +269,21 @@ def uv_monic(f, p):
         return list(f)
     inv = pow(f[-1], -1, p)
     return [c * inv % p for c in f]
+
+
+def _uv_inverse(a, m, p):
+    """a^(-1) mod m by the extended Euclidean algorithm; a must be coprime
+    to m, deg m >= 1.  Each step keeps u a = r mod m."""
+    r0, r1 = _trim(list(m)), uv_mod(a, m, p)
+    u0, u1 = [], [1]
+    while len(r1) > 1:
+        q, r = uv_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        u0, u1 = u1, uv_sub(u0, uv_mul(q, u1, p), p)
+    if not r1:
+        raise ZeroDivisionError("polynomial not invertible modulo m")
+    inv = pow(r1[0], -1, p)
+    return [c * inv % p for c in u1]
 
 
 class _Modulus:
@@ -589,14 +613,25 @@ def _canon_key(f: Polynomial):
     return tuple((e, c) for e, c in f.terms)
 
 
-def factor_multivariate(f: Polynomial, seed=0, bound=KRONECKER_DEGREE_BOUND):
-    """Factor into irreducibles over GF(p) via Kronecker substitution.
+def factor_multivariate(f: Polynomial, seed=0, bound=KRONECKER_DEGREE_BOUND,
+                        method="hensel"):
+    """Factor into irreducibles over GF(p).
 
     Returns (unit, [(factor, multiplicity)]).  Factors are monic with respect
-    to the ring order and sorted deterministically.
+    to the ring order and sorted deterministically.  An input in two
+    variables is factored by Hensel lifting from one line restriction,
+    which falls back to Kronecker substitution when no line gives a
+    squarefree restriction of full degree; three or more variables go
+    through Kronecker substitution.  `bound` limits Kronecker image degrees
+    only.  KroneckerBoundError is raised when an image would exceed it, or
+    when recombination exhausts its budget.  ``method="kronecker"`` sends
+    two-variable inputs through Kronecker substitution too; it is kept as
+    the reference.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
+    if method not in ("hensel", "kronecker"):
+        raise ValueError(f"unknown factorization method {method!r}")
     ring = f.ring
     if ring.quotient:
         raise ValueError("factorization works over polynomial rings only")
@@ -623,7 +658,11 @@ def factor_multivariate(f: Polynomial, seed=0, bound=KRONECKER_DEGREE_BOUND):
             key = _canon_key(_uv_to_poly(q, ring, used[0]))
             factors[key] = factors.get(key, 0) + m
     else:
-        for g in _kronecker_factors(f, used, p, rng, bound):
+        if len(used) == 2 and method == "hensel":
+            found = _hensel_factors(f, used, p, rng, bound)
+        else:
+            found = _kronecker_factors(f, used, p, rng, bound)
+        for g in found:
             unit = unit * g.lead_coeff() % p
             key = _canon_key(g.monic())
             factors[key] = factors.get(key, 0) + 1
@@ -633,25 +672,71 @@ def factor_multivariate(f: Polynomial, seed=0, bound=KRONECKER_DEGREE_BOUND):
     return unit, out
 
 
+def _affine_map(terms, forms, p, size):
+    """The sum of c * prod_i forms[i]^e_i over the terms (e, c), as a
+    coefficient list; size must exceed its degree.  forms maps variable
+    indices to coefficient lists, and exponents at other indices are
+    ignored.
+
+    This serves a line restriction (forms b_i + a_i t), the change of
+    coordinates x_i = b_i + a_i t + c_i s and its inverse, with a second
+    variable packed as z^w for w above every degree in the first, so that
+    packed products are bivariate products.  The sum is evaluated on
+    packed ints, by Horner's rule in all variables but the first, whose
+    terms are multiples of the powers of its form; multiplying by a form
+    is one shifted multiple per nonzero coefficient.  Nothing is
+    reduced until the one read-back: every slot is a sum of nonnegative
+    terms, at most len(terms) (p-1) S^d with S the largest coefficient sum
+    of a form and d the largest degree of a term.
+    """
+    terms = list(terms)
+    if not terms:
+        return []
+    order = list(forms)
+    d = max(sum(e) for e, _ in terms)      # at least the largest degree
+    s = max([sum(form) for form in forms.values()] + [1])
+    width, code = _slot(len(terms) * (p - 1) * s ** d)
+    shifts = {i: [(c, 8 * width * j) for j, c in enumerate(form) if c]
+              for i, form in forms.items()}
+
+    def times(x, i):
+        out = 0
+        for c, shift in shifts[i]:
+            out += c * x << shift
+        return out
+
+    powers = [1]        # packed powers of the first form
+
+    def horner(terms, k):
+        # the packed sum over terms, in the variables order[:k], k >= 1
+        if k == 1:
+            acc = 0
+            for e, c in terms:
+                m = e[order[0]]
+                while len(powers) <= m:
+                    powers.append(times(powers[-1], order[0]))
+                acc += c * powers[m]
+            return acc
+        i = order[k - 1]
+        groups = {}
+        for t in terms:
+            groups.setdefault(t[0][i], []).append(t)
+        acc = 0
+        for m in range(max(groups), -1, -1):
+            acc = times(acc, i)
+            if m in groups:
+                acc += horner(groups[m], k - 1)
+        return acc
+
+    acc = horner(terms, len(order)) if order else sum(c for _, c in terms)
+    return _trim(_unpack(acc, size, width, code, p))
+
+
 def _restrict_to_line(f: Polynomial, used, p, rng):
     """f evaluated along a random affine line, as a univariate coeffs list."""
     line = {i: (rng.randrange(p), rng.randrange(p)) for i in used}
-    powers = {i: [[1]] for i in used}       # powers[i][k] = (b + a t)^k
-    acc = [0] * (f.total_degree() + 1)
-    for e, c in f.terms:
-        piece = None
-        for i in used:
-            k = e[i]
-            if not k:
-                continue
-            pw = powers[i]
-            while len(pw) <= k:
-                a, b = line[i]
-                pw.append(uv_mul(pw[-1], [b, a], p))
-            piece = pw[k] if piece is None else uv_mul(piece, pw[k], p)
-        for j, v in enumerate([1] if piece is None else piece):
-            acc[j] += c * v
-    return _trim([v % p for v in acc])
+    return _affine_map(f.terms, {i: [b, a] for i, (a, b) in line.items()},
+                       p, f.total_degree() + 1)
 
 
 def _line_certifies_irreducible(f: Polynomial, used, p, rng, attempts=12,
@@ -701,28 +786,7 @@ def _line_certifies_irreducible(f: Polynomial, used, p, rng, attempts=12,
     return False
 
 
-def _decode(coeffs, D, order, box, nv):
-    """(term dict, degree in each variable of box) of the polynomial in nv
-    variables with Kronecker image coeffs, or None when no polynomial in the
-    degree box has it; order lists the variables from the low digit up."""
-    d = {}
-    top = dict.fromkeys(box, 0)
-    for k, c in enumerate(coeffs):
-        if not c:
-            continue
-        e = [0] * nv
-        for i in order:
-            e[i] = k % D
-            k //= D
-        if k:
-            return None
-        for i, b in box.items():
-            if e[i] > b:
-                return None
-            if e[i] > top[i]:
-                top[i] = e[i]
-        d[tuple(e)] = c
-    return d, top
+_RECOMBINE_BUDGET = 200_000     # subsets one recombination may try
 
 
 def _piece_subsets(pieces, sizes, size):
@@ -748,6 +812,232 @@ def _piece_subsets(pieces, sizes, size):
     yield from rec(0, size, 0)
 
 
+def _peel(pieces, sizes, lc, mul, split, fits=None):
+    """The factors peeled off lc * prod(pieces), smallest subsets of pieces
+    first, and the cofactor of the last one (None when none is found).
+
+    split(prod, complement, k) gets the product of a subset whose piece
+    sizes sum to k and a thunk for lc times the product of the other
+    pieces; it returns the pair (factor, cofactor) when the subset gives
+    a factor, else None.  fits(k, total), when given, rejects a subset
+    before any product is formed, total being the size of all pieces left.
+    Equal pieces must be adjacent.
+
+    A factor found at size s is irreducible, since a proper factor of it
+    would have been found with fewer pieces.  The cofactor replaces the
+    product and the search goes on at size s: a factor of the cofactor is
+    one of the product, so no smaller subset can be one.  Once 2s exceeds
+    the pieces left, a factor would leave s or fewer of them on one side,
+    so what is left is irreducible.  Products of the leading pieces of a
+    subset are kept for the next subset that shares them.  Trying more
+    than _RECOMBINE_BUDGET subsets raises KroneckerBoundError.
+    """
+    found, rest = [], None
+    budget = _RECOMBINE_BUDGET
+    size = 1
+    while 2 * size <= len(pieces):
+        total = sum(sizes)
+        hit = None
+        built, prods = (), []   # prods[j]: product of pieces built[:j + 1]
+        for combo, k in _piece_subsets(pieces, sizes, size):
+            budget -= 1
+            if budget < 0:
+                raise KroneckerBoundError("recombination budget exceeded")
+            if fits is not None and not fits(k, total):
+                continue
+            j = 0
+            while j < len(prods) and built[j] == combo[j]:
+                j += 1
+            del prods[j:]
+            for i in combo[j:]:
+                prods.append(mul(prods[-1], pieces[i]) if prods
+                             else pieces[i])
+            built = combo
+
+            def complement():
+                acc = lc
+                for i, q in enumerate(pieces):
+                    if i not in combo:
+                        acc = mul(acc, q)
+                return acc
+
+            hit = split(prods[-1], complement, k)
+            if hit is not None:
+                break
+        if hit is None:
+            size += 1
+            continue
+        found.append(hit[0])
+        rest = hit[1]
+        keep = [i for i in range(len(pieces)) if i not in combo]
+        pieces = [pieces[i] for i in keep]
+        sizes = [sizes[i] for i in keep]
+    return found, rest
+
+
+def _hensel_lift(F, lc, pieces, w, p):
+    """Monic G_i = g_i mod s with F = lc prod G_i mod s^w, for F packed with
+    t -> z, s -> z^w, w = deg_t F + 1, and F(t, 0) = lc prod g_i with the
+    monic g_i pairwise coprime; each G_i is packed the same way.
+
+    Linear lifting: with the G_i right mod s^j, the coefficient e of s^j in
+    F - lc prod G_i has degree < w - 1 in t, and the partial fractions
+    e / (lc prod g_i) = sum delta_i / g_i, with
+    delta_i = (e / lc) (prod_{l != i} g_l)^(-1) mod g_i, are the s^j terms
+    of the G_i.  Every partial product has degree < w in t, so truncating
+    a packed product mod s^(j+1) keeps its first (j+1) w slots.
+    """
+    inv_lc = pow(lc, -1, p)
+    whole = [c * inv_lc % p for c in F[:w]]     # prod g_i
+    invs = [[c * inv_lc % p
+             for c in _uv_inverse(uv_divmod(whole, g, p)[0], g, p)]
+            for g in pieces]
+    lifted = [list(g) for g in pieces]
+    for j in range(1, w):
+        low, top = j * w, (j + 1) * w
+        prod = lifted[0]
+        for G in lifted[1:]:
+            prod = uv_mul(prod, G, p)[:top]
+        e = uv_sub(F[low:top], [c * lc % p for c in prod[low:top]], p)
+        if not e:
+            continue
+        for G, g, inv in zip(lifted, pieces, invs):
+            delta = uv_mod(uv_mul(e, inv, p), g, p)
+            if delta:
+                G.extend([0] * (low - len(G)))
+                G.extend(delta)
+    return lifted
+
+
+def _hensel_factors(f: Polynomial, used, p, rng, bound, attempts=12):
+    """The irreducible factors of f in the two variables `used`, whose
+    product is f, by Hensel lifting from one line.
+
+    A draw picks a line b + a t and keeps it when the restriction
+    f(b + a t) has full degree d and is squarefree.  Then every factor of
+    f restricts to full degree, so f is squarefree and each of its factors
+    restricts to a product of a subset of the restriction's factors g_i;
+    one irreducible restriction certifies f irreducible.  Otherwise a
+    second direction c with det(a, c) != 0 gives
+    F(t, s) = f(b + a t + c s), packed with s -> z^(d+1).  Its coefficient
+    of t^d is the constant lc of the restriction F(t, 0), so every factor
+    of F is a constant times a polynomial monic in t.  The g_i are lifted
+    to F = lc prod G_i mod s^(d+1) (`_hensel_lift`) and peeled off
+    (`_peel`): a subset product H of degree m in t, truncated, is accepted
+    when its terms t^i s^j all have i + j <= m.  Then H divides F.  H is
+    monic in t, so dividing F by H keeps every total degree at most d,
+    and the remainder, of total degree at most d, is 0 mod s^(d+1), since
+    H divides F modulo s^(d+1): it is 0.  So the cofactor
+    K = lc prod(other G_i) mod s^(d+1) is the exact quotient, and needs no
+    test of its own.  A factor of F monic in t is the product of its G_i,
+    by uniqueness of Hensel lifting, and has total degree equal to its
+    degree in t, so it passes.  The factors are mapped back through the
+    inverse change of coordinates.
+
+    After `attempts` draws with no usable line, _kronecker_factors runs;
+    `bound` applies there only.
+    """
+    d = f.total_degree()
+    if d == 1:
+        return [f]
+    x, y = used
+    w = d + 1
+    n = w * w           # packed F mod s^(d+1)
+    pad = [0] * (w - 2)
+
+    def mul(a, b):
+        return _trim(uv_mul(a, b, p)[:n])
+
+    def split(prod, complement, m):
+        # every term t^i s^j of prod has i + j <= m
+        if len(prod) > m * w + 1 or any(c and k % w + k // w > m
+                                        for k, c in enumerate(prod)):
+            return None
+        return prod, complement()
+
+    for _ in range(attempts):
+        line = {i: (rng.randrange(p), rng.randrange(p)) for i in used}
+        g = _affine_map(f.terms, {i: [b, a] for i, (a, b) in line.items()},
+                        p, w)
+        if len(g) != w:
+            continue
+        lc = g[-1]
+        g = uv_monic(g, p)
+        if _deg(uv_gcd(g, uv_deriv(g, p), p)):
+            continue
+        parts = _distinct_degree(g, p)
+        if parts[0][1] == d:
+            return [f]
+        pieces = [q for h, k, xp in parts
+                  for q in _equal_degree_split(h, k, p, rng, xp)]
+        (ax, bx), (ay, by) = line[x], line[y]
+        det = 0
+        while not det:
+            cx, cy = rng.randrange(p), rng.randrange(p)
+            det = (ax * cy - ay * cx) % p
+        F = _affine_map(f.terms, {x: [bx, ax] + pad + [cx],
+                                  y: [by, ay] + pad + [cy]}, p, n)
+        lifted = _hensel_lift(F, lc, pieces, w, p)
+        found, rest = _peel(lifted, [len(q) - 1 for q in pieces], [lc], mul,
+                            split)
+        if not found:
+            return [f]
+        # (t, s) = A^(-1) (x - bx, y - by), A the matrix with columns a, c
+        inv = pow(det, -1, p)
+        tx, ty, sx, sy = cy * inv, -cx * inv, -ay * inv, ax * inv
+        back = {0: [-(tx * bx + ty * by), tx] + pad + [ty],
+                1: [-(sx * bx + sy * by), sx] + pad + [sy]}
+        back = {i: [c % p for c in form] for i, form in back.items()}
+        out = []
+        for P in found + [rest]:
+            h = _affine_map([((k % w, k // w), c)
+                             for k, c in enumerate(P) if c], back, p, n)
+            terms = {}
+            for k, c in enumerate(h):
+                if c:
+                    e = [0] * f.ring.nvars
+                    e[x], e[y] = k % w, k // w
+                    terms[tuple(e)] = c
+            out.append(f.ring.poly(terms))
+        return out
+    return _kronecker_factors(f, used, p, rng, bound)
+
+
+def _digit_table(n, D, order, nv):
+    """The exponent tuples in nv variables of the Kronecker image indices
+    k < n <= D^len(order); order lists the variables from the low base-D
+    digit up.  Built by counting in base D, one carry chain per index."""
+    table = []
+    e = [0] * nv
+    for _ in range(n):
+        table.append(tuple(e))
+        for i in order:
+            e[i] += 1
+            if e[i] < D:
+                break
+            e[i] = 0
+    return table
+
+
+def _decode(coeffs, table, box):
+    """(term dict, degree in each variable of box) of the polynomial whose
+    Kronecker image is coeffs, reading exponents off the digit table, or
+    None when it is not in the degree box."""
+    d = {}
+    top = dict.fromkeys(box, 0)
+    for k, c in enumerate(coeffs):
+        if not c:
+            continue
+        e = table[k]
+        for i, b in box.items():
+            if e[i] > b:
+                return None
+            if e[i] > top[i]:
+                top[i] = e[i]
+        d[e] = c
+    return d, top
+
+
 def _lead_digits_fit(k, lead, D):
     """Whether every base-D digit of k, least significant first, is at most
     the matching entry of lead; k < D^len(lead)."""
@@ -766,20 +1056,12 @@ def _kronecker_factors(f: Polynomial, used, p, rng, bound):
     variable, k a digit position; this image map is a ring homomorphism,
     injective on polynomials of degree < D in each variable.  The image of
     f is factored once, and factors of f are peeled off it as products of
-    its pieces, smallest number of pieces first: a candidate and the
-    decoded image of lc * (the other pieces) multiply to a polynomial with
-    the image of f; when their degrees add up to at most those of f, that
-    product lies in the box, so it is f: the pair is an exact
-    factorization, no division needed.  Conversely a true factor always
-    passes this test.
-
-    A factor found at size s is irreducible, since a proper factor of it
-    would have been found with fewer pieces.  The quotient replaces f and
-    the search goes on at size s: a factor of the quotient is one of f, so
-    no smaller subset can be one.  Once 2s exceeds the pieces left, a
-    factor would leave s or fewer of them on one side, so what is left is
-    irreducible.  Products of the leading pieces of a subset are kept for
-    the next subset that shares them.
+    its pieces (`_peel`): a candidate and the decoded image of
+    lc * (the other pieces) multiply to a polynomial with the image of f;
+    when their degrees add up to at most those of f, that product lies in
+    the box, so it is f: the pair is an exact factorization, no division
+    needed.  Conversely a true factor always passes this test.  After a
+    peel, the box is the quotient's.
 
     Before a product is formed, a subset is rejected unless the base-D
     digits of its summed piece degrees are, digit by digit, at most those
@@ -819,52 +1101,27 @@ def _kronecker_factors(f: Polynomial, used, p, rng, bound):
         raise KroneckerBoundError(
             f"too many Kronecker pieces ({len(pieces)}) to recombine")
 
-    nv = ring.nvars
-    out = []
-    budget = 200_000
-    size = 1
-    while 2 * size <= len(pieces):
-        sizes = [len(q) - 1 for q in pieces]
-        lead, k = [], sum(sizes)
-        for _ in order:
-            lead.append(k % D)
-            k //= D
-        hit = None
-        built, prods = (), []   # prods[j]: product of pieces built[:j + 1]
-        for combo, k in _piece_subsets(pieces, sizes, size):
-            budget -= 1
-            if budget < 0:
-                raise KroneckerBoundError(
-                    "Kronecker recombination budget exceeded")
-            if not _lead_digits_fit(k, lead, D):
-                continue
-            j = 0
-            while j < len(prods) and built[j] == combo[j]:
-                j += 1
-            del prods[j:]
-            for i in combo[j:]:
-                prods.append(uv_mul(prods[-1], pieces[i], p) if prods
-                             else pieces[i])
-            built = combo
-            prod = prods[-1]
-            cand = _decode(prod, D, order, degs, nv)
-            if cand is None:
-                continue
-            rest = [lc]
-            for i in range(len(pieces)):
-                if i not in combo:
-                    rest = uv_mul(rest, pieces[i], p)
-            quo = _decode(rest, D, order, degs, nv)
-            if quo is not None and all(cand[1][i] + quo[1][i] <= degs[i]
-                                       for i in used):
-                hit = combo, cand[0], quo
-                break
-        if hit is None:
-            size += 1
-            continue
-        combo, terms, (quo_terms, degs) = hit
-        out.append(ring.poly(terms))
-        f = ring.poly(quo_terms)
-        pieces = [q for i, q in enumerate(pieces) if i not in combo]
-    out.append(f)
-    return out
+    table = _digit_table(len(image), D, order, ring.nvars)
+    box = dict(degs)
+    leads = {}
+
+    def fits(k, total):
+        lead = leads.get(total)
+        if lead is None:
+            lead = leads[total] = [total // D ** j % D
+                                   for j in range(len(order))]
+        return _lead_digits_fit(k, lead, D)
+
+    def split(prod, complement, k):
+        cand = _decode(prod, table, box)
+        if cand is None:
+            return None
+        quo = _decode(complement(), table, box)
+        if quo is None or any(cand[1][i] + quo[1][i] > box[i] for i in used):
+            return None
+        box.update(quo[1])
+        return ring.poly(cand[0]), ring.poly(quo[0])
+
+    found, rest = _peel(pieces, [len(q) - 1 for q in pieces], [lc],
+                        lambda a, b: uv_mul(a, b, p), split, fits)
+    return found + [f if rest is None else rest]

@@ -372,8 +372,19 @@ class TestMainEntry:
                           "let c = blowupOf(ideal(x, y^2));\n"
                           "let st = strictTransform(c, ideal(x^2 - y^4));\n"
                           "print st;\n"
-                          "print isSmoothAwayFromIrrelevant(c, st);\n")
+                          "print isSmoothAwayFromIrrelevant(c, st);\n"
+                          "print factorMultivariate((x^2 + y)*(x*y - 3));\n")
         assert main(["--verify", "run", str(script)]) == 0
+
+    def test_verify_catches_a_wrong_factorization(self, monkeypatch):
+        from reeskit import coeff
+        src = ("ring P = zmod 101 [x,y];\n"
+               "print factorMultivariate((x^2 + y)*(x*y - 3));\n")
+        assert run_text(src, verify=True)[0].status == 0
+        monkeypatch.setattr(coeff, "_hensel_factors",
+                            lambda f, used, p, rng, bound: [f])
+        doc, _ = run_text(src, verify=True)
+        assert doc.status != 0 and "cross-check failed" in doc.message
 
     @pytest.mark.parametrize("name, wrong", [
         ("strict_transform", lambda chart, X: chart.projection(X)),

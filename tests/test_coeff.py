@@ -1,14 +1,16 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from reeskit import coeff
 from reeskit.coeff import (
-    _line_certifies_irreducible, _Modulus, _restrict_to_line, GFElement,
-    factor_multivariate, factor_univariate, factor_univariate_list, gf_add,
-    gf_div, gf_inv, gf_mul, gf_pow, gf_sub, is_irreducible_univariate,
-    KroneckerBoundError, uv_divmod, uv_gcd, uv_mul, uv_pow_mod, uv_sub,
+    _decode, _digit_table, _hensel_factors, _kronecker_factors,
+    _line_certifies_irreducible, _Modulus, _restrict_to_line, _uv_inverse,
+    GFElement, factor_multivariate, factor_univariate, factor_univariate_list,
+    gf_add, gf_div, gf_inv, gf_mul, gf_pow, gf_sub, is_irreducible_univariate,
+    KRONECKER_DEGREE_BOUND, KroneckerBoundError, uv_divmod, uv_gcd, uv_mul,
+    uv_pow_mod, uv_sub,
 )
 from reeskit.polyring import make_ring, parse_poly
 
@@ -512,6 +514,31 @@ def _sparse_piece(R, rng, deg):
     return f
 
 
+def _as_factorization(f, found):
+    """factor_multivariate's (unit, [(monic factor, multiplicity)]) from a
+    list of factors whose product is f."""
+    unit, factors = 1, {}
+    for g in found:
+        unit = unit * g.lead_coeff() % f.ring.p
+        factors[g.monic()] = factors.get(g.monic(), 0) + 1
+    return unit, sorted(factors.items(),
+                        key=lambda t: (t[0].total_degree(), t[0].terms))
+
+
+def _kronecker(f, bound=KRONECKER_DEGREE_BOUND):
+    """factor_multivariate's output for f without monomial content, by
+    Kronecker substitution alone."""
+    return _as_factorization(f, _kronecker_factors(
+        f, f.support_vars(), f.ring.p, random.Random(0), bound))
+
+
+def _multiply_back(R, unit, factors):
+    back = R.const(unit)
+    for g, m in factors:
+        back = back * g ** m
+    return back
+
+
 class TestKroneckerRecombination:
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([7, 101, 32003]),
@@ -628,7 +655,7 @@ class TestKroneckerRecombination:
             return verdicts[-1]
 
         monkeypatch.setattr(coeff, "_lead_digits_fit", spy)
-        unit, factors = factor_multivariate(f)
+        unit, factors = _kronecker(f)
         assert unit == 1
         assert sorted(str(g) for g, _ in factors) == ["x^3 + y", "y^2 + x"]
         assert False in verdicts and True in verdicts
@@ -645,13 +672,13 @@ class TestKroneckerRecombination:
         boxes = []
         decode = coeff._decode
 
-        def spy(coeffs, D, order, box, nv):
+        def spy(coeffs, table, box):
             if not boxes or boxes[-1] != box:
                 boxes.append(dict(box))
-            return decode(coeffs, D, order, box, nv)
+            return decode(coeffs, table, box)
 
         monkeypatch.setattr(coeff, "_decode", spy)
-        unit, factors = factor_multivariate(f)
+        unit, factors = _kronecker(f)
         assert [str(g) for g, _ in factors] == [
             "x + y + 1", "x - y + 3", "x^2 + y"]
         assert boxes == [{0: 4, 1: 3}, {0: 3, 1: 2}]
@@ -675,12 +702,176 @@ class TestKroneckerRecombination:
             f, [0, 1], 101, random.Random(0), give_up=True)
         assert 2 <= len(draws) < 12
         draws.clear()
-        unit, factors = factor_multivariate(f)
+        unit, factors = _kronecker(f)
         assert 2 <= len(draws) < 12
         assert sorted(str(g) for g, _ in factors) == [
             "x + 3*y + 1", "x^2 - y + 2"]
         draws.clear()
         # degrees 3 in x and 2 in y: D = 4, weights 1 and 4, 4^2 > 8
         with pytest.raises(KroneckerBoundError):
-            factor_multivariate(f, bound=8)
+            _kronecker(f, bound=8)
         assert len(draws) == 12
+        # the bound limits Kronecker images only; Hensel lifting needs none
+        unit, factors = factor_multivariate(f, bound=8)
+        assert sorted(str(g) for g, _ in factors) == [
+            "x + 3*y + 1", "x^2 - y + 2"]
+
+
+def _division_decode(coeffs, D, order, box, nv):
+    """The exponent-by-division decoding that _decode's digit table
+    replaces: each exponent is rebuilt from its image index."""
+    d = {}
+    top = dict.fromkeys(box, 0)
+    for k, c in enumerate(coeffs):
+        if not c:
+            continue
+        e = [0] * nv
+        for i in order:
+            e[i] = k % D
+            k //= D
+        if k:
+            return None
+        for i, b in box.items():
+            if e[i] > b:
+                return None
+            if e[i] > top[i]:
+                top[i] = e[i]
+        d[tuple(e)] = c
+    return d, top
+
+
+class TestDigitTable:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 4), st.integers(0, 10 ** 6))
+    def test_decode_matches_division(self, D, nv, seed):
+        """Random images of length up to D^len(order) over random boxes
+        on the image's variables, some of them too small to decode."""
+        rng = random.Random(seed)
+        order = rng.sample(range(nv), rng.randint(1, nv))
+        n = rng.randint(1, D ** len(order))
+        coeffs = [rng.choice([0, rng.randrange(1, 101)]) for _ in range(n)]
+        box = {i: rng.randrange(D) for i in order}
+        table = _digit_table(n, D, order, nv)
+        assert len(table) == n
+        assert (_decode(coeffs, table, box)
+                == _division_decode(coeffs, D, order, box, nv))
+
+
+class TestHenselLifting:
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7, 101, 32003]),
+           st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           st.booleans(), st.integers(0, 10 ** 6))
+    def test_matches_kronecker(self, p, degs, repeat, seed):
+        """Hensel lifting finds the factors Kronecker substitution finds.
+        With a repeated factor no restriction is squarefree, so it falls
+        back to Kronecker substitution."""
+        rng = random.Random(seed)
+        R = make_ring(p, ["x", "y"])
+        pieces = [_piece(R, rng, d) for d in degs]
+        if repeat:
+            pieces.append(pieces[0])
+        f = R.const(rng.randrange(1, p))
+        for g in pieces:
+            f = f * g
+        assume(len(f.support_vars()) == 2)
+        assume(all(min(e[i] for e, _ in f.terms) == 0 for i in (0, 1)))
+        fallbacks = []
+        kronecker = coeff._kronecker_factors
+
+        def spy(*args):
+            fallbacks.append(1)
+            return kronecker(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(coeff, "_kronecker_factors", spy)
+            try:
+                got = _hensel_factors(f, [0, 1], p, random.Random(seed),
+                                      KRONECKER_DEGREE_BOUND)
+            except KroneckerBoundError as exc:
+                # only the fallback can refuse here: over GF(2) and GF(3)
+                # an image can split into more than 26 pieces
+                assert fallbacks and "pieces" in str(exc)
+                return
+        if repeat:
+            assert fallbacks
+        got = _as_factorization(f, got)
+        assert _multiply_back(R, *got) == f
+        try:
+            want = _kronecker(f)
+        except KroneckerBoundError as exc:
+            assert "pieces" in str(exc)
+            return
+        assert got == want
+
+    def test_irreducible_with_a_split_restriction(self, monkeypatch):
+        """y^3 - x^2 + x y is irreducible, but the first usable line of seed
+        0 restricts it to three linear pieces: recombination runs, finds
+        no factor, and f comes back whole."""
+        R = make_ring(101, ["x", "y"])
+        f = parse_poly(R, "y^3 - x^2 + x*y")
+        peels = []
+        peel = coeff._peel
+
+        def spy(pieces, *args):
+            out = peel(pieces, *args)
+            peels.append((len(pieces), out))
+            return out
+
+        monkeypatch.setattr(coeff, "_peel", spy)
+        unit, factors = factor_multivariate(f)
+        assert (unit, factors) == (1, [(f, 1)])
+        assert peels == [(3, ([], None))]
+        assert _kronecker(f) == (unit, factors)
+
+    def test_input_kronecker_refuses(self):
+        """The Kronecker image of this product of six factors over GF(101)
+        splits into 30 pieces, more than Kronecker recombination takes; a
+        line restriction has at most 10, its degree."""
+        R = make_ring(101, ["x", "y"])
+        texts = ["-15*x*y - 8", "-17*x^2 - 9*x + 10*y - 13",
+                 "25*x*y - 15*x - 32*y + 3",
+                 "7*x^2 + 34*x*y - 23*y^2 - 42*y - 25", "-15*x + 39*y",
+                 "-47*x + 45*y"]
+        f = R.one()
+        want, want_unit = {}, 1
+        for text in texts:
+            g = parse_poly(R, text)
+            f = f * g
+            unit, factors = factor_multivariate(g)
+            want_unit = want_unit * unit % 101
+            for h, m in factors:
+                want[h] = want.get(h, 0) + m
+        with pytest.raises(KroneckerBoundError, match="pieces"):
+            _kronecker(f)
+        unit, factors = factor_multivariate(f)
+        assert (unit, dict(factors)) == (want_unit, want)
+        assert _multiply_back(R, unit, factors) == f
+
+    def test_budget_exhausted(self, monkeypatch):
+        R = make_ring(101, ["x", "y"])
+        f = parse_poly(R, "y^3 - x^2 + x*y")
+        monkeypatch.setattr(coeff, "_RECOMBINE_BUDGET", 2)
+        with pytest.raises(KroneckerBoundError, match="budget"):
+            factor_multivariate(f)
+
+    def test_total_degree_one_needs_no_draw(self, monkeypatch):
+        R = make_ring(7, ["x", "y"])
+        f = parse_poly(R, "3*x + 2*y + 1")
+        monkeypatch.setattr(coeff, "_affine_map", None)
+        assert factor_multivariate(f) == (3, [(f * 5, 1)])
+
+    @pytest.mark.parametrize("p", KERNEL_PRIMES)
+    def test_inverse_mod(self, p):
+        rng = random.Random(p)
+        for _ in range(20):
+            m = [rng.randrange(p) for _ in range(rng.randint(1, 8))] + [
+                rng.randrange(1, p)]
+            a = _strip([rng.randrange(p) for _ in range(rng.randint(1, 12))])
+            if not a or len(uv_gcd(a, m, p)) > 1:
+                with pytest.raises(ZeroDivisionError):
+                    _uv_inverse(a, m, p)
+                continue
+            inv = _uv_inverse(a, m, p)
+            assert len(inv) < len(m)
+            assert _school_divmod(_school_mul(a, inv, p), m, p)[1] == [1]
