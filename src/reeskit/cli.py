@@ -378,7 +378,6 @@ def parse_script(text: str) -> Script:
 class Config:
     seed: int = 0
     cap_reduction: int = rees_mod.DEFAULT_REDUCTION_CAP
-    cap_multiplicity: int = rees_mod.DEFAULT_MULTIPLICITY_CAP
     json: bool = False
     verify: bool = False
 
@@ -711,8 +710,23 @@ def _registry():
 
     @op("multiplicity", "rees")
     def _(ctx, I):
-        return rees_mod.multiplicity(_as_ideal(ctx, I),
-                                     cap=ctx.config.cap_multiplicity)
+        I2 = _as_ideal(ctx, I)
+        out = rees_mod.multiplicity(I2)
+        if ctx.config.verify:
+            # without the normal cone: len(R/I^(n+1)) is a polynomial in n
+            # from n = deg h - d on, and its d-th difference is e
+            h, d = rees_mod._normal_cone_series(I2)
+            top = max(max(h, default=0), d)
+            powers = [I2]
+            while len(powers) <= top:
+                powers.append(Ideal(I2.ring, powers[-1].display_gens()) * I2)
+            diffs = [gb_mod.vector_space_dimension(P)
+                     for P in powers[top - d:]]
+            for _ in range(d):
+                diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+            if diffs != [out]:
+                raise ScriptError("multiplicity cross-check failed")
+        return out
 
     @op("specialFiberIdeal", "rees")
     def _(ctx, I, mm=None):
@@ -1233,7 +1247,6 @@ def _build_config(args) -> Config:
     if seed is None:
         seed = int(os.environ.get("REESKIT_SEED", "0"))
     return Config(seed=seed, cap_reduction=args.cap_reduction,
-                  cap_multiplicity=args.cap_multiplicity,
                   json=args.json, verify=args.verify)
 
 
@@ -1244,8 +1257,6 @@ def main(argv=None) -> int:
                         help="random seed (default env REESKIT_SEED or 0)")
     parser.add_argument("--cap-reduction", type=int,
                         default=rees_mod.DEFAULT_REDUCTION_CAP)
-    parser.add_argument("--cap-multiplicity", type=int,
-                        default=rees_mod.DEFAULT_MULTIPLICITY_CAP)
     parser.add_argument("--json", action="store_true")
     parser.add_argument("--verify", action="store_true",
                         help="enable cross-strategy oracles")

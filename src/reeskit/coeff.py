@@ -103,10 +103,11 @@ class GFElement:
         return GFElement(-self.value, self.modulus)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.modulus
-        return (isinstance(other, GFElement) and self.modulus == other.modulus
-                and self.value == other.value)
+        # only residues compare: an int congruence would make equality
+        # intransitive (3 == [3] == 10) and break the hash
+        if not isinstance(other, GFElement):
+            return NotImplemented
+        return self.modulus == other.modulus and self.value == other.value
 
     def __hash__(self):
         return hash((self.value, self.modulus))

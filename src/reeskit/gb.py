@@ -838,28 +838,6 @@ def _minimal_monomials(exps_list):
     return out
 
 
-def _min_hitting(supports):
-    supports = [s for s in supports if s]
-    minimal = []
-    for s in sorted(supports, key=len):
-        if not any(m <= s for m in minimal):
-            minimal.append(s)
-    best = [len(set().union(*minimal))] if minimal else [0]
-
-    def rec(sups, chosen):
-        if chosen >= best[0]:
-            return
-        if not sups:
-            best[0] = chosen
-            return
-        pivot = min(sups, key=len)
-        for v in sorted(pivot):
-            rec([s for s in sups if v not in s], chosen + 1)
-
-    rec(minimal, 0)
-    return best[0]
-
-
 def _hilbert_numerator(lt, weights):
     """Numerator of the Hilbert series of S/(lt) over prod(1 - T^w_i)."""
     memo = {}
@@ -895,26 +873,19 @@ def _hilbert_numerator(lt, weights):
 def _poly_div_1mt(coeffs, d):
     """Divide an integer polynomial (dict deg->coeff) by 1 - T^d.
 
-    Returns the quotient dict, or None when the division is not exact.
+    Returns the quotient dict, or None when the division is not exact:
+    q_k = c_k + q_(k-d) must vanish above the top degree minus d.
     """
-    work = {k: c for k, c in coeffs.items() if c}
-    if not work:
-        return {}
-    top = max(work)
     out = {}
-    while work:
-        k = min(work)
-        c = work.pop(k)
-        if k > top - d:
-            return None
-        out[k] = c
-        nk = k + d
-        nv = work.get(nk, 0) + c
-        if nv:
-            work[nk] = nv
-        else:
-            work.pop(nk, None)
-    return {k: c for k, c in out.items() if c}
+    if coeffs:
+        top = max(coeffs)
+        for k in range(min(coeffs), top + 1):
+            c = coeffs.get(k, 0) + out.get(k - d, 0)
+            if c:
+                if k > top - d:
+                    return None
+                out[k] = c
+    return out
 
 
 class HilbertSeries:
@@ -1018,28 +989,30 @@ def hilbert_series(I: Ideal) -> HilbertSeries:
     return HilbertSeries(num, out_d)
 
 
+def _cancel_one_minus_t(num, most):
+    """Divide num by (1 - T) while it vanishes at T = 1, at most ``most``
+    times; returns (quotient, divisions), so a series num/(1 - T)^n has
+    pole order n - divisions at T = 1 when most >= n."""
+    times = 0
+    while times < most and num and not sum(num.values()):
+        num, times = _poly_div_1mt(num, 1), times + 1
+    return num, times
+
+
 def dimension_and_degree(I: Ideal):
-    """Krull dimension of ring/I and degree of the projective closure."""
+    """Krull dimension of ring/I and degree of the projective closure:
+    the pole order at T = 1 of the lead-term ideal's Hilbert series
+    N(T)/(1 - T)^n, and N/(1 - T)^(n - dim) at T = 1."""
     ring = I.ring
     if not is_degree_compatible(ring.order_spec):
         raise ValueError("dimension needs a degree-compatible order")
     basis = I.groebner().ambient_elements
-    amb = ring.ambient
-    n = amb.nvars
+    n = ring.ambient.nvars
     if len(basis) == 1 and basis[0].is_constant() and not basis[0].is_zero():
         return (-1, 0)
-    if not basis:
-        return (n, 1)
-    lt = _minimal_monomials([g.terms[0][0] for g in basis])
-    supports = [frozenset(i for i, a in enumerate(e) if a) for e in lt]
-    dim = n - _min_hitting(supports)
-    num = _hilbert_numerator(lt, (1,) * n)
-    for _ in range(n - dim):
-        num = _poly_div_1mt(num, 1)
-        if num is None:
-            raise AssertionError("degree cancellation failed")
-    degree = sum(num.values())
-    return (dim, degree)
+    num = _hilbert_numerator([g.terms[0][0] for g in basis], (1,) * n)
+    num, times = _cancel_one_minus_t(num, n)
+    return (n - times, sum(num.values()))
 
 
 def ring_dimension(ring) -> int:

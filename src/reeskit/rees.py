@@ -14,10 +14,10 @@ import random
 from dataclasses import dataclass
 
 from .gb import (
-    Ideal, _lift, codimension, dimension_and_degree, eliminate, groebner_basis,
-    kernel_of_matrix, kernel_of_ring_map, minors_ideal,
-    module_contains, normal_form, ring_dimension, saturate,
-    trim_homogeneous, vector_space_dimension, INFINITY,
+    Ideal, _cancel_one_minus_t, _hilbert_numerator, _lift, codimension,
+    dimension_and_degree, eliminate, groebner_basis, kernel_of_matrix,
+    kernel_of_ring_map, minors_ideal, module_contains, normal_form,
+    ring_dimension, saturate, trim_homogeneous, INFINITY,
 )
 from .polyring import (
     FreeModuleMap, Polynomial, RingDescriptor, RingMap, RingMismatchError,
@@ -25,7 +25,6 @@ from .polyring import (
 )
 
 DEFAULT_REDUCTION_CAP = 20
-DEFAULT_MULTIPLICITY_CAP = 30
 
 
 # ---------------------------------------------------------------------------
@@ -287,39 +286,51 @@ associated_graded_ring = normal_cone
 # multiplicity, special fiber, analytic spread
 # ---------------------------------------------------------------------------
 
-def multiplicity(I: Ideal, cap=DEFAULT_MULTIPLICITY_CAP) -> int:
-    """Hilbert-Samuel multiplicity via lengths of the powers.
+def _normal_cone_series(I: Ideal):
+    """(h, d): h(t)/(1 - t)^d is the w-graded Hilbert series of gr_I(R),
+    d = dim R, for zero-dimensional I (Bruns-Herzog, *Cohen-Macaulay
+    Rings*, 4.6), read off the lead terms of one normal-cone basis.
 
-    Computes len(ring/I^(n+1)) until d+2 consecutive values fit a degree-d
-    polynomial that also predicts the next two (d = ring dimension); the
-    normalized leading coefficient is the d-th finite difference.  Each
-    power is the reduced basis of the previous power times the reduced
-    basis of I, so generator lists stay as small as the bases.
+    Base variables weigh 1 (s), w variables B (t), B above the s-degree of
+    every lead lcm, so T^(a + B b) decodes as s^a t^b.  Each I^k/I^(k+1)
+    is finite, so (1 - s) divides exactly once per base variable, in any
+    term order; then s = 1 and (1 - t) cancels down to the pole order d.
     """
+    d = ring_dimension(I.ring)
+    # the cone depends on I alone; each generator adds a w variable to
+    # the Rees ideal's elimination, so take the shorter generating set
+    basis = I.display_gens()
+    nc = normal_cone(I if len(I.gens) <= len(basis)
+                     else Ideal(I.ring, tuple(basis)))
+    wnames = set(rees_variable_names(nc))
+    is_w = [name in wnames for name in nc.names]
+    lt = [q.terms[0][0] for q in nc.quotient]
+    B = 1 + sum(max(e[i] for e in lt) for i, w in enumerate(is_w) if not w)
+    num = _hilbert_numerator(lt, tuple(B if w else 1 for w in is_w))
+    num, times = _cancel_one_minus_t(num, is_w.count(False))
+    if times != is_w.count(False):
+        raise AssertionError("normal cone has an infinite graded piece")
+    series = {}
+    for k, c in num.items():
+        series[k // B] = series.get(k // B, 0) + c
+    h, _ = _cancel_one_minus_t({b: c for b, c in series.items() if c},
+                               len(wnames) - d)
+    return h, d
+
+
+def multiplicity(I: Ideal) -> int:
+    """Hilbert-Samuel multiplicity of a zero-dimensional I: h(1), as
+    len(R/I^(n+1)) has generating function h(t)/(1 - t)^(d+1)."""
     ring = I.ring
     if any(d != 1 for d in ring.degrees):
         raise ValueError("multiplicity needs a standard graded ring")
     for q in ring.quotient:
         if not q.is_homogeneous():
             raise ValueError("multiplicity needs a graded base ring")
-    d = ring_dimension(ring)
     if dimension_and_degree(I)[0] != 0:
         raise ValueError("multiplicity needs a zero-dimensional ideal")
-    base = Ideal(ring, tuple(I.display_gens()))
-    lengths = []
-    power = I
-    for n in range(cap + 1):
-        if n:
-            power = Ideal(ring, tuple(power.display_gens())) * base
-        lengths.append(vector_space_dimension(power))
-        if len(lengths) >= d + 4:
-            window = lengths[-(d + 4):]
-            diffs = window
-            for _ in range(d):
-                diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-            if all(x == diffs[0] for x in diffs):
-                return diffs[0]
-    raise RuntimeError(f"multiplicity did not stabilize within {cap} powers")
+    h, _ = _normal_cone_series(I)
+    return sum(h.values())
 
 
 def special_fiber_ideal(I: Ideal, mm: Ideal | None = None) -> Ideal:

@@ -373,7 +373,8 @@ class TestMainEntry:
                           "let st = strictTransform(c, ideal(x^2 - y^4));\n"
                           "print st;\n"
                           "print isSmoothAwayFromIrrelevant(c, st);\n"
-                          "print factorMultivariate((x^2 + y)*(x*y - 3));\n")
+                          "print factorMultivariate((x^2 + y)*(x*y - 3));\n"
+                          "print multiplicity(ideal(x^3, x*y, y^4));\n")
         assert main(["--verify", "run", str(script)]) == 0
 
     def test_verify_catches_a_wrong_factorization(self, monkeypatch):
@@ -383,6 +384,19 @@ class TestMainEntry:
         assert run_text(src, verify=True)[0].status == 0
         monkeypatch.setattr(coeff, "_hensel_factors",
                             lambda f, used, p, rng, bound: [f])
+        doc, _ = run_text(src, verify=True)
+        assert doc.status != 0 and "cross-check failed" in doc.message
+
+    def test_verify_catches_a_wrong_multiplicity(self, monkeypatch):
+        from reeskit import rees
+        src = ("ring P = zmod 101 [x,y];\n"
+               "print multiplicity(ideal(x^3, x*y, y^4));\n")
+        doc, _ = run_text(src, verify=True)
+        assert doc.status == 0 and doc.entries[0].value == 7
+        # h = 6 + t, so e = 7; a wrong h = 1 + 2t + 3t^2 claims e = 6, but
+        # the colengths 6, 19, 39 of I, I^2, I^3 have second difference 7
+        monkeypatch.setattr(rees, "_normal_cone_series",
+                            lambda I: ({0: 1, 1: 2, 2: 3}, 2))
         doc, _ = run_text(src, verify=True)
         assert doc.status != 0 and "cross-check failed" in doc.message
 

@@ -58,6 +58,15 @@ class TestFieldOps:
         assert GFElement(103, 101).value == 2
         assert (-GFElement(1, 101)).value == 100
 
+    def test_equal_elements_hash_equal(self):
+        a, b = GFElement(3, 7), GFElement(10, 7)
+        assert a == b and hash(a) == hash(b)
+        assert GFElement(3, 7) != GFElement(3, 5)
+        # ints are not residues: 3 and 10 differ, so neither may equal [3]
+        assert GFElement(3, 7) != 3 and GFElement(3, 7) != 10
+        for x in (a, b, GFElement(4, 7), 3, 10):
+            assert (x in {a}) == (x == a)
+
 
 class TestFactorUnivariate:
     def test_x4_plus_1_splits_over_101(self):

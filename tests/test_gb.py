@@ -762,6 +762,31 @@ class TestDimensionDegree:
         import math
         assert codimension(Ideal(A2, (A2.one(),))) == math.inf
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 10 ** 6))
+    def test_monomial_ideals_match_vertex_covers(self, n, seed):
+        # V(I) of a monomial ideal is the union of the coordinate planes
+        # x_C = 0 over the covers C that meet every generator's support, so
+        # dim = n - (smallest cover); for a squarefree I each smallest cover
+        # is a reduced component of top dimension, and the degree counts them
+        rng = random.Random(seed)
+        R = make_ring(101, [f"x{i}" for i in range(n)])
+        exps = [tuple(rng.choice((0, 0, 1, 1, 2, 3)) for _ in range(n))
+                for _ in range(rng.randint(1, 5))]
+        exps = [e for e in exps if any(e)]
+        assume(exps)
+        supports = [{i for i, a in enumerate(e) if a} for e in exps]
+        for size in range(n + 1):
+            covers = [c for c in itertools.combinations(range(n), size)
+                      if all(s & set(c) for s in supports)]
+            if covers:
+                break
+        dim, degree = dimension_and_degree(
+            Ideal(R, tuple(R.monomial(e) for e in exps)))
+        assert dim == n - size
+        if all(a <= 1 for e in exps for a in e):
+            assert degree == len(covers)
+
 
 class TestHilbertSeries:
     def test_principal_quadric(self, A2):

@@ -1,7 +1,9 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from reeskit.gb import (Ideal, codimension, dimension_and_degree,
                         graded_piece_dim, kernel_of_ring_map, minors_ideal,
@@ -9,11 +11,11 @@ from reeskit.gb import (Ideal, codimension, dimension_and_degree,
 from reeskit.polyring import (FreeModuleMap, RingMap, make_ring, random_poly,
                               row_times_matrix, transport)
 from reeskit.rees import (
-    PresentedModule, analytic_spread, expected_rees_ideal, is_linear_type,
-    is_reduction, jacobian_dual, minimal_reduction, multiplicity,
-    normal_cone, reduction_number, rees_ideal, rees_presentation,
-    special_fiber_ideal, symmetric_algebra_ideal, symmetric_kernel,
-    universal_embedding, which_gm,
+    PresentedModule, _normal_cone_series, analytic_spread,
+    expected_rees_ideal, is_linear_type, is_reduction, jacobian_dual,
+    minimal_reduction, multiplicity, normal_cone, reduction_number,
+    rees_ideal, rees_presentation, special_fiber_ideal,
+    symmetric_algebra_ideal, symmetric_kernel, universal_embedding, which_gm,
 )
 
 
@@ -198,17 +200,84 @@ class TestMultiplicity:
         # not monomial: a complete intersection of two quadrics
         assert multiplicity(Ideal(A2, (x ** 2 + y ** 2, x * y))) == 4
 
-    def test_normal_cone_degree_cross_check(self, A2):
+    @pytest.mark.parametrize("quotient, make", [
+        (None, lambda x, y: (x ** 2, y)),
+        (None, lambda x, y: (x ** 2 + y ** 2, x * y)),
+        (None, lambda x, y: (x ** 3, x * y, y ** 4)),
+        (None, lambda x, y: (x - y ** 2, y ** 3 + x * y)),
+        # the double line of test_over_quotient_base
+        (lambda x, y: [x ** 2], lambda x, y: (y,)),
+    ], ids=["x2_y", "x2+y2_xy", "x3_xy_y4", "inhomogeneous", "quotient_base"])
+    def test_normal_cone_degree_cross_check(self, A2, quotient, make):
         # the w-graded pieces of the normal cone are I^n/I^(n+1); their
         # dimensions are the first differences of the power colengths
-        x, y = A2.gens()
-        I = Ideal(A2, (x ** 2, y))
+        R = (A2 if quotient is None
+             else make_ring(101, ["x", "y"], quotient=quotient(*A2.gens())))
+        I = Ideal(R, make(*R.gens()))
         nc = normal_cone(I)
         unit = Ideal(nc, (nc.one(),))
         pieces = [graded_piece_dim(n, unit, "wblock") for n in range(6)]
         lengths = [brute_colength(I ** (n + 1)) for n in range(6)]
         diffs = [lengths[0]] + [b - a for a, b in zip(lengths, lengths[1:])]
         assert pieces == diffs
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 101, 32003]), st.integers(1, 6),
+           st.integers(1, 6), st.integers(0, 10 ** 6))
+    def test_monomial_ideals_match_newton_polygon(self, p, a, b, seed):
+        # Teissier: e(I) of an m-primary monomial ideal of k[x,y] is twice
+        # the area under its Newton polygon
+        rng = random.Random(seed)
+        pts = {(0, b), (a, 0)}
+        if a > 1 and b > 1:
+            pts |= {(rng.randrange(1, a), rng.randrange(1, b))
+                    for _ in range(rng.randint(0, 3))}
+        hull = []
+        for q in sorted(pts):
+            while len(hull) >= 2 and (
+                    (hull[-1][0] - hull[-2][0]) * (q[1] - hull[-2][1])
+                    - (hull[-1][1] - hull[-2][1]) * (q[0] - hull[-2][0])) <= 0:
+                hull.pop()
+            hull.append(q)
+        twice_area = sum((u2 - u1) * (v1 + v2)
+                         for (u1, v1), (u2, v2) in zip(hull, hull[1:]))
+        R = make_ring(p, ["x", "y"])
+        assert multiplicity(Ideal(R, tuple(R.monomial(e) for e in pts))) \
+            == twice_area
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(1, 3), min_size=2, max_size=2)
+           | st.lists(st.integers(1, 2), min_size=3, max_size=3),
+           st.integers(0, 10 ** 6))
+    def test_systems_of_parameters_multiply_degrees(self, degrees, seed):
+        # n forms of degrees a, b(, c) that cut out the origin of k^n: the
+        # multiplicity is the product of the degrees (Bezout)
+        rng = random.Random(seed)
+        n = len(degrees)
+        R = make_ring(101, ["x", "y", "z"][:n])
+        forms = tuple(
+            R.poly({e: rng.randrange(101)
+                    for e in itertools.product(range(a + 1), repeat=n)
+                    if sum(e) == a})
+            for a in degrees)
+        I = Ideal(R, forms)
+        assume(dimension_and_degree(I)[0] == 0)
+        assert multiplicity(I) == math.prod(degrees)
+
+    def test_series_expands_to_the_pieces(self, A2, A3):
+        # h(t)/(1 - t)^d counts I^n/I^(n+1), the first differences of the
+        # power colengths; --verify takes its stopping point from deg h
+        x, y = A2.gens()
+        a, b, c = A3.gens()
+        for I in (Ideal(A2, (x ** 3, x * y, y ** 4)),
+                  Ideal(A2, (x ** 2 * y ** 2 + x ** 5, y ** 3, x ** 4 * y)),
+                  Ideal(A3, (a ** 2, b ** 3, c ** 2, a * b * c))):
+            h, d = _normal_cone_series(I)
+            series = [h.get(k, 0) for k in range(6)]
+            for _ in range(d):
+                series = list(itertools.accumulate(series))
+            lengths = [0] + [brute_colength(I ** (n + 1)) for n in range(6)]
+            assert series == [q - p for p, q in zip(lengths, lengths[1:])]
 
     def test_not_zero_dimensional_rejected(self, A2):
         with pytest.raises(ValueError):
