@@ -2,20 +2,22 @@
 
 A chart is global: one flattened Rees ring with the Rees ideal installed as
 its quotient.  The strict transform is the total transform saturated by the
-exceptional ideal, by ``gb.saturate``: one Rabinowitsch elimination per
-generator and one intersection of the pieces.  A transform is smooth away
-from the irrelevant ideal J (the w-block), i.e. on Proj instead of the
-affine cone, when its Jacobian-minor locus S has S : J^oo = (1), that is
-when every generator of J lies in rad(S); this is tested by radical
-membership, one generator at a time, stopping at the first that fails.
+exceptional ideal, by ``gb.saturate``: one elimination of fresh z_i from
+X + Q + (1 - sum z_i * g_i) over the generators g_i of the exceptional
+ideal.  A transform is smooth away from the irrelevant ideal J (the
+w-block), i.e. on Proj instead of the affine cone, when its Jacobian-minor
+locus S has S : J^oo = (1).  By the same identity that holds iff 1 lies in
+S + Q + (1 - sum z_i * w_i), so one reduced basis of that ideal, tested
+for a constant, decides it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gb import (Ideal, _descend, _lift, dimension_and_degree, minors_ideal,
-                 radical_membership, saturate)
+from .gb import (Ideal, _descend, _lift, _rabinowitsch_input,
+                 dimension_and_degree, minors_ideal, reduced_groebner_raw,
+                 saturate)
 from .polyring import FreeModuleMap, RingDescriptor, RingMap, transport
 from .rees import rees_presentation, rees_variable_names
 
@@ -77,4 +79,6 @@ def singular_locus_ideal(X: Ideal, expected_codim=None) -> Ideal:
 
 def is_smooth_away_from_irrelevant(chart: BlowupChart, X: Ideal) -> bool:
     sing = singular_locus_ideal(X)
-    return all(radical_membership(w, sing) for w in chart.irrelevant.gens)
+    ext, _, gens = _rabinowitsch_input(sing, chart.irrelevant.gens)
+    basis = reduced_groebner_raw(gens, ext)
+    return len(basis) == 1 and basis[0].is_constant()

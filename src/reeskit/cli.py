@@ -657,7 +657,13 @@ def _registry():
 
     @op("radicalMembership", "gb")
     def _(ctx, f, I):
-        return gb_mod.radical_membership(_as_poly(ctx, f), _as_ideal(ctx, I))
+        f2, I2 = _as_poly(ctx, f), _as_ideal(ctx, I)
+        out = gb_mod.radical_membership(f2, I2)
+        if ctx.config.verify and not f2.is_zero():
+            # f in rad(I) iff the iterated colon I : f^inf is the unit ideal
+            if gb_mod.saturate(I2, f2, method="colon").is_unit() != out:
+                raise ScriptError("radical membership cross-check failed")
+        return out
 
     # decompose -------------------------------------------------------------
     @op("minimalPrimes", "decompose")

@@ -765,41 +765,60 @@ def colon(I: Ideal, by) -> Ideal:
     return _descend(ring, [r for (r,) in syz])
 
 
-def _rabinowitsch_input(I: Ideal, f: Polynomial):
-    """Generators of I + Q + (f*z - 1) in the ambient ring extended by a
-    fresh variable z; returns (extended ring, name of z, generators)."""
+def _rabinowitsch_input(I: Ideal, elements):
+    """Generators of I + Q + (1 - z_1*g_1 - ... - z_k*g_k) for the elements
+    g_i, in the ambient ring extended by fresh variables z_1..z_k; returns
+    (extended ring, names of the z_i, generators)."""
     amb = I.ring.ambient
-    z_name = _fresh_name(set(amb.names), "#z")
-    ext = extend_ring(amb, [z_name])
+    taken = set(amb.names)
+    z_names = []
+    for _ in elements:
+        z_names.append(_fresh_name(taken, "#z"))
+        taken.add(z_names[-1])
+    ext = extend_ring(amb, z_names)
     gens = [transport(g, ext) for g in _lift(I)]
-    gens.append(transport(f, ext) * ext.var(z_name) - ext.one())
-    return ext, z_name, gens
+    inverse = ext.one()
+    for g, z_name in zip(elements, z_names):
+        inverse = inverse - transport(g, ext) * ext.var(z_name)
+    gens.append(inverse)
+    return ext, z_names, gens
 
 
 def saturate(I: Ideal, by, method="rabinowitsch"):
     """I : by^infinity for an element or an ideal ``by``.
 
-    Default: for each nonzero generator g of ``by`` (or ``by`` itself), one
-    Rabinowitsch elimination (I + Q + (g*z - 1)) meet k[x] gives I : g^inf,
-    and the pieces are intersected once, since I : J^inf is the
-    intersection of the I : g^inf.  ``method="colon"`` iterates
-    ``colon(I, by)`` until it is stable (``saturation_exponent``); it is
-    kept as the reference.  A zero element, or an ideal with no nonzero
-    generator, raises ValueError on either path.
+    Default: one elimination.  For the distinct nonzero generators
+    g_1..g_k of ``by`` (or ``by`` itself) and fresh z_1..z_k,
+
+        I : J^inf = (I + Q + (1 - z_1*g_1 - ... - z_k*g_k)) meet k[x],
+
+    the Rabinowitsch trick in k variables; k = 1 is the classical one.
+    Write A = R/I and s = z_1*g_1 + ... + z_k*g_k.  If f in A lies in
+    (1 - s)A[z], say f = b*(1 - s), then comparing z-degrees gives
+    b_d = s^d * f and s^(D+1) * f = 0 for D = deg b; the coefficient of
+    z_i^(D+1) in that product is g_i^(D+1) * f, so f lies in every
+    I : g_i^inf, whose intersection is I : J^inf.  Conversely, if
+    g_i^N * f = 0 in A for every i, then s^M * f = 0 for M = k(N - 1) + 1,
+    since each monomial of s^M holds some g_i^N, and
+    f = f * (1 - s^M) lies in (1 - s).  A constant generator makes
+    J = (1), and I : (1)^inf = I needs no elimination.
+
+    ``method="colon"`` iterates ``colon(I, by)`` until it is stable
+    (``saturation_exponent``); it is kept as the reference.  A zero
+    element, or an ideal with no nonzero generator, raises ValueError on
+    either path.
     """
     if method == "colon":
         return saturation_exponent(I, by)[1]
     if method != "rabinowitsch":
         raise ValueError(f"unknown saturation method {method!r}")
     ring = I.ring
-    amb = ring.ambient
-    out = None
-    for g in _colon_elements(ring, by):
-        ext, z_name, gens = _rabinowitsch_input(I, g)
-        _, kept = _eliminate_raw(gens, ext, [z_name])
-        piece = [transport(h, amb) for h in kept]
-        out = piece if out is None else _intersect_raw(out, piece, amb)
-    return _descend(ring, out)
+    elements = list(dict.fromkeys(_colon_elements(ring, by)))
+    if any(g.is_constant() for g in elements):
+        return _descend(ring, _lift(I))
+    ext, z_names, gens = _rabinowitsch_input(I, elements)
+    _, kept = _eliminate_raw(gens, ext, z_names)
+    return _descend(ring, kept)
 
 
 def saturation_exponent(I: Ideal, by, cap=64):
@@ -816,12 +835,14 @@ def saturation_exponent(I: Ideal, by, cap=64):
 
 
 def radical_membership(f: Polynomial, I: Ideal) -> bool:
-    """Rabinowitsch test: f in rad(I) iff 1 in I + (f*z - 1)."""
+    """f in rad(I) iff I : f^inf = (1) iff 1 lies in I + Q + (1 - f*z):
+    ``saturate``'s Rabinowitsch ideal for the one element f, tested for a
+    constant reduced basis instead of eliminated."""
     if f.ring != I.ring:
         raise RingMismatchError("radical membership needs matching rings")
     if f.is_zero():
         return True
-    ext, _, gens = _rabinowitsch_input(I, f)
+    ext, _, gens = _rabinowitsch_input(I, [f])
     basis = reduced_groebner_raw(gens, ext)
     return len(basis) == 1 and basis[0].is_constant()
 

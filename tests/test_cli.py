@@ -374,7 +374,8 @@ class TestMainEntry:
                           "print st;\n"
                           "print isSmoothAwayFromIrrelevant(c, st);\n"
                           "print factorMultivariate((x^2 + y)*(x*y - 3));\n"
-                          "print multiplicity(ideal(x^3, x*y, y^4));\n")
+                          "print multiplicity(ideal(x^3, x*y, y^4));\n"
+                          "print radicalMembership(x*y, ideal(x^2, y^3));\n")
         assert main(["--verify", "run", str(script)]) == 0
 
     def test_verify_catches_a_wrong_factorization(self, monkeypatch):
@@ -397,6 +398,18 @@ class TestMainEntry:
         # the colengths 6, 19, 39 of I, I^2, I^3 have second difference 7
         monkeypatch.setattr(rees, "_normal_cone_series",
                             lambda I: ({0: 1, 1: 2, 2: 3}, 2))
+        doc, _ = run_text(src, verify=True)
+        assert doc.status != 0 and "cross-check failed" in doc.message
+
+    def test_verify_catches_a_wrong_radical_membership(self, monkeypatch):
+        from reeskit import gb
+        src = ("ring P = zmod 101 [x,y];\n"
+               "print radicalMembership(x*y, ideal(x^2, y^3));\n"
+               "print radicalMembership(x + 1, ideal(x^2, y^3));\n")
+        doc, _ = run_text(src, verify=True)
+        assert doc.status == 0
+        assert [e.value for e in doc.entries] == [True, False]
+        monkeypatch.setattr(gb, "radical_membership", lambda f, I: False)
         doc, _ = run_text(src, verify=True)
         assert doc.status != 0 and "cross-check failed" in doc.message
 

@@ -654,7 +654,8 @@ class TestColonSaturate:
     @given(st.sampled_from(["polynomial", "chart", "quotient"]),
            st.integers(0, 10 ** 6))
     def test_saturate_by_ideal_agrees_with_iterated_colon(self, kind, seed):
-        """Per-generator eliminations intersected once give I : J^inf."""
+        """One elimination with a z_i per distinct generator gives I : J^inf,
+        also when J repeats a generator or holds a constant."""
         rng = random.Random(seed)
         if kind == "polynomial":
             ring = make_ring(13, ["x", "y", "z"])
@@ -666,8 +667,14 @@ class TestColonSaturate:
             x, y, z = R0.gens()
             ring = make_ring(13, ["x", "y", "z"],
                              quotient=[x * y - z ** 2, x ** 3])
-        J = Ideal(ring, tuple(sparse_poly(ring, rng, range(1, 3), range(1, 3))
-                              for _ in range(1 + rng.randrange(3))))
+        gens = [sparse_poly(ring, rng, range(1, 3), range(1, 3))
+                for _ in range(1 + rng.randrange(4))]
+        extra = rng.randrange(4)
+        if extra == 1 and len(gens) > 1:
+            gens[-1] = rng.choice(gens[:-1])
+        elif extra == 2:
+            gens[rng.randrange(len(gens))] = ring.one() * rng.randrange(1, 13)
+        J = Ideal(ring, tuple(gens))
         assume(any(not g.is_zero() for g in J.gens))
         # multiples of powers of J's generators, so that I : J^inf is
         # mostly neither I nor the unit ideal
@@ -676,6 +683,30 @@ class TestColonSaturate:
             * rng.choice(J.gens) ** rng.randrange(1, 3)
             for _ in range(1 + rng.randrange(2))))
         assert saturate(I, J) == saturate(I, J, method="colon")
+
+    def test_saturate_skips_units_and_repeated_generators(self, monkeypatch):
+        """A constant generator costs no elimination, and a repeated one no
+        extra z variable."""
+        ring = make_ring(13, ["x", "y", "z"])
+        x, y, z = ring.gens()
+        I = Ideal(ring, (x ** 2 * y, x * y ** 2 * z, y ** 3 * (z + 1)))
+        real = gb_module._eliminate_raw
+        calls = []
+
+        def spy(polys, amb, names):
+            calls.append(len(names))
+            return real(polys, amb, names)
+
+        monkeypatch.setattr(gb_module, "_eliminate_raw", spy)
+        for gens, eliminated in (((x, ring.one() * 3, y), []),
+                                 ((x, y, x, y), [2]),
+                                 ((y * z, y * z), [1]),
+                                 ((x, y, z), [3])):
+            J = Ideal(ring, gens)
+            calls.clear()
+            got = saturate(I, J)
+            assert calls == eliminated, gens
+            assert got == saturate(I, J, method="colon"), gens
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
