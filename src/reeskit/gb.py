@@ -16,14 +16,20 @@ Groebner bases and syzygies by the usual graph construction.
 
 Every normal form, here and in quotient rings, is computed by the one term
 reducer ``polyring._reduce_vec``.  Normal forms and membership tests
-against a finished basis use the reducers that ``GroebnerBasis._reducers``
-builds once per basis; the engine ``_gb_core`` keeps each lead also packed
-into one int, a guarded bit slot per variable, so that its pair criteria
-get lcms, divisibility and degrees from a few integer operations and its
-reductions find their reducer by the same test.  Pairs of two monomials
-are never reduced: their S-vector is zero.  The engine's final
-interreduction is a single pass: its minimal basis is already a Groebner
-basis, so one reduction of each tail gives the unique reduced basis.
+against a finished basis use the ``polyring._Reducer`` that
+``GroebnerBasis._reducers`` builds once per basis.
+
+Packed terms.  Inside the reducer and the engine ``_gb_core`` every term
+is one int (``polyring._Packing``): guarded bit slots of prefix sums per
+order block, with the component above them, so that the integer order is
+the module order.  The next term of a reduction is a plain ``max`` over
+ints, multiplying by a monomial is one addition, and the pair criteria get
+lcms and divisibility from a few integer operations on the leads.  The
+slot width comes from the input degrees; a term that outgrows it restarts
+the computation wider.  Pairs of two monomials are never reduced: their
+S-vector is zero.  The engine's final interreduction is a single pass: its
+minimal basis is already a Groebner basis, so one reduction of each tail
+gives the unique reduced basis.
 """
 
 from __future__ import annotations
@@ -32,12 +38,12 @@ import heapq
 import itertools
 import math
 from collections import defaultdict
-from operator import ge, lshift
+from operator import ge
 
 from .polyring import (
     FreeModuleMap, Polynomial, RingDescriptor, RingMap, RingMismatchError,
-    _prep_reducers, _reduce_vec, elimination_spec, extend_ring,
-    is_degree_compatible, make_key_function, matrix_from_columns, transport,
+    _Overflow, _Packing, _Reducer, _reduce_vec, elimination_spec,
+    extend_ring, is_degree_compatible, matrix_from_columns, transport,
 )
 
 INFINITY = math.inf
@@ -46,24 +52,6 @@ INFINITY = math.inf
 # ---------------------------------------------------------------------------
 # engine primitives
 # ---------------------------------------------------------------------------
-
-def _memo(fn):
-    cache = {}
-
-    def wrapped(x):
-        v = cache.get(x)
-        if v is None:
-            v = cache[x] = fn(x)
-        return v
-
-    return wrapped
-
-
-def _module_key(rkey):
-    def mkey(m):
-        return (-m[0], rkey(m[1]))
-    return _memo(mkey)
-
 
 def _poly_to_vec(f: Polynomial, comp=0):
     return {(comp, e): c for e, c in f.terms}
@@ -76,10 +64,12 @@ def _vec_to_polys(vec, amb, rank):
     return tuple(amb.poly(b) for b in buckets)
 
 
-def _add_shifted(dst, src, q, c, p):
-    """dst += c * x^q * src on {exponents: coeff} dicts, dropping zeros."""
+def _add_shifted(dst, src, q, c, p, guard):
+    """dst += c * x^q * src on packed {term: coeff} dicts, dropping zeros."""
     for e, d in src.items():
-        ne = tuple(a + b for a, b in zip(e, q))
+        ne = e + q
+        if ne & guard:
+            raise _Overflow
         nv = (dst.get(ne, 0) + c * d) % p
         if nv:
             dst[ne] = nv
@@ -87,39 +77,75 @@ def _add_shifted(dst, src, q, c, p):
             dst.pop(ne, None)
 
 
-def _gb_core(vectors, amb, rkey=None, padding=None, want_rep=False):
+def _gb_core(vectors, amb, spec=None, padding=None, want_rep=False):
     """Reduced Groebner basis of the module generated by ``vectors``.
 
-    Returns (basis, reps): ``basis`` a list of monic term dicts sorted by
-    ascending lead, each dict carrying its lead under the key ``"_lead"``;
-    ``reps`` (when requested) expresses each basis element as a combination
-    of the input vectors, as dicts {input index: {exps: coeff}}.
+    ``vectors`` are term dicts {(component, exponents): coeff} of ``amb``,
+    and ``spec`` the order spec, ``amb``'s own by default, under position
+    over term.  Returns (basis, reps): ``basis`` a list of monic term
+    dicts sorted by ascending lead, each dict carrying its lead under the
+    key ``"_lead"``; ``reps`` (when requested) expresses each basis element
+    as a combination of the input vectors, as dicts {input index:
+    {exps: coeff}}.
+
+    The work happens on packed terms (``polyring._Packing``, see
+    ``_buchberger``).  The width comes from the input degrees; when a term
+    outgrows it the computation restarts wider, so exponents of any size
+    stay exact.
+    """
+    p = amb.p
+    spec = spec or amb.order_spec
+    if padding is None:
+        padding = [False] * len(vectors)
+    w = _Packing.width(max((sum(m[1]) for vec in vectors for m in vec),
+                           default=0))
+    while True:
+        pk = _Packing(spec, amb.nvars, w)
+        try:
+            found = _buchberger(
+                [{pk.pack(*m): c % p for m, c in vec.items() if c % p}
+                 for vec in vectors], pk, p, padding, want_rep)
+            break
+        except _Overflow:
+            w += 2
+    unpack = pk.unpack
+    basis, reps = [], []
+    for lead, g, rep in found:
+        d = {unpack(m): c for m, c in g.items()}
+        d["_lead"] = unpack(lead)
+        basis.append(d)
+        reps.append(rep and {i: {unpack(t)[1]: c for t, c in terms.items()}
+                             for i, terms in rep.items()})
+    return basis, reps
+
+
+def _buchberger(vectors, pk, p, padding, want_rep):
+    """``_gb_core`` on packed term dicts of the packing ``pk``; returns
+    (lead, element, rep) per basis element, ascending, or raises
+    ``_Overflow`` when a term outgrows ``pk``.
 
     Every reduction is ``polyring._reduce_vec``, searching the leads
     ``bycomp`` of the elements so far and using the monic ``tails`` that
     ``add`` appends to.
 
-    Packed leads.  Each lead's exponents are also kept as one int, exponent
-    k in a w-bit slot at bit w*k whose top bit is a guard (Bachmann and
-    Schoenemann, ISSAC 1998).  With every slot below its guard, no slot
-    borrows from or carries into the next, so for leads a and b, and
-    ``guard`` the int of all guard bits:
+    Packed terms.  A term is one int whose integer order is the module
+    order (``_Packing``): the next term of a reduction is a plain ``max``,
+    a shifted term is one addition, and pairs are queued by their packed
+    lcm.  Each lead is also kept in the plain layout, one exponent per
+    w-bit slot under a guard bit, where for leads a and b, and ``guard``
+    the int of all guard bits:
 
     * b divides a iff ``((a | guard) - b) & guard == guard``;
     * that difference ``t``, masked by ``guard``, marks the slots where
       a >= b, ``t - (t >> (w - 1))`` fills them, and the lcm (slot-wise
       max) is ``b ^ ((a ^ b) & filled)``;
     * the leads are coprime iff ``a + b`` equals their lcm;
-    * the total degree is the top slot of the product with the int that
-      has a 1 in every slot.
+    * ``pk.order`` turns an lcm back into a term, whose prefix sums stay
+      below twice the guard, so lcms compare exactly as terms.
 
-    The reductions search the packed leads for a divisor of each term the
-    same way; a term is clamped to the slot first, which keeps divisibility
-    by these leads exact.  Width rule: w is the least width whose guard
-    lies above twice the largest lead degree so far, so every lead and lcm
-    exponent, and every lcm degree, fits below it.  A lead of larger degree
-    repacks the leads, the divisor index and the pending lcms first, so
-    exponents of any size stay exact and only the width grows.
+    The reductions search the plain leads for a divisor of each term the
+    same way.  A queued lcm, and every shifted term, must stay below the
+    guard bits, or ``_Overflow`` is raised.
 
     Pairs are pruned when an element is added, by the Gebauer-Moeller
     installation of Buchberger's criteria: criterion B drops pending pairs,
@@ -136,8 +162,7 @@ def _gb_core(vectors, amb, rkey=None, padding=None, want_rep=False):
       is exactly 0.
 
     Each has a standard representation, which is all that F and M ask of a
-    witness.  Only a queued pair gets its lcm as an exponent tuple, for
-    the pop order and the S-vector.  Pairs are popped smallest lcm first.
+    witness.  Pairs are popped smallest lcm first.
 
     Each new element is reduced by all earlier ones, so its lead is
     divisible by no earlier lead; the elements that no later lead divides
@@ -145,84 +170,42 @@ def _gb_core(vectors, amb, rkey=None, padding=None, want_rep=False):
     their tails once against that Groebner basis gives the unique normal
     form, so one pass yields the reduced basis.
     """
-    p = amb.p
-    rkey = rkey or amb.key
-    mkey = _module_key(rkey)
-    if padding is None:
-        padding = [False] * len(vectors)
-    n = amb.nvars
+    g, w1, cshift, tmask = pk.guard, pk.w - 1, pk.cshift, pk.tmask
+    plain, order = pk.plain, pk.order
 
     Glead, tails, Gpad, Grep = [], [], [], []
-    Gpack = []    # lead exponents packed
+    Gpack = []    # lead exponents in the plain layout, without component
     Gsingle = []  # element lives in a single component (coprime criterion OK)
     Gpairs = []   # no later lead divides this lead: it still makes new pairs
     active = {}   # component -> elements there with Gpairs set, ascending
-    bycomp = {}   # component -> [(packed lead, (lead exps, element))]
-    pending = {}  # pair (i, j) -> (component, packed lcm, lcm)
+    bycomp = {}   # component -> [(plain lead, (lead, element))]
+    pending = {}  # pair (i, j) -> (component, plain lcm, packed lcm)
     heap = []
-    # packing (set by ``widen``): slot width, the largest exponent a slot
-    # holds, the guard bits and the unit bits of all slots, the largest
-    # lead degree the width allows, and the slot offsets
-    w = slot = guard = ones = roof = 0
-    shifts = ()
-
-    def pack(e):
-        return sum(map(lshift, e, shifts))
-
-    def widen(d):
-        nonlocal w, slot, guard, ones, shifts, roof
-        w = (2 * d).bit_length() + 1
-        slot = (1 << (w - 1)) - 1
-        roof = slot // 2
-        shifts = tuple(range(0, w * n, w))
-        ones = pack((1,) * n)
-        guard = ones << (w - 1)
-        Gpack[:] = [pack(le) for _, le in Glead]
-        for c, cands in bycomp.items():
-            bycomp[c] = [(Gpack[hit[1]], hit) for _, hit in cands]
-        for pair, (c, _, lcm) in pending.items():
-            pending[pair] = (c, pack(lcm), lcm)
 
     def lcm_packed(a, b):
-        t = ((b | guard) - a) & guard
-        return a ^ ((a ^ b) & (t - (t >> (w - 1))))
+        t = ((b | g) - a) & g
+        return a ^ ((a ^ b) & (t - (t >> w1)))
 
-    def lead_search(index):
-        # for _reduce_vec: the first element listed in ``index`` whose lead
-        # divides the term m, as (lead exps, element), or None
-        def search(m):
-            cands = index.get(m[0])
-            if cands:
-                me = m[1]
-                if sum(me) > slot:
-                    me = [min(e, slot) for e in me]
-                x = sum(map(lshift, me, shifts)) | guard
-                for lp, hit in cands:
-                    if (x - lp) & guard == guard:
-                        return hit
-            return None
-        return search
-
-    search = lead_search(bycomp)
+    search = pk.search(bycomp)
 
     def reduce_rows(rep, track):
         # rep -= sum of c * x^q * (rep of reducer gi) over the quotients
         for gi, quo in track.items():
             for q, c in quo.items():
                 for idx, terms in Grep[gi].items():
-                    _add_shifted(rep.setdefault(idx, {}), terms, q, -c, p)
+                    _add_shifted(rep.setdefault(idx, {}), terms, q, -c, p, g)
         return rep
 
     def nf(vec, rep):
         track = defaultdict(dict) if rep is not None else None
-        red = _reduce_vec(vec, search, tails, p, mkey, track)
+        red = _reduce_vec(vec, search, tails, p, g, track)
         if track:
             reduce_rows(rep, track)
         return red
 
     def update(gi):
-        comp, le = Glead[gi]
-        a, g, w1 = Gpack[gi], guard, w - 1
+        comp = Glead[gi] >> cshift
+        a = Gpack[gi]
         # criterion B: the new lead divides lcm(i, j) and differs from
         # lcm(i, gi) and lcm(j, gi), so (i, j) follows from those two pairs
         for pair, (pc, lp, _) in list(pending.items()):
@@ -252,11 +235,10 @@ def _gb_core(vectors, amb, rkey=None, padding=None, want_rep=False):
         still.append(gi)
         active[comp] = still
         # criterion M: drop an lcm properly divisible by another new lcm;
-        # a proper divisor has smaller total degree, so ascending degree
-        # order only needs the minimal lcms kept so far
-        top, dmask = w * (n - 1) if n else 0, (1 << w) - 1
+        # a proper divisor is a smaller term, so ascending order only
+        # needs the minimal lcms kept so far
         kept = []
-        for lcm in sorted(groups, key=lambda x: ((x * ones) >> top) & dmask):
+        for term, lcm in sorted((order(x), x) for x in groups):
             xg = lcm | g
             for m in kept:
                 if (xg - m) & g == g:
@@ -265,59 +247,55 @@ def _gb_core(vectors, amb, rkey=None, padding=None, want_rep=False):
                 kept.append(lcm)
                 gj, zero = groups[lcm]
                 if not zero:
-                    full = tuple(map(max, Glead[gj][1], le))
-                    pending[(gj, gi)] = (comp, lcm, full)
-                    heapq.heappush(heap, (mkey((comp, full)), gj, gi))
+                    if term & g:
+                        raise _Overflow
+                    term += comp << cshift
+                    pending[(gj, gi)] = (comp, lcm, term)
+                    heapq.heappush(heap, (term, gj, gi))
 
     def add(vec, rep, pad):
-        lead = max(vec, key=mkey)
+        lead = max(vec)
         inv = pow(vec[lead], -1, p)
         if inv != 1 and rep is not None:
             rep = {i: {e: c * inv % p for e, c in t.items()}
                    for i, t in rep.items()}
         gi = len(tails)
-        comp, le = lead
-        d = sum(le)
-        if d > roof or not gi:
-            widen(d)
         Glead.append(lead)
-        Gpack.append(pack(le))
+        Gpack.append(plain(lead) & tmask)
         tails.append(tuple((m, c * inv % p) for m, c in vec.items()
                            if m != lead))
         Gpad.append(pad)
         Grep.append(rep)
-        Gsingle.append(len({m[0] for m in vec}) == 1)
+        Gsingle.append(len({m >> cshift for m in vec}) == 1)
         Gpairs.append(True)
-        bycomp.setdefault(comp, []).append((Gpack[gi], (le, gi)))
+        bycomp.setdefault(lead >> cshift, []).append((Gpack[gi], (lead, gi)))
         update(gi)
 
-    zero_unit = (0,) * n
     for k, vec in enumerate(vectors):
-        vec = {m: c % p for m, c in vec.items() if c % p}
         if not vec:
             continue
-        rep0 = {k: {zero_unit: 1}} if want_rep else None
+        rep0 = {k: {0: 1}} if want_rep else None
         red = nf(vec, rep0)
         if red:
             add(red, rep0, padding[k] and red == vec)
 
     while heap:
-        _, i, j = heapq.heappop(heap)
-        got = pending.pop((i, j), None)
-        if got is None:
+        lcm, i, j = heapq.heappop(heap)
+        if pending.pop((i, j), None) is None:
             continue  # dropped by criterion B after it was queued
-        lcm = got[2]
         # the monic leads cancel, so the S-vector is built from the tails
         s = {}
         rep = {} if want_rep else None
         for src, sign in ((i, 1), (j, -1)):
-            q = tuple(m - a for a, m in zip(Glead[src][1], lcm))
-            for (tc, te), tco in tails[src]:
-                nm = (tc, tuple(a + b for a, b in zip(te, q)))
+            q = lcm - Glead[src]
+            for t, tco in tails[src]:
+                nm = t + q
+                if nm & g:
+                    raise _Overflow
                 s[nm] = (s.get(nm, 0) + sign * tco) % p
             if want_rep:
                 for idx, terms in Grep[src].items():
-                    _add_shifted(rep.setdefault(idx, {}), terms, q, sign, p)
+                    _add_shifted(rep.setdefault(idx, {}), terms, q, sign, p, g)
         red = nf({m: c for m, c in s.items() if c}, rep)
         if red:
             add(red, rep, False)
@@ -326,21 +304,19 @@ def _gb_core(vectors, amb, rkey=None, padding=None, want_rep=False):
     # from ``tails`` and ``Grep``, so every reducer pairs its old tail with
     # its old rep
     alive = sorted((k for k in range(len(Glead)) if Gpairs[k]),
-                   key=lambda k: mkey(Glead[k]))
-    final = lead_search({c: [e for e in cands if Gpairs[e[1][1]]]
-                         for c, cands in bycomp.items()})
-    basis, reps = [], []
+                   key=Glead.__getitem__)
+    final = pk.search({c: [e for e in cands if Gpairs[e[1][1]]]
+                       for c, cands in bycomp.items()})
+    out = []
     for k in alive:
         track = defaultdict(dict) if want_rep else None
         d = {Glead[k]: 1}
-        d.update(_reduce_vec(tails[k], final, tails, p, mkey, track))
-        d["_lead"] = Glead[k]
-        basis.append(d)
+        d.update(_reduce_vec(tails[k], final, tails, p, g, track))
         rep = Grep[k]
         if track:
             rep = reduce_rows({i: dict(t) for i, t in rep.items()}, track)
-        reps.append(rep)
-    return basis, reps
+        out.append((Glead[k], d, rep))
+    return out
 
 
 def _basis_polys(basis, amb):
@@ -352,10 +328,10 @@ def _basis_polys(basis, amb):
     return out
 
 
-def reduced_groebner_raw(polys, amb, rkey=None):
+def reduced_groebner_raw(polys, amb):
     """Reduced GB of an ideal given by polynomials of an ambient ring."""
     vecs = [_poly_to_vec(f) for f in polys if not f.is_zero()]
-    basis, _ = _gb_core(vecs, amb, rkey=rkey)
+    basis, _ = _gb_core(vecs, amb)
     return _basis_polys(basis, amb)
 
 
@@ -475,14 +451,13 @@ class GroebnerBasis:
         self._prep = None
 
     def _reducers(self):
-        """(index, tails, key) of the basis for ``_reduce_vec``, built once."""
+        """The basis as a ``_Reducer``, built once."""
         if self._prep is None:
             amb = self.ring.ambient
-            key = _module_key(amb.key)
-            index, tails = _prep_reducers(
+            self._prep = _Reducer(
                 [_module_vec(v if self.rank else (v,), amb)
-                 for v in self.ambient_elements], amb.p, key)
-            self._prep = (index, tails, key)
+                 for v in self.ambient_elements],
+                amb.order_spec, amb.nvars, amb.p)
         return self._prep
 
     def __str__(self):
@@ -596,11 +571,10 @@ def normal_form(f: Polynomial, basis, want_quotients=False):
     if basis.rank != 0:
         raise ValueError("normal form of a polynomial needs an ideal basis")
     amb = ring.ambient
-    index, tails, mkey = basis._reducers()
-    track = [dict() for _ in tails] if want_quotients else None
-    vec = _poly_to_vec(transport(f, amb))
-    rem = _reduce_vec(vec, index, tails, amb.p, mkey, track)
-    r = transport(amb.poly({e: c for (_, e), c in rem.items()}), ring)
+    track = ([{} for _ in basis.ambient_elements] if want_quotients
+             else None)
+    rem = basis._reducers().reduce(_poly_to_vec(transport(f, amb)), track)
+    r = transport(Polynomial(amb, tuple((e, c) for (_, e), c in rem)), ring)
     if not want_quotients:
         return r
     quotients = []
@@ -641,9 +615,8 @@ def _subring_without(amb, names):
 
 def _eliminate_raw(polys, amb, names):
     idxs = [amb.var_index(n) for n in names]
-    keyf = _memo(make_key_function(elimination_spec(idxs, amb.nvars), amb.nvars))
     vecs = [_poly_to_vec(f) for f in polys if not f.is_zero()]
-    basis, _ = _gb_core(vecs, amb, rkey=keyf)
+    basis, _ = _gb_core(vecs, amb, elimination_spec(idxs, amb.nvars))
     idxset = set(idxs)
     sub = _subring_without(amb, names)
     kept = []
@@ -1164,9 +1137,7 @@ def kernel_of_matrix(A: FreeModuleMap) -> FreeModuleMap:
 
 def module_contains(gb: GroebnerBasis, vector) -> bool:
     """Membership of a vector of polynomials in a submodule GB."""
-    amb = gb.ring.ambient
-    index, tails, mkey = gb._reducers()
-    return not _reduce_vec(_module_vec(vector, amb), index, tails, amb.p, mkey)
+    return not gb._reducers().reduce(_module_vec(vector, gb.ring.ambient))
 
 
 def minors_ideal(k: int, A: FreeModuleMap) -> Ideal:

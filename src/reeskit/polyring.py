@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import re
+from operator import ge, lshift
 
 MAX_EXPONENT = 1 << 15
 MAX_MODULUS = 1 << 31
@@ -190,10 +191,12 @@ class RingDescriptor:
         p = self.p
         terms = {e: c % p for e, c in termdict.items() if c % p}
         if self.quotient:
-            index, tails, key = self._quotient_reducer()
-            rem = _reduce_vec({(0, e): c for e, c in terms.items()},
-                              index, tails, p, key)
-            terms = {e: c for (_, e), c in rem.items()}
+            reducer, leads = self._quotient_reducer()
+            # most inputs are already normal: no quotient lead divides them
+            if any(all(map(ge, e, le)) for e in terms for le in leads):
+                return Polynomial(self, tuple(
+                    (e, c) for (_, e), c in
+                    reducer.reduce({(0, e): c for e, c in terms.items()})))
         items = sorted(terms.items(), key=lambda t: self.key(t[0]), reverse=True)
         return Polynomial(self, tuple(items))
 
@@ -222,17 +225,13 @@ class RingDescriptor:
         return self.poly({tuple(exps): coeff})
 
     def _quotient_reducer(self):
-        """Cached (index, tails, key) reducing component-0 terms modulo Q."""
+        """Cached ``_Reducer`` of the quotient basis, and its leads."""
         if self._qprep is None:
-            akey = self.ambient.key  # not self.key: no cycle through self
-
-            def key(m):
-                return akey(m[1])
-
-            index, tails = _prep_reducers(
-                [{(0, e): c for e, c in g.terms} for g in self.quotient],
-                self.p, key)
-            self._qprep = (index, tails, key)
+            self._qprep = (
+                _Reducer([{(0, e): c for e, c in g.terms}
+                          for g in self.quotient],
+                         self.order_spec, self.nvars, self.p),
+                [g.terms[0][0] for g in self.quotient])
         return self._qprep
 
 
@@ -278,68 +277,156 @@ def make_ring(p, blocks, order="grevlex", quotient=None, degrees=None,
 # polynomials
 # ---------------------------------------------------------------------------
 
-def _prep_reducers(vectors, p, key):
-    """Monic reducers for ``_reduce_vec`` from term dicts.
+class _Overflow(Exception):
+    """A packed term reached a guard bit: its packing is too narrow."""
 
-    Terms are (component, exponents) pairs.  Returns ``(index, tails)``:
-    ``index`` maps a component to the (lead exponents, position) of every
-    reducer with its lead there, in input order, and ``tails[position]`` is
-    the reducer without its lead, divided by the lead coefficient.
+
+class _Packing:
+    """Terms (component, exponents) as ints whose integer order is the
+    module order: position over term on top of ``order_spec``.
+
+    Every variable gets a w-bit slot whose top bit is a guard (Bachmann
+    and Schoenemann, ISSAC 1998; Monagan and Pearce, CASC 2007).  A block
+    v_0..v_(k-1) of the order gets k adjacent slots holding the prefix sums
+    e_0, e_0 + e_1, ..., with the block degree in the top slot, and earlier
+    blocks sit above later ones: ``lex`` is n blocks of one variable and
+    ``grevlex`` one block.  Comparing the top slots compares the block
+    degrees; below them a larger prefix sum means a smaller exponent of a
+    later variable, which is reverse lex inside the block.  The component c
+    sits above all slots as -c, so a smaller component is a larger term.
+
+    With every slot below its guard no slot carries into the next, so:
+
+    * multiplying by a monomial adds its (component-free) packing, and an
+      add that sets a guard bit has outgrown the width (``_Overflow``);
+    * ``plain`` turns the prefix sums back into exponents, one per slot,
+      as ``v - ((v << w) & strip)``, where ``strip`` drops the bottom slot
+      of every block; on that layout b divides a iff
+      ``((a | guard) - b) & guard == guard``;
+    * ``order`` turns a plain layout back into prefix sums with one
+      multiply per block of more than one variable.
+
+    ``width(d)`` is the least width whose guard lies above 2*d, so the
+    lcm of two terms of degree d still fits.
     """
-    index, tails = {}, []
-    for vec in vectors:
-        lead = max(vec, key=key)
-        inv = pow(vec[lead], -1, p)
-        index.setdefault(lead[0], []).append((lead[1], len(tails)))
-        tails.append(tuple((m, c * inv % p) for m, c in vec.items()
-                           if m != lead))
-    return index, tails
+
+    __slots__ = ("w", "slot", "guard", "tmask", "cshift", "shifts", "strip",
+                 "order")
+
+    def __init__(self, order_spec, nvars, w):
+        kind = order_spec[0]
+        if kind == "grevlex":
+            blocks = (tuple(range(nvars)),)
+        elif kind == "lex":
+            blocks = tuple((i,) for i in range(nvars))
+        elif kind == "block":
+            blocks = order_spec[1]
+            if sorted(i for b in blocks for i in b) != list(range(nvars)):
+                raise ValueError("block order must partition the variables")
+        else:
+            raise ValueError(f"unknown order spec {order_spec!r}")
+        self.w = w
+        self.slot = (1 << (w - 1)) - 1
+        unit = sum(1 << (w * k) for k in range(nvars))
+        self.guard = unit << (w - 1)
+        self.tmask = (1 << (w * nvars)) - 1
+        self.cshift = w * nvars
+        shifts = [0] * nvars
+        lifts, single, bottoms = [], 0, 0
+        top = nvars
+        for b in blocks:
+            top -= len(b)
+            for k, v in enumerate(b):
+                shifts[v] = w * (top + k)
+            bits = ((1 << (w * len(b))) - 1) << (w * top)
+            bottoms |= ((1 << w) - 1) << (w * top)
+            if len(b) == 1:
+                single |= bits
+            else:
+                lifts.append((bits, sum(1 << (w * k) for k in range(len(b)))))
+        self.shifts = tuple(shifts)
+        self.strip = self.tmask & ~bottoms
+        tmask = self.tmask
+        if not lifts:  # one slot per block: prefix sums are the exponents
+            self.order = int
+        elif not single and len(lifts) == 1:
+            self.order = lambda x: (x * unit) & tmask
+        else:
+            def order(x):
+                v = x & single
+                for bits, ones in lifts:
+                    v |= ((x & bits) * ones) & bits
+                return v
+            self.order = order
+
+    @staticmethod
+    def width(degree):
+        return (2 * degree).bit_length() + 1
+
+    def pack(self, comp, exps):
+        # the total degree bounds every prefix sum
+        if sum(exps) > self.slot:
+            raise _Overflow
+        return (self.order(sum(map(lshift, exps, self.shifts)))
+                - (comp << self.cshift))
+
+    def plain(self, v):
+        return v - ((v << self.w) & self.strip)
+
+    def unpack(self, v):
+        x = self.plain(v & self.tmask)
+        m = (1 << self.w) - 1
+        return -(v >> self.cshift), tuple((x >> s) & m for s in self.shifts)
+
+    def search(self, index):
+        """For ``_reduce_vec``: the function from a packed term m to the
+        first (lead, position) listed in ``index`` (keyed by ``m >> cshift``,
+        with plain component-free leads) whose lead divides m, or None."""
+        cshift, w, strip, guard = self.cshift, self.w, self.strip, self.guard
+        get = index.get
+
+        def find(m):
+            cands = get(m >> cshift)
+            if cands:
+                x = (m - ((m << w) & strip)) | guard
+                for lead, hit in cands:
+                    if (x - lead) & guard == guard:
+                        return hit
+            return None
+
+        return find
 
 
-def _reduce_vec(vec, index, tails, p, key, track=None):
-    """Full normal form of a term dict against monic reducers.
+def _reduce_vec(vec, search, tails, p, guard, track=None):
+    """Full normal form of a packed term dict against monic reducers.
 
-    This is the one term reducer: the Groebner engine, normal forms, exact
-    division, module membership and quotient-ring normalisation all call
-    it.  ``index`` and ``tails`` are as built by ``_prep_reducers``; the
-    first reducer in ``index`` order whose lead divides a term is used.
-    ``index`` may list only some positions of ``tails``.  It may also be a
-    function from a term to that reducer's (lead exponents, position), or
-    None when no lead divides the term: the Groebner engine searches its
-    packed leads that way.  ``track``, when given, is indexed by reducer
-    position (a list, or a defaultdict) and collects the multiplier
+    This is the one term reducer: the Groebner engine, normal forms, module
+    membership and quotient-ring normalisation all call it.  Terms are ints
+    of one ``_Packing``, so the next term is the largest int and a reducer
+    is shifted by adding the packed quotient monomial; a shifted term that
+    reaches a bit of ``guard`` raises ``_Overflow``.  ``search`` maps a term
+    to the (packed lead, position) of the reducer to use, or None when no
+    lead divides it (``_Packing.search``); ``tails[position]`` is the monic
+    reducer without its lead.  ``track``, when given, is indexed by reducer
+    position (a list, or a defaultdict) and collects the packed multiplier
     monomials used against each reducer, i.e. the division quotients.
     """
-    search = index if callable(index) else None
     work = dict(vec)
     rem = {}
     while work:
-        m = max(work, key=key)
+        m = max(work)
         c = work.pop(m)
-        if not c:
-            continue
-        if search is not None:
-            hit = search(m)
-        else:
-            hit = None
-            cands = index.get(m[0])
-            if cands:
-                me = m[1]
-                for cand in cands:
-                    for a, b in zip(cand[0], me):
-                        if a > b:
-                            break
-                    else:
-                        hit = cand
-                        break
+        hit = search(m)
         if hit is None:
             rem[m] = c
             continue
-        le, gi = hit
-        q = tuple(b - a for a, b in zip(le, m[1]))
-        for (gc, ge), gco in tails[gi]:
-            nm = (gc, tuple(a + b for a, b in zip(ge, q)))
-            nv = (work.get(nm, 0) - c * gco) % p
+        lead, gi = hit
+        q = m - lead
+        for t, tc in tails[gi]:
+            nm = t + q
+            if nm & guard:
+                raise _Overflow
+            nv = (work.get(nm, 0) - c * tc) % p
             if nv:
                 work[nm] = nv
             else:
@@ -348,6 +435,59 @@ def _reduce_vec(vec, index, tails, p, key, track=None):
             tq = track[gi]
             tq[q] = (tq.get(q, 0) + c) % p
     return rem
+
+
+class _Reducer:
+    """Monic reducers from (component, exponents) term dicts in one order,
+    packed with one ``_Packing`` and repacked wider when an input or a
+    reduction outgrows it."""
+
+    __slots__ = ("vectors", "order_spec", "nvars", "p", "packing", "search",
+                 "tails")
+
+    def __init__(self, vectors, order_spec, nvars, p):
+        self.vectors = vectors
+        self.order_spec = order_spec
+        self.nvars = nvars
+        self.p = p
+        self._build(_Packing.width(
+            max((sum(m[1]) for v in vectors for m in v), default=0)))
+
+    def _build(self, w):
+        # reducer k: its lead listed under its component in input order,
+        # and tails[k], the rest divided by the lead coefficient
+        pk = self.packing = _Packing(self.order_spec, self.nvars, w)
+        p, index, self.tails = self.p, {}, []
+        for v in self.vectors:
+            vec = {pk.pack(*m): c for m, c in v.items()}
+            lead = max(vec)
+            inv = pow(vec[lead], -1, p)
+            index.setdefault(lead >> pk.cshift, []).append(
+                (pk.plain(lead) & pk.tmask, (lead, len(self.tails))))
+            self.tails.append(tuple((m, c * inv % p) for m, c in vec.items()
+                                    if m != lead))
+        self.search = pk.search(index)
+
+    def reduce(self, vec, track=None):
+        """Normal form of the term dict ``vec``, as a list of (term,
+        coefficient) in descending order.  ``track``, a list with one dict
+        per reducer, collects the division quotients by exponents."""
+        while True:
+            pk = self.packing
+            got = [{} for _ in self.tails] if track is not None else None
+            try:
+                rem = _reduce_vec({pk.pack(*m): c for m, c in vec.items()},
+                                  self.search, self.tails, self.p, pk.guard,
+                                  got)
+                break
+            except _Overflow:
+                self._build(max(pk.w + 2, _Packing.width(
+                    max((sum(m[1]) for m in vec), default=0))))
+        unpack = pk.unpack
+        if track is not None:
+            for t, q in zip(track, got):
+                t.update((unpack(m)[1], c) for m, c in q.items())
+        return [(unpack(m), rem[m]) for m in sorted(rem, reverse=True)]
 
 
 class Polynomial:

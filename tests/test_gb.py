@@ -454,6 +454,69 @@ class TestSympyOracle:
         assert got == want
 
     @staticmethod
+    def _random_ideal(seed, order):
+        """A ring in two or three variables with ``order``, the sympy
+        symbols of its variables, and a few random generators."""
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(seed)
+        p = rng.choice([7, 101, 32003])
+        names = ["x", "y", "z"][:2 + rng.randrange(2)]
+        ring = make_ring(p, names, order=order)
+        gens = [g for g in (sparse_poly(ring, rng, range(2, 4), range(1, 4))
+                            for _ in range(2 + rng.randrange(2)))
+                if not g.is_zero()]
+        return ring, sympy.symbols(names), gens
+
+    @staticmethod
+    def _sympy_basis(polys, syms, p, order):
+        """sympy's reduced basis of the ideal of ``polys`` (sympy
+        expressions), as a set of frozensets of (exps, coeff) terms."""
+        sympy = pytest.importorskip("sympy")
+        if not polys:
+            return set()
+        basis = sympy.groebner(polys, *syms, modulus=p, order=order)
+        return {frozenset((e, int(c) % p) for e, c in g.terms())
+                for g in basis.polys}
+
+    @staticmethod
+    def _as_sympy(terms, syms):
+        sympy = pytest.importorskip("sympy")
+        return sum((c * sympy.prod(s ** a for s, a in zip(syms, e))
+                    for e, c in terms), sympy.Integer(0))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_lex_basis_matches_sympy(self, seed):
+        # lex packs every variable as a block of its own
+        ring, syms, gens = self._random_ideal(seed, "lex")
+        if not gens:
+            return
+        want = self._sympy_basis([self._as_sympy(g.terms, syms)
+                                  for g in gens], syms, ring.p, "lex")
+        got = {frozenset(g.terms) for g in Ideal(ring, tuple(gens))
+               .groebner().ambient_elements}
+        assert got == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 2))
+    def test_eliminate_matches_sympy_lex_elimination(self, seed, k):
+        # eliminate runs the engine in a two-block order; sympy's lex basis
+        # meets the remaining variables in a basis of the same ideal
+        ring, syms, gens = self._random_ideal(seed, "grevlex")
+        k = min(k, ring.nvars - 1)
+        if not gens:
+            return
+        lex = self._sympy_basis([self._as_sympy(g.terms, syms)
+                                 for g in gens], syms, ring.p, "lex")
+        kept = [self._as_sympy(g, syms) for g in lex
+                if not any(any(e[:k]) for e, _ in g)]
+        want = self._sympy_basis(kept, syms[k:], ring.p, "grevlex")
+        E = eliminate(Ideal(ring, tuple(gens)), ring.names[:k])
+        assert E.ring.names == ring.names[k:]
+        got = {frozenset(g.terms) for g in E.groebner().ambient_elements}
+        assert got == want
+
+    @staticmethod
     def _random_reduction(seed):
         """A random ideal, its sympy basis, a random f and sympy's remainder
         of f (as a set of (exps, coeff) terms)."""

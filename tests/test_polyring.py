@@ -3,11 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reeskit import gb as gb_module
 from reeskit.gb import Ideal
 from reeskit.polyring import (
-    FreeModuleMap, RingMap, RingMismatchError, elimination_spec,
-    homogenize_ideal, make_key_function, make_ring, parse_poly, random_poly,
-    transport,
+    FreeModuleMap, RingMap, RingMismatchError, _Overflow, _Packing,
+    elimination_spec, homogenize_ideal, make_key_function, make_ring,
+    parse_poly, random_poly, transport,
 )
 
 exps3 = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
@@ -108,6 +109,85 @@ class TestOrders:
         assert all(e[0] == 0 for e, _ in f.terms)
         g = f + t
         assert g.lead_exps()[0] == 1
+
+
+ORDERS4 = [("grevlex",), ("lex",), elimination_spec([1, 3], 4),
+           ("block", ((2,), (0, 3), (1,))), ("block", ((3, 0, 2, 1),))]
+exps4 = st.tuples(*[st.integers(0, 6)] * 4)
+terms4 = st.tuples(st.integers(0, 3), exps4)
+
+
+class TestPacking:
+    """Terms packed as ints by ``_Packing``, over grevlex, lex and block
+    orders in four variables; a width from ``width(48)`` holds the sum of
+    two terms of degree at most 24."""
+
+    @staticmethod
+    def packing(spec, extra=0):
+        return _Packing(spec, 4, _Packing.width(48) + extra)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(ORDERS4), st.integers(0, 3), terms4, terms4)
+    def test_int_order_is_position_over_term(self, spec, extra, s, t):
+        pk = self.packing(spec, extra)
+        key = make_key_function(spec, 4)
+        want = (-s[0], key(s[1])) > (-t[0], key(t[1]))
+        assert (pk.pack(*s) > pk.pack(*t)) == want
+        assert (pk.pack(*s) == pk.pack(*t)) == (s == t)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(ORDERS4), terms4, exps4)
+    def test_monomial_multiplication_adds(self, spec, s, e):
+        pk = self.packing(spec)
+        shifted = tuple(a + b for a, b in zip(s[1], e))
+        assert pk.pack(*s) + pk.pack(0, e) == pk.pack(s[0], shifted)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(ORDERS4), st.integers(0, 3), terms4)
+    def test_plain_and_unpack_round_trip(self, spec, extra, s):
+        pk = self.packing(spec, extra)
+        v = pk.pack(*s)
+        assert pk.unpack(v) == s
+        # plain: one exponent per slot, the component kept above the slots
+        plain = sum(a << k for a, k in zip(s[1], pk.shifts))
+        assert pk.plain(v) == plain - (s[0] << pk.cshift)
+        assert pk.order(plain) == v + (s[0] << pk.cshift)
+
+    def test_term_above_the_guard_overflows(self):
+        pk = _Packing(("grevlex",), 2, _Packing.width(3))
+        pk.pack(0, (pk.slot, 0))
+        with pytest.raises(_Overflow):
+            pk.pack(0, (pk.slot, 1))
+
+    def test_engine_restarts_wider_and_matches_sympy(self, monkeypatch):
+        # the input has degree 3, so the first width holds slots up to 7,
+        # but the lex basis has y^9: the engine restarts wider
+        sympy = pytest.importorskip("sympy")
+        widths = []
+        run = gb_module._buchberger
+
+        def spy(vectors, pk, *args):
+            widths.append(pk.w)
+            return run(vectors, pk, *args)
+
+        monkeypatch.setattr(gb_module, "_buchberger", spy)
+        R = make_ring(101, ["x", "y"], order="lex")
+        x, y = R.gens()
+        got = Ideal(R, (x - y ** 3, x ** 3 - y)).groebner().ambient_elements
+        assert len(widths) == 2 and widths[0] < widths[1]
+        X, Y = sympy.symbols("x y")
+        want = sympy.groebner([X - Y ** 3, X ** 3 - Y], X, Y, order="lex",
+                              modulus=101)
+        assert ({frozenset(g.terms) for g in got}
+                == {frozenset((e, int(c) % 101) for e, c in g.terms())
+                    for g in want.polys})
+
+    def test_normal_form_and_quotient_outgrow_the_basis_width(self, A2):
+        x, y = A2.gens()
+        I = Ideal(A2, (x ** 2 - y,))
+        assert gb_module.normal_form(x ** 101, I) == x * y ** 50
+        Q = make_ring(101, ["x", "y"], quotient=[x ** 2 - y])
+        assert str(Q.var("x") ** 101) == "x*y^50"
 
 
 class TestHomogenize:
