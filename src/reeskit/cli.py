@@ -9,6 +9,12 @@ The grammar is deliberately small::
     assertEqual(reesIdeal(I), symmetricAlgebraIdeal(I));
     assertTrue(isLinearType(I));
 
+Expressions use ``+ - *`` and ``^`` with an integer exponent; a sign binds
+looser than ``^``, so ``-x^2`` is -(x^2).  ``3x`` and ``x^2^3`` are syntax
+errors, and ``#`` starts a comment.  ``polyring.parse_poly`` reads a
+polynomial through the same parser (``eval_polynomial``) and rejects any
+text containing ``#``.
+
 Every public operation of every module is reachable through the function
 registry; ``reeskit run FILE`` executes a script, ``reeskit eval EXPR``
 evaluates one expression.  Exit codes: 0 ok, 1 assertion failure,
@@ -285,17 +291,25 @@ class Parser:
 
     def parse_product(self) -> Node:
         t = self.peek()
-        node = self.parse_power()
+        node = self.parse_unary()
         while self.peek() is not None and self.peek().text == "*":
             self.next()
-            rhs = self.parse_power()
+            rhs = self.parse_unary()
             node = Node("binop", {"op": "*", "a": node, "b": rhs},
                         t.line, t.col)
         return node
 
+    def parse_unary(self) -> Node:
+        # a sign binds looser than ^: -x^2 is -(x^2)
+        t = self.peek()
+        if t is not None and t.text == "-":
+            self.next()
+            return Node("neg", {"a": self.parse_unary()}, t.line, t.col)
+        return self.parse_power()
+
     def parse_power(self) -> Node:
         t = self.peek()
-        node = self.parse_unary()
+        node = self.parse_atom()
         if self.peek() is not None and self.peek().text == "^":
             self.next()
             e = self.next()
@@ -304,13 +318,6 @@ class Parser:
                                   e.line, e.col)
             node = Node("pow", {"a": node, "n": int(e.text)}, t.line, t.col)
         return node
-
-    def parse_unary(self) -> Node:
-        t = self.peek()
-        if t is not None and t.text == "-":
-            self.next()
-            return Node("neg", {"a": self.parse_unary()}, t.line, t.col)
-        return self.parse_atom()
 
     def parse_atom(self) -> Node:
         t = self.next()
@@ -322,8 +329,9 @@ class Parser:
             e = self.parse_expr()
             self.expect(")")
             return e
-        if t.text == "matrix":
-            self.expect("[")
+        if t.text == "matrix" and self.peek() is not None \
+                and self.peek().text == "[":
+            self.next()
             rows = []
             while True:
                 self.expect("[")
@@ -610,7 +618,7 @@ def _registry():
         by2 = by if isinstance(by, (Polynomial, Ideal)) else _as_poly(ctx, by)
         out = gb_mod.saturate(_as_ideal(ctx, I), by2)
         if ctx.config.verify:
-            alt = gb_mod.saturate(_as_ideal(ctx, I), by2, method="colon")
+            alt = gb_mod.saturation_exponent(_as_ideal(ctx, I), by2)[1]
             if alt != out:
                 raise ScriptError("saturation cross-check failed")
         return out
@@ -661,7 +669,7 @@ def _registry():
         out = gb_mod.radical_membership(f2, I2)
         if ctx.config.verify and not f2.is_zero():
             # f in rad(I) iff the iterated colon I : f^inf is the unit ideal
-            if gb_mod.saturate(I2, f2, method="colon").is_unit() != out:
+            if gb_mod.saturation_exponent(I2, f2)[1].is_unit() != out:
                 raise ScriptError("radical membership cross-check failed")
         return out
 
@@ -809,8 +817,8 @@ def _registry():
         X2 = _as_ideal(ctx, X)
         out = blowup_mod.strict_transform(chart, X2)
         if ctx.config.verify:
-            alt = gb_mod.saturate(blowup_mod.total_transform(chart, X2),
-                                  chart.exceptional, method="colon")
+            alt = gb_mod.saturation_exponent(
+                blowup_mod.total_transform(chart, X2), chart.exceptional)[1]
             if alt != out:
                 raise ScriptError("strict transform cross-check failed")
         return out
@@ -827,8 +835,8 @@ def _registry():
         X2 = _as_ideal(ctx, X)
         out = blowup_mod.is_smooth_away_from_irrelevant(chart, X2)
         if ctx.config.verify:
-            alt = gb_mod.saturate(blowup_mod.singular_locus_ideal(X2),
-                                  chart.irrelevant, method="colon")
+            alt = gb_mod.saturation_exponent(
+                blowup_mod.singular_locus_ideal(X2), chart.irrelevant)[1]
             if alt.is_unit() != out:
                 raise ScriptError("smoothness cross-check failed")
         return out
@@ -924,15 +932,17 @@ def _eval(node: Node, ctx: Context):
             return node.data["value"]
         if k == "ident":
             name = node.data["name"]
-            if name in ("true", "false"):
-                return name == "true"
-            if name == "infinity":
-                return math.inf
+            # bindings and ring variables shadow the constants below, so
+            # every variable name a ring accepts reads as that variable
             if name in ctx.env:
                 return ctx.env[name]
             ring = ctx.active_ring
             if ring is not None and name in ring._index:
                 return ring.var(name)
+            if name in ("true", "false"):
+                return name == "true"
+            if name == "infinity":
+                return math.inf
             raise ScriptError(f"unknown identifier {name!r}",
                               node.line, node.col)
         if k == "call":
@@ -1016,6 +1026,26 @@ def _eval(node: Node, ctx: Context):
         raise
     except Exception as exc:
         raise ScriptError(str(exc), node.line, node.col) from exc
+
+
+def eval_polynomial(ring: RingDescriptor, text: str) -> Polynomial:
+    """One script expression, evaluated with ``ring`` active, as an element
+    of ``ring``; an integer is read as a constant.  Raises ScriptError on
+    anything else, including text left over after the expression."""
+    parser = Parser(tokenize(text))
+    node = parser.parse_expr()
+    extra = parser.peek()
+    if extra is not None:
+        raise ScriptError(f"unexpected token {extra.text!r}",
+                          extra.line, extra.col)
+    ctx = Context(Config())
+    ctx.active_ring = ring
+    v = _eval(node, ctx)
+    if isinstance(v, int) and not isinstance(v, bool):
+        return ring.const(v)
+    if not isinstance(v, Polynomial) or v.ring != ring:
+        raise ScriptError(f"expected a polynomial, got {_kind_name(v)}")
+    return v
 
 
 def execute_script(script: Script, config: Config | None = None) -> ResultDocument:

@@ -757,7 +757,7 @@ def _rabinowitsch_input(I: Ideal, elements):
     return ext, z_names, gens
 
 
-def saturate(I: Ideal, by, method="rabinowitsch"):
+def saturate(I: Ideal, by):
     """I : by^infinity for an element or an ideal ``by``.
 
     Default: one elimination.  For the distinct nonzero generators
@@ -776,15 +776,10 @@ def saturate(I: Ideal, by, method="rabinowitsch"):
     f = f * (1 - s^M) lies in (1 - s).  A constant generator makes
     J = (1), and I : (1)^inf = I needs no elimination.
 
-    ``method="colon"`` iterates ``colon(I, by)`` until it is stable
-    (``saturation_exponent``); it is kept as the reference.  A zero
-    element, or an ideal with no nonzero generator, raises ValueError on
-    either path.
+    ``saturation_exponent(I, by)[1]``, which iterates ``colon(I, by)``
+    until it is stable, is kept as the reference.  A zero element, or an
+    ideal with no nonzero generator, raises ValueError on either path.
     """
-    if method == "colon":
-        return saturation_exponent(I, by)[1]
-    if method != "rabinowitsch":
-        raise ValueError(f"unknown saturation method {method!r}")
     ring = I.ring
     elements = list(dict.fromkeys(_colon_elements(ring, by)))
     if any(g.is_constant() for g in elements):

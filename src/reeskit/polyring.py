@@ -180,11 +180,6 @@ class RingDescriptor:
         r._ambient = amb
         return r
 
-    def with_rees_block(self, idx):
-        r = RingDescriptor(self.p, self.blocks, self.order_spec, self.degrees,
-                           self.quotient, idx)
-        return r
-
     # -- element constructors ------------------------------------------------
     def poly(self, termdict):
         """Normalized polynomial from {exponent tuple: coefficient}."""
@@ -853,14 +848,15 @@ def row_times_matrix(row, mat: FreeModuleMap):
 # homogenization, random elements, text parsing
 # ---------------------------------------------------------------------------
 
-def extend_ring(ring, new_names, degrees=None, block=None):
-    """Append a fresh block of variables to a ring (ambient, no quotient)."""
+def extend_ring(ring, new_names):
+    """Append a fresh block of variables of degree 1 to a ring (ambient, no
+    quotient)."""
     amb = ring.ambient
     for n in new_names:
         if n in amb._index:
             raise ValueError(f"variable {n!r} already exists")
     blocks = amb.blocks + (tuple(new_names),)
-    degs = amb.degrees + tuple(degrees or (1,) * len(new_names))
+    degs = amb.degrees + (1,) * len(new_names)
     return RingDescriptor(amb.p, blocks, ("grevlex",), degs, (), amb.rees_block)
 
 
@@ -918,93 +914,15 @@ def random_poly(ring, degree, seed_or_rng=0, homogeneous=False):
             return f
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9_']*)|(?P<op>[-+*^()]))")
-
-
 def parse_poly(ring, text: str) -> Polynomial:
-    """Parse the canonical text syntax, e.g. ``3*x^2*y - w_0 + 1``."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
-            raise ValueError(f"bad character in polynomial at {text[pos:]!r}")
-        tokens.append(m.group("int") or m.group("name") or m.group("op"))
-        pos = m.end()
-    out = _PolyParser(ring, tokens).expr()
-    return out
-
-
-class _PolyParser:
-    def __init__(self, ring, tokens):
-        self.ring = ring
-        self.toks = tokens
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def next(self):
-        t = self.peek()
-        self.i += 1
-        return t
-
-    def expr(self):
-        f = self.term_sum()
-        if self.peek() is not None:
-            raise ValueError(f"unexpected token {self.peek()!r}")
-        return f
-
-    def term_sum(self):
-        neg = False
-        while self.peek() in ("+", "-"):
-            if self.next() == "-":
-                neg = not neg
-        f = self.product()
-        if neg:
-            f = -f
-        while self.peek() in ("+", "-"):
-            op = self.next()
-            g = self.product()
-            f = f - g if op == "-" else f + g
-        return f
-
-    def product(self):
-        f = self.power()
-        while True:
-            t = self.peek()
-            if t == "*":
-                self.next()
-                f = f * self.power()
-            elif t is not None and t not in ("+", "-", ")", "^", "(", "*"):
-                f = f * self.power()  # implicit product, e.g. ``3x``
-            else:
-                return f
-
-    def power(self):
-        f = self.atom()
-        while self.peek() == "^":
-            self.next()
-            n = self.next()
-            if n is None or not n.isdigit():
-                raise ValueError("exponent must be an integer")
-            f = f ** int(n)
-        return f
-
-    def atom(self):
-        t = self.next()
-        if t is None:
-            raise ValueError("unexpected end of polynomial")
-        if t == "(":
-            f = self.term_sum()
-            if self.next() != ")":
-                raise ValueError("missing closing parenthesis")
-            return f
-        if t == "-":
-            return -self.atom()
-        if t.isdigit():
-            return self.ring.const(int(t))
-        return self.ring.var(t)
+    """Read a polynomial of ``ring`` written in the script expression
+    syntax, e.g. ``3*x^2*y - w_0 + 1``; ``str`` gives back such text.
+    Raises ValueError on malformed text and on any ``#``, which the script
+    tokenizer would read as the start of a comment."""
+    from . import cli  # deferred: cli builds on every module
+    if "#" in text:
+        raise ValueError("'#' is not allowed in a polynomial")
+    try:
+        return cli.eval_polynomial(ring, text)
+    except cli.ScriptError as exc:
+        raise ValueError(str(exc)) from exc

@@ -39,6 +39,12 @@ class TestParser:
             parse_script("ring R = zmod 101 [x,y]\nprint x;")
         assert "line" in str(err.value)
 
+    def test_sign_binds_looser_than_power(self):
+        _, out = run_text("ring R = zmod 101 [x,y];\n"
+                          "print -x^2; print -2^2;\n"
+                          "print x*-y^2; print (-x)^2;")
+        assert out == "-x^2\n-4\n-x*y^2\nx^2\n"
+
     def test_unknown_identifier_reported(self):
         doc, _ = run_text("ring R = zmod 101 [x]; print zz;")
         assert doc.status == 2
@@ -147,7 +153,7 @@ class TestEmit:
         x, y, w0 = ring.gens()
         for value in (Ideal(ring, (x ** 2 - y, y * w0 - 3)),
                       FreeModuleMap(ring, [[x, y], [w0, x - 1]]),
-                      3 * x ** 2 * y - w0 + 1):
+                      3 * x ** 2 * y - w0 + 1, -x ** 2 * y + 1):
             src = ("ring R = zmod 101 [x,y,w_0];\n"
                    f"print eq({as_script_text(value)}, {as_script_text(value)});\n")
             doc, out = run_text(src)

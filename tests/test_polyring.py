@@ -292,6 +292,24 @@ class TestTextForm:
         f = random_poly(ring, rng.randrange(5), rng)
         assert parse_poly(ring, str(f)) == f
 
+    def test_parse_variables_named_like_script_words(self):
+        ring = make_ring(101, ["true", "matrix", "infinity", "ideal"])
+        for v in ring.gens():
+            f = -v ** 2 * ring.var("true") + 1
+            assert parse_poly(ring, str(f)) == f
+
+    def test_sign_binds_looser_than_power(self, A2):
+        x, y = A2.gens()
+        assert parse_poly(A2, "x*-y^2") == -(x * y ** 2)
+        assert parse_poly(A2, "-2^2") == A2.const(-4)
+        assert parse_poly(A2, "(-x)^2") == x ** 2
+
+    @pytest.mark.parametrize("text", [
+        "x # + y", "3x", "x^2^3", "x +", "ideal(x)", "z", ""])
+    def test_parse_rejects(self, A2, text):
+        with pytest.raises(ValueError):
+            parse_poly(A2, text)
+
     def test_normal_form_storage_idempotent(self, artinian5):
         x, y, z = artinian5.gens()
         f = (x + y + z) ** 5
