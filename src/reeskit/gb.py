@@ -27,9 +27,14 @@ ints, multiplying by a monomial is one addition, and the pair criteria get
 lcms and divisibility from a few integer operations on the leads.  The
 slot width comes from the input degrees; a term that outgrows it restarts
 the computation wider.  Pairs of two monomials are never reduced: their
-S-vector is zero.  The engine's final interreduction is a single pass: its
-minimal basis is already a Groebner basis, so one reduction of each tail
-gives the unique reduced basis.
+S-vector is zero.  Pairs are taken lowest sugar first (Giovini, Mora,
+Niesi, Robbiano and Traverso, "One sugar cube, please", ISSAC 1991), then
+smallest lcm: under the block orders of elimination, where the lcm order
+is not degree-compatible, this takes low-degree pairs first.  Under a
+one-block order every sugar is 0 and the lcm alone decides.  The engine's
+final interreduction is a single pass: its minimal basis is already a
+Groebner basis, so one reduction of each tail gives the unique reduced
+basis.
 """
 
 from __future__ import annotations
@@ -162,7 +167,22 @@ def _buchberger(vectors, pk, p, padding, want_rep):
       is exactly 0.
 
     Each has a standard representation, which is all that F and M ask of a
-    witness.  Pairs are popped smallest lcm first.
+    witness.
+
+    Pairs are popped by the heap key (sugar, packed lcm, i, j), the sugar
+    strategy of Giovini, Mora, Niesi, Robbiano and Traverso ("One sugar
+    cube, please", ISSAC 1991).  The sugar of an input is its largest
+    total degree; an element made from a pair takes the pair's sugar, or
+    its lead degree if that is larger.  A pair's sugar is deg lcm +
+    max(sugar_i - deg lead_i, sugar_j - deg lead_j): the degree its
+    S-vector would have, were every input homogenized.  The total degree
+    of a packed term is the sum of the top slots of its blocks
+    (``pk.tops``).  A one-block packing (``grevlex``) orders terms by
+    degree first, so smallest lcm first is already Buchberger's normal
+    strategy there: every sugar is kept 0 and the lcm alone orders the
+    pairs.  Under the block orders of elimination the lcm order is not
+    degree-compatible, and sugar takes the low-degree pairs before the
+    high-degree ones, most of which would reduce to zero.
 
     Each new element is reduced by all earlier ones, so its lead is
     divisible by no earlier lead; the elements that no later lead divides
@@ -171,9 +191,12 @@ def _buchberger(vectors, pk, p, padding, want_rep):
     form, so one pass yields the reduced basis.
     """
     g, w1, cshift, tmask = pk.guard, pk.w - 1, pk.cshift, pk.tmask
-    plain, order = pk.plain, pk.order
+    plain, order, slot = pk.plain, pk.order, pk.slot
+    # one block is a degree-compatible order: every sugar stays 0
+    tops = pk.tops if len(pk.tops) > 1 else ()
 
     Glead, tails, Gpad, Grep = [], [], [], []
+    Goff = []     # sugar minus lead degree
     Gpack = []    # lead exponents in the plain layout, without component
     Gsingle = []  # element lives in a single component (coprime criterion OK)
     Gpairs = []   # no later lead divides this lead: it still makes new pairs
@@ -217,7 +240,7 @@ def _buchberger(vectors, pk, p, padding, want_rep):
                 del pending[pair]
         # criterion F: one new pair per lcm, a zero witness preferred
         groups = {}
-        pad, mono, single = Gpad[gi], not tails[gi], Gsingle[gi]
+        pad, mono, single, off = Gpad[gi], not tails[gi], Gsingle[gi], Goff[gi]
         still = []
         for gj in active.get(comp, ()):
             b = Gpack[gj]
@@ -249,12 +272,18 @@ def _buchberger(vectors, pk, p, padding, want_rep):
                 if not zero:
                     if term & g:
                         raise _Overflow
+                    sugar = Goff[gj] if Goff[gj] > off else off
+                    for t in tops:
+                        sugar += (term >> t) & slot
                     term += comp << cshift
                     pending[(gj, gi)] = (comp, lcm, term)
-                    heapq.heappush(heap, (term, gj, gi))
+                    heapq.heappush(heap, (sugar, term, gj, gi))
 
-    def add(vec, rep, pad):
+    def add(vec, rep, pad, sugar):
         lead = max(vec)
+        deg = 0
+        for t in tops:
+            deg += (lead >> t) & slot
         inv = pow(vec[lead], -1, p)
         if inv != 1 and rep is not None:
             rep = {i: {e: c * inv % p for e, c in t.items()}
@@ -266,6 +295,7 @@ def _buchberger(vectors, pk, p, padding, want_rep):
                            if m != lead))
         Gpad.append(pad)
         Grep.append(rep)
+        Goff.append(max(sugar - deg, 0))
         Gsingle.append(len({m >> cshift for m in vec}) == 1)
         Gpairs.append(True)
         bycomp.setdefault(lead >> cshift, []).append((Gpack[gi], (lead, gi)))
@@ -277,10 +307,17 @@ def _buchberger(vectors, pk, p, padding, want_rep):
         rep0 = {k: {0: 1}} if want_rep else None
         red = nf(vec, rep0)
         if red:
-            add(red, rep0, padding[k] and red == vec)
+            sugar = 0
+            if tops:
+                for m in vec:
+                    d = 0
+                    for t in tops:
+                        d += (m >> t) & slot
+                    sugar = max(sugar, d)
+            add(red, rep0, padding[k] and red == vec, sugar)
 
     while heap:
-        lcm, i, j = heapq.heappop(heap)
+        sugar, lcm, i, j = heapq.heappop(heap)
         if pending.pop((i, j), None) is None:
             continue  # dropped by criterion B after it was queued
         # the monic leads cancel, so the S-vector is built from the tails
@@ -298,7 +335,7 @@ def _buchberger(vectors, pk, p, padding, want_rep):
                     _add_shifted(rep.setdefault(idx, {}), terms, q, sign, p, g)
         red = nf({m: c for m, c in s.items() if c}, rep)
         if red:
-            add(red, rep, False)
+            add(red, rep, False, sugar)
 
     # one pass over the tails of the minimal basis; results are kept apart
     # from ``tails`` and ``Grep``, so every reducer pairs its old tail with

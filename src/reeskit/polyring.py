@@ -301,12 +301,15 @@ class _Packing:
     * ``order`` turns a plain layout back into prefix sums with one
       multiply per block of more than one variable.
 
+    ``tops`` holds the bit offset of each block's top slot, so the total
+    degree of a term is the sum of those slots.
+
     ``width(d)`` is the least width whose guard lies above 2*d, so the
     lcm of two terms of degree d still fits.
     """
 
     __slots__ = ("w", "slot", "guard", "tmask", "cshift", "shifts", "strip",
-                 "order")
+                 "tops", "order")
 
     def __init__(self, order_spec, nvars, w):
         kind = order_spec[0]
@@ -327,10 +330,11 @@ class _Packing:
         self.tmask = (1 << (w * nvars)) - 1
         self.cshift = w * nvars
         shifts = [0] * nvars
-        lifts, single, bottoms = [], 0, 0
+        lifts, single, bottoms, tops = [], 0, 0, []
         top = nvars
         for b in blocks:
             top -= len(b)
+            tops.append(w * (top + len(b) - 1))
             for k, v in enumerate(b):
                 shifts[v] = w * (top + k)
             bits = ((1 << (w * len(b))) - 1) << (w * top)
@@ -340,6 +344,7 @@ class _Packing:
             else:
                 lifts.append((bits, sum(1 << (w * k) for k in range(len(b)))))
         self.shifts = tuple(shifts)
+        self.tops = tuple(tops)
         self.strip = self.tmask & ~bottoms
         tmask = self.tmask
         if not lifts:  # one slot per block: prefix sums are the exponents

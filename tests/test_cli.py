@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -356,6 +357,20 @@ class TestMainEntry:
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["schema"] == 1
+
+    def test_python_m_reeskit_runs_a_script(self):
+        # the package runs as a module, with the frozen output byte for
+        # byte; src/ goes first on the path, so this checkout is the one run
+        src = str(REGRESSIONS.parent / "src")
+        path = os.pathsep.join(filter(None, (src,
+                                             os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "reeskit", "run",
+             str(REGRESSIONS / "tacnode.rk")],
+            capture_output=True, env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        want = (REGRESSIONS / "tacnode.expected.txt").read_bytes()
+        assert proc.stdout == want
 
     def test_env_seed_mirrors_flag(self, tmp_path, capsys, monkeypatch):
         script = tmp_path / "r.rk"

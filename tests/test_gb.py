@@ -352,7 +352,7 @@ class TestPackedLeads:
         push = gb_module.heapq.heappush
 
         def spy(heap, item):
-            queued.append(item[1:])
+            queued.append(item[-2:])  # the pair (i, j) ends the heap key
             push(heap, item)
 
         monkeypatch.setattr(gb_module.heapq, "heappush", spy)
@@ -423,6 +423,89 @@ class TestPackedLeads:
             want = brute_reduced_basis(inputs + padding, amb.key, p)
             assert same_vectors([vec_of(v) for v in gb.ambient_elements],
                                 want)
+
+
+class TestSugarSelection:
+    """Pairs are queued by (sugar, packed lcm, i, j); these pin the order
+    under an elimination order and the unchanged order under grevlex."""
+
+    @staticmethod
+    def _spy_pairs(monkeypatch):
+        """Record the sugar of every pair queued and popped, as one
+        {"queued": [...], "popped": [...]} per run of ``_buchberger``, so
+        that a restart at a wider packing starts lists of its own."""
+        runs = []
+        run_engine = gb_module._buchberger
+        pop, push = gb_module.heapq.heappop, gb_module.heapq.heappush
+
+        def engine(*args):
+            runs.append({"queued": [], "popped": []})
+            return run_engine(*args)
+
+        def spy_pop(heap):
+            item = pop(heap)
+            runs[-1]["popped"].append(item[0])
+            return item
+
+        def spy_push(heap, item):
+            runs[-1]["queued"].append(item[0])
+            push(heap, item)
+
+        monkeypatch.setattr(gb_module, "_buchberger", engine)
+        monkeypatch.setattr(gb_module.heapq, "heappop", spy_pop)
+        monkeypatch.setattr(gb_module.heapq, "heappush", spy_push)
+        return runs
+
+    def test_rees_ideal_reduction_counts(self, monkeypatch):
+        # exact and deterministic; smallest-lcm-first selection made 973
+        # reductions, 793 of them to zero
+        from reeskit.rees import rees_ideal
+        R = make_ring(101, ["x", "y", "z"])
+        x, y, z = R.gens()
+        I = Ideal(R, (x, y, z)) ** 3
+        calls = [0, 0]
+        reduce_vec = gb_module._reduce_vec
+
+        def spy(*args):
+            red = reduce_vec(*args)
+            calls[0] += 1
+            calls[1] += not red
+            return red
+
+        monkeypatch.setattr(gb_module, "_reduce_vec", spy)
+        rees_ideal(I)
+        assert calls == [619, 485]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 2))
+    def test_popped_sugar_never_decreases_under_elimination(self, seed, k):
+        # a pair made with a new element has at least that element's
+        # sugar, which is at least the sugar of the pair that made it
+        rng = random.Random(seed)
+        ring = make_ring(rng.choice([7, 101]), ["x", "y", "z"])
+        gens = [g for g in (sparse_poly(ring, rng, range(2, 5), range(4))
+                            for _ in range(2 + rng.randrange(2)))
+                if not g.is_zero()]
+        with pytest.MonkeyPatch.context() as mp:
+            runs = self._spy_pairs(mp)
+            eliminate(Ideal(ring, tuple(gens)), ring.names[:k])
+        for run in runs:
+            assert run["popped"] == sorted(run["popped"])
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_grevlex_sugar_is_zero(self, seed):
+        # one block is degree-compatible, so the lcm alone orders the
+        # pairs there, inhomogeneous inputs included
+        rng = random.Random(seed)
+        ring = make_ring(rng.choice([7, 101]), ["x", "y", "z"])
+        gens = [g for g in (sparse_poly(ring, rng, range(2, 5), range(4))
+                            for _ in range(2 + rng.randrange(2)))
+                if not g.is_zero()]
+        with pytest.MonkeyPatch.context() as mp:
+            runs = self._spy_pairs(mp)
+            Ideal(ring, tuple(gens)).groebner()
+        assert all(sugar == 0 for run in runs for sugar in run["queued"])
 
 
 class TestSympyOracle:
@@ -514,6 +597,34 @@ class TestSympyOracle:
         E = eliminate(Ideal(ring, tuple(gens)), ring.names[:k])
         assert E.ring.names == ring.names[k:]
         got = {frozenset(g.terms) for g in E.groebner().ambient_elements}
+        assert got == want
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_kernel_of_ring_map_matches_sympy_lex_elimination(self, seed):
+        # the graph ideal (w_i - phi(w_i)) is not homogeneous, and the
+        # engine eliminates the target variables in a two-block order;
+        # sympy's lex basis of the graph ideal, with the target variables
+        # first, meets k[w] in a basis of the kernel
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(seed)
+        p = rng.choice([7, 101, 32003])
+        source = make_ring(p, ["w_0", "w_1", "w_2"][:2 + rng.randrange(2)])
+        target = make_ring(p, ["x", "y", "z"][:1 + rng.randrange(2)])
+        images = [sparse_poly(target, rng, range(1, 4), range(3))
+                  for _ in range(source.nvars)]
+        K = kernel_of_ring_map(RingMap(source, target, images))
+        tsyms = sympy.symbols(target.names)
+        wsyms = sympy.symbols(source.names)
+        graph = [w - self._as_sympy(f.terms, tsyms)
+                 for w, f in zip(wsyms, images)]
+        lex = sympy.groebner(graph, *tsyms, *wsyms, modulus=p, order="lex")
+        n = target.nvars
+        kept = [self._as_sympy([(e[n:], c) for e, c in g.terms()], wsyms)
+                for g in lex.polys if not any(any(e[:n]) for e, _ in
+                                              g.terms())]
+        want = self._sympy_basis(kept, wsyms, p, "grevlex")
+        got = {frozenset(g.terms) for g in K.groebner().ambient_elements}
         assert got == want
 
     @staticmethod
