@@ -41,9 +41,9 @@ def blowup_of(center: Ideal) -> BlowupChart:
         raise ValueError("cannot blow up the zero ideal")
     base = center.ring
     rp = rees_presentation(center)
-    # the Rees ring carries the base quotient, so lifting the Rees ideal
-    # adjoins it
-    B = rp.ring.ambient.with_quotient(_lift(rp.ideal))
+    # the Rees ring carries the base quotient, so the Rees ideal's reduced
+    # ambient basis is that of the Rees ideal plus it
+    B = rp.ring._modulo(rp.ideal.groebner().ambient_elements)
     proj = RingMap(base, B, [B.var(n) for n in base.ambient.names])
     irrelevant = Ideal(B, tuple(B.var(n) for n in rees_variable_names(B)))
     exceptional = Ideal(B, tuple(transport(g, B) for g in center.gens))
@@ -63,11 +63,11 @@ def singular_locus_ideal(X: Ideal, expected_codim=None) -> Ideal:
     ring = X.ring
     amb = ring.ambient
     full = [g for g in _lift(X) if not g.is_zero()]
-    I_amb = Ideal(amb, tuple(full))
     if not full:
         return Ideal(ring, (ring.one(),))
     if expected_codim is None:
-        c = amb.nvars - dimension_and_degree(I_amb)[0]
+        # X's reduced ambient basis is that of X + Q in the ambient ring
+        c = amb.nvars - dimension_and_degree(X)[0]
     else:
         c = expected_codim
     if c <= 0:

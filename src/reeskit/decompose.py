@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass
 
 from .coeff import factor_multivariate, factor_univariate_list, uv_monic, _trim
-from .gb import (Ideal, _descend, _lift, dimension_and_degree, normal_form,
-                 standard_monomials)
+from .gb import (Ideal, _ambient_ideal, _descend, dimension_and_degree,
+                 normal_form, standard_monomials)
 from .polyring import Polynomial
 
 
@@ -232,7 +232,7 @@ class _Decomposer:
 def minimal_primes(I: Ideal, seed=0, shape_retries=5):
     """Minimal primes over I, as a deterministic list of ComponentReports."""
     amb = I.ring.ambient
-    start = Ideal(amb, tuple(_lift(I)))
+    start = _ambient_ideal(I)
     if start.is_unit():
         raise ValueError("minimal primes of the unit ideal")
     dec = _Decomposer(amb, seed, shape_retries)
@@ -258,5 +258,6 @@ def minimal_primes(I: Ideal, seed=0, shape_retries=5):
         if minimal:
             keep.append((J, cert, dim))
     keep.sort(key=lambda t: (-t[2], t[0]._basis_terms()))
-    return [ComponentReport(_descend(I.ring, J.groebner().ambient_elements),
-                            cert) for J, cert, _ in keep]
+    return [ComponentReport(_descend(I.ring, J.groebner().ambient_elements,
+                                     amb.order_spec), cert)
+            for J, cert, _ in keep]

@@ -4,10 +4,22 @@ Everything runs over the ambient polynomial ring: for a ring with quotient
 ideal Q the generators of Q are adjoined to every computation and results
 are reduced back.  ``_lift`` and ``_descend`` are the only way in and out:
 ``_lift(I)`` gives I's generators in the ambient ring followed by Q, and
-``_descend(ring, polys)`` the ideal of the nonzero images of ``polys``, so
-no result carries a generator that is zero in the ring.  A Groebner basis
-descends once, into ``GroebnerBasis.elements``, and that is what
-``Ideal.display_gens`` returns.
+``_descend(ring, polys, spec)`` the ideal of the nonzero images of
+``polys``, so no result carries a generator that is zero in the ring.  A
+Groebner basis descends once, into ``GroebnerBasis.elements``, and that is
+what ``Ideal.display_gens`` returns.
+
+A Groebner basis is also computed once.  In ``eliminate``,
+``kernel_of_ring_map``, ``saturate``, ``intersect_ideals`` and ``colon``
+the engine's output is already the result's reduced basis, monic and
+ascending, in grevlex on the remaining variables after an elimination and
+in the ambient order after a colon; ``spec`` tells ``_descend`` that
+order.  When it is the result ring's ambient order and every generator of
+Q reduces to 0 by the basis (a kernel of an unchecked ``RingMap`` need not
+contain Q), the result is born with it (``_with_basis``) and its first
+``groebner()`` runs no Buchberger.  Ideals rebuilt from a basis already
+at hand share it the same way: ``_ambient_ideal(I)``, and an ideal
+regenerated from its own ``display_gens``.
 
 Module elements are dicts mapping (component, exponents) to coefficients;
 ideals are rank-one modules with component 0.  The module order is
@@ -517,10 +529,51 @@ def _lift(I: Ideal):
     return [transport(g, amb) for g in I.gens] + list(I.ring.quotient)
 
 
-def _descend(ring, polys) -> Ideal:
-    """The ideal of ``ring`` generated by the nonzero images of ``polys``."""
-    return Ideal(ring, tuple(h for h in (transport(g, ring) for g in polys)
-                             if not h.is_zero()))
+def _with_basis(ring, gens, basis: GroebnerBasis) -> Ideal:
+    """``Ideal(ring, gens)`` born knowing ``basis``, its reduced basis.
+
+    The one way an ideal skips its own Buchberger run: the caller vouches
+    that ``basis`` is the reduced ambient basis of gens + Q.  A
+    representation indexes another generator list, so it is not shared.
+    """
+    if basis.representation is not None:
+        basis = GroebnerBasis(ring, 0, basis.ambient_elements,
+                              basis.elements, basis.order_spec)
+    I = Ideal(ring, gens)
+    I._cache["gb"] = basis
+    return I
+
+
+def _descend(ring, polys, spec=None) -> Ideal:
+    """The ideal of ``ring`` generated by the nonzero images of ``polys``.
+
+    ``spec``, when given, is an order on ``ring``'s variables in which
+    ``polys`` are a reduced Groebner basis, ascending.  If it is the
+    ambient order and every generator of Q reduces to 0 by ``polys``, then
+    (polys) = (polys) + Q and ``polys`` is that ideal's reduced ambient
+    basis, so the result is born with it (``_with_basis``).
+    """
+    amb = ring.ambient
+    carry = spec == amb.order_spec
+    if carry:
+        polys = [transport(g, amb) for g in polys]
+    gens = tuple(h for h in (transport(g, ring) for g in polys)
+                 if not h.is_zero())
+    if carry:
+        basis = GroebnerBasis(ring, 0, polys, gens, spec)
+        if not any(basis._reducers().reduce(_poly_to_vec(q))
+                   for q in ring.quotient):
+            return _with_basis(ring, gens, basis)
+    return Ideal(ring, gens)
+
+
+def _ambient_ideal(I: Ideal) -> Ideal:
+    """I + Q as the ideal of the ambient ring generated by ``_lift(I)``,
+    sharing I's reduced ambient basis."""
+    amb = I.ring.ambient
+    basis = I.groebner().ambient_elements
+    return _with_basis(amb, _lift(I),
+                       GroebnerBasis(amb, 0, basis, basis, amb.order_spec))
 
 
 def _module_vec(polys, amb):
@@ -677,7 +730,7 @@ def eliminate(I: Ideal, names) -> Ideal:
     for n in names:
         amb.var_index(n)
     sub, kept = _eliminate_raw(_lift(I), amb, names)
-    return Ideal(sub, tuple(kept))
+    return _descend(sub, kept, sub.order_spec)
 
 
 def kernel_of_ring_map(phi: RingMap) -> Ideal:
@@ -717,28 +770,27 @@ def kernel_of_ring_map(phi: RingMap) -> Ideal:
             continue
         gens.append(joint.var(Samb.names[i]) - transport(img, joint, rename_t))
     if fresh:
-        _, kept = _eliminate_raw(gens, joint, fresh)
+        sub, kept = _eliminate_raw(gens, joint, fresh)
     else:
-        kept = reduced_groebner_raw(gens, joint)
-    return _descend(S, kept)
+        sub, kept = joint, reduced_groebner_raw(gens, joint)
+    # an unchecked map need not kill S's quotient: _descend tests that
+    return _descend(S, kept, sub.order_spec)
 
 
-def _intersect_raw(gens_a, gens_b, amb):
-    """Intersection of two ideals of an ambient ring, by the t-trick."""
+def intersect_ideals(I: Ideal, J: Ideal) -> Ideal:
+    """I meet J by the t-trick: (t * (I + Q) + (1 - t) * (J + Q)) meet k[x]."""
+    if I.ring != J.ring:
+        raise RingMismatchError("intersection needs matching rings")
+    amb = I.ring.ambient
     t_name = _fresh_name(set(amb.names), "#t")
     ext = extend_ring(amb, [t_name])
     t = ext.var(t_name)
     one = ext.one()
-    gens = [t * transport(g, ext) for g in gens_a if not g.is_zero()]
-    gens += [(one - t) * transport(g, ext) for g in gens_b if not g.is_zero()]
-    _, kept = _eliminate_raw(gens, ext, [t_name])
-    return [transport(g, amb) for g in kept]
-
-
-def intersect_ideals(I: Ideal, J: Ideal) -> Ideal:
-    if I.ring != J.ring:
-        raise RingMismatchError("intersection needs matching rings")
-    return _descend(I.ring, _intersect_raw(_lift(I), _lift(J), I.ring.ambient))
+    gens = [t * transport(g, ext) for g in _lift(I) if not g.is_zero()]
+    gens += [(one - t) * transport(g, ext) for g in _lift(J)
+             if not g.is_zero()]
+    sub, kept = _eliminate_raw(gens, ext, [t_name])
+    return _descend(I.ring, kept, sub.order_spec)
 
 
 def _colon_elements(ring, by):
@@ -770,9 +822,9 @@ def colon(I: Ideal, by) -> Ideal:
     """
     ring = I.ring
     gens = _colon_elements(ring, by)
-    syz = _syzygies([gens], len(gens), I.groebner().ambient_elements,
-                    ring.ambient)
-    return _descend(ring, [r for (r,) in syz])
+    amb = ring.ambient
+    syz = _syzygies([gens], len(gens), I.groebner().ambient_elements, amb)
+    return _descend(ring, [r for (r,) in syz], amb.order_spec)
 
 
 def _rabinowitsch_input(I: Ideal, elements):
@@ -822,8 +874,8 @@ def saturate(I: Ideal, by):
     if any(g.is_constant() for g in elements):
         return _descend(ring, _lift(I))
     ext, z_names, gens = _rabinowitsch_input(I, elements)
-    _, kept = _eliminate_raw(gens, ext, z_names)
-    return _descend(ring, kept)
+    sub, kept = _eliminate_raw(gens, ext, z_names)
+    return _descend(ring, kept, sub.order_spec)
 
 
 def saturation_exponent(I: Ideal, by, cap=64):
@@ -865,7 +917,13 @@ def _minimal_monomials(exps_list):
 
 
 def _hilbert_numerator(lt, weights):
-    """Numerator of the Hilbert series of S/(lt) over prod(1 - T^w_i)."""
+    """Numerator of the Hilbert series of S/(lt) over prod(1 - T^w_i).
+
+    ``lt`` are taken as the minimal generators of (lt), which the leads of
+    a reduced basis are, and not minimised again; a redundant generator
+    would cost time, not correctness.  The recursion minimises each colon
+    it forms itself.
+    """
     memo = {}
 
     def add_into(dst, src, shift, sign):
@@ -892,8 +950,7 @@ def _hilbert_numerator(lt, weights):
         memo[key] = out
         return out
 
-    gens = tuple(sorted(_minimal_monomials(lt), key=lambda t: (sum(t), t)))
-    return rec(gens)
+    return rec(tuple(sorted(lt, key=lambda t: (sum(t), t))))
 
 
 def _poly_div_1mt(coeffs, d):
@@ -1059,6 +1116,8 @@ def codimension(I: Ideal):
 def _standard_exponents(lt, n, weights=None, degree=None):
     """Exponents outside the monomial ideal (lt), in enumeration order.
 
+    ``lt`` are taken as the minimal generators of (lt), which the leads of
+    a reduced basis are; a redundant one would cost time, not correctness.
     Without ``weights`` all of them (the quotient must be finite
     dimensional); with ``weights`` only those of weighted degree ``degree``.
     The walk stops at the staircase: once the exponents of variables 0..i-1
@@ -1110,8 +1169,7 @@ def vector_space_dimension(I: Ideal) -> int:
 def standard_monomials(I: Ideal):
     """Monomial basis of ring/I for zero-dimensional I (exponent tuples)."""
     amb = I.ring.ambient
-    lt = _minimal_monomials(
-        [g.terms[0][0] for g in I.groebner().ambient_elements])
+    lt = [g.terms[0][0] for g in I.groebner().ambient_elements]
     out = _standard_exponents(lt, amb.nvars)
     out.sort(key=amb.key)
     return out
@@ -1134,10 +1192,9 @@ def graded_piece_dim(degree, I: Ideal, grading="total") -> int:
     weights = _grading_weights(ring, grading)
     _require_homogeneous(I, weights,
                          "ideal is not homogeneous for this grading")
-    basis = I.groebner().ambient_elements
-    lt_full = _minimal_monomials([g.terms[0][0] for g in basis]) if basis else []
-    lt_q = (_minimal_monomials([q.terms[0][0] for q in ring.quotient])
-            if ring.quotient else [])
+    # both bases are reduced, so their leads are minimal
+    lt_full = [g.terms[0][0] for g in I.groebner().ambient_elements]
+    lt_q = [q.terms[0][0] for q in ring.quotient]
     n = ring.nvars
     return (len(_standard_exponents(lt_q, n, weights, degree))
             - len(_standard_exponents(lt_full, n, weights, degree)))

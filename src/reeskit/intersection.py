@@ -17,8 +17,8 @@ import random
 from dataclasses import dataclass
 
 from .decompose import minimal_primes
-from .gb import (Ideal, _descend, _lift, dimension_and_degree, eliminate,
-                 kernel_of_ring_map, normal_form, saturate)
+from .gb import (Ideal, _ambient_ideal, _descend, dimension_and_degree,
+                 eliminate, kernel_of_ring_map, normal_form, saturate)
 from .polyring import RingDescriptor, RingMap, transport
 from .rees import normal_cone, base_variable_names, rees_variable_names
 
@@ -96,7 +96,7 @@ def distinguished(f: RingMap, I: Ideal, seed=0):
         imgs.append(ncR.var(b))
     K = kernel_of_ring_map(RingMap(ncS, ncR, imgs))
     amb = ncS.ambient
-    K_full = Ideal(amb, tuple(_lift(K)))
+    K_full = _ambient_ideal(K)
     parts = minimal_primes(K_full, seed=seed)
     rng = random.Random(seed)
     out = []
@@ -115,7 +115,8 @@ def distinguished(f: RingMap, I: Ideal, seed=0):
                 f"non-integer multiplicity {deg_s}/{deg_p}; "
                 "decomposition needs re-examination")
         mult = deg_s // deg_p
-        prime_S = _descend(S, eliminate(P, wS).display_gens())
+        E = eliminate(P, wS)
+        prime_S = _descend(S, E.display_gens(), E.ring.order_spec)
         out.append(WeightedComponent(mult, prime_S, part.certified))
     # identical (multiplicity, prime) duplicates collapse; distinct
     # components with equal contraction are kept

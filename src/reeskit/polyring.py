@@ -172,8 +172,15 @@ class RingDescriptor:
         lifted = [transport(g, amb) for g in gens if not g.is_zero()]
         if not lifted:
             return amb
-        basis = gb.reduced_groebner_raw(lifted, amb)
-        if basis == [amb.one()]:
+        return self._modulo(gb.reduced_groebner_raw(lifted, amb))
+
+    def _modulo(self, basis):
+        """The ambient ring modulo the ideal whose reduced basis, ascending
+        in this order, is ``basis``: installed as the quotient as it is."""
+        amb = self.ambient
+        if not basis:
+            return amb
+        if list(basis) == [amb.one()]:
             raise ValueError("quotient ideal is the unit ideal")
         r = RingDescriptor(self.p, self.blocks, self.order_spec, self.degrees,
                            tuple(basis), self.rees_block)

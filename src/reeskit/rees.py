@@ -14,10 +14,10 @@ import random
 from dataclasses import dataclass
 
 from .gb import (
-    Ideal, _cancel_one_minus_t, _hilbert_numerator, _lift, codimension,
-    dimension_and_degree, eliminate, groebner_basis, kernel_of_matrix,
-    kernel_of_ring_map, minors_ideal, module_contains, normal_form,
-    ring_dimension, saturate, trim_homogeneous, INFINITY,
+    Ideal, _cancel_one_minus_t, _hilbert_numerator, _lift, _with_basis,
+    codimension, dimension_and_degree, eliminate, groebner_basis,
+    kernel_of_matrix, kernel_of_ring_map, minors_ideal, module_contains,
+    normal_form, ring_dimension, saturate, trim_homogeneous, INFINITY,
 )
 from .polyring import (
     FreeModuleMap, Polynomial, RingDescriptor, RingMap, RingMismatchError,
@@ -136,11 +136,7 @@ def rees_ring(base: RingDescriptor, count, stem="w") -> RingDescriptor:
         return big_amb
     # appending variables keeps grevlex comparisons of old monomials, so the
     # reduced quotient basis stays reduced and can be installed directly
-    lifted = tuple(transport(q, big_amb) for q in base.quotient)
-    out = RingDescriptor(base.p, blocks, ("grevlex",), degrees, lifted,
-                         len(amb.blocks))
-    out._ambient = big_amb
-    return out
+    return big_amb._modulo([transport(q, big_amb) for q in base.quotient])
 
 
 def rees_variable_names(ring: RingDescriptor):
@@ -301,7 +297,7 @@ def _normal_cone_series(I: Ideal):
     # the Rees ideal's elimination, so take the shorter generating set
     basis = I.display_gens()
     nc = normal_cone(I if len(I.gens) <= len(basis)
-                     else Ideal(I.ring, tuple(basis)))
+                     else _with_basis(I.ring, basis, I.groebner()))
     wnames = set(rees_variable_names(nc))
     is_w = [name in wnames for name in nc.names]
     lt = [q.terms[0][0] for q in nc.quotient]
@@ -391,7 +387,7 @@ def is_reduction(I: Ideal, J: Ideal, cap=DEFAULT_REDUCTION_CAP):
         if J * Ir == Inext:
             return ReductionCertificate(True, r, cap)
         # regenerate from the Groebner basis to keep products small
-        Ir = Ideal(I.ring, tuple(Inext.display_gens()))
+        Ir = _with_basis(I.ring, Inext.display_gens(), Inext.groebner())
     return ReductionCertificate(False, None, cap)
 
 

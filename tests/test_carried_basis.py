@@ -1,0 +1,191 @@
+"""Ideals born knowing their reduced basis.
+
+``eliminate``, ``kernel_of_ring_map``, ``saturate``, ``intersect_ideals``
+and ``colon`` return ideals that carry the engine's reduced basis instead
+of recomputing it on the first ``groebner()`` call.  Every carried basis
+must be the one a fresh computation from the generators gives.
+"""
+
+import random
+import sys
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from reeskit import gb as gb_module
+from reeskit.cli import Config, emit, execute_script, parse_script
+from reeskit.gb import (Ideal, colon, eliminate, groebner_basis,
+                        intersect_ideals, kernel_of_ring_map, saturate)
+from reeskit.polyring import RingMap, make_ring
+
+REGRESSIONS = Path(__file__).resolve().parent.parent / "regressions"
+
+ORDERS = {"grevlex": "grevlex", "lex": "lex", "block": ("block", (1, 2))}
+
+
+def carried(I):
+    """The basis I was born with, or None."""
+    return I._cache.get("gb")
+
+
+def assert_carried_is_recomputed(I):
+    got = carried(I)
+    want = groebner_basis(Ideal(I.ring, I.gens))
+    assert got.ring == want.ring and got.rank == want.rank == 0
+    assert got.order_spec == want.order_spec
+    assert ([g.terms for g in got.ambient_elements]
+            == [g.terms for g in want.ambient_elements])
+    assert [g.terms for g in got.elements] == [g.terms for g in want.elements]
+
+
+def small_poly(ring, rng, terms=3, degree=3):
+    names = ring.names
+    out = ring.zero()
+    for _ in range(1 + rng.randrange(terms)):
+        e = [0] * len(names)
+        for _ in range(rng.randrange(degree + 1)):
+            e[rng.randrange(len(names))] += 1
+        out = out + ring.monomial(tuple(e), 1 + rng.randrange(ring.p - 1))
+    return out
+
+
+def test_kernel_of_an_unchecked_map_keeps_the_quotient():
+    # a -> x does not kill a^2, so the engine output () misses the
+    # quotient, and the kernel's basis is the quotient basis (a^2)
+    S0 = make_ring(101, ["a"])
+    S = make_ring(101, ["a"], quotient=[S0.var("a") ** 2])
+    T = make_ring(101, ["x"])
+    K = kernel_of_ring_map(RingMap(S, T, [T.var("x")], check=False))
+    assert carried(K) is None
+    assert [str(g) for g in K.groebner().ambient_elements] == ["a^2"]
+
+
+def test_lex_ring_results_carry_nothing():
+    # the engine's basis is grevlex on the remaining block, not lex
+    R = make_ring(101, ["x", "y", "z"], order="lex")
+    x, y, z = R.gens()
+    I = Ideal(R, (x ** 2 - y * z, y ** 3 - x))
+    J = Ideal(R, (x * y - z, z ** 2))
+    T = make_ring(101, ["s", "t"])
+    s, t = T.gens()
+    results = [
+        kernel_of_ring_map(RingMap(R, T, [s ** 2, s * t, t ** 2])),
+        saturate(I, z),
+        intersect_ideals(I, J),
+    ]
+    for K in results:
+        assert K.gens and carried(K) is None
+
+
+def test_ambient_order_results_carry_their_basis():
+    R = make_ring(101, ["x", "y", "z"], order="lex")
+    x, y, z = R.gens()
+    I = Ideal(R, (x ** 2 * y - z ** 3, x * y * z))
+    # colon works in the ring's own order, and elimination returns a
+    # grevlex subring, so both carry even over lex
+    for K in (colon(I, z), eliminate(I, ["x"])):
+        assert carried(K) is not None
+        assert_carried_is_recomputed(K)
+
+
+OPS = ("eliminate", "kernel", "saturate", "intersect", "colon")
+
+
+def run_op(op, R, rng):
+    gens = tuple(g for g in (small_poly(R, rng) for _ in range(2))
+                 if not g.is_zero())
+    I = Ideal(R, gens)
+    if op == "eliminate":
+        return eliminate(I, R.names[:1 + rng.randrange(2)])
+    if op == "saturate":
+        by = small_poly(R, rng, 2, 2)
+        if rng.randrange(2):
+            by = Ideal(R, (by, small_poly(R, rng, 2, 2)))
+        return saturate(I, by)
+    if op == "intersect":
+        return intersect_ideals(I, Ideal(R, (small_poly(R, rng),)))
+    if op == "colon":
+        return colon(I, small_poly(R, rng, 2, 2))
+    # a map S -> T = GF(p)[s,t] / (images of S's quotient), which kills
+    # S's quotient, so the kernel may carry over a quotient ring too; or,
+    # unchecked, the same images in GF(p)[s,t], which need not kill it
+    T0 = make_ring(R.p, ["s", "t"])
+    images = [small_poly(T0, rng, 2, 2) for _ in R.names]
+    if rng.randrange(2):
+        return kernel_of_ring_map(RingMap(R, T0, images, check=False))
+    lifted = RingMap(R.ambient, T0, images)
+    T = T0.with_quotient([lifted(q) for q in R.quotient])
+    return kernel_of_ring_map(
+        RingMap(R, T, [T.poly(dict(f.terms)) for f in images]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(OPS),
+       st.sampled_from(sorted(ORDERS)), st.booleans())
+def test_carried_basis_is_the_recomputed_basis(seed, op, order, quotient):
+    rng = random.Random(seed)
+    R = make_ring(101, ["x", "y", "z"], order=ORDERS[order])
+    if quotient:
+        q = small_poly(R, rng, 2, 3)
+        if q.is_zero() or q.is_constant():
+            q = R.var("x") ** 3
+        R = make_ring(101, ["x", "y", "z"], order=ORDERS[order], quotient=[q])
+    try:
+        K = run_op(op, R, rng)
+    except ValueError:
+        return  # a zero element to saturate by, a unit quotient, ...
+    if carried(K) is not None:
+        assert_carried_is_recomputed(K)
+    if order == "lex" and op in ("kernel", "saturate", "intersect"):
+        assert carried(K) is None
+
+
+CORPUS = sorted(p.stem for p in REGRESSIONS.glob("*.rk"))
+
+
+def test_every_carried_basis_in_the_corpus_is_the_recomputed_one(
+        monkeypatch):
+    # a spy on the one way an ideal is born with its basis, in every
+    # module that calls it; each carried basis is recomputed afterwards
+    born = gb_module._with_basis
+    seen = []
+
+    def spy(ring, gens, basis):
+        out = born(ring, gens, basis)
+        seen.append(out)
+        return out
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("reeskit")
+                and getattr(mod, "_with_basis", None) is born):
+            monkeypatch.setattr(mod, "_with_basis", spy)
+    assert len(CORPUS) == 7
+    counts = {}
+    for name in CORPUS:
+        del seen[:]
+        src = (REGRESSIONS / f"{name}.rk").read_text()
+        doc = execute_script(parse_script(src), Config(seed=0, verify=True))
+        assert emit(doc) == (REGRESSIONS / f"{name}.expected.txt").read_bytes()
+        for I in seen:
+            assert_carried_is_recomputed(I)
+        counts[name] = len(seen)
+    assert all(counts.values()), counts
+
+
+def test_versal_engine_calls(monkeypatch):
+    # the three symmetric kernels carry their bases, so comparing them
+    # and taking their graded pieces runs no further Buchberger; the
+    # parent of this change made 28 calls
+    calls = [0]
+    core = gb_module._gb_core
+
+    def spy(*args, **kwargs):
+        calls[0] += 1
+        return core(*args, **kwargs)
+
+    monkeypatch.setattr(gb_module, "_gb_core", spy)
+    src = (REGRESSIONS / "versal_embedding.rk").read_text()
+    doc = execute_script(parse_script(src), Config(seed=0))
+    assert emit(doc) == (REGRESSIONS
+                         / "versal_embedding.expected.txt").read_bytes()
+    assert calls[0] == 25
