@@ -908,6 +908,11 @@ def _values_equal(a, b) -> bool:
                 and _values_equal(a.prime, b.prime))
     if isinstance(a, ComponentReport) and isinstance(b, ComponentReport):
         return _values_equal(a.prime, b.prime)
+    # a script int against a polynomial is that constant of its ring
+    if isinstance(a, Polynomial) and isinstance(b, int):
+        b = a.ring.const(b)
+    elif isinstance(a, int) and isinstance(b, Polynomial):
+        a = b.ring.const(a)
     return a == b
 
 

@@ -23,12 +23,15 @@ regenerated from its own ``display_gens``.
 
 Module elements are dicts mapping (component, exponents) to coefficients;
 ideals are rank-one modules with component 0.  The module order is
-position-over-term on top of the ring order, which gives both submodule
-Groebner bases and syzygies by the usual graph construction.
+position-over-term on top of the ring order, which gives submodule
+Groebner bases and, by the usual graph construction (``_graph_basis``),
+both syzygies and lifts: the coefficients of members of an ideal on its
+generators (``_coefficients``, behind ``rees.jacobian_dual``).
 
 Every normal form, here and in quotient rings, is computed by the one term
-reducer ``polyring._reduce_vec``.  Normal forms and membership tests
-against a finished basis use the ``polyring._Reducer`` that
+reducer ``polyring._reduce_vec``, which returns the remainder and nothing
+else; no division records its quotients.  Normal forms and membership
+tests against a finished basis use the ``polyring._Reducer`` that
 ``GroebnerBasis._reducers`` builds once per basis.
 
 Packed terms.  Inside the reducer and the engine ``_gb_core`` every term
@@ -54,7 +57,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections import defaultdict
 from operator import ge
 
 from .polyring import (
@@ -81,29 +83,15 @@ def _vec_to_polys(vec, amb, rank):
     return tuple(amb.poly(b) for b in buckets)
 
 
-def _add_shifted(dst, src, q, c, p, guard):
-    """dst += c * x^q * src on packed {term: coeff} dicts, dropping zeros."""
-    for e, d in src.items():
-        ne = e + q
-        if ne & guard:
-            raise _Overflow
-        nv = (dst.get(ne, 0) + c * d) % p
-        if nv:
-            dst[ne] = nv
-        else:
-            dst.pop(ne, None)
-
-
-def _gb_core(vectors, amb, spec=None, padding=None, want_rep=False):
+def _gb_core(vectors, amb, spec=None, padding=None):
     """Reduced Groebner basis of the module generated by ``vectors``.
 
     ``vectors`` are term dicts {(component, exponents): coeff} of ``amb``,
     and ``spec`` the order spec, ``amb``'s own by default, under position
-    over term.  Returns (basis, reps): ``basis`` a list of monic term
-    dicts sorted by ascending lead, each dict carrying its lead under the
-    key ``"_lead"``; ``reps`` (when requested) expresses each basis element
-    as a combination of the input vectors, as dicts {input index:
-    {exps: coeff}}.
+    over term.  Returns ``(basis,)``: a list of monic term dicts sorted by
+    ascending lead, each dict carrying its lead under the key ``"_lead"``.
+    The one-element tuple and the key are the shape that the basis-term
+    counter of ``perfbench/tracer.py`` reads.
 
     The work happens on packed terms (``polyring._Packing``, see
     ``_buchberger``).  The width comes from the input degrees; when a term
@@ -121,24 +109,22 @@ def _gb_core(vectors, amb, spec=None, padding=None, want_rep=False):
         try:
             found = _buchberger(
                 [{pk.pack(*m): c % p for m, c in vec.items() if c % p}
-                 for vec in vectors], pk, p, padding, want_rep)
+                 for vec in vectors], pk, p, padding)
             break
         except _Overflow:
             w += 2
     unpack = pk.unpack
-    basis, reps = [], []
-    for lead, g, rep in found:
+    basis = []
+    for lead, g in found:
         d = {unpack(m): c for m, c in g.items()}
         d["_lead"] = unpack(lead)
         basis.append(d)
-        reps.append(rep and {i: {unpack(t)[1]: c for t, c in terms.items()}
-                             for i, terms in rep.items()})
-    return basis, reps
+    return (basis,)
 
 
-def _buchberger(vectors, pk, p, padding, want_rep):
+def _buchberger(vectors, pk, p, padding):
     """``_gb_core`` on packed term dicts of the packing ``pk``; returns
-    (lead, element, rep) per basis element, ascending, or raises
+    (lead, element) per basis element, ascending, or raises
     ``_Overflow`` when a term outgrows ``pk``.
 
     Every reduction is ``polyring._reduce_vec``, searching the leads
@@ -207,7 +193,7 @@ def _buchberger(vectors, pk, p, padding, want_rep):
     # one block is a degree-compatible order: every sugar stays 0
     tops = pk.tops if len(pk.tops) > 1 else ()
 
-    Glead, tails, Gpad, Grep = [], [], [], []
+    Glead, tails, Gpad = [], [], []
     Goff = []     # sugar minus lead degree
     Gpack = []    # lead exponents in the plain layout, without component
     Gsingle = []  # element lives in a single component (coprime criterion OK)
@@ -222,21 +208,6 @@ def _buchberger(vectors, pk, p, padding, want_rep):
         return a ^ ((a ^ b) & (t - (t >> w1)))
 
     search = pk.search(bycomp)
-
-    def reduce_rows(rep, track):
-        # rep -= sum of c * x^q * (rep of reducer gi) over the quotients
-        for gi, quo in track.items():
-            for q, c in quo.items():
-                for idx, terms in Grep[gi].items():
-                    _add_shifted(rep.setdefault(idx, {}), terms, q, -c, p, g)
-        return rep
-
-    def nf(vec, rep):
-        track = defaultdict(dict) if rep is not None else None
-        red = _reduce_vec(vec, search, tails, p, g, track)
-        if track:
-            reduce_rows(rep, track)
-        return red
 
     def update(gi):
         comp = Glead[gi] >> cshift
@@ -291,22 +262,18 @@ def _buchberger(vectors, pk, p, padding, want_rep):
                     pending[(gj, gi)] = (comp, lcm, term)
                     heapq.heappush(heap, (sugar, term, gj, gi))
 
-    def add(vec, rep, pad, sugar):
+    def add(vec, pad, sugar):
         lead = max(vec)
         deg = 0
         for t in tops:
             deg += (lead >> t) & slot
         inv = pow(vec[lead], -1, p)
-        if inv != 1 and rep is not None:
-            rep = {i: {e: c * inv % p for e, c in t.items()}
-                   for i, t in rep.items()}
         gi = len(tails)
         Glead.append(lead)
         Gpack.append(plain(lead) & tmask)
         tails.append(tuple((m, c * inv % p) for m, c in vec.items()
                            if m != lead))
         Gpad.append(pad)
-        Grep.append(rep)
         Goff.append(max(sugar - deg, 0))
         Gsingle.append(len({m >> cshift for m in vec}) == 1)
         Gpairs.append(True)
@@ -316,8 +283,7 @@ def _buchberger(vectors, pk, p, padding, want_rep):
     for k, vec in enumerate(vectors):
         if not vec:
             continue
-        rep0 = {k: {0: 1}} if want_rep else None
-        red = nf(vec, rep0)
+        red = _reduce_vec(vec, search, tails, p, g)
         if red:
             sugar = 0
             if tops:
@@ -326,7 +292,7 @@ def _buchberger(vectors, pk, p, padding, want_rep):
                     for t in tops:
                         d += (m >> t) & slot
                     sugar = max(sugar, d)
-            add(red, rep0, padding[k] and red == vec, sugar)
+            add(red, padding[k] and red == vec, sugar)
 
     while heap:
         sugar, lcm, i, j = heapq.heappop(heap)
@@ -334,7 +300,6 @@ def _buchberger(vectors, pk, p, padding, want_rep):
             continue  # dropped by criterion B after it was queued
         # the monic leads cancel, so the S-vector is built from the tails
         s = {}
-        rep = {} if want_rep else None
         for src, sign in ((i, 1), (j, -1)):
             q = lcm - Glead[src]
             for t, tco in tails[src]:
@@ -342,29 +307,21 @@ def _buchberger(vectors, pk, p, padding, want_rep):
                 if nm & g:
                     raise _Overflow
                 s[nm] = (s.get(nm, 0) + sign * tco) % p
-            if want_rep:
-                for idx, terms in Grep[src].items():
-                    _add_shifted(rep.setdefault(idx, {}), terms, q, sign, p, g)
-        red = nf({m: c for m, c in s.items() if c}, rep)
+        red = _reduce_vec({m: c for m, c in s.items() if c}, search, tails,
+                          p, g)
         if red:
-            add(red, rep, False, sugar)
+            add(red, False, sugar)
 
-    # one pass over the tails of the minimal basis; results are kept apart
-    # from ``tails`` and ``Grep``, so every reducer pairs its old tail with
-    # its old rep
+    # one pass over the tails of the minimal basis
     alive = sorted((k for k in range(len(Glead)) if Gpairs[k]),
                    key=Glead.__getitem__)
     final = pk.search({c: [e for e in cands if Gpairs[e[1][1]]]
                        for c, cands in bycomp.items()})
     out = []
     for k in alive:
-        track = defaultdict(dict) if want_rep else None
         d = {Glead[k]: 1}
-        d.update(_reduce_vec(tails[k], final, tails, p, g, track))
-        rep = Grep[k]
-        if track:
-            rep = reduce_rows({i: dict(t) for i, t in rep.items()}, track)
-        out.append((Glead[k], d, rep))
+        d.update(_reduce_vec(tails[k], final, tails, p, g))
+        out.append((Glead[k], d))
     return out
 
 
@@ -380,7 +337,7 @@ def _basis_polys(basis, amb):
 def reduced_groebner_raw(polys, amb):
     """Reduced GB of an ideal given by polynomials of an ambient ring."""
     vecs = [_poly_to_vec(f) for f in polys if not f.is_zero()]
-    basis, _ = _gb_core(vecs, amb)
+    basis, = _gb_core(vecs, amb)
     return _basis_polys(basis, amb)
 
 
@@ -412,14 +369,10 @@ class Ideal:
         self.gens = tuple(out)
         self._cache = {}
 
-    def groebner(self, want_rep=False) -> "GroebnerBasis":
-        key = "gb_rep" if want_rep else "gb"
-        got = self._cache.get(key)
+    def groebner(self) -> "GroebnerBasis":
+        got = self._cache.get("gb")
         if got is None:
-            got = groebner_basis(self, want_rep=want_rep)
-            self._cache[key] = got
-            if want_rep and "gb" not in self._cache:
-                self._cache["gb"] = got
+            got = self._cache["gb"] = groebner_basis(self)
         return got
 
     def display_gens(self):
@@ -487,16 +440,14 @@ class GroebnerBasis:
     """Reduced basis of an ideal or of a submodule of a free module."""
 
     __slots__ = ("ring", "rank", "ambient_elements", "elements",
-                 "order_spec", "representation", "_prep")
+                 "order_spec", "_prep")
 
-    def __init__(self, ring, rank, ambient_elements, elements, order_spec,
-                 representation=None):
+    def __init__(self, ring, rank, ambient_elements, elements, order_spec):
         self.ring = ring
         self.rank = rank          # 0 for ideals, free-module rank otherwise
         self.ambient_elements = tuple(ambient_elements)
         self.elements = tuple(elements)
         self.order_spec = order_spec
-        self.representation = representation
         self._prep = None
 
     def _reducers(self):
@@ -533,12 +484,8 @@ def _with_basis(ring, gens, basis: GroebnerBasis) -> Ideal:
     """``Ideal(ring, gens)`` born knowing ``basis``, its reduced basis.
 
     The one way an ideal skips its own Buchberger run: the caller vouches
-    that ``basis`` is the reduced ambient basis of gens + Q.  A
-    representation indexes another generator list, so it is not shared.
+    that ``basis`` is the reduced ambient basis of gens + Q.
     """
-    if basis.representation is not None:
-        basis = GroebnerBasis(ring, 0, basis.ambient_elements,
-                              basis.elements, basis.order_spec)
     I = Ideal(ring, gens)
     I._cache["gb"] = basis
     return I
@@ -593,16 +540,17 @@ def _padded(vecs, basis, rank=1):
     return vecs + pad, [False] * len(vecs) + [True] * len(pad)
 
 
-def _syzygies(columns, rows, basis, amb):
-    """Lifts of the syzygies of ``columns`` modulo ``basis`` in every row.
+def _graph_basis(columns, rows, basis, amb):
+    """Reduced basis of the graph module of ``columns`` modulo ``basis``.
 
     ``columns`` are vectors of ``rows`` polynomials.  Column j goes over the
     unit vector e_(rows + j) and every row component is padded with
-    ``basis`` (see ``_padded``); one Groebner basis of that module in the
-    position-over-term order puts the rows first, so its elements with a
-    lead in a component >= ``rows`` are zero in every row and generate the
-    r with sum_j r_j * column_j in basis * R^rows.  Returns them as tuples
-    of ambient polynomials, one entry per column.
+    ``basis`` (see ``_padded``); the position-over-term order puts the rows
+    first.  Each element (v; r) of the result has v = sum_j r_j * column_j
+    modulo ``basis`` in every row.  Those with a lead in a component >=
+    ``rows`` have v = 0 (``_syzygies``); those with a lead in a row form a
+    Groebner basis of the column span plus ``basis`` and keep the
+    coefficients in their other components (``_coefficients``).
     """
     unit = (0,) * amb.nvars
     vecs = []
@@ -611,31 +559,62 @@ def _syzygies(columns, rows, basis, amb):
         v[(rows + j, unit)] = 1
         vecs.append(v)
     vecs, padding = _padded(vecs, basis, rows)
-    found, _ = _gb_core(vecs, amb, padding=padding)
+    found, = _gb_core(vecs, amb, padding=padding)
+    return found
+
+
+def _syzygies(columns, rows, basis, amb):
+    """Lifts of the syzygies of ``columns`` modulo ``basis`` in every row.
+
+    The elements of ``_graph_basis`` with a lead in a component >= ``rows``
+    generate the r with sum_j r_j * column_j in basis * R^rows.  Returns
+    them as tuples of ambient polynomials, one entry per column.
+    """
     return [_vec_to_polys({(m[0] - rows, m[1]): co for m, co in g.items()
                            if m != "_lead"}, amb, len(columns))
-            for g in found if g["_lead"][0] >= rows]
+            for g in _graph_basis(columns, rows, basis, amb)
+            if g["_lead"][0] >= rows]
 
 
-def groebner_basis(target, want_rep=False) -> GroebnerBasis:
+def _coefficients(ring, polys, gens):
+    """For each f of ``polys``, coefficients a_i in ``ring`` with f =
+    sum(a_i * gens_i); raises ValueError when an f is not in (gens).
+
+    A lift by the graph construction (Greuel and Pfister, "A Singular
+    Introduction to Commutative Algebra", 2.8, ``lift``): the elements of
+    ``_graph_basis`` of the one-row columns (g_i) over Q with a lead in
+    component 0 reduce (f; 0) to (r; -a_1, ..., -a_k), where r is the
+    normal form of f modulo (gens) + Q and f - r = sum(a_i * g_i) modulo Q.
+    One basis serves every f.
+    """
+    amb = ring.ambient
+    found = _graph_basis([(g,) for g in gens], 1, ring.quotient, amb)
+    reducer = _Reducer([{m: c for m, c in g.items() if m != "_lead"}
+                        for g in found if g["_lead"][0] == 0],
+                       amb.order_spec, amb.nvars, amb.p)
+    out = []
+    for f in polys:
+        rem = reducer.reduce(_poly_to_vec(transport(f, amb)))
+        if rem and rem[0][0][0] == 0:  # descending, so component 0 first
+            raise ValueError("not in the ideal of the generators")
+        a = _vec_to_polys({(comp - 1, e): -c for (comp, e), c in rem},
+                          amb, len(gens))
+        out.append([transport(h, ring) for h in a])
+    return out
+
+
+def groebner_basis(target) -> GroebnerBasis:
     if isinstance(target, Ideal):
         ring = target.ring
         amb = ring.ambient
-        # vector positions track generator positions, so representation
-        # coefficients line up with target.gens
         vecs, padding = _padded(
             [_poly_to_vec(transport(g, amb)) for g in target.gens],
             ring.quotient)
-        basis, reps = _gb_core(vecs, amb, padding=padding, want_rep=want_rep)
+        basis, = _gb_core(vecs, amb, padding=padding)
         ambient_elements = _basis_polys(basis, amb)
         elements = _descend(ring, ambient_elements).gens
-        representation = None
-        if want_rep:
-            representation = tuple(
-                {i: amb.poly(t) for i, t in r.items()} if r else {}
-                for r in reps)
         return GroebnerBasis(ring, 0, ambient_elements, elements,
-                             amb.order_spec, representation)
+                             amb.order_spec)
     if isinstance(target, FreeModuleMap):
         ring = target.ring
         amb = ring.ambient
@@ -643,16 +622,15 @@ def groebner_basis(target, want_rep=False) -> GroebnerBasis:
         vecs, padding = _padded(
             [v for v in (_module_vec(col, amb) for col in target.columns())
              if v], ring.quotient, rank)
-        basis, _ = _gb_core(vecs, amb, padding=padding)
+        basis, = _gb_core(vecs, amb, padding=padding)
         vectors = [_vec_to_polys({m: c for m, c in g.items() if m != "_lead"},
                                  amb, rank) for g in basis]
         return GroebnerBasis(ring, rank, vectors, vectors, amb.order_spec)
     raise TypeError("groebner_basis wants an Ideal or a FreeModuleMap")
 
 
-def normal_form(f: Polynomial, basis, want_quotients=False):
-    """Remainder of f modulo a Groebner basis (or ideal), optionally with
-    the division quotients so that f = sum(q_i * b_i) + r."""
+def normal_form(f: Polynomial, basis):
+    """Remainder of f modulo a Groebner basis (or ideal)."""
     if isinstance(basis, Ideal):
         basis = basis.groebner()
     ring = basis.ring
@@ -661,17 +639,9 @@ def normal_form(f: Polynomial, basis, want_quotients=False):
     if basis.rank != 0:
         raise ValueError("normal form of a polynomial needs an ideal basis")
     amb = ring.ambient
-    track = ([{} for _ in basis.ambient_elements] if want_quotients
-             else None)
-    rem = basis._reducers().reduce(_poly_to_vec(transport(f, amb)), track)
-    r = transport(Polynomial(amb, tuple((e, c) for (_, e), c in rem)), ring)
-    if not want_quotients:
-        return r
-    quotients = []
-    for g, t in zip(basis.ambient_elements, track):
-        gq = transport(amb.poly(t), ring)
-        quotients.append((transport(g, ring), gq))
-    return r, quotients
+    rem = basis._reducers().reduce(_poly_to_vec(transport(f, amb)))
+    return transport(Polynomial(amb, tuple((e, c) for (_, e), c in rem)),
+                     ring)
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +676,7 @@ def _subring_without(amb, names):
 def _eliminate_raw(polys, amb, names):
     idxs = [amb.var_index(n) for n in names]
     vecs = [_poly_to_vec(f) for f in polys if not f.is_zero()]
-    basis, _ = _gb_core(vecs, amb, elimination_spec(idxs, amb.nvars))
+    basis, = _gb_core(vecs, amb, elimination_spec(idxs, amb.nvars))
     idxset = set(idxs)
     sub = _subring_without(amb, names)
     kept = []

@@ -404,7 +404,7 @@ class _Packing:
         return find
 
 
-def _reduce_vec(vec, search, tails, p, guard, track=None):
+def _reduce_vec(vec, search, tails, p, guard):
     """Full normal form of a packed term dict against monic reducers.
 
     This is the one term reducer: the Groebner engine, normal forms, module
@@ -414,9 +414,7 @@ def _reduce_vec(vec, search, tails, p, guard, track=None):
     reaches a bit of ``guard`` raises ``_Overflow``.  ``search`` maps a term
     to the (packed lead, position) of the reducer to use, or None when no
     lead divides it (``_Packing.search``); ``tails[position]`` is the monic
-    reducer without its lead.  ``track``, when given, is indexed by reducer
-    position (a list, or a defaultdict) and collects the packed multiplier
-    monomials used against each reducer, i.e. the division quotients.
+    reducer without its lead.
     """
     work = dict(vec)
     rem = {}
@@ -438,9 +436,6 @@ def _reduce_vec(vec, search, tails, p, guard, track=None):
                 work[nm] = nv
             else:
                 work.pop(nm, None)
-        if track is not None:
-            tq = track[gi]
-            tq[q] = (tq.get(q, 0) + c) % p
     return rem
 
 
@@ -475,25 +470,19 @@ class _Reducer:
                                     if m != lead))
         self.search = pk.search(index)
 
-    def reduce(self, vec, track=None):
+    def reduce(self, vec):
         """Normal form of the term dict ``vec``, as a list of (term,
-        coefficient) in descending order.  ``track``, a list with one dict
-        per reducer, collects the division quotients by exponents."""
+        coefficient) in descending order."""
         while True:
             pk = self.packing
-            got = [{} for _ in self.tails] if track is not None else None
             try:
                 rem = _reduce_vec({pk.pack(*m): c for m, c in vec.items()},
-                                  self.search, self.tails, self.p, pk.guard,
-                                  got)
+                                  self.search, self.tails, self.p, pk.guard)
                 break
             except _Overflow:
                 self._build(max(pk.w + 2, _Packing.width(
                     max((sum(m[1]) for m in vec), default=0))))
         unpack = pk.unpack
-        if track is not None:
-            for t, q in zip(track, got):
-                t.update((unpack(m)[1], c) for m, c in q.items())
         return [(unpack(m), rem[m]) for m in sorted(rem, reverse=True)]
 
 
@@ -621,10 +610,11 @@ class Polynomial:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self == self.ring.const(other)
-        return (isinstance(other, Polynomial) and self.ring == other.ring
-                and self.terms == other.terms)
+        # only polynomials compare: an int congruence would make equality
+        # intransitive (3 == const(3) == 104 over GF(101)) and break the hash
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.ring._hash, self.terms))

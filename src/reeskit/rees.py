@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass
 
 from .gb import (
-    Ideal, _cancel_one_minus_t, _hilbert_numerator, _lift, _with_basis,
-    codimension, dimension_and_degree, eliminate, groebner_basis,
+    Ideal, _cancel_one_minus_t, _coefficients, _hilbert_numerator, _lift,
+    _with_basis, codimension, dimension_and_degree, eliminate, groebner_basis,
     kernel_of_matrix, kernel_of_ring_map, minors_ideal, module_contains,
     normal_form, ring_dimension, saturate, trim_homogeneous, INFINITY,
 )
@@ -492,8 +492,8 @@ def jacobian_dual(phi_or_ideal, X=None, T=None) -> FreeModuleMap:
     """Matrix psi over the Rees ring with T*phi = X*psi, entry by entry.
 
     Defaults: phi the presentation of an ideal, X the base variables, T the
-    w-block row.  Entries of T*phi must lie in (X); psi is produced by
-    Groebner division with remainder tracking.
+    w-block row.  Entries of T*phi must lie in (X); each column of psi is
+    their lift through the graph module of X (``gb._coefficients``).
     """
     if isinstance(phi_or_ideal, Ideal):
         I = phi_or_ideal
@@ -514,28 +514,15 @@ def jacobian_dual(phi_or_ideal, X=None, T=None) -> FreeModuleMap:
     ring = phi.ring
     if len(T) != phi.rows:
         raise ValueError("T row length must match the matrix rows")
-    if phi.cols == 0 or phi.is_zero():
-        return FreeModuleMap(ring, tuple(
-            tuple(ring.zero() for _ in range(phi.cols)) for _ in X),
-            rows=len(X), cols=phi.cols)
     tphi = row_times_matrix(list(T), phi)
-    XI = Ideal(ring, tuple(X))
-    gbX = XI.groebner(want_rep=True)
-    psi = [[ring.zero() for _ in range(phi.cols)] for _ in X]
-    for col, entry in enumerate(tphi):
-        rem, quots = normal_form(entry, gbX, want_quotients=True)
-        if not rem.is_zero():
-            raise ValueError(
-                "entries of T*phi do not lie in the ideal of X")
-        for k, (b, q) in enumerate(quots):
-            if q.is_zero():
-                continue
-            rep = gbX.representation[k]
-            for idx, coefpoly in rep.items():
-                if idx >= len(X):
-                    continue  # quotient-padding contribution, zero mod Q
-                psi[idx][col] = psi[idx][col] + q * transport(coefpoly, ring)
-    return FreeModuleMap(ring, psi, rows=len(X), cols=phi.cols)
+    X = Ideal(ring, tuple(X)).gens  # polynomials of ring, ints as constants
+    try:
+        cols = _coefficients(ring, tphi, X)
+    except ValueError:
+        raise ValueError(
+            "entries of T*phi do not lie in the ideal of X") from None
+    rows = [[col[i] for col in cols] for i in range(len(X))]
+    return FreeModuleMap(ring, rows, rows=len(X), cols=phi.cols)
 
 
 def expected_rees_ideal(I: Ideal) -> Ideal:

@@ -103,6 +103,17 @@ class TestExecution:
             "print eq(ideal(x)*ideal(y) + ideal(x^2), ideal(x*y, x^2));\n")
         assert out == "true\n"
 
+    def test_int_against_polynomial_is_a_constant(self):
+        # a script int compared with a polynomial is read in its ring
+        doc, out = run_text(
+            "ring P = zmod 101 [x,y];\n"
+            "print eq(x - x, 0);\n"
+            "print eq(x^0, 102);\n"
+            "print neq(x, 0);\n"
+            "assertEqual(x*0, 0);\n")
+        assert doc.status == 0
+        assert out == "true\ntrue\ntrue\n"
+
 
 class TestEmit:
     def test_boolean_and_int(self):

@@ -12,7 +12,7 @@ from reeskit.gb import (
     intersect_ideals, kernel_of_matrix, kernel_of_ring_map, minors_ideal,
     module_contains, normal_form, radical_membership, ring_dimension,
     saturate, saturation_exponent, standard_monomials, trim_homogeneous,
-    vector_space_dimension, colon, _standard_exponents,
+    vector_space_dimension, colon, _coefficients, _standard_exponents,
 )
 from reeskit.polyring import (FreeModuleMap, RingMap, make_ring,
                               matrix_from_columns, random_poly, transport)
@@ -38,6 +38,14 @@ def brute_monomial_count(lt_gens, nvars, degree):
         if not any(all(a >= b for a, b in zip(e, m)) for m in lt_gens):
             count += 1
     return count
+
+
+def _combination(ring, coefs, gens):
+    """sum(a_i * g_i) in ``ring``."""
+    back = ring.zero()
+    for a, g in zip(coefs, gens):
+        back = back + a * g
+    return back
 
 
 def sparse_poly(ring, rng, terms=range(3), degrees=range(3)):
@@ -185,35 +193,25 @@ class TestGroebnerBasis:
             assert normal_form(g, I).is_zero()
 
     def test_representation_coefficients(self, A2):
-        # optional bookkeeping: each basis element as a combination of the
-        # original generators
+        # each basis element as a combination of the original generators,
+        # lifted through the graph module
         x, y = A2.gens()
         I = Ideal(A2, (x ** 2 - y, x * y - 1))
-        gbr = I.groebner(want_rep=True)
-        for elt, rep in zip(gbr.ambient_elements, gbr.representation):
-            back = A2.zero()
-            for idx, coef in rep.items():
-                back = back + coef * I.gens[idx]
-            assert back == elt
+        basis = I.groebner().elements
+        for elt, coefs in zip(basis, _coefficients(A2, basis, I.gens)):
+            assert _combination(A2, coefs, I.gens) == elt
 
     def test_representation_coefficients_over_quotient(self):
-        # each basis element is rebuilt from the generators modulo Q; the
-        # rows past the generators belong to the quotient padding
+        # each basis element is rebuilt from the generators modulo Q
         R0 = make_ring(101, ["x", "y"])
         x0, y0 = R0.gens()
         R = make_ring(101, ["x", "y"],
                       quotient=[x0 ** 3 - y0 ** 2, x0 * y0 ** 2])
         x, y = R.gens()
         I = Ideal(R, (x ** 2 - y, x * y + y ** 2))
-        amb = R.ambient
-        gbr = I.groebner(want_rep=True)
-        assert gbr.representation is not None
-        for elt, rep in zip(gbr.ambient_elements, gbr.representation):
-            back = amb.zero()
-            for idx, coef in rep.items():
-                if idx < len(I.gens):
-                    back = back + coef * transport(I.gens[idx], amb)
-            assert transport(elt - back, R).is_zero()
+        basis = [transport(g, R) for g in I.groebner().ambient_elements]
+        for elt, coefs in zip(basis, _coefficients(R, basis, I.gens)):
+            assert _combination(R, coefs, I.gens) == elt
 
     def test_equal_ideals_hash_equal(self, A2):
         x, y = A2.gens()
@@ -403,18 +401,15 @@ class TestPackedLeads:
 
         if rank == 1:
             I = Ideal(R, [c[0] for c in cols])
-            gbr = I.groebner(want_rep=True)
-            lifted = [transport(g, amb) for g in I.gens] + list(R.quotient)
+            gbr = I.groebner()
             want = brute_reduced_basis(
-                [vec_of((g,)) for g in lifted[:len(I.gens)]] + padding,
+                [vec_of((transport(g, amb),)) for g in I.gens] + padding,
                 amb.key, p)
             assert same_vectors(
                 [vec_of((g,)) for g in gbr.ambient_elements], want)
-            for elt, rep in zip(gbr.ambient_elements, gbr.representation):
-                back = amb.zero()
-                for idx, coef in rep.items():
-                    back = back + coef * lifted[idx]
-                assert back == elt
+            basis = [transport(g, R) for g in gbr.ambient_elements]
+            for elt, coefs in zip(basis, _coefficients(R, basis, I.gens)):
+                assert _combination(R, coefs, I.gens) == elt
         else:
             M = matrix_from_columns(R, cols, rows=rank)
             gb = groebner_basis(M)
@@ -688,21 +683,62 @@ class TestNormalForm:
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10 ** 6))
     def test_exact_division_identity(self, seed):
+        # f minus its normal form lies in I and is rebuilt from I's
+        # generators; an f outside I has no coefficients
         rng = random.Random(seed)
         plain = make_ring(101, ["x", "y"])
         x, y = plain.gens()
-        # the quotient generators are padding: their quotients vanish in R/Q
         quotient = make_ring(101, ["x", "y"],
                              quotient=[x ** 3 - y ** 2, x * y ** 2])
         for ring in (plain, quotient):
             I = Ideal(ring, tuple(random_poly(ring, 1 + rng.randrange(2), rng)
                                   for _ in range(2)))
             f = random_poly(ring, 3, rng)
-            r, quots = normal_form(f, I, want_quotients=True)
-            back = r
-            for b, q in quots:
-                back = back + q * b
-            assert back == f
+            member = f - normal_form(f, I)
+            (coefs,) = _coefficients(ring, [member], I.gens)
+            assert _combination(ring, coefs, I.gens) == member
+            if not I.contains(f):
+                with pytest.raises(ValueError):
+                    _coefficients(ring, [member, f], I.gens)
+
+
+class TestCoefficients:
+    """``_coefficients`` lifts members of (gens) to coefficients on the
+    generators through the graph module."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.booleans())
+    def test_lift_rebuilds_every_member(self, seed, over_quotient):
+        rng = random.Random(seed)
+        p = rng.choice([7, 101, 32003])
+        R0 = make_ring(p, ["x", "y", "z"])
+        x, y, z = R0.gens()
+        ring = (make_ring(p, ["x", "y", "z"], quotient=[x * z - y ** 2])
+                if over_quotient else R0)
+        # zero and repeated generators are allowed
+        gens = [sparse_poly(ring, rng, range(3), range(1, 4))
+                for _ in range(1 + rng.randrange(3))]
+        gens.append(gens[0])
+        members = [ring.zero()]
+        for _ in range(3):
+            f = ring.zero()
+            for g in gens:
+                f = f + sparse_poly(ring, rng) * g
+            members.append(f)
+        lifts = _coefficients(ring, members, gens)
+        assert len(lifts) == len(members)
+        for f, coefs in zip(members, lifts):
+            assert len(coefs) == len(gens)
+            assert all(a.ring == ring for a in coefs)
+            assert _combination(ring, coefs, gens) == f
+
+    def test_outside_the_ideal_raises(self, A2):
+        x, y = A2.gens()
+        with pytest.raises(ValueError):
+            _coefficients(A2, [x * y, x + 1], [x, y ** 2])
+        with pytest.raises(ValueError):
+            _coefficients(A2, [x], [])
+        assert _coefficients(A2, [A2.zero()], []) == [[]]
 
 
 class TestEliminate:

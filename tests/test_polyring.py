@@ -66,6 +66,15 @@ class TestArithmetic:
         f = 3 * x ** 2 * y - y + 1
         assert (f + (-f)).is_zero()
 
+    def test_equal_values_hash_equal(self, A2):
+        # ints are not polynomials: 3 and 104 differ, so neither may equal
+        # the constant 3 of GF(101)[x,y]
+        three = A2.const(3)
+        assert three == A2.const(104) and hash(three) == hash(A2.const(104))
+        assert three != 3 and three != 104 and 3 != three
+        for v in (three, A2.const(104), A2.const(4), 3, 104):
+            assert (v in {three}) == (v == three)
+
     def test_ring_mismatch(self, A2, A3):
         with pytest.raises(RingMismatchError):
             A2.var("x") + A3.var("x")

@@ -5,11 +5,13 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from reeskit.cli import Config, emit, execute_script, parse_script
 from reeskit.gb import (Ideal, codimension, dimension_and_degree,
                         graded_piece_dim, kernel_of_ring_map, minors_ideal,
                         normal_form, ring_dimension, vector_space_dimension)
-from reeskit.polyring import (FreeModuleMap, RingMap, make_ring, random_poly,
-                              row_times_matrix, transport)
+from reeskit.polyring import (FreeModuleMap, RingMap, RingMismatchError,
+                              make_ring, random_poly, row_times_matrix,
+                              transport)
 from reeskit.rees import (
     PresentedModule, _normal_cone_series, analytic_spread,
     expected_rees_ideal, is_linear_type, is_reduction, jacobian_dual,
@@ -448,6 +450,37 @@ class TestJacobianDual:
         with pytest.raises(ValueError):
             jacobian_dual(bad, [W.var("x"), W.var("y")],
                           [W.var("w_0"), W.var("w_1")])
+
+
+    def test_x_from_another_ring_rejected(self, A2):
+        W = rees_ideal(Ideal(A2, (A2.var("x"), A2.var("y")))).ring
+        zero = FreeModuleMap(W, [[W.zero()], [W.zero()]])
+        with pytest.raises(RingMismatchError):
+            jacobian_dual(zero, [A2.var("x"), A2.var("y")],
+                          [W.var("w_0"), W.var("w_1")])
+
+    def test_empty_x_keeps_the_column_count(self, A2):
+        # no rows, but still one column per column of phi
+        W = rees_ideal(Ideal(A2, (A2.var("x"), A2.var("y")))).ring
+        zero = FreeModuleMap(W, [[W.zero()] * 3, [W.zero()] * 3])
+        psi = jacobian_dual(zero, [], [W.var("w_0"), W.var("w_1")])
+        assert (psi.rows, psi.cols) == (0, 3)
+        psi = jacobian_dual(FreeModuleMap(W, (), rows=2, cols=0),
+                            [W.var("x")], [W.var("w_0"), W.var("w_1")])
+        assert (psi.rows, psi.cols) == (1, 0)
+
+    @pytest.mark.parametrize("ring, ideal, want", [
+        ("zmod 101 [x,y]", "ideal(x^2, x*y)", "matrix[ [-w_1], [w_0] ]"),
+        ("zmod 101 [x,y]", "ideal(x^3, x*y^2, y^3)",
+         "matrix[ [-w_2, -x*w_1], [w_1, y*w_0] ]"),
+        ("zmod 101 [x,y,z] / (x*z - y^2)", "ideal(x^2, y*z, z^2)",
+         "matrix[ [0, -w_2, -x*w_2, -x*w_1], [-w_2, w_1, 0, 0], "
+         "[w_1, 0, z*w_0, y*w_0] ]"),
+    ])
+    def test_script_output_pinned(self, ring, ideal, want):
+        src = f"ring P = {ring};\nprint jacobianDual({ideal});\n"
+        doc = execute_script(parse_script(src), Config())
+        assert emit(doc) == (want + "\n").encode()
 
 
 class TestExpectedReesIdeal:
