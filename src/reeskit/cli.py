@@ -116,8 +116,15 @@ def tokenize(text: str):
                 j += 1
             if j >= n:
                 raise ScriptError("unterminated string", line, start_col)
-            out.append(Token("string", text[i + 1:j], line, start_col))
-            col += j - i + 1
+            body = text[i + 1:j]
+            out.append(Token("string", body, line, start_col))
+            if "\n" in body:
+                # a string across lines: the next token's column counts
+                # from the last newline inside it
+                line += body.count("\n")
+                col = j - (i + 1 + body.rindex("\n")) + 1
+            else:
+                col += j - i + 1
             i = j + 1
             continue
         if ch in _PUNCT:
@@ -174,6 +181,27 @@ class Parser:
             raise ScriptError(f"expected {text!r}, found {t.text!r}",
                               t.line, t.col)
         return t
+
+    def at(self, *texts):
+        """Whether the next token, if any, is one of ``texts``."""
+        t = self.peek()
+        return t is not None and t.text in texts
+
+    def parse_items(self, close, empty=True):
+        """Comma-separated expressions up to the token ``close``, which is
+        consumed; none at all only when ``empty``."""
+        items = []
+        if empty and self.at(close):
+            self.next()
+            return items
+        while True:
+            items.append(self.parse_expr())
+            t = self.next()
+            if t.text == close:
+                return items
+            if t.text != ",":
+                raise ScriptError(f"expected {close!r}, found {t.text!r}",
+                                  t.line, t.col)
 
     def expect_name(self):
         t = self.next()
@@ -262,14 +290,10 @@ class Parser:
             raise ScriptError(f"unexpected {nxt.text!r} in variable list",
                               nxt.line, nxt.col)
         quotient = None
-        if self.peek() is not None and self.peek().text == "/":
+        if self.at("/"):
             self.next()
             self.expect("(")
-            quotient = [self.parse_expr()]
-            while self.peek().text == ",":
-                self.next()
-                quotient.append(self.parse_expr())
-            self.expect(")")
+            quotient = self.parse_items(")", empty=False)
         self.expect(";")
         return Node("ring", {"name": name, "p": int(p_tok.text),
                              "blocks": blocks, "quotient": quotient},
@@ -282,7 +306,7 @@ class Parser:
     def parse_sum(self) -> Node:
         t = self.peek()
         node = self.parse_product()
-        while self.peek() is not None and self.peek().text in ("+", "-"):
+        while self.at("+", "-"):
             op = self.next().text
             rhs = self.parse_product()
             node = Node("binop", {"op": op, "a": node, "b": rhs},
@@ -292,7 +316,7 @@ class Parser:
     def parse_product(self) -> Node:
         t = self.peek()
         node = self.parse_unary()
-        while self.peek() is not None and self.peek().text == "*":
+        while self.at("*"):
             self.next()
             rhs = self.parse_unary()
             node = Node("binop", {"op": "*", "a": node, "b": rhs},
@@ -302,7 +326,7 @@ class Parser:
     def parse_unary(self) -> Node:
         # a sign binds looser than ^: -x^2 is -(x^2)
         t = self.peek()
-        if t is not None and t.text == "-":
+        if self.at("-"):
             self.next()
             return Node("neg", {"a": self.parse_unary()}, t.line, t.col)
         return self.parse_power()
@@ -310,7 +334,7 @@ class Parser:
     def parse_power(self) -> Node:
         t = self.peek()
         node = self.parse_atom()
-        if self.peek() is not None and self.peek().text == "^":
+        if self.at("^"):
             self.next()
             e = self.next()
             if e.kind != "int":
@@ -329,18 +353,12 @@ class Parser:
             e = self.parse_expr()
             self.expect(")")
             return e
-        if t.text == "matrix" and self.peek() is not None \
-                and self.peek().text == "[":
+        if t.text == "matrix" and self.at("["):
             self.next()
             rows = []
             while True:
                 self.expect("[")
-                row = [self.parse_expr()]
-                while self.peek().text == ",":
-                    self.next()
-                    row.append(self.parse_expr())
-                self.expect("]")
-                rows.append(row)
+                rows.append(self.parse_items("]", empty=False))
                 nxt = self.next()
                 if nxt.text == ",":
                     continue
@@ -350,25 +368,13 @@ class Parser:
                                   nxt.line, nxt.col)
             return Node("matrix", {"rows": rows}, t.line, t.col)
         if t.text == "[":
-            items = []
-            if self.peek().text != "]":
-                items.append(self.parse_expr())
-                while self.peek().text == ",":
-                    self.next()
-                    items.append(self.parse_expr())
-            self.expect("]")
-            return Node("list", {"items": items}, t.line, t.col)
+            return Node("list", {"items": self.parse_items("]")},
+                        t.line, t.col)
         if t.kind == "name":
-            if self.peek() is not None and self.peek().text == "(":
+            if self.at("("):
                 self.next()
-                args = []
-                if self.peek().text != ")":
-                    args.append(self.parse_expr())
-                    while self.peek().text == ",":
-                        self.next()
-                        args.append(self.parse_expr())
-                self.expect(")")
-                return Node("call", {"name": t.text, "args": args},
+                return Node("call", {"name": t.text,
+                                     "args": self.parse_items(")")},
                             t.line, t.col)
             return Node("ident", {"name": t.text}, t.line, t.col)
         raise ScriptError(f"unexpected token {t.text!r}", t.line, t.col)
@@ -1315,30 +1321,25 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        try:
-            script = parse_script(text)
-        except ScriptError as exc:
-            print(f"parse error: {exc}", file=sys.stderr)
-            return 2
-        doc = execute_script(script, config)
-        out = emit(doc, "json" if config.json else "text")
-        sys.stdout.buffer.write(out)
-        if doc.status and not config.json:
-            print(doc.message, file=sys.stderr)
-        return doc.status
-    if args.command == "eval":
+    else:
         text = f"print {args.expr};"
-        try:
-            script = parse_script(text)
-        except ScriptError as exc:
-            print(f"parse error: {exc}", file=sys.stderr)
-            return 2
-        doc = execute_script(script, config)
-        sys.stdout.buffer.write(emit(doc, "json" if config.json else "text"))
-        if doc.status:
-            print(doc.message, file=sys.stderr)
-        return doc.status
-    return 2
+    return _run_text(text, config)
+
+
+def _run_text(text, config) -> int:
+    """Parse, execute and emit one script; returns the exit code.  A
+    parse error goes to stderr; a failed statement's message goes to
+    stderr in text mode and only into the document under ``--json``."""
+    try:
+        script = parse_script(text)
+    except ScriptError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    doc = execute_script(script, config)
+    sys.stdout.buffer.write(emit(doc, "json" if config.json else "text"))
+    if doc.status and not config.json:
+        print(doc.message, file=sys.stderr)
+    return doc.status
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .coeff import factor_multivariate, factor_univariate_list, uv_monic, _trim
 from .gb import (Ideal, _ambient_ideal, _descend, dimension_and_degree,
                  normal_form, standard_monomials)
-from .polyring import Polynomial
+from .polyring import Polynomial, RingDescriptor, RingMap
 
 
 @dataclass(frozen=True)
@@ -84,21 +84,10 @@ def _min_poly(f: Polynomial, J: Ideal, std, index):
             raise RuntimeError("minimal polynomial search exceeded dimension")
 
 
-def _uv_as_poly(coeffs, f: Polynomial):
-    """Evaluate a univariate coefficient list at the polynomial f."""
-    ring = f.ring
-    out = ring.zero()
-    power = ring.one()
-    for c in coeffs:
-        if c:
-            out = out + power * c
-        power = power * f
-    return out
-
-
 class _Decomposer:
     def __init__(self, amb, seed, shape_retries, factor_seed=0):
         self.amb = amb
+        self.line = RingDescriptor(amb.p, (("t",),))  # k[t], for eliminants
         self.rng = random.Random(seed)
         self.retries = shape_retries
         self.factor_seed = factor_seed
@@ -144,6 +133,13 @@ class _Decomposer:
             else:
                 self.found.append((J, self.tower_certified(basis), dim))
 
+    def at(self, coeffs, f: Polynomial) -> Polynomial:
+        """The univariate polynomial with ascending ``coeffs``, an element
+        of k[t], under the ring map k[t] -> amb, t -> f."""
+        line = self.line
+        return RingMap(line, self.amb, [f])(
+            line.poly({(k,): c for k, c in enumerate(coeffs)}))
+
     # -- dimension zero ------------------------------------------------------
     def zero_dimensional(self, J: Ideal, stack):
         amb = self.amb
@@ -159,7 +155,7 @@ class _Decomposer:
                 e = _min_poly(v, J, std, index)
                 sf = _uv_squarefree_part(e, p)
                 if len(sf) != len(e):
-                    J = Ideal(amb, J.gens + (_uv_as_poly(sf, v),))
+                    J = Ideal(amb, J.gens + (self.at(sf, v),))
                     changed = True
                     break
         std = standard_monomials(J)
@@ -171,21 +167,20 @@ class _Decomposer:
             _, parts = factor_univariate_list(e, p, random.Random(0))
             if len(parts) > 1:
                 for q, _ in reversed(parts):
-                    stack.append(Ideal(amb, J.gens + (_uv_as_poly(q, v),)))
+                    stack.append(Ideal(amb, J.gens + (self.at(q, v),)))
                 return
         # primitive element certificate
         D = len(std)
         for _ in range(self.retries):
-            lam = amb.zero()
-            for name in amb.names:
-                lam = lam + amb.var(name) * self.rng.randrange(p)
+            lam = amb.sum(amb.var(name) * self.rng.randrange(p)
+                          for name in amb.names)
             if lam.is_zero() or lam.is_constant():
                 continue
             e = _min_poly(lam, J, std, index)
             _, parts = factor_univariate_list(e, p, random.Random(0))
             if len(parts) > 1 or parts[0][1] > 1:
                 for q, _ in reversed(parts):
-                    stack.append(Ideal(amb, J.gens + (_uv_as_poly(q, lam),)))
+                    stack.append(Ideal(amb, J.gens + (self.at(q, lam),)))
                 return
             if len(e) - 1 == D:
                 self.found.append((J, True, 0))
@@ -210,12 +205,12 @@ class _Decomposer:
                 if hit is None:
                     continue
                 i, c = hit
-                name = self.amb.names[i]
                 rest = self.amb.poly(
                     {e: cc for e, cc in g.terms if not e[i]})
-                image = rest * (-pow(c, -1, self.amb.p))
-                gens = [h.substitute({name: image})
-                        for h in gens if h is not g]
+                images = self.amb.gens()
+                images[i] = rest * (-pow(c, -1, self.amb.p))
+                peel = RingMap(self.amb, self.amb, images)
+                gens = [peel(h) for h in gens if h is not g]
                 gens = [h for h in gens if not h.is_zero()]
                 sub_done = True
                 break

@@ -41,7 +41,10 @@ the module order.  The next term of a reduction is a plain ``max`` over
 ints, multiplying by a monomial is one addition, and the pair criteria get
 lcms and divisibility from a few integer operations on the leads.  The
 slot width comes from the input degrees; a term that outgrows it restarts
-the computation wider.  Pairs of two monomials are never reduced: their
+the computation wider.  The engine returns its basis as term dicts that
+carry their lead under a sentinel key; ``_engine_basis`` is the one
+function that calls it and reads that layout, and hands every caller
+(lead, term dict) pairs.  Pairs of two monomials are never reduced: their
 S-vector is zero.  Pairs are taken lowest sugar first (Giovini, Mora,
 Niesi, Robbiano and Traverso, "One sugar cube, please", ISSAC 1991), then
 smallest lcm: under the block orders of elimination, where the lcm order
@@ -91,7 +94,8 @@ def _gb_core(vectors, amb, spec=None, padding=None):
     over term.  Returns ``(basis,)``: a list of monic term dicts sorted by
     ascending lead, each dict carrying its lead under the key ``"_lead"``.
     The one-element tuple and the key are the shape that the basis-term
-    counter of ``perfbench/tracer.py`` reads.
+    counter of ``perfbench/tracer.py`` reads; inside reeskit only
+    ``_engine_basis`` reads it.
 
     The work happens on packed terms (``polyring._Packing``, see
     ``_buchberger``).  The width comes from the input degrees; when a term
@@ -120,6 +124,16 @@ def _gb_core(vectors, amb, spec=None, padding=None):
         d["_lead"] = unpack(lead)
         basis.append(d)
     return (basis,)
+
+
+def _engine_basis(vectors, amb, spec=None, padding=None):
+    """``_gb_core``'s reduced basis as (lead, term dict) pairs, ascending.
+
+    The one reader of the engine's output layout: every caller of the
+    engine goes through here, so the ``"_lead"`` key appears nowhere else.
+    """
+    basis, = _gb_core(vectors, amb, spec, padding)
+    return [(g.pop("_lead"), g) for g in basis]
 
 
 def _buchberger(vectors, pk, p, padding):
@@ -325,20 +339,10 @@ def _buchberger(vectors, pk, p, padding):
     return out
 
 
-def _basis_polys(basis, amb):
-    out = []
-    for g in basis:
-        terms = {e: c for (comp, e), c in
-                 ((m, c) for m, c in g.items() if m != "_lead")}
-        out.append(amb.poly(terms))
-    return out
-
-
 def reduced_groebner_raw(polys, amb):
     """Reduced GB of an ideal given by polynomials of an ambient ring."""
     vecs = [_poly_to_vec(f) for f in polys if not f.is_zero()]
-    basis, = _gb_core(vecs, amb)
-    return _basis_polys(basis, amb)
+    return [_vec_to_polys(g, amb, 1)[0] for _, g in _engine_basis(vecs, amb)]
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +563,7 @@ def _graph_basis(columns, rows, basis, amb):
         v[(rows + j, unit)] = 1
         vecs.append(v)
     vecs, padding = _padded(vecs, basis, rows)
-    found, = _gb_core(vecs, amb, padding=padding)
-    return found
+    return _engine_basis(vecs, amb, padding=padding)
 
 
 def _syzygies(columns, rows, basis, amb):
@@ -570,10 +573,10 @@ def _syzygies(columns, rows, basis, amb):
     generate the r with sum_j r_j * column_j in basis * R^rows.  Returns
     them as tuples of ambient polynomials, one entry per column.
     """
-    return [_vec_to_polys({(m[0] - rows, m[1]): co for m, co in g.items()
-                           if m != "_lead"}, amb, len(columns))
-            for g in _graph_basis(columns, rows, basis, amb)
-            if g["_lead"][0] >= rows]
+    return [_vec_to_polys({(c - rows, e): co for (c, e), co in g.items()},
+                          amb, len(columns))
+            for lead, g in _graph_basis(columns, rows, basis, amb)
+            if lead[0] >= rows]
 
 
 def _coefficients(ring, polys, gens):
@@ -589,8 +592,7 @@ def _coefficients(ring, polys, gens):
     """
     amb = ring.ambient
     found = _graph_basis([(g,) for g in gens], 1, ring.quotient, amb)
-    reducer = _Reducer([{m: c for m, c in g.items() if m != "_lead"}
-                        for g in found if g["_lead"][0] == 0],
+    reducer = _Reducer([g for lead, g in found if lead[0] == 0],
                        amb.order_spec, amb.nvars, amb.p)
     out = []
     for f in polys:
@@ -604,29 +606,27 @@ def _coefficients(ring, polys, gens):
 
 
 def groebner_basis(target) -> GroebnerBasis:
+    """Reduced basis of an ideal, or of the column span of a matrix; an
+    ideal is the rank-one module of its one-entry columns."""
     if isinstance(target, Ideal):
-        ring = target.ring
-        amb = ring.ambient
-        vecs, padding = _padded(
-            [_poly_to_vec(transport(g, amb)) for g in target.gens],
-            ring.quotient)
-        basis, = _gb_core(vecs, amb, padding=padding)
-        ambient_elements = _basis_polys(basis, amb)
-        elements = _descend(ring, ambient_elements).gens
-        return GroebnerBasis(ring, 0, ambient_elements, elements,
-                             amb.order_spec)
-    if isinstance(target, FreeModuleMap):
-        ring = target.ring
-        amb = ring.ambient
-        rank = target.rows
-        vecs, padding = _padded(
-            [v for v in (_module_vec(col, amb) for col in target.columns())
-             if v], ring.quotient, rank)
-        basis, = _gb_core(vecs, amb, padding=padding)
-        vectors = [_vec_to_polys({m: c for m, c in g.items() if m != "_lead"},
-                                 amb, rank) for g in basis]
+        rank, columns = 0, [(g,) for g in target.gens]
+    elif isinstance(target, FreeModuleMap):
+        rank, columns = target.rows, target.columns()
+    else:
+        raise TypeError("groebner_basis wants an Ideal or a FreeModuleMap")
+    ring = target.ring
+    amb = ring.ambient
+    vecs, padding = _padded(
+        [v for v in (_module_vec(col, amb) for col in columns) if v],
+        ring.quotient, max(rank, 1))
+    vectors = [_vec_to_polys(g, amb, max(rank, 1))
+               for _, g in _engine_basis(vecs, amb, padding=padding)]
+    if rank:
         return GroebnerBasis(ring, rank, vectors, vectors, amb.order_spec)
-    raise TypeError("groebner_basis wants an Ideal or a FreeModuleMap")
+    ambient_elements = [f for (f,) in vectors]
+    return GroebnerBasis(ring, 0, ambient_elements,
+                         _descend(ring, ambient_elements).gens,
+                         amb.order_spec)
 
 
 def normal_form(f: Polynomial, basis):
@@ -676,18 +676,10 @@ def _subring_without(amb, names):
 def _eliminate_raw(polys, amb, names):
     idxs = [amb.var_index(n) for n in names]
     vecs = [_poly_to_vec(f) for f in polys if not f.is_zero()]
-    basis, = _gb_core(vecs, amb, elimination_spec(idxs, amb.nvars))
-    idxset = set(idxs)
+    basis = _engine_basis(vecs, amb, elimination_spec(idxs, amb.nvars))
     sub = _subring_without(amb, names)
-    kept = []
-    for g in basis:
-        lead = g["_lead"]
-        if any(lead[1][i] for i in idxset):
-            continue
-        terms = {e: c for (_, e), c in
-                 ((m, c) for m, c in g.items() if m != "_lead")}
-        f = amb.poly(terms)
-        kept.append(transport(f, sub))
+    kept = [transport(_vec_to_polys(g, amb, 1)[0], sub) for lead, g in basis
+            if not any(lead[1][i] for i in idxs)]
     return sub, kept
 
 
@@ -809,10 +801,9 @@ def _rabinowitsch_input(I: Ideal, elements):
         taken.add(z_names[-1])
     ext = extend_ring(amb, z_names)
     gens = [transport(g, ext) for g in _lift(I)]
-    inverse = ext.one()
-    for g, z_name in zip(elements, z_names):
-        inverse = inverse - transport(g, ext) * ext.var(z_name)
-    gens.append(inverse)
+    gens.append(ext.sum([ext.one()] + [
+        -(transport(g, ext) * ext.var(z_name))
+        for g, z_name in zip(elements, z_names)]))
     return ext, z_names, gens
 
 
@@ -1218,13 +1209,11 @@ def minors_ideal(k: int, A: FreeModuleMap) -> Ideal:
         if len(rows) == 1:
             out = A.entries[rows[0]][cols[0]]
         else:
-            out = ring.zero()
-            r0 = rows[0]
-            rest = rows[1:]
-            for t, c in enumerate(cols):
-                sub = det(rest, cols[:t] + cols[t + 1:])
-                term = A.entries[r0][c] * sub
-                out = out + term if t % 2 == 0 else out - term
+            r0, rest = rows[0], rows[1:]
+            terms = [A.entries[r0][c] * det(rest, cols[:t] + cols[t + 1:])
+                     for t, c in enumerate(cols)]
+            out = ring.sum(f if t % 2 == 0 else -f
+                           for t, f in enumerate(terms))
         memo[key] = out
         return out
 

@@ -68,11 +68,8 @@ def _avoidance_element(parts, i, rng, p):
     for _ in range(40):
         pick = ring.one()
         for P in others:
-            gens = P.display_gens()
-            acc = ring.zero()
-            for g in gens:
-                acc = acc + g * rng.randrange(p)
-            pick = pick * acc
+            pick = pick * ring.sum(g * rng.randrange(p)
+                                   for g in P.display_gens())
         if not pick.is_zero() and not normal_form(pick, target).is_zero():
             return pick
     raise RuntimeError("prime avoidance failed; components may be entangled")

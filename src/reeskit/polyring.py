@@ -202,6 +202,17 @@ class RingDescriptor:
         items = sorted(terms.items(), key=lambda t: self.key(t[0]), reverse=True)
         return Polynomial(self, tuple(items))
 
+    def sum(self, polys):
+        """Sum of polynomials of this ring, normalised once: their terms
+        are merged into one dict, which one ``poly`` sorts and reduces."""
+        d = {}
+        for f in polys:
+            if f.ring != self:
+                raise RingMismatchError("polynomials from different rings")
+            for e, c in f.terms:
+                d[e] = d.get(e, 0) + c
+        return self.poly(d)
+
     def zero(self):
         return Polynomial(self, ())
 
@@ -619,7 +630,7 @@ class Polynomial:
     def __hash__(self):
         return hash((self.ring._hash, self.terms))
 
-    # -- calculus / substitution ---------------------------------------------
+    # -- calculus ------------------------------------------------------------
     def derivative(self, name):
         i = self.ring.var_index(name)
         p = self.ring.p
@@ -632,28 +643,6 @@ class Polynomial:
                 if cc:
                     d[tuple(ne)] = cc
         return self.ring.poly(d)
-
-    def substitute(self, images: dict):
-        """Substitute polynomials for variables (by name); result in self.ring."""
-        ring = self.ring
-        idx = {ring.var_index(n): f for n, f in images.items()}
-        out = ring.zero()
-        powcache = {}
-        for e, c in self.terms:
-            piece = ring.const(c)
-            rest = list(e)
-            for i, f in idx.items():
-                k = e[i]
-                if k:
-                    rest[i] = 0
-                    key = (i, k)
-                    pw = powcache.get(key)
-                    if pw is None:
-                        pw = powcache[key] = f ** k
-                    piece = piece * pw
-            piece = piece * ring.monomial(tuple(rest))
-            out = out + piece
-        return out
 
     def __str__(self):
         return format_terms(self.terms, self.ring)
@@ -743,30 +732,31 @@ class RingMap:
     def apply_ambient(self, f):
         """Apply to a polynomial given by ambient term data of the source."""
         tgt = self.target
-        out = tgt.zero()
         cache = self._powcache
+        pieces = []
         for e, c in f.terms:
-            piece = tgt.const(c)
+            piece = None
             for i, a in enumerate(e):
                 if a:
                     key = (i, a)
                     pw = cache.get(key)
                     if pw is None:
                         pw = cache[key] = self.images[i] ** a
-                    piece = piece * pw
-            out = out + piece
-        return out
+                    piece = pw if piece is None else piece * pw
+            pieces.append(tgt.const(c) if piece is None else piece * c)
+        return tgt.sum(pieces)
 
     def __call__(self, x):
+        """The image of a polynomial, or the ideal generated by the images
+        of an ideal's generators."""
+        from .gb import Ideal  # deferred: gb builds on this module
+        if not isinstance(x, (Polynomial, Ideal)):
+            raise TypeError(f"cannot apply ring map to {type(x).__name__}")
+        if x.ring != self.source:
+            raise RingMismatchError("argument not in the source ring")
         if isinstance(x, Polynomial):
-            if x.ring != self.source:
-                raise RingMismatchError("argument not in the source ring")
             return self.apply_ambient(x)
-        if hasattr(x, "gens") and hasattr(x, "ring"):
-            if x.ring != self.source:
-                raise RingMismatchError("argument not in the source ring")
-            return x.__class__(self.target, tuple(self(g) for g in x.gens))
-        raise TypeError(f"cannot apply ring map to {type(x).__name__}")
+        return Ideal(self.target, tuple(self.apply_ambient(g) for g in x.gens))
 
     def __repr__(self):
         ims = ", ".join(f"{n} -> {f}" for n, f in zip(self.source.names, self.images))
@@ -837,13 +827,8 @@ def row_times_matrix(row, mat: FreeModuleMap):
     """(1 x m) row of polynomials times an m x s matrix -> list of s entries."""
     if len(row) != mat.rows:
         raise ValueError("row length must match matrix rows")
-    out = []
-    for j in range(mat.cols):
-        acc = mat.ring.zero()
-        for i in range(mat.rows):
-            acc = acc + row[i] * mat.entries[i][j]
-        out.append(acc)
-    return out
+    return [mat.ring.sum(row[i] * mat.entries[i][j] for i in range(mat.rows))
+            for j in range(mat.cols)]
 
 
 # ---------------------------------------------------------------------------
@@ -881,19 +866,6 @@ def homogenize_ideal(I, new_name):
     return gb.Ideal(ext, tuple(out))
 
 
-def _degree_vectors(nvars, degree):
-    if nvars == 0:
-        if degree == 0:
-            yield ()
-        return
-    if nvars == 1:
-        yield (degree,)
-        return
-    for a in range(degree, -1, -1):
-        for rest in _degree_vectors(nvars - 1, degree - a):
-            yield (a,) + rest
-
-
 def random_poly(ring, degree, seed_or_rng=0, homogeneous=False):
     """Dense polynomial with seeded uniform coefficients; deterministic.
 
@@ -901,6 +873,7 @@ def random_poly(ring, degree, seed_or_rng=0, homogeneous=False):
     with ``homogeneous`` only the top degree is used (a random form, the way
     generic forms enter the constructions here).
     """
+    from .gb import _standard_exponents  # deferred: gb builds on this module
     if degree < 0:
         raise ValueError("degree must be >= 0")
     rng = seed_or_rng if isinstance(seed_or_rng, random.Random) \
@@ -909,7 +882,9 @@ def random_poly(ring, degree, seed_or_rng=0, homogeneous=False):
     while True:
         d = {}
         for dd in degrees:
-            for e in _degree_vectors(ring.nvars, dd):
+            # exponents of degree dd, lexicographically descending
+            for e in reversed(_standard_exponents(
+                    (), ring.nvars, (1,) * ring.nvars, dd)):
                 d[e] = rng.randrange(ring.p)
         f = ring.poly(d)
         if not f.is_zero():

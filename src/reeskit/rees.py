@@ -165,20 +165,12 @@ def symmetric_kernel(f: FreeModuleMap) -> Ideal:
     g, m = f.rows, f.cols
     W = rees_ring(base, m)
     U = rees_ring(base, g, stem="#u")
-    wnames = rees_variable_names(W)
-    unames = rees_variable_names(U)
-    uvars = [U.var(n) for n in unames]
-    images = []
-    for n in base.ambient.names:
-        images.append(U.var(n))
-    for i in range(m):
-        acc = U.zero()
-        for j in range(g):
-            acc = acc + transport(f.entries[j][i], U) * uvars[j]
-        images.append(acc)
-    phi = RingMap(W, U, images, check=False)
-    K = kernel_of_ring_map(phi)
-    return K
+    uvars = [U.var(n) for n in rees_variable_names(U)]
+    images = [U.var(n) for n in base.ambient.names]
+    images += [U.sum(transport(f.entries[j][i], U) * uvars[j]
+                     for j in range(g))
+               for i in range(m)]
+    return kernel_of_ring_map(RingMap(W, U, images, check=False))
 
 
 def symmetric_algebra_ideal(M) -> Ideal:
@@ -440,12 +432,8 @@ def minimal_reduction(I: Ideal, seed=0, tries=10,
         for _ in range(max(1, tries // len(pools))):
             coeffs = [[rng.randrange(ring.p) for _ in pool]
                       for _ in range(ell)]
-            combos = []
-            for row in coeffs:
-                acc = ring.zero()
-                for c, (_, g) in zip(row, pool):
-                    acc = acc + g * c
-                combos.append(acc)
+            combos = [ring.sum(g * c for c, (_, g) in zip(row, pool))
+                      for row in coeffs]
             if any(g.is_zero() for g in combos):
                 continue
             if equigenerated:
@@ -455,12 +443,9 @@ def minimal_reduction(I: Ideal, seed=0, tries=10,
                     fiber = special_fiber_ideal(I)
                 fring = fiber.ring
                 wnames = list(fring.names)
-                lins = []
-                for row in coeffs:
-                    acc = fring.zero()
-                    for c, (i, _) in zip(row, pool):
-                        acc = acc + fring.var(wnames[i]) * c
-                    lins.append(acc)
+                lins = [fring.sum(fring.var(wnames[i]) * c
+                                  for c, (i, _) in zip(row, pool))
+                        for row in coeffs]
                 cut = Ideal(fring, tuple(fiber.gens) + tuple(lins))
                 if dimension_and_degree(cut)[0] != 0:
                     continue

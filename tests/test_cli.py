@@ -46,6 +46,31 @@ class TestParser:
                           "print x*-y^2; print (-x)^2;")
         assert out == "-x^2\n-4\n-x*y^2\nx^2\n"
 
+    # each comma list (ring quotient, matrix rows, list literal, call
+    # arguments) and each empty-list check meets the end of the input
+    TRUNCATED = {"call": "ring P = zmod 101 [x,y];\nprint ideal(x",
+                 "empty-call": "ring P = zmod 101 [x,y];\nprint ideal(",
+                 "list": "ring P = zmod 101 [x,y];\nprint [x",
+                 "empty-list": "ring P = zmod 101 [x,y];\nprint [",
+                 "matrix": "ring P = zmod 101 [x,y];\nprint matrix[[x",
+                 "quotient": "ring P = zmod 101 [x] / (x"}
+
+    @pytest.mark.parametrize("src", TRUNCATED.values(), ids=TRUNCATED)
+    def test_truncated_script_is_a_parse_error(self, src):
+        with pytest.raises(ScriptError, match="unexpected end of input"):
+            parse_script(src)
+
+    def test_line_numbers_count_newlines_in_strings(self):
+        doc, out = run_text('ring P = zmod 101 [x,y];\nprint "a\nb";\n'
+                            'print foo;')
+        assert out == "a\nb\n"
+        assert doc.status == 2
+        assert doc.message.startswith("line 4 col 7:")
+        script = parse_script('print "a\nbc" ;')
+        assert script.statements[0].data["expr"].data["value"] == "a\nbc"
+        with pytest.raises(ScriptError, match="line 2 col 5:"):
+            parse_script('print "a\nbc" ?')
+
     def test_unknown_identifier_reported(self):
         doc, _ = run_text("ring R = zmod 101 [x]; print zz;")
         assert doc.status == 2
@@ -352,6 +377,46 @@ class TestMainEntry:
         assert main(["run", str(good)]) == 0
         assert main(["run", str(bad)]) == 1
         assert main(["run", str(ugly)]) == 2
+
+    @pytest.mark.parametrize("src", TestParser.TRUNCATED.values(),
+                             ids=TestParser.TRUNCATED)
+    def test_truncated_script_exits_2(self, tmp_path, capsys, src):
+        script = tmp_path / "cut.rk"
+        script.write_text(src)
+        assert main(["run", str(script)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("parse error: line ")
+        assert "unexpected end of input" in err
+
+    def test_apply_ring_map_to_a_module_exits_2(self, tmp_path, capsys):
+        script = tmp_path / "m.rk"
+        script.write_text("ring P = zmod 101 [x,y];\n"
+                          "module M = ideal(x, y);\n"
+                          "print applyRingMap(ringmap(P, P, [y, x]), M);\n")
+        assert main(["run", str(script)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("line 3 col 7: cannot apply ring map to "
+                       "PresentedModule\n")
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_run_and_eval_report_errors_alike(self, tmp_path, capsys, flags):
+        # text mode: the message on stderr; --json: only in the document
+        script = tmp_path / "foo.rk"
+        script.write_text("print foo;")
+        got = []
+        for argv in (["run", str(script)], ["eval", "foo"]):
+            code = main(flags + argv)
+            got.append((code,) + tuple(capsys.readouterr()))
+        message = "line 1 col 7: unknown identifier 'foo'"
+        if flags:
+            doc = {"message": message, "results": [], "schema": 1,
+                   "status": 2}
+            want = (2, json.dumps(doc, separators=(",", ":")) + "\n", "")
+        else:
+            want = (2, "", message + "\n")
+        assert got == [want, want]
 
     def test_eval_expression(self, capsys):
         code = main(["eval", "gfInv(101, 2)"])

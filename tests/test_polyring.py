@@ -10,6 +10,7 @@ from reeskit.polyring import (
     elimination_spec, homogenize_ideal, make_key_function, make_ring,
     parse_poly, random_poly, transport,
 )
+from reeskit.rees import PresentedModule
 
 exps3 = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
 
@@ -78,6 +79,31 @@ class TestArithmetic:
     def test_ring_mismatch(self, A2, A3):
         with pytest.raises(RingMismatchError):
             A2.var("x") + A3.var("x")
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_sum_equals_iterated_addition(self, seed):
+        # one merge and one normalisation give the value of the running
+        # total, also in a quotient ring, where the sum is reduced once
+        rng = random.Random(seed)
+        R0 = make_ring(7, ["x", "y", "z"])
+        x, y, z = R0.gens()
+        Q = make_ring(7, ["x", "y", "z"], quotient=[x * z - y ** 2, x ** 3])
+        for ring in (R0, Q):
+            polys = [random_poly(ring, rng.randrange(4), rng)
+                     for _ in range(rng.randrange(6))]
+            acc = ring.zero()
+            for f in polys:
+                acc = acc + f
+            assert ring.sum(polys) == acc
+            assert ring.sum(iter(polys)) == acc
+
+    def test_sum_of_nothing_and_across_rings(self, A2, A3):
+        assert A2.sum([]) == A2.zero()
+        x, y = A2.gens()
+        assert A2.sum([x, -x, y]) == y
+        with pytest.raises(RingMismatchError):
+            A2.sum([A2.var("x"), A3.var("x")])
 
     def test_exponent_overflow_guard(self, A2):
         x, _ = A2.gens()
@@ -243,6 +269,15 @@ class TestRingMap:
         phi = RingMap(W, T, [t ** 2, t ** 3])
         assert phi(W.var("w_0") ** 3 - W.var("w_1") ** 2).is_zero()
 
+    def test_applies_to_polynomials_and_ideals_only(self, A2):
+        x, y = A2.gens()
+        swap = RingMap(A2, A2, [y, x])
+        assert swap(Ideal(A2, (x, x + y ** 2))).gens == (y, y + x ** 2)
+        module = PresentedModule.from_ideal(Ideal(A2, (x, y)))
+        for value in (module, FreeModuleMap(A2, [[x, y]]), 3):
+            with pytest.raises(TypeError):
+                swap(value)
+
     def test_quotient_compat_checked(self):
         R = make_ring(101, ["x"], quotient=[make_ring(101, ["x"]).var("x") ** 2])
         T = make_ring(101, ["y"])
@@ -264,6 +299,23 @@ class TestRingMap:
 
 
 class TestRandomPoly:
+    # every seeded randomPoly (morey_ulrich.rk draws some) depends on the
+    # order in which the monomials get their coefficients
+    @pytest.mark.parametrize("p, names, degree, seed, homogeneous, want", [
+        (7, ["x", "y"], 3, 0, False,
+         "-3*x^3 + 3*x^2*y + 3*x*y^2 - y^3 + 3*x^2 + 2*y^2 + 3*x - y - 1"),
+        (101, ["x", "y", "z"], 2, 5, True,
+         "-22*x^2 + 32*x*y + 45*y^2 - 7*x*z - 13*y*z - 7*z^2"),
+        (32003, ["a", "b"], 4, 11, True,
+         "14823*a^4 - 3635*a^3*b - 13661*a^2*b^2 - 3926*a*b^3 - 1719*b^4"),
+        (5, ["x"], 2, 3, False, "-x^2 - x + 1"),
+        (101, ["x", "y", "z", "w"], 1, 7, False,
+         "19*x + 50*y - 18*z + 6*w + 41"),
+    ])
+    def test_draws_pinned(self, p, names, degree, seed, homogeneous, want):
+        ring = make_ring(p, names)
+        assert str(random_poly(ring, degree, seed, homogeneous)) == want
+
     def test_degree_zero_nonzero(self, A2):
         f = random_poly(A2, 0, 5)
         assert f.is_constant() and not f.is_zero()
@@ -314,7 +366,8 @@ class TestTextForm:
         assert parse_poly(A2, "(-x)^2") == x ** 2
 
     @pytest.mark.parametrize("text", [
-        "x # + y", "3x", "x^2^3", "x +", "ideal(x)", "z", ""])
+        "x # + y", "3x", "x^2^3", "x +", "ideal(x)", "z", "",
+        "f(x", "gfInv(101,", "[x", "matrix[[x", "(x"])
     def test_parse_rejects(self, A2, text):
         with pytest.raises(ValueError):
             parse_poly(A2, text)
