@@ -1328,14 +1328,14 @@ def main(argv=None) -> int:
 
 def _run_text(text, config) -> int:
     """Parse, execute and emit one script; returns the exit code.  A
-    parse error goes to stderr; a failed statement's message goes to
+    parse error fails like a statement, with status 2: its message goes to
     stderr in text mode and only into the document under ``--json``."""
     try:
         script = parse_script(text)
     except ScriptError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    doc = execute_script(script, config)
+        doc = ResultDocument(status=2, message=f"parse error: {exc}")
+    else:
+        doc = execute_script(script, config)
     sys.stdout.buffer.write(emit(doc, "json" if config.json else "text"))
     if doc.status and not config.json:
         print(doc.message, file=sys.stderr)

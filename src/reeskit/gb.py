@@ -32,7 +32,8 @@ Every normal form, here and in quotient rings, is computed by the one term
 reducer ``polyring._reduce_vec``, which returns the remainder and nothing
 else; no division records its quotients.  Normal forms and membership
 tests against a finished basis use the ``polyring._Reducer`` that
-``GroebnerBasis._reducers`` builds once per basis.
+``GroebnerBasis._reducers`` builds once per basis.  Every smaller
+generating set comes from ``_trim``: one Buchberger run per degree.
 
 Packed terms.  Inside the reducer and the engine ``_gb_core`` every term
 is one int (``polyring._Packing``): guarded bit slots of prefix sums per
@@ -60,7 +61,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from operator import ge
+from operator import ge, itemgetter
 
 from .polyring import (
     FreeModuleMap, Polynomial, RingDescriptor, RingMap, RingMismatchError,
@@ -1224,8 +1225,39 @@ def minors_ideal(k: int, A: FreeModuleMap) -> Ideal:
     return Ideal(ring, tuple(gens))
 
 
+def _trim(ring, columns, rows, shifts):
+    """The columns one pass by ascending degree keeps, in walk order.
+
+    A column's degree is its largest deg f_i + shifts[i] under
+    ``ring.degrees`` (a stable sort).  Each new degree restarts the reducers
+    from one Groebner basis of the kept columns, Q in every row; a column
+    is kept iff its normal form by them is not zero, which then joins them.
+    As they lie in the kept span, dropping is sound; for homogeneous columns
+    the kept set is minimal (graded Nakayama), the first of dependents kept.
+    """
+    amb = ring.ambient
+    walk = sorted(((max(f.total_degree(ring.degrees) + s
+                        for f, s in zip(col, shifts) if not f.is_zero()), col)
+                   for col in columns if any(not f.is_zero() for f in col)),
+                  key=itemgetter(0))
+    kept = []
+    for _, same_degree in itertools.groupby(walk, key=itemgetter(0)):
+        reducers, padding = _padded([_module_vec(c, amb) for c in kept],
+                                    ring.quotient, rows)
+        if kept:  # Q alone is already a reduced basis
+            reducers = [g for _, g in _engine_basis(reducers, amb,
+                                                    padding=padding)]
+        for _, col in same_degree:
+            rem = _Reducer(reducers, amb.order_spec, amb.nvars,
+                           amb.p).reduce(_module_vec(col, amb))
+            if rem:
+                kept.append(col)
+                reducers.append(dict(rem))
+    return kept
+
+
 def trim_homogeneous(I: Ideal) -> Ideal:
-    """Minimal homogeneous generating set, degree by degree."""
+    """Minimal homogeneous generating set, degree by degree (``_trim``)."""
     ring = I.ring
     weights = ring.degrees
     gens = [g for g in I.gens if not g.is_zero()]
@@ -1234,11 +1266,10 @@ def trim_homogeneous(I: Ideal) -> Ideal:
             raise ValueError("trim needs a homogeneous ideal")
     gens.sort(key=lambda g: (g.total_degree(weights),
                              ring.key(g.terms[0][0])))
-    kept = []
-    for g in gens:
-        if not kept:
-            kept.append(g)
-            continue
-        if not Ideal(ring, tuple(kept)).contains(g):
-            kept.append(g)
-    return Ideal(ring, tuple(kept))
+    return _trimmed(Ideal(ring, tuple(gens)))
+
+
+def _trimmed(I: Ideal) -> Ideal:
+    """I, or the ideal of the generators ``_trim`` keeps when it drops one."""
+    kept = tuple(g for g, in _trim(I.ring, [(g,) for g in I.gens], 1, (0,)))
+    return I if len(kept) == len(I.gens) else Ideal(I.ring, kept)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from .gb import (
     Ideal, _cancel_one_minus_t, _coefficients, _hilbert_numerator, _lift,
-    _with_basis, codimension, dimension_and_degree, eliminate, groebner_basis,
-    kernel_of_matrix, kernel_of_ring_map, minors_ideal, module_contains,
+    _trim, _trimmed, _with_basis, codimension, dimension_and_degree,
+    eliminate, kernel_of_matrix, kernel_of_ring_map, minors_ideal,
     normal_form, ring_dimension, saturate, trim_homogeneous, INFINITY,
 )
 from .polyring import (
@@ -62,9 +62,14 @@ class PresentedModule:
     @property
     def presentation(self) -> FreeModuleMap:
         if self._presentation is None:
-            row = FreeModuleMap(self.ring, [list(self.gens)])
-            syz = kernel_of_matrix(row)
-            self._presentation = minimal_columns(syz)
+            syz = kernel_of_matrix(self.generator_row()).columns()
+            # walked last-first, the trim keeps the columns that a greedy
+            # drop of each column in the span of all the others would keep
+            syz.sort(key=_column_key, reverse=True)
+            shifts = [g.total_degree(self.ring.degrees) for g in self.gens]
+            kept = _trim(self.ring, syz, len(shifts), shifts)
+            self._presentation = matrix_from_columns(
+                self.ring, sorted(kept, key=_column_key), rows=len(shifts))
         return self._presentation
 
     def generator_row(self) -> FreeModuleMap:
@@ -91,24 +96,8 @@ def as_module(x) -> PresentedModule:
     raise TypeError(f"cannot view {type(x).__name__} as a module")
 
 
-def minimal_columns(mat: FreeModuleMap) -> FreeModuleMap:
-    """Drop matrix columns lying in the span of the others (greedy)."""
-    ring = mat.ring
-    cols = [c for c in mat.columns() if any(not f.is_zero() for f in c)]
-    if len(cols) <= 1:
-        return matrix_from_columns(ring, cols, rows=mat.rows)
-    cols.sort(key=lambda c: (max(f.total_degree() for f in c),
-                             tuple(f.terms for f in c)))
-    kept = []
-    for i, col in enumerate(cols):
-        others = kept + cols[i + 1:]
-        if others:
-            span = groebner_basis(
-                matrix_from_columns(ring, others, rows=mat.rows))
-            if module_contains(span, col):
-                continue
-        kept.append(col)
-    return matrix_from_columns(ring, kept, rows=mat.rows)
+def _column_key(col):
+    return max(f.total_degree() for f in col), tuple(f.terms for f in col)
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +275,8 @@ def _normal_cone_series(I: Ideal):
     """
     d = ring_dimension(I.ring)
     # the cone depends on I alone; each generator adds a w variable to
-    # the Rees ideal's elimination, so take the shorter generating set
-    basis = I.display_gens()
-    nc = normal_cone(I if len(I.gens) <= len(basis)
-                     else _with_basis(I.ring, basis, I.groebner()))
+    # the Rees ideal's elimination, so drop the redundant ones
+    nc = normal_cone(_trimmed(I))
     wnames = set(rees_variable_names(nc))
     is_w = [name in wnames for name in nc.names]
     lt = [q.terms[0][0] for q in nc.quotient]
@@ -346,7 +333,8 @@ def special_fiber_ideal(I: Ideal, mm: Ideal | None = None) -> Ideal:
 
 
 def analytic_spread(I: Ideal) -> int:
-    fib = special_fiber_ideal(I)
+    # the fiber depends on I alone; see _normal_cone_series
+    fib = special_fiber_ideal(_trimmed(I))
     return dimension_and_degree(fib)[0]
 
 
@@ -515,8 +503,4 @@ def expected_rees_ideal(I: Ideal) -> Ideal:
     I0 = symmetric_algebra_ideal(I)
     psi = jacobian_dual(I)
     J1 = minors_ideal(psi.rows, psi)
-    E = Ideal(I0.ring, I0.gens + J1.gens)
-    try:
-        return trim_homogeneous(E)
-    except ValueError:
-        return E
+    return _trimmed(Ideal(I0.ring, I0.gens + J1.gens))

@@ -174,8 +174,9 @@ def test_every_carried_basis_in_the_corpus_is_the_recomputed_one(
 
 def test_versal_engine_calls(monkeypatch):
     # the three symmetric kernels carry their bases, so comparing them
-    # and taking their graded pieces runs no further Buchberger; the
-    # parent of this change made 28 calls
+    # and taking their graded pieces runs no further Buchberger, and the
+    # presentations are trimmed with one basis per degree, not one per
+    # column (25 calls with the greedy per-column trim)
     calls = [0]
     core = gb_module._gb_core
 
@@ -188,4 +189,4 @@ def test_versal_engine_calls(monkeypatch):
     doc = execute_script(parse_script(src), Config(seed=0))
     assert emit(doc) == (REGRESSIONS
                          / "versal_embedding.expected.txt").read_bytes()
-    assert calls[0] == 25
+    assert calls[0] == 6

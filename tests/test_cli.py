@@ -418,6 +418,28 @@ class TestMainEntry:
             want = (2, "", message + "\n")
         assert got == [want, want]
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_parse_errors_report_like_runtime_errors(self, tmp_path, capsys,
+                                                     flags):
+        # a script that does not parse fails with status 2; under --json
+        # its message goes into the one document, as a runtime error's does
+        script = tmp_path / "cut.rk"
+        script.write_text("ring P = zmod 101 [x,y];\nprint ideal(x")
+        for argv, where in ((["run", str(script)],
+                             "line 2 col 13: unexpected end of input"),
+                            (["eval", "ideal(x"],
+                             "line 1 col 14: expected ')', found ';'")):
+            code = main(flags + argv)
+            got = (code,) + tuple(capsys.readouterr())
+            message = "parse error: " + where
+            if flags:
+                doc = {"message": message, "results": [], "schema": 1,
+                       "status": 2}
+                want = (2, json.dumps(doc, separators=(",", ":")) + "\n", "")
+            else:
+                want = (2, "", message + "\n")
+            assert got == want
+
     def test_eval_expression(self, capsys):
         code = main(["eval", "gfInv(101, 2)"])
         out = capsys.readouterr().out

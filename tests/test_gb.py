@@ -13,9 +13,11 @@ from reeskit.gb import (
     module_contains, normal_form, radical_membership, ring_dimension,
     saturate, saturation_exponent, standard_monomials, trim_homogeneous,
     vector_space_dimension, colon, _coefficients, _standard_exponents,
+    _trim,
 )
 from reeskit.polyring import (FreeModuleMap, RingMap, make_ring,
                               matrix_from_columns, random_poly, transport)
+from reeskit.rees import PresentedModule
 
 
 def spoly(f, g):
@@ -1154,6 +1156,185 @@ class TestTrim:
         x, y = A2.gens()
         with pytest.raises(ValueError):
             trim_homogeneous(Ideal(A2, (x ** 2 - y,)))
+
+
+def trim_reference(I):
+    """The per-generator loop of ``trim_homogeneous`` before ``_trim``:
+    keep each generator, by (degree, lead), not in the ideal of those kept."""
+    ring = I.ring
+    weights = ring.degrees
+    gens = [g for g in I.gens if not g.is_zero()]
+    gens.sort(key=lambda g: (g.total_degree(weights),
+                             ring.key(g.terms[0][0])))
+    kept = []
+    for g in gens:
+        if not kept or not Ideal(ring, tuple(kept)).contains(g):
+            kept.append(g)
+    return Ideal(ring, tuple(kept))
+
+
+def minimal_columns_reference(mat):
+    """The greedy column trim of presentations before ``_trim``: drop each
+    column, smallest first, that lies in the span of all the others."""
+    ring = mat.ring
+    cols = [c for c in mat.columns() if any(not f.is_zero() for f in c)]
+    if len(cols) <= 1:
+        return matrix_from_columns(ring, cols, rows=mat.rows)
+    cols.sort(key=lambda c: (max(f.total_degree() for f in c),
+                             tuple(f.terms for f in c)))
+    kept = []
+    for i, col in enumerate(cols):
+        others = kept + cols[i + 1:]
+        if others:
+            span = groebner_basis(
+                matrix_from_columns(ring, others, rows=mat.rows))
+            if module_contains(span, col):
+                continue
+        kept.append(col)
+    return matrix_from_columns(ring, kept, rows=mat.rows)
+
+
+def graded_form(ring, rng, degree, terms=3):
+    """A few monomials of weighted degree ``degree`` (zero if there are
+    none, or for a negative degree)."""
+    exps = (_standard_exponents((), ring.nvars, ring.degrees, degree)
+            if degree >= 0 else ())
+    if not exps:
+        return ring.zero()
+    return ring.poly({rng.choice(exps): rng.randrange(1, ring.p)
+                      for _ in range(terms)})
+
+
+def trim_ring(p, nvars, kind, rng):
+    """GF(p)[x,y(,z)]: plain, modulo a random quadric, or with a variable
+    of degree 2."""
+    names = ["x", "y", "z"][:nvars]
+    if kind == "weighted":
+        degrees = [1] * nvars
+        degrees[rng.randrange(nvars)] = 2
+        return make_ring(p, names, degrees=degrees)
+    ring = make_ring(p, names)
+    if kind == "quotient":
+        q = graded_form(ring, rng, 2)
+        return make_ring(p, names, quotient=[q]) if not q.is_zero() else ring
+    return ring
+
+
+def graded_gens(ring, rng):
+    """Homogeneous generators: a few forms, then redundant combinations of
+    them, shuffled in."""
+    def deg(f):
+        return f.total_degree(ring.degrees)
+
+    base = [graded_form(ring, rng, rng.randint(1, 3))
+            for _ in range(rng.randint(1, 3))]
+    base = [g for g in base if not g.is_zero()]
+    gens = list(base)
+    for _ in range(rng.randint(0, 3) if base else 0):
+        a, b = rng.choice(base), rng.choice(base)
+        top = max(deg(a), deg(b)) + rng.randint(0, 1)
+        gens.append(a * graded_form(ring, rng, top - deg(a), 1)
+                    + b * graded_form(ring, rng, top - deg(b), 1))
+    rng.shuffle(gens)
+    return [g for g in gens if not g.is_zero()]
+
+
+def graded_columns(ring, rng, rows, shifts):
+    """Homogeneous columns under ``shifts``, some of them combinations of
+    earlier ones."""
+    cols = []
+    for _ in range(rng.randint(1, 5)):
+        top = max(shifts) + rng.randint(0, 2)
+        if cols and rng.random() < 0.4:
+            a, b = rng.choice(cols), rng.choice(cols)
+            da, db = (max(f.total_degree(ring.degrees) + s
+                          for f, s in zip(c, shifts) if not f.is_zero())
+                      for c in (a, b))
+            top = max(top, da, db)
+            fa = graded_form(ring, rng, top - da, 1)
+            fb = graded_form(ring, rng, top - db, 1)
+            col = tuple(x * fa + y * fb for x, y in zip(a, b))
+        else:
+            col = tuple(graded_form(ring, rng, top - s) for s in shifts)
+        if any(not f.is_zero() for f in col):
+            cols.append(col)
+    return cols
+
+
+def spans(ring, cols, rows):
+    return groebner_basis(matrix_from_columns(ring, cols, rows=rows))
+
+
+class TestTrimPass:
+    """``_trim`` against the trims it replaced, on p in {7, 101, 32003},
+    two or three variables, plain, quotient and weighted rings."""
+
+    draws = (st.sampled_from((7, 101, 32003)), st.integers(2, 3),
+             st.sampled_from(("plain", "quotient", "weighted")),
+             st.integers(0, 10 ** 6))
+
+    @settings(max_examples=40, deadline=None)
+    @given(*draws)
+    def test_trim_homogeneous_matches_reference(self, p, nvars, kind, seed):
+        rng = random.Random(seed)
+        ring = trim_ring(p, nvars, kind, rng)
+        I = Ideal(ring, tuple(graded_gens(ring, rng)))
+        got = [g.terms for g in trim_homogeneous(I).gens]
+        assert got == [g.terms for g in trim_reference(I).gens]
+
+    @settings(max_examples=30, deadline=None)
+    @given(*draws)
+    def test_presentation_matches_greedy_reference(self, p, nvars, kind,
+                                                   seed):
+        rng = random.Random(seed)
+        ring = trim_ring(p, nvars, kind, rng)
+        gens = graded_gens(ring, rng)
+        assume(gens)
+        M = PresentedModule.from_ideal(Ideal(ring, tuple(gens)))
+        want = minimal_columns_reference(
+            kernel_of_matrix(M.generator_row()))
+        assert M.presentation.entries == want.entries
+
+    @settings(max_examples=30, deadline=None)
+    @given(*draws)
+    def test_graded_kept_columns_are_minimal(self, p, nvars, kind, seed):
+        rng = random.Random(seed)
+        ring = trim_ring(p, nvars, kind, rng)
+        rows = rng.randint(1, 2)
+        shifts = [rng.randint(0, 2) for _ in range(rows)]
+        cols = graded_columns(ring, rng, rows, shifts)
+        kept = _trim(ring, cols, rows, shifts)
+        everything = spans(ring, kept, rows)
+        assert all(module_contains(everything, c) for c in cols)
+        for i, col in enumerate(kept):
+            assert not module_contains(
+                spans(ring, kept[:i] + kept[i + 1:], rows), col)
+
+    @settings(max_examples=30, deadline=None)
+    @given(*draws)
+    def test_inhomogeneous_kept_columns_span_the_input(self, p, nvars,
+                                                       kind, seed):
+        rng = random.Random(seed)
+        ring = trim_ring(p, nvars, kind, rng)
+        rows = rng.randint(1, 2)
+        cols = [tuple(sparse_poly(ring, rng, terms=range(1, 4),
+                                  degrees=range(4)) for _ in range(rows))
+                for _ in range(rng.randint(1, 5))]
+        cols += [tuple(x * sparse_poly(ring, rng) + y for x, y in
+                       zip(rng.choice(cols), rng.choice(cols)))]
+        kept = _trim(ring, cols, rows, [0] * rows)
+        given, trimmed = spans(ring, cols, rows), spans(ring, kept, rows)
+        assert all(module_contains(given, c) for c in kept)
+        assert all(module_contains(trimmed, c) for c in cols)
+        # presentations of inhomogeneous ideals: the same syzygy module
+        gens = tuple(sparse_poly(ring, rng, terms=range(1, 4),
+                                 degrees=range(4))
+                     for _ in range(rng.randint(2, 4)))
+        M = PresentedModule.from_ideal(Ideal(ring, gens))
+        syz, pres = kernel_of_matrix(M.generator_row()), M.presentation
+        syz_span, pres_span = groebner_basis(syz), groebner_basis(pres)
+        assert all(module_contains(syz_span, c) for c in pres.columns())
+        assert all(module_contains(pres_span, c) for c in syz.columns())
 
 
 class TestGradedPieces:

@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -19,6 +23,30 @@ from reeskit.rees import (
     rees_ideal, rees_presentation, special_fiber_ideal,
     symmetric_algebra_ideal, symmetric_kernel, universal_embedding, which_gm,
 )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# mixed degrees; x*y^3 and x^3*y^2 + x^3*z are redundant
+SIX_GENERATORS = (
+    "ring P = zmod 101 [x,y,z];\n"
+    "ideal I = ideal(x*y^3 + x^3, x*y*z^2 + z^3, x^3*y^2 + x^3*z,"
+    " y^2*z^2 + x*z^3, x*y^3, y^3);\n")
+
+
+def run_within(tmp_path, text, flags=(), seconds=10):
+    """stdout of ``python -m reeskit [flags] run`` on the script ``text``;
+    a run longer than ``seconds`` is killed and fails the test."""
+    script = tmp_path / "s.rk"
+    script.write_text(text)
+    path = os.pathsep.join(filter(None, (str(SRC),
+                                         os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "reeskit", *flags, "run", str(script)],
+        capture_output=True, text=True, timeout=seconds,
+        env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def brute_colength(I):
@@ -179,6 +207,13 @@ class TestNormalCone:
 
 
 class TestMultiplicity:
+    def test_redundant_mixed_degree_generators(self, tmp_path):
+        # the normal cone is taken on the four generators the trim keeps;
+        # --verify checks e against the colengths of the powers of I
+        out = run_within(tmp_path, SIX_GENERATORS + "print multiplicity(I);",
+                         ["--verify"])
+        assert out == "27\n"
+
     def test_regular_parameters(self, A2):
         x, y = A2.gens()
         assert multiplicity(Ideal(A2, (x, y))) == 1
@@ -322,6 +357,12 @@ class TestSpecialFiber:
 
 
 class TestAnalyticSpread:
+    def test_redundant_mixed_degree_generators(self, tmp_path):
+        # the fiber is taken on the four generators the trim keeps
+        out = run_within(tmp_path,
+                         SIX_GENERATORS + "print analyticSpread(I);")
+        assert out == "3\n"
+
     def test_maximal_ideal(self, A2):
         x, y = A2.gens()
         assert analytic_spread(Ideal(A2, (x, y))) == 2
