@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gb import (Ideal, _descend, _lift, _rabinowitsch_input,
-                 dimension_and_degree, minors_ideal, reduced_groebner_raw,
-                 saturate)
+from .gb import (Ideal, _descend, _lift, _saturates_to_unit,
+                 dimension_and_degree, minors_ideal, saturate)
 from .polyring import FreeModuleMap, RingDescriptor, RingMap, transport
 from .rees import rees_presentation, rees_variable_names
 
@@ -78,7 +77,4 @@ def singular_locus_ideal(X: Ideal, expected_codim=None) -> Ideal:
 
 
 def is_smooth_away_from_irrelevant(chart: BlowupChart, X: Ideal) -> bool:
-    sing = singular_locus_ideal(X)
-    ext, _, gens = _rabinowitsch_input(sing, chart.irrelevant.gens)
-    basis = reduced_groebner_raw(gens, ext)
-    return len(basis) == 1 and basis[0].is_constant()
+    return _saturates_to_unit(singular_locus_ideal(X), chart.irrelevant.gens)

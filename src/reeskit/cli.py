@@ -153,11 +153,6 @@ class Script:
     statements: list
 
 
-STATEMENT_KEYWORDS = {"ring", "use", "let", "ideal", "poly", "module",
-                      "matrix", "map", "print", "assertEqual",
-                      "assertNotEqual", "assertTrue"}
-
-
 class Parser:
     def __init__(self, tokens):
         self.toks = tokens

@@ -1,11 +1,16 @@
 """Minimal primes of an ideal, complete at desk scale.
 
-The pipeline splits along factors of Groebner basis elements, radicalizes
-and splits zero-dimensional ideals through univariate eliminants
-(Seidenberg), and certifies primality either by a primitive-element check
-in dimension zero or by a triangular-tower argument in positive dimension.
-Candidates that resist certification are returned flagged ``unverified``
-rather than silently guessed.
+The pipeline splits along factors of Groebner basis elements, then handles
+zero-dimensional ideals in one pass over the variables (Seidenberg).  Each
+variable's eliminant, its monic minimal polynomial modulo J, is factored:
+two or more irreducible factors split J; a power q^m of one irreducible
+adjoins q(v) to J and the pass goes on.  The eliminants met earlier stay
+irreducible, since q(v) is nilpotent modulo J, hence not a unit, and so
+cannot cut them down to a proper factor.  After the pass every eliminant
+is squarefree, so J is radical.  Primality is certified by a
+primitive-element check in dimension zero or by a triangular-tower
+argument in positive dimension.  Candidates that resist certification are
+returned flagged ``unverified`` rather than silently guessed.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 from .coeff import factor_multivariate, factor_univariate_list, uv_monic, _trim
 from .gb import (Ideal, _ambient_ideal, _descend, dimension_and_degree,
-                 normal_form, standard_monomials)
+                 normal_form)
 from .polyring import Polynomial, RingDescriptor, RingMap
 
 
@@ -35,62 +40,45 @@ def _contains_ideal(A: Ideal, B: Ideal) -> bool:
     return all(B.contains(g) for g in A.display_gens())
 
 
-def _uv_squarefree_part(f, p):
-    """Radical of a monic univariate polynomial: product of distinct factors."""
-    from .coeff import uv_mul, uv_squarefree_decomposition
-    out = [1]
-    for g, _ in uv_squarefree_decomposition(uv_monic(list(f), p), p):
-        out = uv_mul(out, g, p)
-    return uv_monic(out, p)
+def _min_poly(f: Polynomial, J: Ideal, D: int):
+    """Monic minimal polynomial of f modulo the zero-dimensional ideal J,
+    whose quotient has dimension D over GF(p).
 
-
-def _min_poly(f: Polynomial, J: Ideal, std, index):
-    """Monic minimal polynomial of f modulo the zero-dimensional ideal J.
-
-    Returns the ascending coefficient list over GF(p)."""
-    ring = J.ring
-    p = ring.p
-    rows = []      # (pivot, rowvec, combo)
-    g = ring.one()
-    k = 0
-    while True:
-        nf = normal_form(g, J)
-        vec = [0] * len(std)
-        for e, c in nf.terms:
-            vec[index[e]] = c
-        combo = [0] * (k + 1)
-        combo[k] = 1
-        for pivot, rvec, rcombo in rows:
-            c = vec[pivot]
+    Returns the ascending coefficient list.  The powers of f are reduced
+    against echelon rows kept as sparse dicts over normal-form terms."""
+    p = J.ring.p
+    rows = []      # (pivot term, row, combination of powers of f)
+    g = J.ring.one()
+    for k in range(D + 1):
+        vec = dict(g.terms)
+        combo = [0] * k + [1]
+        for pivot, row, rcombo in rows:
+            c = vec.get(pivot)
             if c:
-                for i, a in enumerate(rvec):
+                for e, a in row.items():
+                    a = (vec.get(e, 0) - c * a) % p
                     if a:
-                        vec[i] = (vec[i] - c * a) % p
+                        vec[e] = a
+                    else:
+                        del vec[e]
                 for i, a in enumerate(rcombo):
-                    if a:
-                        if i >= len(combo):
-                            combo.extend([0] * (i + 1 - len(combo)))
-                        combo[i] = (combo[i] - c * a) % p
-        nz = next((i for i, a in enumerate(vec) if a), None)
-        if nz is None:
+                    combo[i] = (combo[i] - c * a) % p
+        if not vec:
             return uv_monic(_trim(combo), p)
-        inv = pow(vec[nz], -1, p)
-        vec = [a * inv % p for a in vec]
-        combo = [a * inv % p for a in combo]
-        rows.append((nz, vec, combo))
+        pivot = next(iter(vec))
+        inv = pow(vec[pivot], -1, p)
+        rows.append((pivot, {e: a * inv % p for e, a in vec.items()},
+                     [a * inv % p for a in combo]))
         g = normal_form(g * f, J)
-        k += 1
-        if k > len(std) + 1:
-            raise RuntimeError("minimal polynomial search exceeded dimension")
+    raise RuntimeError("minimal polynomial search exceeded dimension")
 
 
 class _Decomposer:
-    def __init__(self, amb, seed, shape_retries, factor_seed=0):
+    def __init__(self, amb, seed, shape_retries):
         self.amb = amb
         self.line = RingDescriptor(amb.p, (("t",),))  # k[t], for eliminants
         self.rng = random.Random(seed)
         self.retries = shape_retries
-        self.factor_seed = factor_seed
         self.factor_cache = {}
         self.found = []            # (Ideal over amb, certified, dim)
         self.seen = set()
@@ -99,7 +87,7 @@ class _Decomposer:
         key = g.terms
         got = self.factor_cache.get(key)
         if got is None:
-            got = factor_multivariate(g, seed=self.factor_seed)[1]
+            got = factor_multivariate(g)[1]
             self.factor_cache[key] = got
         return got
 
@@ -127,9 +115,9 @@ class _Decomposer:
                 for q in reversed(split):
                     stack.append(Ideal(self.amb, J.gens + (q,)))
                 continue
-            dim = dimension_and_degree(J)[0]
+            dim, D = dimension_and_degree(J)
             if dim == 0:
-                self.zero_dimensional(J, stack)
+                self.zero_dimensional(J, D, stack)
             else:
                 self.found.append((J, self.tower_certified(basis), dim))
 
@@ -141,42 +129,30 @@ class _Decomposer:
             line.poly({(k,): c for k, c in enumerate(coeffs)}))
 
     # -- dimension zero ------------------------------------------------------
-    def zero_dimensional(self, J: Ideal, stack):
+    def zero_dimensional(self, J: Ideal, D: int, stack):
+        """J has colength D; split it along its variable eliminants, or
+        radicalize it in the same pass, then certify it (module docstring)."""
         amb = self.amb
         p = amb.p
-        # Seidenberg radicalization: squarefree eliminant for every variable
-        changed = True
-        while changed:
-            changed = False
-            std = standard_monomials(J)
-            index = {e: i for i, e in enumerate(std)}
-            for name in amb.names:
-                v = amb.var(name)
-                e = _min_poly(v, J, std, index)
-                sf = _uv_squarefree_part(e, p)
-                if len(sf) != len(e):
-                    J = Ideal(amb, J.gens + (self.at(sf, v),))
-                    changed = True
-                    break
-        std = standard_monomials(J)
-        index = {e: i for i, e in enumerate(std)}
-        # split along factored variable eliminants
         for name in amb.names:
             v = amb.var(name)
-            e = _min_poly(v, J, std, index)
-            _, parts = factor_univariate_list(e, p, random.Random(0))
+            _, parts = factor_univariate_list(_min_poly(v, J, D), p,
+                                              random.Random(0))
             if len(parts) > 1:
                 for q, _ in reversed(parts):
                     stack.append(Ideal(amb, J.gens + (self.at(q, v),)))
                 return
+            q, m = parts[0]
+            if m > 1:
+                J = Ideal(amb, J.gens + (self.at(q, v),))
+                D = dimension_and_degree(J)[1]
         # primitive element certificate
-        D = len(std)
         for _ in range(self.retries):
             lam = amb.sum(amb.var(name) * self.rng.randrange(p)
                           for name in amb.names)
             if lam.is_zero() or lam.is_constant():
                 continue
-            e = _min_poly(lam, J, std, index)
+            e = _min_poly(lam, J, D)
             _, parts = factor_univariate_list(e, p, random.Random(0))
             if len(parts) > 1 or parts[0][1] > 1:
                 for q, _ in reversed(parts):
@@ -241,17 +217,10 @@ def minimal_primes(I: Ideal, seed=0, shape_retries=5):
         if old is None or (cert and not old[1]):
             by_key[key] = (J, cert, dim)
     cands = list(by_key.values())
-    keep = []
-    for i, (J, cert, dim) in enumerate(cands):
-        minimal = True
-        for k, (K, _, _) in enumerate(cands):
-            if k == i:
-                continue
-            if _contains_ideal(K, J) and not _contains_ideal(J, K):
-                minimal = False
-                break
-        if minimal:
-            keep.append((J, cert, dim))
+    # distinct reduced bases, so K inside J means K strictly inside J
+    keep = [(J, cert, dim) for i, (J, cert, dim) in enumerate(cands)
+            if not any(k != i and _contains_ideal(K, J)
+                       for k, (K, _, _) in enumerate(cands))]
     keep.sort(key=lambda t: (-t[2], t[0]._basis_terms()))
     return [ComponentReport(_descend(I.ring, J.groebner().ambient_elements,
                                      amb.order_spec), cert)

@@ -861,7 +861,13 @@ def radical_membership(f: Polynomial, I: Ideal) -> bool:
         raise RingMismatchError("radical membership needs matching rings")
     if f.is_zero():
         return True
-    ext, _, gens = _rabinowitsch_input(I, [f])
+    return _saturates_to_unit(I, [f])
+
+
+def _saturates_to_unit(I: Ideal, elements) -> bool:
+    """I : (elements)^inf = (1): 1 lies in ``saturate``'s Rabinowitsch
+    ideal, so its reduced basis is a constant; nothing is eliminated."""
+    ext, _, gens = _rabinowitsch_input(I, elements)
     basis = reduced_groebner_raw(gens, ext)
     return len(basis) == 1 and basis[0].is_constant()
 
@@ -1017,10 +1023,9 @@ def hilbert_series(I: Ideal) -> HilbertSeries:
     ring = I.ring
     weights = ring.degrees
     _require_homogeneous(I, weights, "hilbertSeries needs a homogeneous ideal")
-    basis = I.groebner().ambient_elements
-    if len(basis) == 1 and basis[0].is_constant() and not basis[0].is_zero():
+    if I.is_unit():
         return HilbertSeries({}, ())
-    lt = [g.terms[0][0] for g in basis]
+    lt = [g.terms[0][0] for g in I.groebner().ambient_elements]
     num = _hilbert_numerator(lt, weights)
     dens = list(weights)
     dens.sort()
@@ -1051,11 +1056,11 @@ def dimension_and_degree(I: Ideal):
     ring = I.ring
     if not is_degree_compatible(ring.order_spec):
         raise ValueError("dimension needs a degree-compatible order")
-    basis = I.groebner().ambient_elements
-    n = ring.ambient.nvars
-    if len(basis) == 1 and basis[0].is_constant() and not basis[0].is_zero():
+    if I.is_unit():
         return (-1, 0)
-    num = _hilbert_numerator([g.terms[0][0] for g in basis], (1,) * n)
+    n = ring.ambient.nvars
+    lt = [g.terms[0][0] for g in I.groebner().ambient_elements]
+    num = _hilbert_numerator(lt, (1,) * n)
     num, times = _cancel_one_minus_t(num, n)
     return (n - times, sum(num.values()))
 

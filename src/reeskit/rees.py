@@ -256,9 +256,6 @@ def normal_cone(I: Ideal) -> RingDescriptor:
     return nc
 
 
-associated_graded_ring = normal_cone
-
-
 # ---------------------------------------------------------------------------
 # multiplicity, special fiber, analytic spread
 # ---------------------------------------------------------------------------
@@ -391,17 +388,19 @@ def minimal_reduction(I: Ideal, seed=0, tries=10,
     generator is trimmed first, so that it does not skew those windows.
     """
     ring = I.ring
-    ell = analytic_spread(I)
-    rng = random.Random(seed)
     gens = [g for g in I.gens if not g.is_zero()]
-    if ell >= len(gens):
-        return Ideal(ring, tuple(gens))
     all_homog = all(g.is_homogeneous() for g in gens)
-    pools = [list(enumerate(I.gens))]
     if all_homog:
+        # trimmed before its spread, so that one object caches the fiber
         trimmed = trim_homogeneous(I)
         if len(trimmed.gens) < len(gens):
-            return minimal_reduction(trimmed, seed, tries, cap)
+            I, gens = trimmed, list(trimmed.gens)
+    ell = analytic_spread(I)
+    rng = random.Random(seed)
+    if ell >= len(gens):
+        return Ideal(ring, tuple(gens))
+    pools = [list(enumerate(I.gens))]
+    if all_homog:
         degs = sorted({g.total_degree() for g in gens})
         windows = []
         for k in range(1, len(degs)):

@@ -1,13 +1,193 @@
-import pytest
+import random
 
-from reeskit.decompose import minimal_primes
-from reeskit.gb import Ideal, normal_form, radical_membership
-from reeskit.polyring import make_ring
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from reeskit.coeff import uv_monic
+from reeskit.decompose import _min_poly, minimal_primes
+from reeskit.gb import (Ideal, dimension_and_degree, kernel_of_ring_map,
+                        normal_form, radical_membership,
+                        vector_space_dimension)
+from reeskit.polyring import RingMap, make_ring, transport
 
 
 def gens_set(report):
     return sorted(sorted(str(g) for g in c.prime.display_gens())
                   for c in report)
+
+
+def small_poly(R, rng, terms=3):
+    """A few squarefree monomials with random nonzero coefficients."""
+    f = R.zero()
+    for _ in range(terms):
+        m = R.const(rng.randrange(1, R.p))
+        for v in R.gens():
+            m = m * v ** rng.randrange(2)
+        f = f + m
+    return f
+
+
+def zero_dimensional_ideal(rng):
+    """A proper zero-dimensional ideal in 2-3 variables over a small field:
+    a product of powers of low-degree factors in each variable, so that
+    eliminants split and repeat, plus one mixed generator."""
+    while True:
+        p = rng.choice((2, 3, 7, 101))
+        R = make_ring(p, ["x", "y", "z"][:rng.choice((2, 3))])
+        gens = []
+        for v in R.gens():
+            u = R.one()
+            for _ in range(rng.randint(1, 2)):
+                q = v + rng.randrange(p)
+                if rng.randrange(2):
+                    q = q * v + rng.randrange(p)
+                u = u * q ** rng.randint(1, 2)
+            gens.append(u)
+        J = Ideal(R, tuple(gens) + (small_poly(R, rng, 2),))
+        if not J.is_unit():
+            return J
+
+
+# minimal_primes of zero_dimensional_ideal(random.Random(seed)) for seeds
+# 0..19, as a pipeline that radicalizes first, then splits, printed them
+PINNED = {
+    0: [
+        'ideal[ z + 1, y + 1, x + 1 ] certified',
+    ],
+    1: [
+        'ideal[ z - 3, y - 3, x - 1 ] certified',
+        'ideal[ z - 3, x - 1, y^2 + y + 3 ] certified',
+    ],
+    2: [
+        'ideal[ y, x ] certified',
+        'ideal[ y, x - 1 ] certified',
+    ],
+    3: [
+        'ideal[ y - 1, x - 1 ] certified',
+        'ideal[ x - 1, y^2 - y - 1 ] certified',
+    ],
+    4: [
+        'ideal[ z, y, x + 1 ] certified',
+    ],
+    5: [
+        'ideal[ z, y, x ] certified',
+        'ideal[ z + 1, y, x ] certified',
+    ],
+    6: [
+        'ideal[ z, y, x ] certified',
+        'ideal[ z, y + 1, x ] certified',
+        'ideal[ z, y + 1, x^2 + x + 1 ] certified',
+        'ideal[ z + 1, y, x ] certified',
+        'ideal[ z + 1, y + 1, x ] certified',
+        'ideal[ z + 1, y + 1, x^2 + x + 1 ] unverified',
+    ],
+    7: [
+        'ideal[ y - 3, x - 2 ] certified',
+    ],
+    8: [
+        'ideal[ z + 1, y - 1, x - 1 ] certified',
+    ],
+    9: [
+        'ideal[ y + 1, x ] certified',
+    ],
+    10: [
+        'ideal[ z + 1, y, x + 1 ] certified',
+        'ideal[ z + 1, y, x^2 - x - 1 ] certified',
+        'ideal[ z - 1, y, x + 1 ] certified',
+        'ideal[ z - 1, y, x^2 - x - 1 ] certified',
+        'ideal[ z - 1, y - 1, x + 1 ] certified',
+        'ideal[ z - 1, y - 1, x^2 - x - 1 ] certified',
+    ],
+    11: [
+        'ideal[ y + 1, x - 1 ] certified',
+    ],
+    12: [
+        'ideal[ x + 2*y, y^2 - y + 3 ] certified',
+        'ideal[ x - 2*y + 2, y^2 - y + 3 ] certified',
+    ],
+    13: [
+        'ideal[ z + 1, y + 1, x + 1 ] certified',
+    ],
+    14: [
+        'ideal[ y + 1, x + 1 ] certified',
+    ],
+    15: [
+        'ideal[ y + 1, x + 1 ] certified',
+    ],
+    16: [
+        'ideal[ y, x - 1 ] certified',
+        'ideal[ y, x^2 + 1 ] certified',
+    ],
+    17: [
+        'ideal[ z + 27, y - 50, x + 8 ] certified',
+        'ideal[ z + 27, y - 50, x + 47 ] certified',
+    ],
+    18: [
+        'ideal[ y + 1, x ] certified',
+        'ideal[ y + 1, x + 1 ] certified',
+    ],
+    19: [
+        'ideal[ y + 1, x^2 + x + 1 ] certified',
+    ],
+}
+
+
+class TestZeroDimensional:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_min_poly_generates_the_kernel(self, seed):
+        # independent route: the kernel of k[t] -> R/J, t -> f, is generated
+        # by the minimal polynomial of f; D is the colength of J
+        rng = random.Random(seed)
+        J = zero_dimensional_ideal(rng)
+        R = J.ring
+        f = small_poly(R, rng)
+        D = dimension_and_degree(J)[1]
+        assert D == vector_space_dimension(J)
+        Q = R.with_quotient(J.gens)
+        line = make_ring(R.p, ["t"])
+        (g,) = kernel_of_ring_map(
+            RingMap(line, Q, [transport(f, Q)])).display_gens()
+        want = [0] * (g.total_degree() + 1)
+        for (k,), c in g.terms:
+            want[k] = c
+        assert _min_poly(f, J, D) == uv_monic(want, R.p)
+
+    @pytest.mark.parametrize("case", ["reducible", "power", "conjugate"])
+    def test_one_case_per_branch(self, case):
+        # Groebner basis elements irreducible, so only the variable pass
+        # sees the structure: the eliminant of x splits, is the square of
+        # x^2 + 1, or both eliminants are irreducible and only the
+        # primitive element splits the pair of conjugate points
+        R = make_ring(7, ["x", "y"])
+        x, y = R.gens()
+        gens, want = {
+            "reducible": ((x ** 2 + 3 * x * y + 2, y ** 2 + 1),
+                          ["ideal[ x - 2*y + 1, y^2 + 1 ]",
+                           "ideal[ x - 2*y - 1, y^2 + 1 ]"]),
+            "power": ((x ** 2 - 3 * x * y - 1, y ** 2 + 2),
+                      ["ideal[ x + 2*y, y^2 + 2 ]"]),
+            "conjugate": ((x ** 2 + 1, y ** 2 + 1),
+                          ["ideal[ x + y, y^2 + 1 ]",
+                           "ideal[ x - y, y^2 + 1 ]"]),
+        }[case]
+        comps = minimal_primes(Ideal(R, gens))
+        assert [str(c.prime) for c in comps] == want
+        assert all(c.certified for c in comps)
+
+    def test_pass_alone_radicalizes(self):
+        # with no primitive-element draws the candidate is the one the pass
+        # leaves: x^2 + 1 adjoined, so radical, though not certified
+        R = make_ring(7, ["x", "y"])
+        x, y = R.gens()
+        I = Ideal(R, (x ** 2 - 3 * x * y - 1, y ** 2 + 2))
+        (comp,) = minimal_primes(I, shape_retries=0)
+        assert str(comp) == "ideal[ x + 2*y, y^2 + 2 ] unverified"
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_pinned_outputs(self, seed):
+        J = zero_dimensional_ideal(random.Random(seed))
+        assert [str(c) for c in minimal_primes(J)] == PINNED[seed]
 
 
 class TestKnownDecompositions:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from reeskit import rees as rees_module
 from reeskit.cli import Config, emit, execute_script, parse_script
 from reeskit.gb import (Ideal, codimension, dimension_and_degree,
                         graded_piece_dim, kernel_of_ring_map, minors_ideal,
@@ -431,6 +432,23 @@ class TestReductions:
             J = minimal_reduction(I, seed=0)
             assert len(J.gens) == 2
             assert reduction_number(I, J) == 0
+
+    def test_redundant_generators_take_one_fiber(self, A2, monkeypatch):
+        # the trimmed ideal's special fiber serves both the analytic spread
+        # and the Northcott-Rees test: one elimination, not one per object
+        calls = [0]
+        eliminate = rees_module.eliminate
+
+        def spy(*args, **kwargs):
+            calls[0] += 1
+            return eliminate(*args, **kwargs)
+
+        monkeypatch.setattr(rees_module, "eliminate", spy)
+        x, y = A2.gens()
+        I = Ideal(A2, (x ** 2, x * y, y ** 2, x ** 3, x * y ** 2))
+        J = minimal_reduction(I, seed=0)
+        assert str(J) == "ideal[ x*y - 10*y^2, x^2 + 44*y^2, y^3 ]"
+        assert calls[0] == 1
 
     def test_principal_returns_itself(self, A2):
         x, _ = A2.gens()
