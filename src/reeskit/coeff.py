@@ -35,7 +35,7 @@ import random
 import sys
 from array import array
 
-from .polyring import MAX_MODULUS, Polynomial, is_prime
+from .polyring import MAX_MODULUS, Polynomial, RingMap, is_prime
 
 KRONECKER_DEGREE_BOUND = 10 ** 6
 
@@ -625,7 +625,8 @@ def factor_multivariate(f: Polynomial, seed=0, bound=KRONECKER_DEGREE_BOUND,
     squarefree restriction of full degree; three or more variables go
     through Kronecker substitution.  `bound` limits Kronecker image degrees
     only.  KroneckerBoundError is raised when an image would exceed it, or
-    when recombination exhausts its budget.  ``method="kronecker"`` sends
+    when recombination refuses the image of f and of a few random
+    translates of f.  ``method="kronecker"`` sends
     two-variable inputs through Kronecker substitution too; it is kept as
     the reference.
     """
@@ -1072,7 +1073,12 @@ def _kronecker_factors(f: Polynomial, used, p, rng, bound):
     carrying (each is below D), so a true factor always passes.
 
     Weights above `bound` raise KroneckerBoundError, after line
-    certification has had all its draws.
+    certification has had all its draws.  An image with too many pieces
+    to recombine is retried, up to _KRONECKER_SHIFTS times, as the image
+    of f(x + c) for a random c: a translate has the same degree in every
+    variable, so the same weights and box, and its factors are those of f
+    translated, while its image, no longer sparse, mostly splits into far
+    fewer pieces.  The last refusal is raised when every image refuses.
     """
     ring = f.ring
     degs = {i: f.degree_in(ring.names[i]) for i in used}
@@ -1091,6 +1097,38 @@ def _kronecker_factors(f: Polynomial, used, p, rng, bound):
     if w > bound:
         raise KroneckerBoundError(
             f"Kronecker substitution degree {w} exceeds bound {bound}")
+    shift = [0] * ring.nvars
+    for attempt in range(1 + _KRONECKER_SHIFTS):
+        if attempt:
+            shift = [rng.randrange(p) if i in used else 0
+                     for i in range(ring.nvars)]
+        try:
+            found = _kronecker_peel(_translate(f, shift), used, degs, weight,
+                                    order, D, p, rng)
+        except KroneckerBoundError as exc:
+            refusal = exc
+            continue
+        return [_translate(g, [-c for c in shift]) for g in found]
+    raise refusal
+
+
+_KRONECKER_SHIFTS = 3   # translated images tried after a refused image
+
+
+def _translate(f: Polynomial, shift):
+    """f(x_0 + shift_0, ..., x_n + shift_n); f itself for a zero shift."""
+    if not any(shift):
+        return f
+    ring = f.ring
+    return RingMap(ring, ring, [ring.var(n) + c for n, c
+                                in zip(ring.names, shift)])(f)
+
+
+def _kronecker_peel(f: Polynomial, used, degs, weight, order, D, p, rng):
+    """The factors of f peeled off its Kronecker image under ``weight``
+    (`_kronecker_factors`); KroneckerBoundError when the image has too many
+    pieces or recombination exhausts its budget."""
+    ring = f.ring
     image = [0] * (sum(degs[i] * weight[i] for i in used) + 1)
     for e, c in f.terms:
         k = sum(e[i] * weight[i] for i in used)

@@ -143,6 +143,10 @@ class _Decomposer:
                     stack.append(Ideal(amb, J.gens + (self.at(q, v),)))
                 return
             q, m = parts[0]
+            if m == 1 and len(q) - 1 == D:
+                # 1, v, ..., v^(D-1) span R/J: v is a primitive element
+                self.found.append((J, True, 0))
+                return
             if m > 1:
                 J = Ideal(amb, J.gens + (self.at(q, v),))
                 D = dimension_and_degree(J)[1]

@@ -28,6 +28,12 @@ Groebner bases and, by the usual graph construction (``_graph_basis``),
 both syzygies and lifts: the coefficients of members of an ideal on its
 generators (``_coefficients``, behind ``rees.jacobian_dual``).
 
+Padding.  An input that is already a reduced basis, Q in every row or an
+ideal's carried basis, is passed as padding (``_padded``): the engine
+inserts it first and forms no pair inside it, as standard-basis engines
+treat the generators of a quotient ring (Greuel and Pfister, "A Singular
+Introduction to Commutative Algebra").
+
 Every normal form, here and in quotient rings, is computed by the one term
 reducer ``polyring._reduce_vec``, which returns the remainder and nothing
 else; no division records its quotients.  Normal forms and membership
@@ -92,8 +98,11 @@ def _gb_core(vectors, amb, spec=None, padding=None):
 
     ``vectors`` are term dicts {(component, exponents): coeff} of ``amb``,
     and ``spec`` the order spec, ``amb``'s own by default, under position
-    over term.  Returns ``(basis,)``: a list of monic term dicts sorted by
-    ascending lead, each dict carrying its lead under the key ``"_lead"``.
+    over term.  ``padding`` flags the vectors of a reduced basis, ascending
+    in each component (``_padded``): they go in first and make no pairs
+    among themselves.  Returns ``(basis,)``: a list of monic term dicts
+    sorted by ascending lead, each dict carrying its lead under the key
+    ``"_lead"``.
     The one-element tuple and the key are the shape that the basis-term
     counter of ``perfbench/tracer.py`` reads; inside reeskit only
     ``_engine_basis`` reads it.
@@ -146,6 +155,16 @@ def _buchberger(vectors, pk, p, padding):
     ``bycomp`` of the elements so far and using the monic ``tails`` that
     ``add`` appends to.
 
+    Padding.  The vectors flagged in ``padding`` are inserted first, as
+    they are, without ``update``: they are a reduced Groebner basis, so
+    every S-vector of two of them reduces to zero by them alone and no
+    pair inside them is formed.  They take part in the pairs of every
+    later element like any other.  The one check of that contract is an
+    assertion: no earlier padding reduces a padding vector, and each lead
+    exceeds the one before it in its component, so no padding lead divides
+    another.  Then the other inputs are inserted, reduced by the padding
+    first.
+
     Packed terms.  A term is one int whose integer order is the module
     order (``_Packing``): the next term of a reduction is a plain ``max``,
     a shifted term is one addition, and pairs are queued by their packed
@@ -170,17 +189,16 @@ def _buchberger(vectors, pk, p, padding):
     criteria M and F thin out the new pairs, and an element whose lead is
     divisible by the new lead makes no further pairs.  B, M and F hold for
     every element.  A new pair known to reduce to zero serves as a witness
-    in M and F and is then dropped.  There are three kinds:
+    in M and F and is then dropped.  There are two kinds:
 
     * coprime leads (the product criterion), sound only when both
       elements live in a single component;
-    * two elements of the padding (see ``_padded``), a Groebner basis
-      already, so their S-vector reduces to zero by the padding alone;
     * two monomials (both tails empty): the S-vector of two monic terms
       is exactly 0.
 
     Each has a standard representation, which is all that F and M ask of a
-    witness.
+    witness; so have the unformed pairs inside the padding, on which M and
+    F may rest as well.
 
     Pairs are popped by the heap key (sugar, packed lcm, i, j), the sugar
     strategy of Giovini, Mora, Niesi, Robbiano and Traverso ("One sugar
@@ -208,7 +226,7 @@ def _buchberger(vectors, pk, p, padding):
     # one block is a degree-compatible order: every sugar stays 0
     tops = pk.tops if len(pk.tops) > 1 else ()
 
-    Glead, tails, Gpad = [], [], []
+    Glead, tails = [], []
     Goff = []     # sugar minus lead degree
     Gpack = []    # lead exponents in the plain layout, without component
     Gsingle = []  # element lives in a single component (coprime criterion OK)
@@ -238,13 +256,13 @@ def _buchberger(vectors, pk, p, padding):
                 del pending[pair]
         # criterion F: one new pair per lcm, a zero witness preferred
         groups = {}
-        pad, mono, single, off = Gpad[gi], not tails[gi], Gsingle[gi], Goff[gi]
+        mono, single, off = not tails[gi], Gsingle[gi], Goff[gi]
         still = []
         for gj in active.get(comp, ()):
             b = Gpack[gj]
             t = ((b | g) - a) & g  # guard of slot k set iff b_k >= a_k
             lcm = a ^ ((a ^ b) & (t - (t >> w1)))
-            zero = ((pad and Gpad[gj]) or (mono and not tails[gj])
+            zero = ((mono and not tails[gj])
                     or (single and Gsingle[gj] and a + b == lcm))
             got = groups.get(lcm)
             if got is None or (zero and not got[1]):
@@ -277,37 +295,40 @@ def _buchberger(vectors, pk, p, padding):
                     pending[(gj, gi)] = (comp, lcm, term)
                     heapq.heappush(heap, (sugar, term, gj, gi))
 
-    def add(vec, pad, sugar):
-        lead = max(vec)
-        deg = 0
+    def degree(m):
+        d = 0
         for t in tops:
-            deg += (lead >> t) & slot
+            d += (m >> t) & slot
+        return d
+
+    def add(vec, sugar):
+        lead = max(vec)
         inv = pow(vec[lead], -1, p)
         gi = len(tails)
         Glead.append(lead)
         Gpack.append(plain(lead) & tmask)
         tails.append(tuple((m, c * inv % p) for m, c in vec.items()
                            if m != lead))
-        Gpad.append(pad)
-        Goff.append(max(sugar - deg, 0))
+        Goff.append(max(sugar - degree(lead), 0))
         Gsingle.append(len({m >> cshift for m in vec}) == 1)
         Gpairs.append(True)
         bycomp.setdefault(lead >> cshift, []).append((Gpack[gi], (lead, gi)))
-        update(gi)
+        return gi
 
-    for k, vec in enumerate(vectors):
-        if not vec:
-            continue
-        red = _reduce_vec(vec, search, tails, p, g)
-        if red:
-            sugar = 0
-            if tops:
-                for m in vec:
-                    d = 0
-                    for t in tops:
-                        d += (m >> t) & slot
-                    sugar = max(sugar, d)
-            add(red, padding[k] and red == vec, sugar)
+    # the padding first: a reduced basis, so no pair inside it is formed
+    for vec, pad in zip(vectors, padding):
+        if pad and vec:
+            lead = max(vec)
+            earlier = active.setdefault(lead >> cshift, [])
+            assert ((not earlier or Glead[earlier[-1]] < lead)
+                    and _reduce_vec(vec, search, tails, p, g) == vec), \
+                "padding is not a reduced basis, ascending"
+            earlier.append(add(vec, max(map(degree, vec))))
+    for vec, pad in zip(vectors, padding):
+        if not pad and vec:
+            red = _reduce_vec(vec, search, tails, p, g)
+            if red:
+                update(add(red, max(map(degree, vec))))
 
     while heap:
         sugar, lcm, i, j = heapq.heappop(heap)
@@ -325,7 +346,7 @@ def _buchberger(vectors, pk, p, padding):
         red = _reduce_vec({m: c for m, c in s.items() if c}, search, tails,
                           p, g)
         if red:
-            add(red, False, sugar)
+            update(add(red, sugar))
 
     # one pass over the tails of the minimal basis
     alive = sorted((k for k in range(len(Glead)) if Gpairs[k]),
@@ -340,10 +361,13 @@ def _buchberger(vectors, pk, p, padding):
     return out
 
 
-def reduced_groebner_raw(polys, amb):
-    """Reduced GB of an ideal given by polynomials of an ambient ring."""
-    vecs = [_poly_to_vec(f) for f in polys if not f.is_zero()]
-    return [_vec_to_polys(g, amb, 1)[0] for _, g in _engine_basis(vecs, amb)]
+def reduced_groebner_raw(polys, amb, basis=()):
+    """Reduced GB of an ideal given by polynomials of an ambient ring, plus
+    ``basis``, a reduced basis there that pads them (``_padded``)."""
+    vecs, padding = _padded(
+        [_poly_to_vec(f) for f in polys if not f.is_zero()], basis)
+    return [_vec_to_polys(g, amb, 1)[0]
+            for _, g in _engine_basis(vecs, amb, padding=padding)]
 
 
 # ---------------------------------------------------------------------------
@@ -538,9 +562,10 @@ def _module_vec(polys, amb):
 
 def _padded(vecs, basis, rank=1):
     """``vecs`` followed by ``basis`` in each of ``rank`` components, and the
-    padding flags that mark it.  ``basis`` is a Groebner basis in the ambient
-    ring (a quotient basis Q, or an ideal's ambient basis, Q included), so
-    the engine may skip the S-pairs between two of its copies."""
+    padding flags that mark it.  ``basis`` is a reduced Groebner basis in
+    the ambient ring, ascending (a quotient basis Q, or an ideal's ambient
+    basis, Q included): the engine inserts it first and forms no pair
+    inside it, and asserts that no earlier padding reduces any of it."""
     pad = [_poly_to_vec(q, comp=i) for q in basis for i in range(rank)]
     return vecs + pad, [False] * len(vecs) + [True] * len(pad)
 
@@ -1252,12 +1277,15 @@ def _trim(ring, columns, rows, shifts):
         if kept:  # Q alone is already a reduced basis
             reducers = [g for _, g in _engine_basis(reducers, amb,
                                                     padding=padding)]
+        reducer = None  # built when first needed after a change
         for _, col in same_degree:
-            rem = _Reducer(reducers, amb.order_spec, amb.nvars,
-                           amb.p).reduce(_module_vec(col, amb))
+            if reducer is None:
+                reducer = _Reducer(reducers, amb.order_spec, amb.nvars, amb.p)
+            rem = reducer.reduce(_module_vec(col, amb))
             if rem:
                 kept.append(col)
                 reducers.append(dict(rem))
+                reducer = None
     return kept
 
 
@@ -1271,10 +1299,22 @@ def trim_homogeneous(I: Ideal) -> Ideal:
             raise ValueError("trim needs a homogeneous ideal")
     gens.sort(key=lambda g: (g.total_degree(weights),
                              ring.key(g.terms[0][0])))
-    return _trimmed(Ideal(ring, tuple(gens)))
+    out = _trimmed(Ideal(ring, tuple(gens)))
+    if (len(out.gens) == len(I.gens)
+            and all(q.is_homogeneous(weights) for q in ring.quotient)):
+        # over a graded ring every walk order keeps the same number of
+        # generators, so I is its own trim too
+        I._cache["trimmed"] = I
+    return out
 
 
 def _trimmed(I: Ideal) -> Ideal:
-    """I, or the ideal of the generators ``_trim`` keeps when it drops one."""
-    kept = tuple(g for g, in _trim(I.ring, [(g,) for g in I.gens], 1, (0,)))
-    return I if len(kept) == len(I.gens) else Ideal(I.ring, kept)
+    """I, or the ideal of the generators ``_trim`` keeps when it drops one;
+    cached on I and on the result, which a second walk keeps whole."""
+    got = I._cache.get("trimmed")
+    if got is None:
+        kept = tuple(g for g, in _trim(I.ring, [(g,) for g in I.gens], 1,
+                                       (0,)))
+        got = I if len(kept) == len(I.gens) else Ideal(I.ring, kept)
+        I._cache["trimmed"] = got._cache["trimmed"] = got
+    return got

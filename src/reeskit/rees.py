@@ -14,10 +14,11 @@ import random
 from dataclasses import dataclass
 
 from .gb import (
-    Ideal, _cancel_one_minus_t, _coefficients, _hilbert_numerator, _lift,
-    _trim, _trimmed, _with_basis, codimension, dimension_and_degree,
-    eliminate, kernel_of_matrix, kernel_of_ring_map, minors_ideal,
-    normal_form, ring_dimension, saturate, trim_homogeneous, INFINITY,
+    Ideal, _cancel_one_minus_t, _coefficients, _hilbert_numerator, _trim,
+    _trimmed, _with_basis, codimension, dimension_and_degree, eliminate,
+    kernel_of_matrix, kernel_of_ring_map, minors_ideal, normal_form,
+    reduced_groebner_raw, ring_dimension, saturate, trim_homogeneous,
+    INFINITY,
 )
 from .polyring import (
     FreeModuleMap, Polynomial, RingDescriptor, RingMap, RingMismatchError,
@@ -247,11 +248,12 @@ def normal_cone(I: Ideal) -> RingDescriptor:
     if got is not None:
         return got
     rp = rees_presentation(I)
-    W = rp.ring
-    # W carries the base quotient, which the lift adjoins, and the w-block
-    # tag, which its ambient ring keeps
-    cone = Ideal(W, rp.ideal.gens + tuple(transport(g, W) for g in I.gens))
-    nc = W.ambient.with_quotient(_lift(cone))
+    # the Rees ideal's reduced ambient basis, W's quotient included, pads
+    # I's generators; the ambient ring keeps the w-block tag
+    amb = rp.ring.ambient
+    nc = amb._modulo(reduced_groebner_raw(
+        [transport(g, amb) for g in I.gens], amb,
+        rp.ideal.groebner().ambient_elements))
     I._cache["normal_cone"] = nc
     return nc
 

@@ -611,6 +611,28 @@ class TestKroneckerRecombination:
             back = back * g ** m
         assert back == f
 
+    @pytest.mark.parametrize("p, text, want", [
+        # 23 image pieces: recombination exhausts its budget
+        (32003, "(-10399*x*y - 10926*y*z - 787*z^2 - 6757)"
+                "*(9962*z^2 - 9027*x - 12753)*(-5256*y*z - 14621*z^2)",
+         ["z", "y + 4198*z", "z^2 - 13381*x - 13799",
+          "x*y + 11077*y*z - 6475*z^2 - 14359"]),
+        # 29 image pieces, more than recombination takes
+        (2, "(y^2 + z^2 + y + 1)^2*(x*z + x + z + 1)",
+         ["x + 1", "z + 1", "y^2 + z^2 + y + 1"]),
+    ])
+    def test_refused_image_is_retried_on_a_translate(self, p, text, want):
+        """Both inputs were refused from their own Kronecker image; the
+        image of a random translate splits into few enough pieces."""
+        R = make_ring(p, ["x", "y", "z"])
+        f = parse_poly(R, text)
+        unit, factors = factor_multivariate(f)
+        assert sorted(str(g) for g, _ in factors) == sorted(want)
+        back = R.const(unit)
+        for g, m in factors:
+            back = back * g ** m
+        assert back == f
+
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([2, 3, 7, 101, 32003]), st.integers(2, 3),
            st.integers(1, 3), st.booleans(), st.integers(0, 10 ** 6))
@@ -833,10 +855,11 @@ class TestHenselLifting:
         assert peels == [(3, ([], None))]
         assert _kronecker(f) == (unit, factors)
 
-    def test_input_kronecker_refuses(self):
+    def test_input_kronecker_refuses(self, monkeypatch):
         """The Kronecker image of this product of six factors over GF(101)
         splits into 30 pieces, more than Kronecker recombination takes; a
-        line restriction has at most 10, its degree."""
+        line restriction has at most 10, its degree.  Kronecker gets there
+        only through the image of a translate."""
         R = make_ring(101, ["x", "y"])
         texts = ["-15*x*y - 8", "-17*x^2 - 9*x + 10*y - 13",
                  "25*x*y - 15*x - 32*y + 3",
@@ -851,11 +874,14 @@ class TestHenselLifting:
             want_unit = want_unit * unit % 101
             for h, m in factors:
                 want[h] = want.get(h, 0) + m
-        with pytest.raises(KroneckerBoundError, match="pieces"):
-            _kronecker(f)
+        with monkeypatch.context() as mp:
+            mp.setattr(coeff, "_KRONECKER_SHIFTS", 0)
+            with pytest.raises(KroneckerBoundError, match="pieces"):
+                _kronecker(f)
         unit, factors = factor_multivariate(f)
         assert (unit, dict(factors)) == (want_unit, want)
         assert _multiply_back(R, unit, factors) == f
+        assert _kronecker(f) == (unit, factors)
 
     def test_budget_exhausted(self, monkeypatch):
         R = make_ring(101, ["x", "y"])

@@ -49,7 +49,8 @@ def zero_dimensional_ideal(rng):
 
 
 # minimal_primes of zero_dimensional_ideal(random.Random(seed)) for seeds
-# 0..19, as a pipeline that radicalizes first, then splits, printed them
+# 0..19, as a pipeline that radicalizes first, then splits, printed them;
+# seed 6's last prime is certified since x's eliminant has full degree
 PINNED = {
     0: [
         'ideal[ z + 1, y + 1, x + 1 ] certified',
@@ -79,7 +80,7 @@ PINNED = {
         'ideal[ z, y + 1, x^2 + x + 1 ] certified',
         'ideal[ z + 1, y, x ] certified',
         'ideal[ z + 1, y + 1, x ] certified',
-        'ideal[ z + 1, y + 1, x^2 + x + 1 ] unverified',
+        'ideal[ z + 1, y + 1, x^2 + x + 1 ] certified',
     ],
     7: [
         'ideal[ y - 3, x - 2 ] certified',
@@ -177,12 +178,26 @@ class TestZeroDimensional:
 
     def test_pass_alone_radicalizes(self):
         # with no primitive-element draws the candidate is the one the pass
-        # leaves: x^2 + 1 adjoined, so radical, though not certified
+        # leaves: x^2 + 1 adjoined, so radical; then y's eliminant y^2 + 2
+        # has degree D = 2, so y is a primitive element and J is certified
         R = make_ring(7, ["x", "y"])
         x, y = R.gens()
         I = Ideal(R, (x ** 2 - 3 * x * y - 1, y ** 2 + 2))
         (comp,) = minimal_primes(I, shape_retries=0)
-        assert str(comp) == "ideal[ x + 2*y, y^2 + 2 ] unverified"
+        assert str(comp) == "ideal[ x + 2*y, y^2 + 2 ] certified"
+
+    def test_no_primitive_variable_needs_a_draw(self):
+        # the same radicalization with a cubic in z: D = 6, while y and z
+        # have eliminants of degree 2 and 3, so no variable is primitive
+        # and without draws the prime stays unverified
+        R = make_ring(7, ["x", "y", "z"])
+        x, y, z = R.gens()
+        I = Ideal(R, (x ** 2 - 3 * x * y - 1, y ** 2 + 2, z ** 3 + z + 1))
+        want = "ideal[ x + 2*y, y^2 + 2, z^3 + z + 1 ]"
+        (comp,) = minimal_primes(I, shape_retries=0)
+        assert str(comp) == want + " unverified"
+        (comp,) = minimal_primes(I)
+        assert str(comp) == want + " certified"
 
     @pytest.mark.parametrize("seed", range(20))
     def test_pinned_outputs(self, seed):

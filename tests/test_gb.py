@@ -1,11 +1,13 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from reeskit import gb as gb_module
+from reeskit import gb as gb_module, rees as rees_module
 from reeskit.blowup import blowup_of
+from reeskit.cli import Config, execute_script, parse_script
 from reeskit.gb import (
     GroebnerBasis, HilbertSeries, Ideal, codimension, dimension_and_degree,
     eliminate, graded_piece_dim, groebner_basis, hilbert_series,
@@ -17,7 +19,7 @@ from reeskit.gb import (
 )
 from reeskit.polyring import (FreeModuleMap, RingMap, make_ring,
                               matrix_from_columns, random_poly, transport)
-from reeskit.rees import PresentedModule
+from reeskit.rees import PresentedModule, normal_cone, rees_presentation
 
 
 def spoly(f, g):
@@ -420,6 +422,110 @@ class TestPackedLeads:
             want = brute_reduced_basis(inputs + padding, amb.key, p)
             assert same_vectors([vec_of(v) for v in gb.ambient_elements],
                                 want)
+
+
+ORDERS = {"grevlex": "grevlex", "lex": "lex", "block": ("block", (1, 2))}
+
+REGRESSIONS = Path(__file__).resolve().parent.parent / "regressions"
+
+
+def fresh_cone_quotient(I):
+    """The normal cone's quotient basis without padding: the reduced basis
+    of the Rees ideal, I and Q, from their generators."""
+    rp = rees_presentation(I)
+    W = rp.ring
+    cone = Ideal(W, rp.ideal.gens + tuple(transport(g, W) for g in I.gens))
+    return W.ambient.with_quotient(gb_module._lift(cone)).quotient
+
+
+def assert_cone_is_fresh(I):
+    got = normal_cone(I)
+    want = fresh_cone_quotient(I)
+    assert [g.terms for g in got.quotient] == [g.terms for g in want]
+    assert got.rees_block is not None
+
+
+class TestPadding:
+    """A padding is a reduced basis, ascending: the engine inserts it first,
+    forms no pair inside it, and asserts that no earlier padding reduces
+    any of it."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.sampled_from(sorted(ORDERS)),
+           st.integers(1, 3), st.booleans())
+    def test_flags_change_nothing(self, seed, order, rank, quotient):
+        # the padding is Q in every row, or without a quotient the reduced
+        # basis of a random ideal, as colon pads with I's basis
+        rng = random.Random(seed)
+        p = rng.choice([7, 101])
+        names = ["x", "y", "z"]
+        R = make_ring(p, names, order=ORDERS[order])
+        amb = R
+        extra = [g for g in (sparse_poly(R, rng, range(1, 3), range(1, 4))
+                             for _ in range(2)) if not g.is_zero()]
+        if quotient and extra and not Ideal(R, extra).is_unit():
+            R = make_ring(p, names, order=ORDERS[order], quotient=extra)
+            basis = R.quotient
+        else:
+            basis = Ideal(R, extra).groebner().ambient_elements
+            if any(g.is_constant() for g in basis):
+                basis = ()
+        cols = [vec_of(tuple(transport(sparse_poly(R, rng, range(1, 4),
+                                                   range(4)), amb)
+                             for _ in range(rank)))
+                for _ in range(rng.randint(1, 4))]
+        vecs, padding = gb_module._padded([v for v in cols if v], basis,
+                                          rank)
+        assert (gb_module._engine_basis(vecs, amb, padding=padding)
+                == gb_module._engine_basis(vecs, amb))
+
+    @pytest.mark.parametrize("pad", [["x^2", "x^3"], ["x^2", "x"],
+                                     ["x*y", "x^2 + x*y"]])
+    def test_padding_that_is_not_reduced_ascending_raises(self, A2, pad):
+        # x^3 is a multiple of x^2, x^2 of the later x, and x^2 + x*y has
+        # a tail that x*y reduces
+        x, y = A2.gens()
+        polys = {"x^2": x ** 2, "x^3": x ** 3, "x": x, "x*y": x * y,
+                 "x^2 + x*y": x ** 2 + x * y}
+        vecs, padding = gb_module._padded([vec_of((y ** 2 - x,))],
+                                          [polys[k] for k in pad])
+        with pytest.raises(AssertionError):
+            gb_module._engine_basis(vecs, A2, padding=padding)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.booleans())
+    def test_normal_cone_is_the_fresh_basis(self, seed, quotient):
+        rng = random.Random(seed)
+        p = rng.choice([7, 101])
+        R = make_ring(p, ["x", "y", "z"])
+        if quotient:
+            q = sparse_poly(R, rng, [2], [2, 3])
+            if not q.is_zero() and not q.is_constant():
+                R = make_ring(p, ["x", "y", "z"], quotient=[q])
+        gens = tuple(sparse_poly(R, rng, range(1, 3), range(1, 3))
+                     for _ in range(rng.randint(1, 3)))
+        I = Ideal(R, gens)
+        assume(not I.is_unit())
+        assert_cone_is_fresh(I)
+
+    def test_normal_cones_of_the_corpus_ideals(self, monkeypatch):
+        # every ideal whose Rees algebra a regression script takes
+        seen = []
+        as_module = rees_module.as_module
+
+        def spy(x):
+            if isinstance(x, Ideal):
+                seen.append(x)
+            return as_module(x)
+
+        monkeypatch.setattr(rees_module, "as_module", spy)
+        for path in sorted(REGRESSIONS.glob("*.rk")):
+            execute_script(parse_script(path.read_text()), Config(seed=0))
+        monkeypatch.undo()
+        ideals = {(I.ring, I.gens): I for I in seen if not I.is_unit()}
+        assert len(ideals) >= 5
+        for I in ideals.values():
+            assert_cone_is_fresh(I)
 
 
 class TestSugarSelection:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from reeskit import rees as rees_module
+from reeskit import gb as gb_module, rees as rees_module
 from reeskit.cli import Config, emit, execute_script, parse_script
 from reeskit.gb import (Ideal, codimension, dimension_and_degree,
                         graded_piece_dim, kernel_of_ring_map, minors_ideal,
@@ -448,6 +448,27 @@ class TestReductions:
         I = Ideal(A2, (x ** 2, x * y, y ** 2, x ** 3, x * y ** 2))
         J = minimal_reduction(I, seed=0)
         assert str(J) == "ideal[ x*y - 10*y^2, x^2 + 44*y^2, y^3 ]"
+        assert calls[0] == 1
+
+    @pytest.mark.parametrize("redundant", [False, True])
+    def test_generators_are_trimmed_once(self, A2, monkeypatch, redundant):
+        # trim_homogeneous leaves its trim in the cache, so the analytic
+        # spread's trim of the same generators is a hit, whether the trim
+        # drops generators or keeps them all
+        calls = [0]
+        trim = gb_module._trim
+
+        def spy(*args):
+            calls[0] += 1
+            return trim(*args)
+
+        monkeypatch.setattr(gb_module, "_trim", spy)
+        x, y = A2.gens()
+        gens = (x ** 2, x * y, y ** 2) + ((x ** 3, x * y ** 2) if redundant
+                                          else ())
+        J = minimal_reduction(Ideal(A2, gens), seed=0)
+        if redundant:
+            assert str(J) == "ideal[ x*y - 10*y^2, x^2 + 44*y^2, y^3 ]"
         assert calls[0] == 1
 
     def test_principal_returns_itself(self, A2):
