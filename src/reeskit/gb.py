@@ -67,7 +67,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from operator import ge, itemgetter
+from operator import itemgetter, lshift
 
 from .polyring import (
     FreeModuleMap, Polynomial, RingDescriptor, RingMap, RingMismatchError,
@@ -177,8 +177,10 @@ def _buchberger(vectors, pk, p, padding):
       a >= b, ``t - (t >> (w - 1))`` fills them, and the lcm (slot-wise
       max) is ``b ^ ((a ^ b) & filled)``;
     * the leads are coprime iff ``a + b`` equals their lcm;
-    * ``pk.order`` turns an lcm back into a term, whose prefix sums stay
-      below twice the guard, so lcms compare exactly as terms.
+    * a proper divisor is slot-wise no larger, so a smaller plain int,
+      and criterion M sorts the plain lcms as they are;
+    * ``pk.order`` turns a queued lcm back into a term, whose prefix sums
+      stay below twice the guard, so lcms compare exactly as terms.
 
     The reductions search the plain leads for a divisor of each term the
     same way.  A queued lcm, and every shifted term, must stay below the
@@ -274,10 +276,10 @@ def _buchberger(vectors, pk, p, padding):
         still.append(gi)
         active[comp] = still
         # criterion M: drop an lcm properly divisible by another new lcm;
-        # a proper divisor is a smaller term, so ascending order only
-        # needs the minimal lcms kept so far
+        # a proper divisor is slot-wise no larger, so a smaller plain int,
+        # and ascending ints only need the minimal lcms kept so far
         kept = []
-        for term, lcm in sorted((order(x), x) for x in groups):
+        for lcm in sorted(groups):
             xg = lcm | g
             for m in kept:
                 if (xg - m) & g == g:
@@ -286,6 +288,7 @@ def _buchberger(vectors, pk, p, padding):
                 kept.append(lcm)
                 gj, zero = groups[lcm]
                 if not zero:
+                    term = order(lcm)
                     if term & g:
                         raise _Overflow
                     sugar = Goff[gj] if Goff[gj] > off else off
@@ -1117,39 +1120,51 @@ def _standard_exponents(lt, n, weights=None, degree=None):
     exponent of variable i stays below that lead's, since from there on
     every point and every extension lies in (lt).  Pure powers are the
     leads with an all-zero prefix, so they bound the walk in their variable.
+    Prefixes are ints in ``_Packing``'s plain layout, wide enough for the
+    lead exponents and ``degree``, which bound the walk; the walk carries
+    its own as one int, and the first lead by ascending last exponent whose
+    prefix divides it gives the least bound.
     """
     if any(not any(e) for e in lt):
         return []  # unit ideal: no standard monomials at all
-    # leads by their last nonzero variable i: (exponents of 0..i-1, of i)
+    top = max([degree or 0] + [a for m in lt for a in m])
+    pk = _Packing(("lex",), n, top.bit_length() + 1)
+    g, shifts = pk.guard, pk.shifts
+    # leads by their last nonzero variable i: (packed prefix, exponent of i)
     ends = [[] for _ in range(n)]
     for m in lt:
         last = max(i for i, a in enumerate(m) if a)
-        ends[last].append((m[:last], m[last]))
+        ends[last].append((m[last], sum(map(lshift, m[:last], shifts))))
     for i in range(n):
         if ((weights is None or weights[i] == 0)
-                and not any(not any(pre) for pre, _ in ends[i])):
+                and not any(not pre for _, pre in ends[i])):
             raise ValueError("quotient is not finite dimensional"
                              if weights is None
                              else "infinite-dimensional graded piece")
+        ends[i].sort()
     out = []
     expo = [0] * n
 
-    def rec(i, rem):
+    def rec(i, rem, x):
         if i == n:
             if not rem:
                 out.append(tuple(expo))
             return
-        stop = min((t for pre, t in ends[i] if all(map(ge, expo, pre))),
-                   default=None)
+        xg, stop = x | g, None
+        for t, pre in ends[i]:
+            if (xg - pre) & g == g:
+                stop = t
+                break
         w = weights[i] if weights is not None else 0
         if w > 0:
             stop = rem // w + 1 if stop is None else min(stop, rem // w + 1)
+        one = 1 << shifts[i]
         for a in range(stop):
             expo[i] = a
-            rec(i + 1, rem - a * w)
+            rec(i + 1, rem - a * w, x + a * one)
         expo[i] = 0
 
-    rec(0, degree if weights is not None else 0)
+    rec(0, degree if weights is not None else 0, 0)
     return out
 
 
@@ -1259,9 +1274,9 @@ def _trim(ring, columns, rows, shifts):
     """The columns one pass by ascending degree keeps, in walk order.
 
     A column's degree is its largest deg f_i + shifts[i] under
-    ``ring.degrees`` (a stable sort).  Each new degree restarts the reducers
+    ``ring.degrees`` (a stable sort).  Each new degree starts one reducer
     from one Groebner basis of the kept columns, Q in every row; a column
-    is kept iff its normal form by them is not zero, which then joins them.
+    is kept, and appended to it, iff its normal form by it is not zero.
     As they lie in the kept span, dropping is sound; for homogeneous columns
     the kept set is minimal (graded Nakayama), the first of dependents kept.
     """
@@ -1277,15 +1292,12 @@ def _trim(ring, columns, rows, shifts):
         if kept:  # Q alone is already a reduced basis
             reducers = [g for _, g in _engine_basis(reducers, amb,
                                                     padding=padding)]
-        reducer = None  # built when first needed after a change
+        reducer = _Reducer(reducers, amb.order_spec, amb.nvars, amb.p)
         for _, col in same_degree:
-            if reducer is None:
-                reducer = _Reducer(reducers, amb.order_spec, amb.nvars, amb.p)
             rem = reducer.reduce(_module_vec(col, amb))
             if rem:
                 kept.append(col)
-                reducers.append(dict(rem))
-                reducer = None
+                reducer.append(dict(rem))
     return kept
 
 

@@ -452,38 +452,57 @@ def _reduce_vec(vec, search, tails, p, guard):
 
 class _Reducer:
     """Monic reducers from (component, exponents) term dicts in one order,
-    packed with one ``_Packing`` and repacked wider when an input or a
-    reduction outgrows it."""
+    packed with one ``_Packing`` at the first ``reduce`` and repacked wider
+    when an input or a reduction outgrows it; ``append`` adds one to the
+    packing at hand, and reduces as a new ``_Reducer`` of the longer list."""
 
-    __slots__ = ("vectors", "order_spec", "nvars", "p", "packing", "search",
-                 "tails")
+    __slots__ = ("vectors", "order_spec", "nvars", "p", "packing", "index",
+                 "search", "tails")
 
     def __init__(self, vectors, order_spec, nvars, p):
-        self.vectors = vectors
+        self.vectors = list(vectors)
         self.order_spec = order_spec
         self.nvars = nvars
         self.p = p
-        self._build(_Packing.width(
-            max((sum(m[1]) for v in vectors for m in v), default=0)))
+        self.packing = None
 
-    def _build(self, w):
+    def _build(self, w, vec=()):
+        # at least w wide, and wide enough for every reducer and vec
+        w = max(w, _Packing.width(max(
+            (sum(m[1]) for v in (*self.vectors, vec) for m in v), default=0)))
+        self.packing = _Packing(self.order_spec, self.nvars, w)
+        self.index, self.tails = {}, []
+        for v in self.vectors:
+            self._pack(v)
+        self.search = self.packing.search(self.index)
+
+    def _pack(self, v):
         # reducer k: its lead listed under its component in input order,
         # and tails[k], the rest divided by the lead coefficient
-        pk = self.packing = _Packing(self.order_spec, self.nvars, w)
-        p, index, self.tails = self.p, {}, []
-        for v in self.vectors:
-            vec = {pk.pack(*m): c for m, c in v.items()}
-            lead = max(vec)
-            inv = pow(vec[lead], -1, p)
-            index.setdefault(lead >> pk.cshift, []).append(
-                (pk.plain(lead) & pk.tmask, (lead, len(self.tails))))
-            self.tails.append(tuple((m, c * inv % p) for m, c in vec.items()
-                                    if m != lead))
-        self.search = pk.search(index)
+        pk, p = self.packing, self.p
+        vec = {pk.pack(*m): c for m, c in v.items()}
+        lead = max(vec)
+        inv = pow(vec[lead], -1, p)
+        self.index.setdefault(lead >> pk.cshift, []).append(
+            (pk.plain(lead) & pk.tmask, (lead, len(self.tails))))
+        self.tails.append(tuple((m, c * inv % p) for m, c in vec.items()
+                                if m != lead))
+
+    def append(self, v):
+        """Add the term dict ``v`` as the last reducer."""
+        self.vectors.append(v)
+        pk = self.packing
+        if pk is not None:
+            try:
+                self._pack(v)
+            except _Overflow:
+                self._build(pk.w + 2)
 
     def reduce(self, vec):
         """Normal form of the term dict ``vec``, as a list of (term,
         coefficient) in descending order."""
+        if self.packing is None:
+            self._build(0, vec)
         while True:
             pk = self.packing
             try:
@@ -491,8 +510,7 @@ class _Reducer:
                                   self.search, self.tails, self.p, pk.guard)
                 break
             except _Overflow:
-                self._build(max(pk.w + 2, _Packing.width(
-                    max((sum(m[1]) for m in vec), default=0))))
+                self._build(pk.w + 2, vec)
         unpack = pk.unpack
         return [(unpack(m), rem[m]) for m in sorted(rem, reverse=True)]
 

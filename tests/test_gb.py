@@ -17,7 +17,7 @@ from reeskit.gb import (
     vector_space_dimension, colon, _coefficients, _standard_exponents,
     _trim,
 )
-from reeskit.polyring import (FreeModuleMap, RingMap, make_ring,
+from reeskit.polyring import (FreeModuleMap, RingMap, _Packing, make_ring,
                               matrix_from_columns, random_poly, transport)
 from reeskit.rees import PresentedModule, normal_cone, rees_presentation
 
@@ -336,20 +336,31 @@ class TestPackedLeads:
         assert max(g.total_degree() for g in got) > 8
         assert same_vectors([vec_of((g,)) for g in got], want)
 
-    @pytest.mark.parametrize("first", ["y*z^2", "x^2*y"])
+    @pytest.mark.parametrize("first", ["y*z^2", "x^2*y", "block"])
     def test_chain_criterion_keeps_the_least_lcm(self, monkeypatch, first):
-        # the third lead's pair with the first has an lcm (x*y*z^2, or
+        # the last lead's pair with the first has an lcm (x*y*z^2, or
         # x^2*y*z) that is a proper multiple of x*y*z, the lcm of its pair
         # with the second, so criterion M must drop it although it was
-        # formed first; no pair here is a zero witness.  The two cases put
-        # the extra factor in the last and in the first variable, so a
-        # degree read from any partial sum of the slots ties and fails
-        R = make_ring(7, ["x", "y", "z"])
+        # formed first; no pair here is a zero witness.  The first two
+        # cases put the extra factor in the last and in the first variable,
+        # so a degree read from any partial sum of the slots ties and fails.
+        # Under the block order (x, y | z) the last lead x*z also has the
+        # lcm x^3*z with x^3: a larger term than x*y*z but a smaller plain
+        # int, as y's slot lies above x's, so criterion M meets the lcms in
+        # another order than the terms' and must still keep the least
+        order = ("block", (2, 1)) if first == "block" else "grevlex"
+        R = make_ring(7, ["x", "y", "z"], order=order)
         x, y, z = R.gens()
         if first == "y*z^2":
             gens = [y * z ** 2 - 1, x * y - 1, x * z - 1]
-        else:
+        elif first == "x^2*y":
             gens = [x ** 2 * y - 1, y * z - 1, x * z - 1]
+        else:
+            gens = [y * z ** 2 - 1, x * y - 1, x ** 3 - 1, x * z - 1]
+            pk = _Packing(R.order_spec, 3, _Packing.width(5))
+            least, other = pk.pack(0, (1, 1, 1)), pk.pack(0, (3, 0, 1))
+            assert other > least and pk.plain(other) < pk.plain(least)
+        last = len(gens) - 1
         queued = []
         push = gb_module.heapq.heappush
 
@@ -360,8 +371,9 @@ class TestPackedLeads:
         monkeypatch.setattr(gb_module.heapq, "heappush", spy)
         basis = Ideal(R, gens).groebner().elements
         monkeypatch.undo()
-        assert (1, 2) in queued
-        assert (0, 2) not in queued
+        assert (1, last) in queued
+        assert (0, last) not in queued
+        assert first != "block" or (2, last) in queued
         want = brute_reduced_basis([vec_of((g,)) for g in gens], R.key, 7)
         assert same_vectors([vec_of((g,)) for g in basis], want)
 
@@ -1514,20 +1526,48 @@ class TestStandardExponents:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10 ** 6))
     def test_matches_box_filter(self, seed):
+        # the walk packs its prefixes into slots as wide as the largest
+        # lead exponent or degree, so both sides of that edge are drawn:
+        # lead exponents up to 4 or 10, requested degrees up to 12
         rng = random.Random(seed)
-        n = rng.choice((2, 3))
-        # a pure power of every variable keeps the ungraded walk finite
-        lt = [tuple(rng.randint(1, 6) if j == i else 0 for j in range(n))
-              for i in range(n)]
-        lt += [tuple(rng.randint(0, 4) for _ in range(n))
-               for _ in range(rng.randint(0, 4))]
+        n = rng.choice((2, 3, 4))
+        top = rng.choice((4, 10))
+        # a pure power of every variable keeps the ungraded walk finite;
+        # these and any extra pure power are the leads whose prefix is 0
+        powers = [tuple(rng.randint(1, top) if j == i else 0
+                        for j in range(n)) for i in range(n)]
+        lt = [tuple(rng.randint(0, 4) for _ in range(n))
+              for _ in range(rng.randint(0, 4))]
+        lt += [tuple(rng.randint(1, top) if j == i else 0 for j in range(n))
+               for i in rng.sample(range(n), rng.randint(0, 1))]
         lt = [m for m in lt if any(m)]
+        everything = powers + lt
+        rng.shuffle(everything)
+        assert (_standard_exponents(everything, n)
+                == brute_standard_exponents(everything, n))
+        if rng.random() < 0.5:
+            weights = tuple(rng.randint(0, 2) for _ in range(n))
+        else:  # "wblock"-shaped: 0 on the leading variables only
+            k = rng.randrange(n)
+            weights = (0,) * k + tuple(rng.randint(1, 2)
+                                       for _ in range(n - k))
+        # a graded piece is finite once the weight-0 variables have powers
+        lt += [m for i, m in enumerate(powers)
+               if weights[i] == 0 or rng.random() < 0.5]
         rng.shuffle(lt)
-        assert _standard_exponents(lt, n) == brute_standard_exponents(lt, n)
-        weights = tuple(rng.randint(0, 2) for _ in range(n))
-        degree = rng.randint(0, 8)
+        degree = rng.randint(0, 12)
         assert (_standard_exponents(lt, n, weights, degree)
                 == brute_standard_exponents(lt, n, weights, degree))
+
+    def test_walk_exponents_above_every_lead(self):
+        # x reaches the requested degree 8, past every lead exponent, so
+        # the prefix slots are sized by the degree too: at x^8 the lead
+        # x*y still bounds y below 1
+        lt = [(1, 1), (0, 3)]
+        assert _standard_exponents(lt, 2, (1, 0), 8) == [(8, 0)]
+        lt = [(1, 1, 0), (0, 3, 0), (0, 1, 1)]
+        assert (_standard_exponents(lt, 3, (1, 0, 2), 9)
+                == brute_standard_exponents(lt, 3, (1, 0, 2), 9))
 
 
 class TestRadicalMembership:

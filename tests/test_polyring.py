@@ -1,12 +1,13 @@
 import random
+from operator import add
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from reeskit import gb as gb_module
 from reeskit.gb import Ideal
 from reeskit.polyring import (
-    FreeModuleMap, RingMap, RingMismatchError, _Overflow, _Packing,
+    FreeModuleMap, RingMap, RingMismatchError, _Overflow, _Packing, _Reducer,
     elimination_spec, homogenize_ideal, make_key_function, make_ring,
     parse_poly, random_poly, transport,
 )
@@ -188,6 +189,17 @@ class TestPacking:
         assert pk.plain(v) == plain - (s[0] << pk.cshift)
         assert pk.order(plain) == v + (s[0] << pk.cshift)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(ORDERS4), st.integers(0, 3), exps4, exps4)
+    def test_a_proper_divisor_is_a_smaller_plain_int(self, spec, extra, a, c):
+        # criterion M sorts the plain lcms as ints, so every proper
+        # divisor of an lcm must come before it
+        assume(any(c))
+        pk = self.packing(spec, extra)
+        b = tuple(map(add, a, c))
+        assert (pk.plain(pk.pack(0, a)) & pk.tmask
+                < pk.plain(pk.pack(0, b)) & pk.tmask)
+
     def test_term_above_the_guard_overflows(self):
         pk = _Packing(("grevlex",), 2, _Packing.width(3))
         pk.pack(0, (pk.slot, 0))
@@ -223,6 +235,57 @@ class TestPacking:
         assert gb_module.normal_form(x ** 101, I) == x * y ** 50
         Q = make_ring(101, ["x", "y"], quotient=[x ** 2 - y])
         assert str(Q.var("x") ** 101) == "x*y^50"
+
+
+class TestReducer:
+    """``_Reducer.append`` against a new ``_Reducer`` of the same list,
+    over grevlex, lex and block orders in four variables."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(ORDERS4), st.integers(0, 10 ** 6))
+    def test_append_reduces_as_a_new_reducer(self, spec, seed):
+        rng = random.Random(seed)
+        p = 7
+
+        def vector(degree):
+            # a few terms in components 0..2, of degree at most ``degree``
+            out = {}
+            for _ in range(rng.randint(1, 4)):
+                e = [0] * 4
+                for _ in range(rng.randint(0, degree)):
+                    e[rng.randrange(4)] += 1
+                out[(rng.randrange(3), tuple(e))] = rng.randrange(1, p)
+            return out
+
+        listed = [vector(3) for _ in range(rng.randint(0, 3))]
+        grown = _Reducer(listed, spec, 4, p)
+        probes = [vector(6) for _ in range(5)]
+
+        def append(v):
+            grown.append(v)
+            listed.append(v)
+
+        def check():
+            fresh = _Reducer(listed, spec, 4, p)
+            for probe in probes:
+                assert grown.reduce(probe) == fresh.reduce(probe)
+
+        # the first reduce packs: before it an append only lists a vector
+        if rng.random() < 0.5:
+            append(vector(3))
+        check()
+        for _ in range(rng.randint(1, 3)):
+            append(vector(3))
+            check()
+        # a vector with a term past the slots makes the reducer widen
+        pk = grown.packing
+        big = vector(3)
+        big[(0, (pk.slot + 1, 0, 0, 0))] = 1
+        append(big)
+        assert grown.packing.w > pk.w
+        probes += [{(0, (pk.slot + 3, 1, 0, 0)): 2, (1, (0, 0, 0, 1)): 1},
+                   {(c, e): 3 for c, e in big}]
+        check()
 
 
 class TestHomogenize:
