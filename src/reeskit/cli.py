@@ -18,7 +18,8 @@ text containing ``#``.
 Every public operation of every module is reachable through the function
 registry; ``reeskit run FILE`` executes a script, ``reeskit eval EXPR``
 evaluates one expression.  Exit codes: 0 ok, 1 assertion failure,
-2 parse or runtime error.
+2 parse or runtime error.  ``_describe`` is the one place that knows how a
+value is emitted: its kind, its text line and its ``--json`` form.
 """
 
 from __future__ import annotations
@@ -394,9 +395,7 @@ class Config:
 @dataclass
 class ResultEntry:
     statement: int
-    kind: str
     value: object
-    flags: tuple = ()
 
 
 @dataclass
@@ -431,10 +430,17 @@ def _as_int(x):
     return x
 
 
-def _as_matrix(x):
-    if not isinstance(x, FreeModuleMap):
-        raise ScriptError(f"expected a matrix, got {_kind_name(x)}")
-    return x
+def _as_type(cls, what):
+    def coerce(x):
+        if not isinstance(x, cls):
+            raise ScriptError(f"expected {what}, got {_kind_name(x)}")
+        return x
+    return coerce
+
+
+_as_matrix = _as_type(FreeModuleMap, "a matrix")
+_as_chart = _as_type(BlowupChart, "a blowup chart")
+_as_map = _as_type(RingMap, "a ring map")
 
 
 def _as_module(ctx, x):
@@ -530,9 +536,7 @@ def _registry():
 
     @op("applyRingMap", "polyring")
     def _(ctx, f, x):
-        if not isinstance(f, RingMap):
-            raise ScriptError("applyRingMap needs a ring map")
-        return f(x)
+        return _as_map(f)(x)
 
     @op("randomPoly", "polyring")
     def _(ctx, degree, sub=0, homogeneous=False):
@@ -590,9 +594,7 @@ def _registry():
 
     @op("kernelOfRingMap", "gb")
     def _(ctx, f):
-        if not isinstance(f, RingMap):
-            raise ScriptError("kernelOfRingMap needs a ring map")
-        return gb_mod.kernel_of_ring_map(f)
+        return gb_mod.kernel_of_ring_map(_as_map(f))
 
     @op("colonIdeal", "gb")
     def _(ctx, I, by):
@@ -790,9 +792,7 @@ def _registry():
     # intersection -------------------------------------------------------------
     @op("distinguished", "intersection")
     def _(ctx, f, I):
-        if not isinstance(f, RingMap):
-            raise ScriptError("distinguished needs a ring map and an ideal")
-        return intersection_mod.distinguished(f, _as_ideal(ctx, I),
+        return intersection_mod.distinguished(_as_map(f), _as_ideal(ctx, I),
                                               seed=ctx.config.seed)
 
     @op("intersectInP", "intersection")
@@ -807,15 +807,11 @@ def _registry():
 
     @op("totalTransform", "blowup")
     def _(ctx, chart, X):
-        if not isinstance(chart, BlowupChart):
-            raise ScriptError("totalTransform needs a blowup chart")
-        return blowup_mod.total_transform(chart, _as_ideal(ctx, X))
+        return blowup_mod.total_transform(_as_chart(chart), _as_ideal(ctx, X))
 
     @op("strictTransform", "blowup")
     def _(ctx, chart, X):
-        if not isinstance(chart, BlowupChart):
-            raise ScriptError("strictTransform needs a blowup chart")
-        X2 = _as_ideal(ctx, X)
+        chart, X2 = _as_chart(chart), _as_ideal(ctx, X)
         out = blowup_mod.strict_transform(chart, X2)
         if ctx.config.verify:
             alt = gb_mod.saturation_exponent(
@@ -831,9 +827,7 @@ def _registry():
 
     @op("isSmoothAwayFromIrrelevant", "blowup")
     def _(ctx, chart, X):
-        if not isinstance(chart, BlowupChart):
-            raise ScriptError("needs a blowup chart")
-        X2 = _as_ideal(ctx, X)
+        chart, X2 = _as_chart(chart), _as_ideal(ctx, X)
         out = blowup_mod.is_smooth_away_from_irrelevant(chart, X2)
         if ctx.config.verify:
             alt = gb_mod.saturation_exponent(
@@ -844,19 +838,19 @@ def _registry():
 
     @op("chartRing", "blowup")
     def _(ctx, chart):
-        return chart.ring
+        return _as_chart(chart).ring
 
     @op("chartProjection", "blowup")
     def _(ctx, chart):
-        return chart.projection
+        return _as_chart(chart).projection
 
     @op("chartIrrelevant", "blowup")
     def _(ctx, chart):
-        return chart.irrelevant
+        return _as_chart(chart).irrelevant
 
     @op("chartExceptional", "blowup")
     def _(ctx, chart):
-        return chart.exceptional
+        return _as_chart(chart).exceptional
 
     # logic helpers -----------------------------------------------------------
     @op("eq", "cli")
@@ -949,8 +943,7 @@ def _eval(node: Node, ctx: Context):
                 return name == "true"
             if name == "infinity":
                 return math.inf
-            raise ScriptError(f"unknown identifier {name!r}",
-                              node.line, node.col)
+            raise ScriptError(f"unknown identifier {name!r}")
         if k == "call":
             name = node.data["name"]
             if name == "ideal":
@@ -971,8 +964,7 @@ def _eval(node: Node, ctx: Context):
                     ring = ctx.require_ring()
                 return Ideal(ring, tuple(gens))
             if name not in REGISTRY:
-                raise ScriptError(f"unknown operation {name!r}",
-                                  node.line, node.col)
+                raise ScriptError(f"unknown operation {name!r}")
             args = [_eval(a, ctx) for a in node.data["args"]]
             _, fn = REGISTRY[name]
             return fn(ctx, *args)
@@ -994,15 +986,13 @@ def _eval(node: Node, ctx: Context):
             v = _eval(node.data["a"], ctx)
             if isinstance(v, (int, Polynomial)):
                 return -v
-            raise ScriptError(f"cannot negate {_kind_name(v)}",
-                              node.line, node.col)
+            raise ScriptError(f"cannot negate {_kind_name(v)}")
         if k == "pow":
             v = _eval(node.data["a"], ctx)
             n = node.data["n"]
             if isinstance(v, (int, Polynomial, Ideal)):
                 return v ** n
-            raise ScriptError(f"cannot raise {_kind_name(v)} to a power",
-                              node.line, node.col)
+            raise ScriptError(f"cannot raise {_kind_name(v)} to a power")
         if k == "binop":
             a = _eval(node.data["a"], ctx)
             b = _eval(node.data["b"], ctx)
@@ -1012,8 +1002,7 @@ def _eval(node: Node, ctx: Context):
                     return _as_ideal(ctx, a) + _as_ideal(ctx, b)
                 if op == "*":
                     return _as_ideal(ctx, a) * _as_ideal(ctx, b)
-                raise ScriptError(f"operation {op!r} undefined on ideals",
-                                  node.line, node.col)
+                raise ScriptError(f"operation {op!r} undefined on ideals")
             if isinstance(a, Polynomial) or isinstance(b, Polynomial):
                 if op == "+":
                     return a + b
@@ -1023,14 +1012,14 @@ def _eval(node: Node, ctx: Context):
                     return a * b
             if isinstance(a, int) and isinstance(b, int):
                 return {"+": a + b, "-": a - b, "*": a * b}[op]
-            raise ScriptError(
-                f"operation {op!r} undefined on {_kind_name(a)}, "
-                f"{_kind_name(b)}", node.line, node.col)
-        raise ScriptError(f"cannot evaluate node kind {k!r}",
-                          node.line, node.col)
-    except ScriptError:
-        raise
+            raise ScriptError(f"operation {op!r} undefined on "
+                              f"{_kind_name(a)}, {_kind_name(b)}")
+        raise ScriptError(f"cannot evaluate node kind {k!r}")
     except Exception as exc:
+        # an error without a position, raised here or by an op, takes the
+        # position of the innermost node being evaluated
+        if isinstance(exc, ScriptError) and exc.line is not None:
+            raise
         raise ScriptError(str(exc), node.line, node.col) from exc
 
 
@@ -1081,7 +1070,7 @@ def execute_script(script: Script, config: Config | None = None) -> ResultDocume
                 if isinstance(v, BlowupChart):
                     v = v.ring
                 if not isinstance(v, RingDescriptor):
-                    raise ScriptError("use needs a ring", st.line, st.col)
+                    raise ScriptError("use needs a ring")
                 ctx.active_ring = v
             elif st.kind == "bind":
                 v = _eval(st.data["expr"], ctx)
@@ -1095,14 +1084,11 @@ def execute_script(script: Script, config: Config | None = None) -> ResultDocume
                 elif kw == "matrix":
                     v = _as_matrix(v)
                 elif kw == "map":
-                    if not isinstance(v, RingMap):
-                        raise ScriptError("map binding needs a ring map",
-                                          st.line, st.col)
+                    v = _as_map(v)
                 ctx.env[st.data["name"]] = v
             elif st.kind == "print":
                 v = _eval(st.data["expr"], ctx)
-                doc.entries.append(ResultEntry(idx, _value_kind(v),
-                                               v, _value_flags(v)))
+                doc.entries.append(ResultEntry(idx, v))
             elif st.kind == "assert2":
                 a = _eval(st.data["a"], ctx)
                 b = _eval(st.data["b"], ctx)
@@ -1125,6 +1111,9 @@ def execute_script(script: Script, config: Config | None = None) -> ResultDocume
             doc.message = str(exc)
             return doc
         except ScriptError as exc:
+            # raised outside any node: the statement's position
+            if exc.line is None:
+                exc = ScriptError(str(exc), st.line, st.col)
             doc.status = 2
             doc.message = str(exc)
             return doc
@@ -1139,81 +1128,56 @@ def execute_script(script: Script, config: Config | None = None) -> ResultDocume
 # canonical rendering
 # ---------------------------------------------------------------------------
 
-def _value_kind(v):
+# the kind of every other value; its text and JSON form are both str(v)
+_KINDS = {Polynomial: "poly", GroebnerBasis: "gb", FreeModuleMap: "matrix",
+          RingDescriptor: "ring", RingMap: "ringmap",
+          PresentedModule: "module", BlowupChart: "blowup",
+          ReesAlgebraPresentation: "rees", HilbertSeries: "hilbertSeries",
+          ReductionCertificate: "reduction", WeightedComponent: "component",
+          ComponentReport: "prime"}
+
+
+def _gens(I):
+    return [str(g) for g in I.display_gens()]
+
+
+def _describe(v):
+    """(kind, text, JSON value, flags) of a script value: the text is its
+    output line, the rest its ``--json`` result."""
     if isinstance(v, bool):
-        return "bool"
+        return "bool", "true" if v else "false", v, ()
     if isinstance(v, int):
-        return "int"
+        return "int", str(v), v, ()
     if isinstance(v, float) and math.isinf(v):
-        return "infinity"
-    if isinstance(v, Polynomial):
-        return "poly"
+        return "infinity", "infinity", "infinity", ()
     if isinstance(v, Ideal):
-        return "ideal"
-    if isinstance(v, GroebnerBasis):
-        return "gb"
-    if isinstance(v, FreeModuleMap):
-        return "matrix"
-    if isinstance(v, RingDescriptor):
-        return "ring"
-    if isinstance(v, RingMap):
-        return "ringmap"
-    if isinstance(v, PresentedModule):
-        return "module"
-    if isinstance(v, BlowupChart):
-        return "blowup"
-    if isinstance(v, ReesAlgebraPresentation):
-        return "rees"
-    if isinstance(v, HilbertSeries):
-        return "hilbertSeries"
-    if isinstance(v, ReductionCertificate):
-        return "reduction"
-    if isinstance(v, tuple):
-        return "tuple"
-    if isinstance(v, list):
-        if v and isinstance(v[0], WeightedComponent):
-            return "components"
-        if v and isinstance(v[0], ComponentReport):
-            return "primes"
-        return "list"
-    if isinstance(v, WeightedComponent):
-        return "component"
-    if isinstance(v, ComponentReport):
-        return "prime"
-    return "value"
-
-
-def _value_flags(v):
-    flags = []
-    if isinstance(v, list):
-        for item in v:
-            if isinstance(item, (WeightedComponent, ComponentReport)) \
-                    and not item.certified:
-                flags.append("unverified-component")
-                break
-    return tuple(flags)
+        return "ideal", str(v), {"generators": _gens(v)}, ()
+    if isinstance(v, tuple) and v and isinstance(v[1], list):
+        unit, factors = v  # a factorization
+        text = " * ".join([str(unit)] + [f"({f})" + (f"^{m}" if m > 1 else "")
+                                         for f, m in factors])
+        return "tuple", text, {"unit": unit, "factors": [
+            {"factor": str(f), "multiplicity": m} for f, m in factors]}, ()
+    if isinstance(v, list) and v and \
+            isinstance(v[0], (WeightedComponent, ComponentReport)):
+        weighted = isinstance(v[0], WeightedComponent)
+        value = [{"generators": _gens(c.prime), "certified": c.certified}
+                 | ({"m": c.multiplicity} if weighted else {}) for c in v]
+        flags = () if all(c.certified for c in v) else \
+            ("unverified-component",)
+        return ("components" if weighted else "primes",
+                "{ " + ", ".join(map(str, v)) + " }", value, flags)
+    if isinstance(v, (tuple, list)):
+        parts = [_describe(x) for x in v]
+        text = ", ".join(part[1] for part in parts)
+        return (type(v).__name__,
+                f"({text})" if isinstance(v, tuple) else f"[{text}]",
+                [part[2] for part in parts], ())
+    return _KINDS.get(type(v), "value"), str(v), str(v), ()
 
 
 def render_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float) and math.isinf(v):
-        return "infinity"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, tuple) and not isinstance(v, (WeightedComponent,)):
-        if v and isinstance(v[1], list):  # factorization (unit, factors)
-            unit, factors = v
-            parts = [str(unit)]
-            for f, m in factors:
-                parts.append(f"({f})" + (f"^{m}" if m > 1 else ""))
-            return " * ".join(parts)
-        return "(" + ", ".join(render_value(x) for x in v) + ")"
-    if isinstance(v, list):
-        if v and isinstance(v[0], (WeightedComponent, ComponentReport)):
-            return "{ " + ", ".join(str(c) for c in v) + " }"
-        return "[" + ", ".join(render_value(x) for x in v) + "]"
-    return str(v)
+    return _describe(v)[1]
 
 
 def as_script_text(v) -> str:
@@ -1233,45 +1197,14 @@ def as_script_text(v) -> str:
     raise TypeError(f"no script form for {_kind_name(v)}")
 
 
-def _json_value(v):
-    if isinstance(v, bool):
-        return v
-    if isinstance(v, float) and math.isinf(v):
-        return "infinity"
-    if isinstance(v, int):
-        return v
-    if isinstance(v, Ideal):
-        return {"generators": [str(g) for g in v.display_gens()]}
-    if isinstance(v, list):
-        if v and isinstance(v[0], WeightedComponent):
-            return [{"m": w.multiplicity,
-                     "generators": [str(g) for g in w.prime.display_gens()],
-                     "certified": w.certified} for w in v]
-        if v and isinstance(v[0], ComponentReport):
-            return [{"generators": [str(g) for g in c.prime.display_gens()],
-                     "certified": c.certified} for c in v]
-        return [_json_value(x) for x in v]
-    if isinstance(v, tuple):
-        if v and isinstance(v[1], list):
-            unit, factors = v
-            return {"unit": unit,
-                    "factors": [{"factor": str(f), "multiplicity": m}
-                                for f, m in factors]}
-        return [_json_value(x) for x in v]
-    return render_value(v)
-
-
 def emit(doc: ResultDocument, mode="text") -> bytes:
     if mode == "json":
-        payload = {
-            "schema": 1,
-            "status": doc.status,
-            "results": [
-                {"statement": e.statement, "kind": e.kind,
-                 "value": _json_value(e.value), "flags": list(e.flags)}
-                for e in doc.entries
-            ],
-        }
+        results = []
+        for e in doc.entries:
+            kind, _, value, flags = _describe(e.value)
+            results.append({"statement": e.statement, "kind": kind,
+                            "value": value, "flags": flags})
+        payload = {"schema": 1, "status": doc.status, "results": results}
         if doc.message:
             payload["message"] = doc.message
         return (json.dumps(payload, sort_keys=True, indent=None,

@@ -471,15 +471,13 @@ class Ideal:
 class GroebnerBasis:
     """Reduced basis of an ideal or of a submodule of a free module."""
 
-    __slots__ = ("ring", "rank", "ambient_elements", "elements",
-                 "order_spec", "_prep")
+    __slots__ = ("ring", "rank", "ambient_elements", "elements", "_prep")
 
-    def __init__(self, ring, rank, ambient_elements, elements, order_spec):
+    def __init__(self, ring, rank, ambient_elements, elements):
         self.ring = ring
         self.rank = rank          # 0 for ideals, free-module rank otherwise
         self.ambient_elements = tuple(ambient_elements)
         self.elements = tuple(elements)
-        self.order_spec = order_spec
         self._prep = None
 
     def _reducers(self):
@@ -539,7 +537,7 @@ def _descend(ring, polys, spec=None) -> Ideal:
     gens = tuple(h for h in (transport(g, ring) for g in polys)
                  if not h.is_zero())
     if carry:
-        basis = GroebnerBasis(ring, 0, polys, gens, spec)
+        basis = GroebnerBasis(ring, 0, polys, gens)
         if not any(basis._reducers().reduce(_poly_to_vec(q))
                    for q in ring.quotient):
             return _with_basis(ring, gens, basis)
@@ -552,7 +550,7 @@ def _ambient_ideal(I: Ideal) -> Ideal:
     amb = I.ring.ambient
     basis = I.groebner().ambient_elements
     return _with_basis(amb, _lift(I),
-                       GroebnerBasis(amb, 0, basis, basis, amb.order_spec))
+                       GroebnerBasis(amb, 0, basis, basis))
 
 
 def _module_vec(polys, amb):
@@ -651,11 +649,10 @@ def groebner_basis(target) -> GroebnerBasis:
     vectors = [_vec_to_polys(g, amb, max(rank, 1))
                for _, g in _engine_basis(vecs, amb, padding=padding)]
     if rank:
-        return GroebnerBasis(ring, rank, vectors, vectors, amb.order_spec)
+        return GroebnerBasis(ring, rank, vectors, vectors)
     ambient_elements = [f for (f,) in vectors]
     return GroebnerBasis(ring, 0, ambient_elements,
-                         _descend(ring, ambient_elements).gens,
-                         amb.order_spec)
+                         _descend(ring, ambient_elements).gens)
 
 
 def normal_form(f: Polynomial, basis):

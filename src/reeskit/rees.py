@@ -203,16 +203,7 @@ def rees_ideal(M, f: Polynomial | None = None) -> Ideal:
     got = M._cache.get("rees_ideal")
     if got is not None:
         return got
-    if M.is_ideal:
-        emb = M.generator_row()
-    else:
-        emb = universal_embedding(M)
-        if emb.rows == 0:
-            ring = M.ring
-            W = rees_ring(ring, M.generator_count)
-            out = Ideal(W, tuple(W.var(n) for n in rees_variable_names(W)))
-            M._cache["rees_ideal"] = out
-            return out
+    emb = M.generator_row() if M.is_ideal else universal_embedding(M)
     out = symmetric_kernel(emb)
     M._cache["rees_ideal"] = out
     return out

@@ -32,7 +32,6 @@ def assert_carried_is_recomputed(I):
     got = carried(I)
     want = groebner_basis(Ideal(I.ring, I.gens))
     assert got.ring == want.ring and got.rank == want.rank == 0
-    assert got.order_spec == want.order_spec
     assert ([g.terms for g in got.ambient_elements]
             == [g.terms for g in want.ambient_elements])
     assert [g.terms for g in got.elements] == [g.terms for g in want.elements]

@@ -8,6 +8,9 @@ import pytest
 
 from reeskit.cli import (Config, REGISTRY, ScriptError, emit, execute_script,
                          main, parse_script, render_value)
+from reeskit.decompose import ComponentReport
+from reeskit.gb import Ideal
+from reeskit.intersection import WeightedComponent
 
 REGRESSIONS = Path(__file__).resolve().parent.parent / "regressions"
 
@@ -182,6 +185,83 @@ class TestEmit:
         assert payload["results"][0]["value"] == [
             {"m": 2, "generators": ["y", "x"], "certified": True}]
 
+    def test_describe_every_kind(self):
+        # kind, text line, JSON value and flags of one value of each kind
+        from reeskit.cli import _describe
+        src = ("ring P = zmod 101 [x,y];\n"
+               "print x^2 - y;\n"
+               "print groebnerBasis(ideal(x^2 - y, y));\n"
+               "print matrix[[x, y]];\n"
+               "print P;\n"
+               "print ringmap(P, P, [y, x]);\n"
+               "module M = ideal(x, y);\n"
+               "print M;\n"
+               "print blowupOf(ideal(x, y));\n"
+               "print reesAlgebra(ideal(x, y));\n"
+               "print hilbertSeries(ideal(x^2));\n"
+               "print isReduction(ideal(x, y), ideal(x, y));\n"
+               "print factorUnivariate(x^3 + x^2);\n"
+               "print dimensionAndDegree(ideal(x));\n"
+               "print [[1, x], []];\n"
+               "print [];\n"
+               'print "h";\n'
+               "print infinity;\n"
+               "print true;\n"
+               "print 7;\n"
+               "print ideal(x, y^2);\n")
+        doc = execute_script(parse_script(src), Config())
+        assert doc.status == 0, doc.message
+        values = [e.value for e in doc.entries]
+        P = values[0].ring
+        x, y = P.gens()
+        values += [
+            [WeightedComponent(2, Ideal(P, (x, y))),
+             WeightedComponent(1, Ideal(P, (y,)), certified=False)],
+            [ComponentReport(Ideal(P, (x,)), True),
+             ComponentReport(Ideal(P, (x - y, y ** 2)), False)],
+            [ComponentReport(Ideal(P, (y,)), True)],
+            WeightedComponent(3, Ideal(P, (x,))),
+            ComponentReport(Ideal(P, (y,)), False),
+        ]
+        plain = [("poly", "x^2 - y"), ("gb", "gb[ y, x^2 ]"),
+                 ("matrix", "matrix[ [x, y] ]"), ("ring", "zmod 101 [x,y]"),
+                 ("ringmap", "ringmap[ x -> y, y -> x ]"),
+                 ("module", "module[ x, y ]"),
+                 ("blowup",
+                  "blowup[ zmod 101 [x,y | w_0,w_1] / (y*w_0 - x*w_1) ]"),
+                 ("rees", "rees[ zmod 101 [x,y | w_0,w_1] ; "
+                          "ideal[ y*w_0 - x*w_1 ] ]"),
+                 ("hilbertSeries", "(1 + T) / ((1 - T))"),
+                 ("reduction", "reduction[ r = 0 ]")]
+        unverified = ("unverified-component",)
+        want = [(kind, text, text, ()) for kind, text in plain] + [
+            ("tuple", "1 * (x)^2 * (x + 1)",
+             {"unit": 1, "factors": [{"factor": "x", "multiplicity": 2},
+                                     {"factor": "x + 1", "multiplicity": 1}]},
+             ()),
+            ("tuple", "(1, 1)", [1, 1], ()),
+            ("list", "[[1, x], []]", [[1, "x"], []], ()),
+            ("list", "[]", [], ()),
+            ("value", "h", "h", ()),
+            ("infinity", "infinity", "infinity", ()),
+            ("bool", "true", True, ()),
+            ("int", "7", 7, ()),
+            ("ideal", "ideal[ x, y^2 ]", {"generators": ["x", "y^2"]}, ()),
+            ("components", "{ (2, ideal[ y, x ]), (1, ideal[ y ]) unverified }",
+             [{"m": 2, "generators": ["y", "x"], "certified": True},
+              {"m": 1, "generators": ["y"], "certified": False}], unverified),
+            ("primes",
+             "{ ideal[ x ] certified, ideal[ x - y, y^2 ] unverified }",
+             [{"generators": ["x"], "certified": True},
+              {"generators": ["x - y", "y^2"], "certified": False}],
+             unverified),
+            ("primes", "{ ideal[ y ] certified }",
+             [{"generators": ["y"], "certified": True}], ()),
+            ("component", "(3, ideal[ x ])", "(3, ideal[ x ])", ()),
+            ("prime", "ideal[ y ] unverified", "ideal[ y ] unverified", ()),
+        ]
+        assert [_describe(v) for v in values] == want
+
     def test_round_trip_through_script_form(self):
         from reeskit.cli import as_script_text
         from reeskit.gb import Ideal
@@ -207,17 +287,24 @@ class TestEmit:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("name", [
-        "versal_embedding", "morey_ulrich", "intersect_conic_tangent",
-        "intersect_quartic_line", "intersect_improper", "intersect_self",
-        "tacnode",
-    ])
+    CORPUS = ["versal_embedding", "morey_ulrich", "intersect_conic_tangent",
+              "intersect_quartic_line", "intersect_improper", "intersect_self",
+              "tacnode"]
+
+    @pytest.mark.parametrize("name", CORPUS)
     def test_regression_scripts_match_frozen_output(self, name):
         src = (REGRESSIONS / f"{name}.rk").read_text()
         expected = (REGRESSIONS / f"{name}.expected.txt").read_bytes()
         doc = execute_script(parse_script(src), Config(seed=0))
         assert doc.status == 0, doc.message
         assert emit(doc) == expected
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_regression_scripts_match_frozen_json(self, name):
+        src = (REGRESSIONS / f"{name}.rk").read_text()
+        expected = (REGRESSIONS / f"{name}.expected.json").read_bytes()
+        doc = execute_script(parse_script(src), Config(seed=0))
+        assert emit(doc, "json") == expected
 
     def test_double_run_byte_identical(self):
         src = (REGRESSIONS / "intersect_self.rk").read_text()
@@ -399,6 +486,49 @@ class TestMainEntry:
         assert out == ""
         assert err == ("line 3 col 7: cannot apply ring map to "
                        "PresentedModule\n")
+
+    @pytest.mark.parametrize("src, message", [
+        # raised by the op: the position of the call
+        ("let m = ringmap(P, P, [y, x]);\nprint dim(m);\n",
+         "line 3 col 7: expected an ideal, got RingMap"),
+        # raised by the binding's coercion: the position of the statement
+        ("ideal J = ringmap(P, P, [y, x]);\n",
+         "line 2 col 1: expected an ideal, got RingMap"),
+    ], ids=["op", "binding"])
+    def test_script_errors_have_a_position(self, tmp_path, capsys, src,
+                                           message):
+        script = tmp_path / "m.rk"
+        script.write_text("ring P = zmod 101 [x,y];\n" + src)
+        assert main(["run", str(script)]) == 2
+        assert capsys.readouterr() == ("", message + "\n")
+
+    # every chart operation and every ring-map use, given an ideal
+    CHART = "line 2 col 7: expected a blowup chart, got Ideal"
+    MAP = "line 2 col 7: expected a ring map, got Ideal"
+    WRONG_ARGUMENT = {
+        "totalTransform": ("print totalTransform(ideal(x), ideal(y));", CHART),
+        "strictTransform": ("print strictTransform(ideal(x), ideal(y));",
+                            CHART),
+        "isSmoothAwayFromIrrelevant":
+            ("print isSmoothAwayFromIrrelevant(ideal(x), ideal(y));", CHART),
+        "chartRing": ("print chartRing(ideal(x));", CHART),
+        "chartProjection": ("print chartProjection(ideal(x));", CHART),
+        "chartIrrelevant": ("print chartIrrelevant(ideal(x));", CHART),
+        "chartExceptional": ("print chartExceptional(ideal(x));", CHART),
+        "applyRingMap": ("print applyRingMap(ideal(x), x);", MAP),
+        "kernelOfRingMap": ("print kernelOfRingMap(ideal(x));", MAP),
+        "distinguished": ("print distinguished(ideal(x), ideal(y));", MAP),
+        "map": ("map f = ideal(x);",
+                "line 2 col 1: expected a ring map, got Ideal"),
+    }
+
+    @pytest.mark.parametrize("name", WRONG_ARGUMENT)
+    def test_wrong_chart_or_map_exits_2(self, tmp_path, capsys, name):
+        src, message = self.WRONG_ARGUMENT[name]
+        script = tmp_path / "w.rk"
+        script.write_text("ring P = zmod 101 [x,y];\n" + src + "\n")
+        assert main(["run", str(script)]) == 2
+        assert capsys.readouterr() == ("", message + "\n")
 
     @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
     def test_run_and_eval_report_errors_alike(self, tmp_path, capsys, flags):

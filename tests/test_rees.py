@@ -176,6 +176,23 @@ class TestReesIdeal:
         with pytest.raises(ValueError):
             rees_ideal(Ideal(A2, (A2.var("x"),)), f=A2.zero())
 
+    @pytest.mark.parametrize("quotient", [False, True],
+                             ids=["polynomial", "quotient"])
+    def test_torsion_module_has_the_zero_embedding(self, quotient):
+        # coker [x y] = R/(x, y) maps to no free module but by 0, so its
+        # Rees algebra is R and the Rees ideal is (w_0), in base[w_0]
+        R0 = make_ring(101, ["x", "y"])
+        R = (make_ring(101, ["x", "y"], quotient=[R0.var("x") ** 2])
+             if quotient else R0)
+        x, y = R.gens()
+        M = PresentedModule.from_matrix(FreeModuleMap(R, [[x, y]]))
+        assert universal_embedding(M).rows == 0
+        RI = rees_ideal(M)
+        assert str(RI.ring) == ("zmod 101 [x,y | w_0] / (x^2)" if quotient
+                                else "zmod 101 [x,y | w_0]")
+        assert [str(g) for g in RI.gens] == ["w_0"]
+        assert RI == Ideal(RI.ring, (RI.ring.var("w_0"),))
+
 
 class TestLinearType:
     def test_complete_intersection_is_linear_type(self, A2):
