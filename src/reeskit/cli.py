@@ -877,7 +877,11 @@ def _registry():
     def _(ctx, a, b):
         return a < b
 
-    R["not"] = ("cli", lambda ctx, a: not a)
+    @op("not", "cli")
+    def _(ctx, a):
+        if not isinstance(a, bool):
+            raise ScriptError("not takes true or false")
+        return not a
 
     @op("idealGens", "cli")
     def _(ctx, I):
@@ -1172,7 +1176,8 @@ def _describe(v):
         text = ", ".join(part[1] for part in parts)
         return (type(v).__name__,
                 f"({text})" if isinstance(v, tuple) else f"[{text}]",
-                [part[2] for part in parts], ())
+                [part[2] for part in parts],
+                tuple(dict.fromkeys(f for part in parts for f in part[3])))
     return _KINDS.get(type(v), "value"), str(v), str(v), ()
 
 

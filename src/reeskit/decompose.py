@@ -84,6 +84,8 @@ class _Decomposer:
         self.seen = set()
 
     def factors_of(self, g: Polynomial):
+        if g.total_degree() == 1:  # a linear polynomial is irreducible
+            return [(g.monic(), 1)]
         key = g.terms
         got = self.factor_cache.get(key)
         if got is None:

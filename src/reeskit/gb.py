@@ -9,14 +9,28 @@ are reduced back.  ``_lift`` and ``_descend`` are the only way in and out:
 Groebner basis descends once, into ``GroebnerBasis.elements``, and that is
 what ``Ideal.display_gens`` returns.
 
+A finished basis descends without a reduction.  Let B be a reduced basis
+of an ideal that contains Q, both monic in the ambient order.  Every lead
+of Q is a multiple of a lead of B, so every non-lead term of a g in B,
+which B leaves standard, is standard for Q too; and a lead of Q that
+divides lead(g) is a multiple of a lead of B that divides lead(g), which
+is lead(g) itself, as B is minimal.  So the normal form of g modulo Q is
+g, or g - q for the one q in Q with lead(q) = lead(g)
+(``_modulo_quotient``).  The engine's term dicts, and the reducer's
+remainders, list their terms in descending module order: the engine
+writes each lead first and then the remainder of its tail, whose largest
+term is taken at each step.  Result polynomials are built from them as
+they are (``_vec_to_polys``, ``_eliminate_raw``), with no sort.
+
 A Groebner basis is also computed once.  In ``eliminate``,
 ``kernel_of_ring_map``, ``saturate``, ``intersect_ideals`` and ``colon``
 the engine's output is already the result's reduced basis, monic and
 ascending, in grevlex on the remaining variables after an elimination and
 in the ambient order after a colon; ``spec`` tells ``_descend`` that
 order.  When it is the result ring's ambient order and every generator of
-Q reduces to 0 by the basis (a kernel of an unchecked ``RingMap`` need not
-contain Q), the result is born with it (``_with_basis``) and its first
+Q is an element of the basis or reduces to 0 by it (a kernel of an
+unchecked ``RingMap`` need not contain Q), the result is born with it
+(``_with_basis``), its generators read off it as above, and its first
 ``groebner()`` runs no Buchberger.  Ideals rebuilt from a basis already
 at hand share it the same way: ``_ambient_ideal(I)``, and an ideal
 regenerated from its own ``display_gens``.
@@ -87,10 +101,18 @@ def _poly_to_vec(f: Polynomial, comp=0):
 
 
 def _vec_to_polys(vec, amb, rank):
-    buckets = [dict() for _ in range(rank)]
+    """The entries of a term dict of ``amb`` as ``rank`` polynomials.
+
+    ``vec`` must list its terms in descending module order, as the engine
+    and ``_Reducer.reduce`` give them: each component's terms are then
+    descending in ``amb``'s order and become its polynomial as they are,
+    with no sort.  Coefficients are taken mod p.
+    """
+    p = amb.p
+    buckets = [[] for _ in range(rank)]
     for (c, e), v in vec.items():
-        buckets[c][e] = v
-    return tuple(amb.poly(b) for b in buckets)
+        buckets[c].append((e, v % p))
+    return tuple(Polynomial(amb, tuple(b)) for b in buckets)
 
 
 def _gb_core(vectors, amb, spec=None, padding=None):
@@ -525,23 +547,53 @@ def _descend(ring, polys, spec=None) -> Ideal:
     """The ideal of ``ring`` generated by the nonzero images of ``polys``.
 
     ``spec``, when given, is an order on ``ring``'s variables in which
-    ``polys`` are a reduced Groebner basis, ascending.  If it is the
-    ambient order and every generator of Q reduces to 0 by ``polys``, then
+    ``polys`` are a reduced Groebner basis, ascending, over the variables
+    of ``ring`` in the same order.  If it is the ambient order and every
+    generator of Q is one of ``polys`` or reduces to 0 by them, then
     (polys) = (polys) + Q and ``polys`` is that ideal's reduced ambient
-    basis, so the result is born with it (``_with_basis``).
+    basis, so the result is born with it (``_with_basis``), its generators
+    read off the basis by ``_modulo_quotient``.
     """
     amb = ring.ambient
-    carry = spec == amb.order_spec
-    if carry:
-        polys = [transport(g, amb) for g in polys]
-    gens = tuple(h for h in (transport(g, ring) for g in polys)
-                 if not h.is_zero())
-    if carry:
-        basis = GroebnerBasis(ring, 0, polys, gens)
-        if not any(basis._reducers().reduce(_poly_to_vec(q))
-                   for q in ring.quotient):
-            return _with_basis(ring, gens, basis)
-    return Ideal(ring, gens)
+    if spec == amb.order_spec:
+        assert all(g.ring.names == amb.names for g in polys)
+        polys = [Polynomial(amb, g.terms) for g in polys]
+        basis = GroebnerBasis(ring, 0, polys, ())
+        members = {g.terms for g in polys}
+        if all(q.terms in members
+               or not basis._reducers().reduce(_poly_to_vec(q))
+               for q in ring.quotient):
+            basis.elements = _modulo_quotient(ring, polys)
+            return _with_basis(ring, basis.elements, basis)
+    return Ideal(ring, tuple(h for h in (transport(g, ring) for g in polys)
+                             if not h.is_zero()))
+
+
+def _modulo_quotient(ring, basis):
+    """The nonzero normal forms modulo Q of ``basis``, a reduced ambient
+    basis of an ideal that contains Q, in their order.
+
+    By the lemma of the module docstring, the normal form of g is g
+    itself, or g - q for the q in Q with lead(q) = lead(g), whose terms
+    are the merged tails of both; no reduction is run.
+    """
+    p, key = ring.p, ring.key
+    by_lead = {q.terms[0][0]: q.terms for q in ring.quotient}
+    out = []
+    for g in basis:
+        q = by_lead.get(g.terms[0][0])
+        if q is None:
+            out.append(Polynomial(ring, g.terms))
+            continue
+        d = dict(g.terms[1:])
+        for e, c in q[1:]:
+            d[e] = (d.get(e, 0) - c) % p
+        terms = [(e, c) for e, c in d.items() if c]
+        if terms:
+            # two descending runs, which the sort merges
+            terms.sort(key=lambda t: key(t[0]), reverse=True)
+            out.append(Polynomial(ring, tuple(terms)))
+    return tuple(out)
 
 
 def _ambient_ideal(I: Ideal) -> Ideal:
@@ -650,9 +702,10 @@ def groebner_basis(target) -> GroebnerBasis:
                for _, g in _engine_basis(vecs, amb, padding=padding)]
     if rank:
         return GroebnerBasis(ring, rank, vectors, vectors)
+    # Q pads the run, so the ideal of the basis contains it
     ambient_elements = [f for (f,) in vectors]
     return GroebnerBasis(ring, 0, ambient_elements,
-                         _descend(ring, ambient_elements).gens)
+                         _modulo_quotient(ring, ambient_elements))
 
 
 def normal_form(f: Polynomial, basis):
@@ -700,12 +753,24 @@ def _subring_without(amb, names):
 
 
 def _eliminate_raw(polys, amb, names):
+    """The subring without ``names`` and the elements of the reduced basis
+    of (polys) in it, ascending.
+
+    The elimination order compares the degree in ``names`` first, so an
+    element whose lead is free of them has every term free of them; on the
+    other variables it is the subring's grevlex.  Each kept element is
+    therefore built in the subring by dropping the eliminated exponents,
+    its terms in the order the engine gives them.
+    """
     idxs = [amb.var_index(n) for n in names]
     vecs = [_poly_to_vec(f) for f in polys if not f.is_zero()]
     basis = _engine_basis(vecs, amb, elimination_spec(idxs, amb.nvars))
     sub = _subring_without(amb, names)
-    kept = [transport(_vec_to_polys(g, amb, 1)[0], sub) for lead, g in basis
-            if not any(lead[1][i] for i in idxs)]
+    gone = set(idxs)
+    rest = [i for i in range(amb.nvars) if i not in gone]
+    kept = [Polynomial(sub, tuple((tuple([e[i] for i in rest]), c)
+                                  for (_, e), c in g.items()))
+            for lead, g in basis if not any(lead[1][i] for i in gone)]
     return sub, kept
 
 

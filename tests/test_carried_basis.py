@@ -14,9 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 from reeskit import gb as gb_module
 from reeskit.cli import Config, emit, execute_script, parse_script
-from reeskit.gb import (Ideal, colon, eliminate, groebner_basis,
-                        intersect_ideals, kernel_of_ring_map, saturate)
-from reeskit.polyring import RingMap, make_ring
+from reeskit.gb import (Ideal, _coefficients, _eliminate_raw, _syzygies,
+                        colon, eliminate, groebner_basis, intersect_ideals,
+                        kernel_of_ring_map, saturate)
+from reeskit.polyring import FreeModuleMap, RingMap, make_ring, transport
 
 REGRESSIONS = Path(__file__).resolve().parent.parent / "regressions"
 
@@ -137,6 +138,108 @@ def test_carried_basis_is_the_recomputed_basis(seed, op, order, quotient):
         assert_carried_is_recomputed(K)
     if order == "lex" and op in ("kernel", "saturate", "intersect"):
         assert carried(K) is None
+
+
+def random_ring(rng, order):
+    """GF(p)[x,y,z] in ``order``, modulo up to three random polynomials."""
+    p = rng.choice((2, 5, 101, 32003))
+    R = make_ring(p, ["x", "y", "z"], order=ORDERS[order])
+    qs = [q for q in (small_poly(R, rng) for _ in range(rng.randrange(4)))
+          if not q.is_constant()]
+    try:
+        return make_ring(p, ["x", "y", "z"], order=ORDERS[order], quotient=qs)
+    except ValueError:
+        return R  # the unit ideal
+
+
+def descending(f, ring):
+    """f's terms are strictly descending in ``ring``'s order, with
+    coefficients in 1..p-1."""
+    keys = [ring.key(e) for e, _ in f.terms]
+    return (all(a > b for a, b in zip(keys, keys[1:]))
+            and all(0 < c < ring.p for _, c in f.terms))
+
+
+def assert_read_off(basis):
+    # the reference: each ambient element moved into the ring by transport,
+    # which reduces it modulo Q from scratch
+    ring = basis.ring
+    want = [h.terms for h in (transport(g, ring)
+                              for g in basis.ambient_elements)
+            if not h.is_zero()]
+    assert [g.terms for g in basis.elements] == want
+    assert all(g.ring == ring and descending(g, ring)
+               for g in basis.elements)
+    assert all(descending(g, ring.ambient) for g in basis.ambient_elements)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(OPS),
+       st.sampled_from(sorted(ORDERS)))
+def test_normal_forms_modulo_q_are_read_off_the_basis(seed, op, order):
+    # groebner_basis and the carried basis of every op build their
+    # elements from the reduced ambient basis without reducing by Q
+    rng = random.Random(seed)
+    R = random_ring(rng, order)
+    assert_read_off(groebner_basis(Ideal(R, tuple(
+        small_poly(R, rng) for _ in range(1 + rng.randrange(3))))))
+    try:
+        K = run_op(op, R, rng)
+    except ValueError:
+        return  # a zero element to saturate by, a unit quotient, ...
+    if carried(K) is not None:
+        assert_read_off(carried(K))
+    assert_read_off(groebner_basis(Ideal(K.ring, K.gens)))
+
+
+def test_a_basis_element_with_a_lead_of_q_loses_its_q():
+    # over GF(101)[x,y] / (x^3 + y^2) the reduced ambient basis of (y^2) is
+    # (y^2, x^3): x^3 has the lead of x^3 + y^2, and its normal form modulo
+    # Q is x^3 - (x^3 + y^2) = -y^2
+    R0 = make_ring(101, ["x", "y"])
+    x, y = R0.gens()
+    R = make_ring(101, ["x", "y"], quotient=[x ** 3 + y ** 2])
+    X, Y = R.gens()
+    I = Ideal(R, (Y ** 2,))
+    for basis, first in ((groebner_basis(I), "y^2"),
+                         (carried(saturate(I, X + 1)), "y^2"),
+                         (carried(colon(I, Y)), "y")):
+        assert_read_off(basis)
+        assert [str(g) for g in basis.ambient_elements] == [first, "x^3"]
+        assert [str(g) for g in basis.elements] == [first, "-y^2"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(sorted(ORDERS)))
+def test_result_term_lists_are_descending(seed, order):
+    # the engine's and the reducer's terms come out in descending order and
+    # are taken as they are: no result polynomial is sorted again
+    rng = random.Random(seed)
+    R = random_ring(rng, order)
+    amb = R.ambient
+    gens = [g for g in (small_poly(R, rng) for _ in range(3))
+            if not g.is_zero()]
+    if not gens:
+        return
+    I = Ideal(R, tuple(gens))
+    basis = groebner_basis(I)
+    assert all(descending(g, R) for g in basis.elements)
+    assert all(descending(g, amb) for g in basis.ambient_elements)
+    lifted = [transport(g, amb) for g in gens] + list(R.quotient)
+    for names in (["x"], ["y", "z"]):
+        sub, kept = _eliminate_raw(lifted, amb, names)
+        assert all(f.ring == sub and descending(f, sub) for f in kept)
+    if order != "grevlex":
+        # module bases of three random generators can take minutes in an
+        # elimination order (one lift over GF(5)[x,y,z] / (x*z^2 + 1) in
+        # lex did not finish in 100 s); the ideal bases above cover those
+        return
+    module = groebner_basis(FreeModuleMap(R, [gens, gens[::-1]]))
+    assert all(descending(f, amb) for v in module.ambient_elements for f in v)
+    for syz in _syzygies([gens], len(gens), R.quotient, amb):
+        assert all(descending(f, amb) for f in syz)
+    for lift in _coefficients(R, basis.elements, gens):
+        assert all(descending(f, R) for f in lift)
 
 
 CORPUS = sorted(p.stem for p in REGRESSIONS.glob("*.rk"))

@@ -142,6 +142,16 @@ class TestExecution:
         assert doc.status == 0
         assert out == "true\ntrue\ntrue\n"
 
+    def test_not_takes_a_bool_only(self):
+        doc, out = run_text("ring P = zmod 101 [x,y];\n"
+                            "print not(true);\nprint not(eq(x, y));\n")
+        assert doc.status == 0 and out == "false\ntrue\n"
+        for arg in ("0", "1", "ideal(0)", "x", "[]"):
+            doc, out = run_text("ring P = zmod 101 [x,y];\n"
+                                f"print not({arg});\n")
+            assert doc.status == 2 and out == "", arg
+            assert "not takes true or false" in doc.message
+
 
 class TestEmit:
     def test_boolean_and_int(self):
@@ -261,6 +271,26 @@ class TestEmit:
             ("prime", "ideal[ y ] unverified", "ideal[ y ] unverified", ()),
         ]
         assert [_describe(v) for v in values] == want
+
+    def test_describe_flags_components_at_any_depth(self):
+        from reeskit.cli import _describe
+        from reeskit.polyring import make_ring
+        P = make_ring(101, ["x", "y"])
+        x, y = P.gens()
+        doubtful = [WeightedComponent(1, Ideal(P, (y,)), certified=False)]
+        sure = [ComponentReport(Ideal(P, (x,)), True)]
+        unverified = ("unverified-component",)
+        assert _describe([doubtful])[3] == unverified
+        assert _describe([1, [sure, [doubtful, doubtful]]])[3] == unverified
+        assert _describe([sure, [1, x]])[3] == ()
+        # the same flag as the bare list, from a script under --json
+        doc = execute_script(parse_script(
+            "ring P = zmod 101 [x,y];\n"
+            "print [intersectInP(ideal(y^2 - x^3), ideal(y^3 - x^2))];\n"),
+            Config())
+        result, = json.loads(emit(doc, "json").decode())["results"]
+        assert result["value"][0][0]["certified"] is False
+        assert result["flags"] == ["unverified-component"]
 
     def test_round_trip_through_script_form(self):
         from reeskit.cli import as_script_text

@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reeskit.coeff import uv_monic
-from reeskit.decompose import _min_poly, minimal_primes
+from reeskit.coeff import factor_multivariate, uv_monic
+from reeskit.decompose import _Decomposer, _min_poly, minimal_primes
 from reeskit.gb import (Ideal, dimension_and_degree, kernel_of_ring_map,
                         normal_form, radical_membership,
                         vector_space_dimension)
@@ -310,3 +310,20 @@ class TestCornerCases:
         # deterministic order: dimension descending
         dims = [len(c.prime.display_gens()) for c in comps]
         assert dims == sorted(dims)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((2, 7, 101, 32003)), st.integers(1, 3),
+       st.integers(0, 10 ** 6))
+def test_a_linear_polynomial_is_its_own_factor(p, n, seed):
+    # the decomposer does not factor elements of total degree 1; the full
+    # factorization of one is its lead coefficient times its monic form
+    rng = random.Random(seed)
+    R = make_ring(p, ["x", "y", "z"][:n])
+    coeffs = [rng.randrange(p) for _ in range(n)]
+    if not any(coeffs):
+        coeffs[rng.randrange(n)] = 1 + rng.randrange(p - 1)
+    f = R.sum([R.const(rng.randrange(p))]
+              + [v * c for v, c in zip(R.gens(), coeffs)])
+    assert factor_multivariate(f) == (f.lead_coeff(), [(f.monic(), 1)])
+    assert _Decomposer(R, 0, 1).factors_of(f) == [(f.monic(), 1)]
