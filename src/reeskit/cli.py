@@ -15,9 +15,14 @@ errors, and ``#`` starts a comment.  ``polyring.parse_poly`` reads a
 polynomial through the same parser (``eval_polynomial``) and rejects any
 text containing ``#``.
 
-Every public operation of every module is reachable through the function
-registry; ``reeskit run FILE`` executes a script, ``reeskit eval EXPR``
-evaluates one expression.  Exit codes: 0 ok, 1 assertion failure,
+Every public operation of every module is reachable through ``REGISTRY``.
+A plain operation is one row of ``_TABLE``: module, function name, one
+coercer per argument and, for some, a ``--verify`` oracle from
+``verify.py``.  Only ops that take the seed or the reduction cap, have
+default or variadic arguments, or call no module function are written out
+by hand.  Every op checks its argument count in ``_counted``.
+``reeskit run FILE`` executes a script, ``reeskit eval EXPR`` evaluates
+one expression.  Exit codes: 0 ok, 1 assertion failure,
 2 parse or runtime error.  ``_describe`` is the one place that knows how a
 value is emitted: its kind, its text line and its ``--json`` form.
 """
@@ -25,8 +30,10 @@ value is emitted: its kind, its text line and its ``--json`` form.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, field
@@ -36,7 +43,9 @@ from . import coeff as coeff_mod
 from . import decompose as decompose_mod
 from . import gb as gb_mod
 from . import intersection as intersection_mod
+from . import polyring as polyring_mod
 from . import rees as rees_mod
+from . import verify
 from .blowup import BlowupChart
 from .decompose import ComponentReport
 from .gb import GroebnerBasis, HilbertSeries, Ideal
@@ -410,7 +419,7 @@ def _as_ideal(ctx, x):
         return x
     if isinstance(x, Polynomial):
         return Ideal(x.ring, (x,))
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         ring = ctx.require_ring()
         return Ideal(ring, (ring.const(x),))
     raise ScriptError(f"expected an ideal, got {_kind_name(x)}")
@@ -419,25 +428,35 @@ def _as_ideal(ctx, x):
 def _as_poly(ctx, x):
     if isinstance(x, Polynomial):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return ctx.require_ring().const(x)
     raise ScriptError(f"expected a polynomial, got {_kind_name(x)}")
 
 
-def _as_int(x):
+def _as_int(ctx, x):
     if isinstance(x, bool) or not isinstance(x, int):
         raise ScriptError(f"expected an integer, got {_kind_name(x)}")
     return x
 
 
+def _as_bound(ctx, x):
+    """An integer or ``infinity``, the values ``whichGm`` and its kin
+    return: what the comparisons take."""
+    if isinstance(x, float) and x == math.inf:
+        return x
+    return _as_int(ctx, x)
+
+
 def _as_type(cls, what):
-    def coerce(x):
+    def coerce(ctx, x):
         if not isinstance(x, cls):
             raise ScriptError(f"expected {what}, got {_kind_name(x)}")
         return x
     return coerce
 
 
+_as_str = _as_type(str, "a string")
+_as_bool = _as_type(bool, "true or false")
 _as_matrix = _as_type(FreeModuleMap, "a matrix")
 _as_chart = _as_type(BlowupChart, "a blowup chart")
 _as_map = _as_type(RingMap, "a ring map")
@@ -449,7 +468,16 @@ def _as_module(ctx, x):
     return rees_mod.as_module(x)
 
 
-def _var_names(ctx, args):
+def _as_ideal_or_poly(ctx, x):
+    """What a colon or a saturation is taken by."""
+    return x if isinstance(x, Ideal) else _as_poly(ctx, x)
+
+
+def _as_ideal_or_matrix(ctx, x):
+    return x if isinstance(x, FreeModuleMap) else _as_ideal(ctx, x)
+
+
+def _var_names(args):
     names = []
     for a in args:
         if isinstance(a, str):
@@ -470,41 +498,105 @@ def _sub_seed(seed, k):
     return seed * 1_000_003 + k
 
 
+# every plain operation: name -> (module, function name, argument
+# coercers[, --verify oracle called with the arguments and the output])
+_TABLE = {
+    "gfAdd": (coeff_mod, "gf_add", (_as_int, _as_int, _as_int)),
+    "gfSub": (coeff_mod, "gf_sub", (_as_int, _as_int, _as_int)),
+    "gfMul": (coeff_mod, "gf_mul", (_as_int, _as_int, _as_int)),
+    "gfDiv": (coeff_mod, "gf_div", (_as_int, _as_int, _as_int)),
+    "gfInv": (coeff_mod, "gf_inv", (_as_int, _as_int)),
+    "gfPow": (coeff_mod, "gf_pow", (_as_int, _as_int, _as_int)),
+    "homogenize": (polyring_mod, "homogenize_ideal", (_as_ideal, _as_str)),
+    "groebnerBasis": (gb_mod, "groebner_basis", (_as_ideal_or_matrix,)),
+    "normalForm": (gb_mod, "normal_form", (_as_poly, _as_ideal)),
+    "kernelOfRingMap": (gb_mod, "kernel_of_ring_map", (_as_map,)),
+    "colonIdeal": (gb_mod, "colon", (_as_ideal, _as_ideal_or_poly),
+                   verify.colon),
+    "saturate": (gb_mod, "saturate", (_as_ideal, _as_ideal_or_poly),
+                 verify.saturate),
+    "intersectIdeals": (gb_mod, "intersect_ideals", (_as_ideal, _as_ideal)),
+    "dimensionAndDegree": (gb_mod, "dimension_and_degree", (_as_ideal,)),
+    "codim": (gb_mod, "codimension", (_as_ideal,)),
+    "hilbertSeries": (gb_mod, "hilbert_series", (_as_ideal,)),
+    "kernelOfMatrix": (gb_mod, "kernel_of_matrix", (_as_matrix,)),
+    "minorsIdeal": (gb_mod, "minors_ideal", (_as_int, _as_matrix)),
+    "trimHomogeneous": (gb_mod, "trim_homogeneous", (_as_ideal,)),
+    "radicalMembership": (gb_mod, "radical_membership",
+                          (_as_poly, _as_ideal), verify.radical_membership),
+    "universalEmbedding": (rees_mod, "universal_embedding", (_as_module,)),
+    "symmetricKernel": (rees_mod, "symmetric_kernel", (_as_matrix,)),
+    "symmetricAlgebraIdeal": (rees_mod, "symmetric_algebra_ideal",
+                              (_as_module,)),
+    "isLinearType": (rees_mod, "is_linear_type", (_as_module,)),
+    "normalCone": (rees_mod, "normal_cone", (_as_ideal,)),
+    "associatedGradedRing": (rees_mod, "normal_cone", (_as_ideal,)),
+    "reesAlgebra": (rees_mod, "rees_presentation", (_as_module,)),
+    "multiplicity": (rees_mod, "multiplicity", (_as_ideal,),
+                     verify.multiplicity),
+    "analyticSpread": (rees_mod, "analytic_spread", (_as_ideal,)),
+    "whichGm": (rees_mod, "which_gm", (_as_ideal,)),
+    "expectedReesIdeal": (rees_mod, "expected_rees_ideal", (_as_ideal,)),
+    "blowupOf": (blowup_mod, "blowup_of", (_as_ideal,)),
+    "totalTransform": (blowup_mod, "total_transform", (_as_chart, _as_ideal)),
+    "strictTransform": (blowup_mod, "strict_transform",
+                        (_as_chart, _as_ideal), verify.strict_transform),
+    "isSmoothAwayFromIrrelevant": (blowup_mod,
+                                   "is_smooth_away_from_irrelevant",
+                                   (_as_chart, _as_ideal),
+                                   verify.is_smooth_away_from_irrelevant),
+    "ge": (operator, "ge", (_as_bound, _as_bound)),
+    "gt": (operator, "gt", (_as_bound, _as_bound)),
+    "le": (operator, "le", (_as_bound, _as_bound)),
+    "lt": (operator, "lt", (_as_bound, _as_bound)),
+}
+
+
+def _counted(name, lo, hi, fn):
+    """``fn(ctx, *args)`` behind the one check that it got from ``lo`` to
+    ``hi`` script arguments."""
+    def run(ctx, *args):
+        if not lo <= len(args) <= hi:
+            count = (f"{lo}" if lo == hi else f"at least {lo}"
+                     if hi == math.inf else f"{lo} to {hi}")
+            plural = "" if count in ("1", "at least 1") else "s"
+            raise ScriptError(
+                f"{name} takes {count} argument{plural}, got {len(args)}")
+        return fn(ctx, *args)
+    return run
+
+
+def _plain(name, module, function, coercers, oracle=None):
+    """The runner of one table row.  The function is looked up when the op
+    runs, so a patched or traced module function is the one called."""
+    def run(ctx, *args):
+        args = [coerce(ctx, a) for coerce, a in zip(coercers, args)]
+        out = getattr(module, function)(*args)
+        if oracle is not None and ctx.config.verify:
+            oracle(*args, out)
+        return out
+    return _counted(name, len(coercers), len(coercers), run)
+
+
 # every public operation, callable from the script language
 def _registry():
-    R = {}
+    R = {name: (row[0].__name__.rpartition(".")[2], _plain(name, *row))
+         for name, row in _TABLE.items()}
 
+    # an op written out by hand takes the seed or the reduction cap, has
+    # default or variadic arguments, or calls no module function; its
+    # argument count is read off its own signature, past ``ctx``
     def op(name, module):
         def deco(fn):
-            R[name] = (module, fn)
+            hi = fn.__code__.co_argcount - 1
+            lo = hi - len(fn.__defaults__ or ())
+            if fn.__code__.co_flags & inspect.CO_VARARGS:
+                hi = math.inf
+            R[name] = (module, _counted(name, lo, hi, fn))
             return fn
         return deco
 
     # coeff ------------------------------------------------------------
-    @op("gfAdd", "coeff")
-    def _(ctx, p, a, b):
-        return coeff_mod.gf_add(_as_int(p), _as_int(a), _as_int(b))
-
-    @op("gfSub", "coeff")
-    def _(ctx, p, a, b):
-        return coeff_mod.gf_sub(_as_int(p), _as_int(a), _as_int(b))
-
-    @op("gfMul", "coeff")
-    def _(ctx, p, a, b):
-        return coeff_mod.gf_mul(_as_int(p), _as_int(a), _as_int(b))
-
-    @op("gfDiv", "coeff")
-    def _(ctx, p, a, b):
-        return coeff_mod.gf_div(_as_int(p), _as_int(a), _as_int(b))
-
-    @op("gfInv", "coeff")
-    def _(ctx, p, a):
-        return coeff_mod.gf_inv(_as_int(p), _as_int(a))
-
-    @op("gfPow", "coeff")
-    def _(ctx, p, a, n):
-        return coeff_mod.gf_pow(_as_int(p), _as_int(a), _as_int(n))
-
     @op("factorUnivariate", "coeff")
     def _(ctx, f):
         return coeff_mod.factor_univariate(_as_poly(ctx, f), seed=ctx.config.seed)
@@ -513,40 +605,21 @@ def _registry():
     def _(ctx, f):
         g = _as_poly(ctx, f)
         out = coeff_mod.factor_multivariate(g, seed=ctx.config.seed)
-        if ctx.config.verify and len(g.support_vars()) == 2:
-            # Hensel lifting against Kronecker substitution, where the
-            # latter does not refuse
-            try:
-                alt = coeff_mod.factor_multivariate(
-                    g, seed=ctx.config.seed, method="kronecker")
-            except coeff_mod.KroneckerBoundError:
-                pass
-            else:
-                if alt != out:
-                    raise ScriptError("factorization cross-check failed")
+        if ctx.config.verify:
+            verify.factorization(g, ctx.config.seed, out)
         return out
 
     # polyring ----------------------------------------------------------
-    @op("homogenize", "polyring")
-    def _(ctx, I, name):
-        if not isinstance(name, str):
-            raise ScriptError("homogenize needs a fresh variable name string")
-        from .polyring import homogenize_ideal
-        return homogenize_ideal(_as_ideal(ctx, I), name)
-
     @op("applyRingMap", "polyring")
     def _(ctx, f, x):
-        return _as_map(f)(x)
+        return _as_map(ctx, f)(x)
 
     @op("randomPoly", "polyring")
     def _(ctx, degree, sub=0, homogeneous=False):
-        ring = ctx.require_ring()
-        from .polyring import random_poly
-        if not isinstance(homogeneous, bool):
-            raise ScriptError("randomPoly flag must be true or false")
-        return random_poly(ring, _as_int(degree),
-                           _sub_seed(ctx.config.seed, _as_int(sub)),
-                           homogeneous=homogeneous)
+        return polyring_mod.random_poly(
+            ctx.require_ring(), _as_int(ctx, degree),
+            _sub_seed(ctx.config.seed, _as_int(ctx, sub)),
+            homogeneous=_as_bool(ctx, homogeneous))
 
     @op("ringmap", "polyring")
     def _(ctx, target, source, images):
@@ -555,19 +628,13 @@ def _registry():
             raise ScriptError("ringmap(target, source, [images])")
         if not isinstance(images, list):
             raise ScriptError("ringmap images must be a list")
-        from .polyring import transport
-        imgs = []
-        for i in images:
-            f = i if isinstance(i, Polynomial) else _as_poly(ctx, i)
-            # images are matched into the target ring by variable name
-            imgs.append(transport(f, target) if f.ring != target else f)
-        return RingMap(source, target, imgs)
+        # images are matched into the target ring by variable name
+        return RingMap(source, target, [
+            polyring_mod.transport(_as_poly(ctx, i), target) for i in images])
 
     @op("ringOf", "polyring")
     def _(ctx, x):
-        if isinstance(x, (Polynomial, Ideal, FreeModuleMap)):
-            return x.ring
-        if isinstance(x, BlowupChart):
+        if isinstance(x, (Polynomial, Ideal, FreeModuleMap, BlowupChart)):
             return x.ring
         if isinstance(x, RingDescriptor):
             return x
@@ -575,64 +642,12 @@ def _registry():
 
     @op("transpose", "polyring")
     def _(ctx, A):
-        return _as_matrix(A).transpose()
+        return _as_matrix(ctx, A).transpose()
 
     # gb ------------------------------------------------------------------
-    @op("groebnerBasis", "gb")
-    def _(ctx, x):
-        if isinstance(x, FreeModuleMap):
-            return gb_mod.groebner_basis(x)
-        return gb_mod.groebner_basis(_as_ideal(ctx, x))
-
-    @op("normalForm", "gb")
-    def _(ctx, f, I):
-        return gb_mod.normal_form(_as_poly(ctx, f), _as_ideal(ctx, I))
-
     @op("eliminate", "gb")
     def _(ctx, I, *vars_):
-        return gb_mod.eliminate(_as_ideal(ctx, I), _var_names(ctx, vars_))
-
-    @op("kernelOfRingMap", "gb")
-    def _(ctx, f):
-        return gb_mod.kernel_of_ring_map(_as_map(f))
-
-    @op("colonIdeal", "gb")
-    def _(ctx, I, by):
-        by2 = by if isinstance(by, (Polynomial, Ideal)) else _as_poly(ctx, by)
-        I2 = _as_ideal(ctx, I)
-        out = gb_mod.colon(I2, by2)
-        if ctx.config.verify:
-            # the t-trick elimination gives I meet (g) = g * (I : g), and
-            # I : J is the meet of the I : g
-            meet = None
-            for g in gb_mod._colon_elements(I2.ring, by2):
-                piece = gb_mod.colon(I2, g)
-                g_ideal = Ideal(I2.ring, (g,))
-                if gb_mod.intersect_ideals(I2, g_ideal) != g_ideal * piece:
-                    raise ScriptError("colon cross-check failed")
-                meet = (piece if meet is None
-                        else gb_mod.intersect_ideals(meet, piece))
-            if meet != out:
-                raise ScriptError("colon cross-check failed")
-        return out
-
-    @op("saturate", "gb")
-    def _(ctx, I, by):
-        by2 = by if isinstance(by, (Polynomial, Ideal)) else _as_poly(ctx, by)
-        out = gb_mod.saturate(_as_ideal(ctx, I), by2)
-        if ctx.config.verify:
-            alt = gb_mod.saturation_exponent(_as_ideal(ctx, I), by2)[1]
-            if alt != out:
-                raise ScriptError("saturation cross-check failed")
-        return out
-
-    @op("intersectIdeals", "gb")
-    def _(ctx, I, J):
-        return gb_mod.intersect_ideals(_as_ideal(ctx, I), _as_ideal(ctx, J))
-
-    @op("dimensionAndDegree", "gb")
-    def _(ctx, I):
-        return gb_mod.dimension_and_degree(_as_ideal(ctx, I))
+        return gb_mod.eliminate(_as_ideal(ctx, I), _var_names(vars_))
 
     @op("dim", "gb")
     def _(ctx, I):
@@ -642,107 +657,27 @@ def _registry():
     def _(ctx, I):
         return gb_mod.dimension_and_degree(_as_ideal(ctx, I))[1]
 
-    @op("codim", "gb")
-    def _(ctx, I):
-        return gb_mod.codimension(_as_ideal(ctx, I))
-
-    @op("hilbertSeries", "gb")
-    def _(ctx, I):
-        return gb_mod.hilbert_series(_as_ideal(ctx, I))
-
-    @op("kernelOfMatrix", "gb")
-    def _(ctx, A):
-        return gb_mod.kernel_of_matrix(_as_matrix(A))
-
-    @op("minorsIdeal", "gb")
-    def _(ctx, k, A):
-        return gb_mod.minors_ideal(_as_int(k), _as_matrix(A))
-
-    @op("trimHomogeneous", "gb")
-    def _(ctx, I):
-        return gb_mod.trim_homogeneous(_as_ideal(ctx, I))
-
     @op("gradedPieceDim", "gb")
     def _(ctx, d, I, grading="total"):
-        return gb_mod.graded_piece_dim(_as_int(d), _as_ideal(ctx, I), grading)
-
-    @op("radicalMembership", "gb")
-    def _(ctx, f, I):
-        f2, I2 = _as_poly(ctx, f), _as_ideal(ctx, I)
-        out = gb_mod.radical_membership(f2, I2)
-        if ctx.config.verify and not f2.is_zero():
-            # f in rad(I) iff the iterated colon I : f^inf is the unit ideal
-            if gb_mod.saturation_exponent(I2, f2)[1].is_unit() != out:
-                raise ScriptError("radical membership cross-check failed")
-        return out
+        return gb_mod.graded_piece_dim(_as_int(ctx, d), _as_ideal(ctx, I),
+                                       _as_str(ctx, grading))
 
     # decompose -------------------------------------------------------------
+    @op("decompose", "decompose")
     @op("minimalPrimes", "decompose")
-    def _minimal_primes_op(ctx, I):
+    def _(ctx, I):
         return decompose_mod.minimal_primes(_as_ideal(ctx, I),
                                             seed=ctx.config.seed)
 
-    R["decompose"] = ("decompose", _minimal_primes_op)
-
     # rees -------------------------------------------------------------------
-    @op("universalEmbedding", "rees")
-    def _(ctx, M):
-        return rees_mod.universal_embedding(_as_module(ctx, M))
-
-    @op("symmetricKernel", "rees")
-    def _(ctx, A):
-        return rees_mod.symmetric_kernel(_as_matrix(A))
-
-    @op("symmetricAlgebraIdeal", "rees")
-    def _(ctx, M):
-        return rees_mod.symmetric_algebra_ideal(_as_module(ctx, M))
-
     @op("reesIdeal", "rees")
     def _(ctx, M, f=None):
         M2 = _as_module(ctx, M)
         if f is not None:
             return rees_mod.rees_ideal(M2, f=_as_poly(ctx, f))
         out = rees_mod.rees_ideal(M2)
-        if ctx.config.verify and M2.is_ideal:
-            nz = next((g for g in M2.gens if not g.is_zero()), None)
-            if nz is not None and not M2.ring.quotient:
-                alt = rees_mod.rees_ideal(M2, f=nz)
-                if alt != out:
-                    raise ScriptError("reesIdeal strategy cross-check failed")
-        return out
-
-    @op("isLinearType", "rees")
-    def _(ctx, M):
-        return rees_mod.is_linear_type(_as_module(ctx, M))
-
-    @op("normalCone", "rees")
-    def _normal_cone_op(ctx, I):
-        return rees_mod.normal_cone(_as_ideal(ctx, I))
-
-    R["associatedGradedRing"] = ("rees", _normal_cone_op)
-
-    @op("reesAlgebra", "rees")
-    def _(ctx, M):
-        return rees_mod.rees_presentation(_as_module(ctx, M))
-
-    @op("multiplicity", "rees")
-    def _(ctx, I):
-        I2 = _as_ideal(ctx, I)
-        out = rees_mod.multiplicity(I2)
         if ctx.config.verify:
-            # without the normal cone: len(R/I^(n+1)) is a polynomial in n
-            # from n = deg h - d on, and its d-th difference is e
-            h, d = rees_mod._normal_cone_series(I2)
-            top = max(max(h, default=0), d)
-            powers = [I2]
-            while len(powers) <= top:
-                powers.append(Ideal(I2.ring, powers[-1].display_gens()) * I2)
-            diffs = [gb_mod.vector_space_dimension(P)
-                     for P in powers[top - d:]]
-            for _ in range(d):
-                diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-            if diffs != [out]:
-                raise ScriptError("multiplicity cross-check failed")
+            verify.rees_ideal(M2, out)
         return out
 
     @op("specialFiberIdeal", "rees")
@@ -750,19 +685,16 @@ def _registry():
         mm2 = _as_ideal(ctx, mm) if mm is not None else None
         return rees_mod.special_fiber_ideal(_as_ideal(ctx, I), mm2)
 
-    @op("analyticSpread", "rees")
-    def _(ctx, I):
-        return rees_mod.analytic_spread(_as_ideal(ctx, I))
-
     @op("minimalReduction", "rees")
     def _(ctx, I, sub=0):
         return rees_mod.minimal_reduction(
-            _as_ideal(ctx, I), seed=_sub_seed(ctx.config.seed, _as_int(sub)),
+            _as_ideal(ctx, I),
+            seed=_sub_seed(ctx.config.seed, _as_int(ctx, sub)),
             cap=ctx.config.cap_reduction)
 
     @op("isReduction", "rees")
     def _(ctx, I, J, cap=None):
-        cap2 = _as_int(cap) if cap is not None else ctx.config.cap_reduction
+        cap2 = _as_int(ctx, cap) if cap is not None else ctx.config.cap_reduction
         return rees_mod.is_reduction(_as_ideal(ctx, I), _as_ideal(ctx, J),
                                      cap=cap2)
 
@@ -770,10 +702,6 @@ def _registry():
     def _(ctx, I, J):
         return rees_mod.reduction_number(_as_ideal(ctx, I), _as_ideal(ctx, J),
                                          cap=ctx.config.cap_reduction)
-
-    @op("whichGm", "rees")
-    def _(ctx, I):
-        return rees_mod.which_gm(_as_ideal(ctx, I))
 
     @op("jacobianDual", "rees")
     def _(ctx, x, X=None, T=None):
@@ -785,15 +713,11 @@ def _registry():
                                           [_as_poly(ctx, e) for e in T])
         return rees_mod.jacobian_dual(_as_ideal(ctx, x))
 
-    @op("expectedReesIdeal", "rees")
-    def _(ctx, I):
-        return rees_mod.expected_rees_ideal(_as_ideal(ctx, I))
-
     # intersection -------------------------------------------------------------
     @op("distinguished", "intersection")
     def _(ctx, f, I):
-        return intersection_mod.distinguished(_as_map(f), _as_ideal(ctx, I),
-                                              seed=ctx.config.seed)
+        return intersection_mod.distinguished(
+            _as_map(ctx, f), _as_ideal(ctx, I), seed=ctx.config.seed)
 
     @op("intersectInP", "intersection")
     def _(ctx, I, J):
@@ -801,56 +725,26 @@ def _registry():
             _as_ideal(ctx, I), _as_ideal(ctx, J), seed=ctx.config.seed)
 
     # blowup ---------------------------------------------------------------
-    @op("blowupOf", "blowup")
-    def _(ctx, center):
-        return blowup_mod.blowup_of(_as_ideal(ctx, center))
-
-    @op("totalTransform", "blowup")
-    def _(ctx, chart, X):
-        return blowup_mod.total_transform(_as_chart(chart), _as_ideal(ctx, X))
-
-    @op("strictTransform", "blowup")
-    def _(ctx, chart, X):
-        chart, X2 = _as_chart(chart), _as_ideal(ctx, X)
-        out = blowup_mod.strict_transform(chart, X2)
-        if ctx.config.verify:
-            alt = gb_mod.saturation_exponent(
-                blowup_mod.total_transform(chart, X2), chart.exceptional)[1]
-            if alt != out:
-                raise ScriptError("strict transform cross-check failed")
-        return out
-
     @op("singularLocusIdeal", "blowup")
     def _(ctx, X, c=None):
-        c2 = _as_int(c) if c is not None else None
+        c2 = _as_int(ctx, c) if c is not None else None
         return blowup_mod.singular_locus_ideal(_as_ideal(ctx, X), c2)
-
-    @op("isSmoothAwayFromIrrelevant", "blowup")
-    def _(ctx, chart, X):
-        chart, X2 = _as_chart(chart), _as_ideal(ctx, X)
-        out = blowup_mod.is_smooth_away_from_irrelevant(chart, X2)
-        if ctx.config.verify:
-            alt = gb_mod.saturation_exponent(
-                blowup_mod.singular_locus_ideal(X2), chart.irrelevant)[1]
-            if alt.is_unit() != out:
-                raise ScriptError("smoothness cross-check failed")
-        return out
 
     @op("chartRing", "blowup")
     def _(ctx, chart):
-        return _as_chart(chart).ring
+        return _as_chart(ctx, chart).ring
 
     @op("chartProjection", "blowup")
     def _(ctx, chart):
-        return _as_chart(chart).projection
+        return _as_chart(ctx, chart).projection
 
     @op("chartIrrelevant", "blowup")
     def _(ctx, chart):
-        return _as_chart(chart).irrelevant
+        return _as_chart(ctx, chart).irrelevant
 
     @op("chartExceptional", "blowup")
     def _(ctx, chart):
-        return _as_chart(chart).exceptional
+        return _as_chart(ctx, chart).exceptional
 
     # logic helpers -----------------------------------------------------------
     @op("eq", "cli")
@@ -860,22 +754,6 @@ def _registry():
     @op("neq", "cli")
     def _(ctx, a, b):
         return not _values_equal(a, b)
-
-    @op("ge", "cli")
-    def _(ctx, a, b):
-        return a >= b
-
-    @op("gt", "cli")
-    def _(ctx, a, b):
-        return a > b
-
-    @op("le", "cli")
-    def _(ctx, a, b):
-        return a <= b
-
-    @op("lt", "cli")
-    def _(ctx, a, b):
-        return a < b
 
     @op("not", "cli")
     def _(ctx, a):
@@ -891,6 +769,10 @@ def _registry():
 
 
 REGISTRY = _registry()
+
+# the value a typed binding (``ideal I = ...``) holds; ``let`` keeps any
+_BIND = {"ideal": _as_ideal, "poly": _as_poly, "module": _as_module,
+         "matrix": _as_matrix, "map": _as_map}
 
 
 def _values_equal(a, b) -> bool:
@@ -952,21 +834,9 @@ def _eval(node: Node, ctx: Context):
             name = node.data["name"]
             if name == "ideal":
                 args = [_eval(a, ctx) for a in node.data["args"]]
-                gens = []
-                ring = None
-                for a in args:
-                    if isinstance(a, Ideal):
-                        gens.extend(a.gens)
-                        ring = a.ring
-                    else:
-                        f = a if isinstance(a, Polynomial) else None
-                        if f is None:
-                            f = ctx.require_ring().const(_as_int(a))
-                        gens.append(f)
-                        ring = f.ring
-                if ring is None:
-                    ring = ctx.require_ring()
-                return Ideal(ring, tuple(gens))
+                parts = [_as_ideal(ctx, a) for a in args]
+                ring = parts[-1].ring if parts else ctx.require_ring()
+                return Ideal(ring, tuple(g for J in parts for g in J.gens))
             if name not in REGISTRY:
                 raise ScriptError(f"unknown operation {name!r}")
             args = [_eval(a, ctx) for a in node.data["args"]]
@@ -983,7 +853,7 @@ def _eval(node: Node, ctx: Context):
                         ring = v.ring
             if ring is None:
                 ring = ctx.require_ring()
-            rows = [[v if isinstance(v, Polynomial) else ring.const(_as_int(v))
+            rows = [[v if isinstance(v, Polynomial) else ring.const(_as_int(ctx, v))
                      for v in row] for row in rows]
             return FreeModuleMap(ring, rows)
         if k == "neg":
@@ -1058,13 +928,8 @@ def execute_script(script: Script, config: Config | None = None) -> ResultDocume
                 ctx.active_ring = base
                 quotient = st.data["quotient"]
                 if quotient:
-                    gens = []
-                    for qn in quotient:
-                        v = _eval(qn, ctx)
-                        if isinstance(v, Ideal):
-                            gens.extend(v.gens)
-                        else:
-                            gens.append(_as_poly(ctx, v))
+                    gens = [g for qn in quotient
+                            for g in _as_ideal(ctx, _eval(qn, ctx)).gens]
                     base = make_ring(st.data["p"], st.data["blocks"],
                                      quotient=gens)
                     ctx.active_ring = base
@@ -1078,17 +943,9 @@ def execute_script(script: Script, config: Config | None = None) -> ResultDocume
                 ctx.active_ring = v
             elif st.kind == "bind":
                 v = _eval(st.data["expr"], ctx)
-                kw = st.data["kw"]
-                if kw == "ideal":
-                    v = _as_ideal(ctx, v)
-                elif kw == "poly":
-                    v = _as_poly(ctx, v)
-                elif kw == "module":
-                    v = _as_module(ctx, v)
-                elif kw == "matrix":
-                    v = _as_matrix(v)
-                elif kw == "map":
-                    v = _as_map(v)
+                coerce = _BIND.get(st.data["kw"])
+                if coerce is not None:
+                    v = coerce(ctx, v)
                 ctx.env[st.data["name"]] = v
             elif st.kind == "print":
                 v = _eval(st.data["expr"], ctx)

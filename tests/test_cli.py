@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -151,6 +152,28 @@ class TestExecution:
                                 f"print not({arg});\n")
             assert doc.status == 2 and out == "", arg
             assert "not takes true or false" in doc.message
+
+    def test_a_bool_is_not_a_polynomial(self):
+        # ideal(...), typed bindings, ring quotients and op arguments share
+        # the coercers, and none of them reads true as the constant 1
+        for src in ("print ideal(true);", "ideal I = true;", "poly f = false;",
+                    "print dim(true);", "ring Q = zmod 7 [a] / (true);"):
+            doc, out = run_text("ring P = zmod 101 [x,y];\n" + src + "\n")
+            assert (doc.status, out) == (2, ""), src
+            assert doc.message.endswith(", got bool"), src
+
+    def test_comparisons_take_integers_or_infinity(self):
+        header = "ring P = zmod 101 [x,y];\n"
+        doc, out = run_text(header + "print ge(infinity, 3);\n"
+                            "print lt(1, 2);\nprint gt(2, infinity);\n")
+        assert doc.status == 0 and out == "true\ntrue\nfalse\n"
+        for args, kind in (("true, 1", "bool"), ('"a", "b"', "str"),
+                           ("x, y", "Polynomial"), ("1, ideal(x)", "Ideal")):
+            for op in ("ge", "gt", "le", "lt"):
+                doc, out = run_text(header + f"print {op}({args});\n")
+                assert (doc.status, out) == (2, ""), (op, args)
+                assert doc.message == \
+                    f"line 2 col 7: expected an integer, got {kind}"
 
 
 class TestEmit:
@@ -531,6 +554,37 @@ class TestMainEntry:
         script.write_text("ring P = zmod 101 [x,y];\n" + src)
         assert main(["run", str(script)]) == 2
         assert capsys.readouterr() == ("", message + "\n")
+
+    @pytest.mark.parametrize("src, message", [
+        ("print gfAdd(101, 1);", "gfAdd takes 3 arguments, got 2"),
+        ("print dim(ideal(x), 3);", "dim takes 1 argument, got 2"),
+        ("print randomPoly(1, 2, true, 4);",
+         "randomPoly takes 1 to 3 arguments, got 4"),
+        ("print eliminate();", "eliminate takes at least 1 argument, got 0"),
+    ], ids=["row", "hand-written", "defaults", "variadic"])
+    def test_a_wrong_argument_count_exits_2(self, tmp_path, capsys, src,
+                                            message):
+        script = tmp_path / "n.rk"
+        script.write_text("ring P = zmod 101 [x,y];\n" + src + "\n")
+        assert main(["run", str(script)]) == 2
+        assert capsys.readouterr() == ("", f"line 2 col 7: {message}\n")
+
+    @pytest.mark.parametrize("name", sorted(set(REGISTRY) - {"eliminate"}))
+    def test_one_argument_too_many_is_reported(self, name):
+        # nine arguments are too many for every op but the variadic
+        # eliminate, and the message gives the op's own count; one more
+        # than the most it takes fails the same way
+        def message(n):
+            doc, out = run_text("ring P = zmod 101 [x,y];\n"
+                                f"print {name}({', '.join(['0'] * n)});\n")
+            assert (doc.status, out) == (2, "")
+            return doc.message
+        m = re.fullmatch(rf"line 2 col 7: {name} takes ((?:\d+ to )?(\d+) "
+                         r"arguments?), got 9", message(9))
+        assert m, message(9)
+        most = int(m[2])
+        assert message(most + 1) == \
+            f"line 2 col 7: {name} takes {m[1]}, got {most + 1}"
 
     # every chart operation and every ring-map use, given an ideal
     CHART = "line 2 col 7: expected a blowup chart, got Ideal"

@@ -1,0 +1,72 @@
+"""The ``--verify`` oracles, called directly: each accepts the right output
+of its operation and rejects a wrong one with CrossCheckError."""
+
+import functools
+import inspect
+
+import pytest
+
+from reeskit import blowup, coeff, gb, rees, verify
+from reeskit.gb import Ideal
+from reeskit.polyring import make_ring
+
+
+@functools.cache
+def _cases():
+    """name -> (oracle, inputs, right output, wrong output)."""
+    P = make_ring(101, ["x", "y"])
+    x, y = P.gens()
+    I = Ideal(P, (x ** 2 * y, x * y ** 2))
+    m = Ideal(P, (x, y))
+    M = rees.as_module(Ideal(P, (x ** 2, x * y, y ** 2)))
+    chart = blowup.blowup_of(Ideal(P, (x, y ** 2)))
+    tacnode = Ideal(P, (x ** 2 - y ** 4,))
+    strict = blowup.strict_transform(chart, tacnode)
+    f = (x ** 2 + y) * (x * y - 3)
+    return {
+        # I : (x, y) = (xy) is larger than I
+        "colon": (verify.colon, (I, m), gb.colon(I, m), I),
+        "saturate": (verify.saturate, (I, x), Ideal(P, (y,)), I),
+        "radical_membership": (verify.radical_membership,
+                               (x * y, Ideal(P, (x ** 2, y ** 3))),
+                               True, False),
+        # (x^2, xy, y^2) is not of linear type
+        "rees_ideal": (verify.rees_ideal, (M,), rees.rees_ideal(M),
+                       rees.symmetric_algebra_ideal(M)),
+        "multiplicity": (verify.multiplicity,
+                         (Ideal(P, (x ** 3, x * y, y ** 4)),), 7, 6),
+        "strict_transform": (verify.strict_transform, (chart, tacnode),
+                             strict, blowup.total_transform(chart, tacnode)),
+        "is_smooth_away_from_irrelevant": (
+            verify.is_smooth_away_from_irrelevant, (chart, strict),
+            True, False),
+        "factorization": (verify.factorization, (f, 0),
+                          coeff.factor_multivariate(f, seed=0),
+                          (1, [(f, 1)])),
+    }
+
+
+NAMES = ["colon", "saturate", "radical_membership", "rees_ideal",
+         "multiplicity", "strict_transform",
+         "is_smooth_away_from_irrelevant", "factorization"]
+
+
+def test_every_oracle_has_a_case():
+    oracles = {name for name, v in vars(verify).items()
+               if inspect.isfunction(v) and v.__module__ == verify.__name__
+               and not name.startswith("_")}
+    assert oracles == set(NAMES) == set(_cases())
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_oracle_accepts_the_right_output(name):
+    oracle, inputs, right, _ = _cases()[name]
+    assert oracle(*inputs, right) is None
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_oracle_rejects_a_wrong_output(name):
+    oracle, inputs, right, wrong = _cases()[name]
+    assert wrong != right
+    with pytest.raises(verify.CrossCheckError, match="cross-check failed$"):
+        oracle(*inputs, wrong)
