@@ -8,7 +8,9 @@ ideal.  A transform is smooth away from the irrelevant ideal J (the
 w-block), i.e. on Proj instead of the affine cone, when its Jacobian-minor
 locus S has S : J^oo = (1).  By the same identity that holds iff 1 lies in
 S + Q + (1 - sum z_i * w_i), so one reduced basis of that ideal, tested
-for a constant, decides it.
+for a constant, decides it.  Its generators stay in the ambient ring:
+those of X + Q, which hold Q, and the Jacobian minors taken there.  Only
+``singular_locus_ideal``, which returns S, descends them into the chart.
 """
 
 from __future__ import annotations
@@ -57,24 +59,32 @@ def strict_transform(chart: BlowupChart, X: Ideal) -> Ideal:
     return saturate(total_transform(chart, X), chart.exceptional)
 
 
-def singular_locus_ideal(X: Ideal, expected_codim=None) -> Ideal:
-    """(X + Q) plus the size-c Jacobian minors, c the codimension."""
-    ring = X.ring
-    amb = ring.ambient
+def _singular_locus_gens(X: Ideal, expected_codim=None):
+    """The generators of X + Q in the ambient ring followed by the size-c
+    Jacobian minors, c the codimension; [1] where that locus is empty."""
+    amb = X.ring.ambient
     full = [g for g in _lift(X) if not g.is_zero()]
     if not full:
-        return Ideal(ring, (ring.one(),))
+        return [amb.one()]
     if expected_codim is None:
         # X's reduced ambient basis is that of X + Q in the ambient ring
         c = amb.nvars - dimension_and_degree(X)[0]
     else:
         c = expected_codim
     if c <= 0:
-        return Ideal(ring, (ring.one(),))
+        return [amb.one()]
     jac = FreeModuleMap(
         amb, [[g.derivative(n) for n in amb.names] for g in full])
-    return _descend(ring, full + list(minors_ideal(c, jac).gens))
+    return full + list(minors_ideal(c, jac).gens)
+
+
+def singular_locus_ideal(X: Ideal, expected_codim=None) -> Ideal:
+    """(X + Q) plus the size-c Jacobian minors, c the codimension."""
+    return _descend(X.ring, _singular_locus_gens(X, expected_codim))
 
 
 def is_smooth_away_from_irrelevant(chart: BlowupChart, X: Ideal) -> bool:
-    return _saturates_to_unit(singular_locus_ideal(X), chart.irrelevant.gens)
+    amb = X.ring.ambient
+    return _saturates_to_unit(
+        Ideal(amb, _singular_locus_gens(X)),
+        [transport(w, amb) for w in chart.irrelevant.gens])

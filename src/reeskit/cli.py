@@ -711,7 +711,13 @@ def _registry():
                     "jacobianDual(matrix, [X...], [T...]) needs both rows")
             return rees_mod.jacobian_dual(x, [_as_poly(ctx, e) for e in X],
                                           [_as_poly(ctx, e) for e in T])
-        return rees_mod.jacobian_dual(_as_ideal(ctx, x))
+        I = _as_ideal(ctx, x)
+        # an ideal's rows live in the Rees ring that jacobian_dual builds
+        if X is not None:
+            got = 2 if T is None else 3
+            raise ScriptError(
+                f"jacobianDual of an ideal takes 1 argument, got {got}")
+        return rees_mod.jacobian_dual(I)
 
     # intersection -------------------------------------------------------------
     @op("distinguished", "intersection")

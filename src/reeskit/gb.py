@@ -81,12 +81,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from operator import itemgetter, lshift
+from operator import add, itemgetter, lshift
 
 from .polyring import (
-    FreeModuleMap, Polynomial, RingDescriptor, RingMap, RingMismatchError,
-    _Overflow, _Packing, _Reducer, _reduce_vec, elimination_spec,
-    extend_ring, is_degree_compatible, matrix_from_columns, transport,
+    MAX_EXPONENT, FreeModuleMap, Polynomial, RingDescriptor, RingMap,
+    RingMismatchError, _Overflow, _Packing, _Reducer, _reduce_vec,
+    elimination_spec, extend_ring, is_degree_compatible, matrix_from_columns,
+    transport,
 )
 
 INFINITY = math.inf
@@ -1299,7 +1300,16 @@ def module_contains(gb: GroebnerBasis, vector) -> bool:
 
 
 def minors_ideal(k: int, A: FreeModuleMap) -> Ideal:
-    """Ideal of all k x k minors (Laplace expansion with memoization)."""
+    """Ideal of all k x k minors, rows then columns in lexicographic order.
+
+    Laplace expansion along the first row, memoised over (rows, columns),
+    on plain {exponents: coefficient} term dicts mod p: each minor adds
+    sign * entry * sub-minor into one dict, and ``ring.poly`` normalises
+    once per returned k x k minor.  Over a quotient ring that is the
+    polynomial that reducing every product would give, because the normal
+    form modulo Q's reduced basis is unique.  A product with an exponent
+    beyond ``MAX_EXPONENT`` raises ValueError, as ``Polynomial.__mul__``.
+    """
     ring = A.ring
     if k < 0:
         raise ValueError("minor size must be >= 0")
@@ -1307,6 +1317,8 @@ def minors_ideal(k: int, A: FreeModuleMap) -> Ideal:
         return Ideal(ring, (ring.one(),))
     if k > min(A.rows, A.cols):
         return Ideal(ring, ())
+    p = ring.p
+    entries = [[dict(f.terms) for f in row] for row in A.entries]
     memo = {}
 
     def det(rows, cols):
@@ -1315,20 +1327,32 @@ def minors_ideal(k: int, A: FreeModuleMap) -> Ideal:
         if got is not None:
             return got
         if len(rows) == 1:
-            out = A.entries[rows[0]][cols[0]]
+            out = entries[rows[0]][cols[0]]
         else:
             r0, rest = rows[0], rows[1:]
-            terms = [A.entries[r0][c] * det(rest, cols[:t] + cols[t + 1:])
-                     for t, c in enumerate(cols)]
-            out = ring.sum(f if t % 2 == 0 else -f
-                           for t, f in enumerate(terms))
+            acc = {}
+            for t, c in enumerate(cols):
+                entry = entries[r0][c]
+                if not entry:
+                    continue
+                sub = det(rest, cols[:t] + cols[t + 1:])
+                odd = t % 2
+                for e1, c1 in entry.items():
+                    if odd:
+                        c1 = p - c1
+                    for e2, c2 in sub.items():
+                        m = tuple(map(add, e1, e2))
+                        acc[m] = acc.get(m, 0) + c1 * c2
+            if acc and max(map(max, acc)) > MAX_EXPONENT:
+                raise ValueError("exponent overflow beyond 2^15")
+            out = {m: c % p for m, c in acc.items() if c % p}
         memo[key] = out
         return out
 
     gens = []
     for rows in itertools.combinations(range(A.rows), k):
         for cols in itertools.combinations(range(A.cols), k):
-            gens.append(det(rows, cols))
+            gens.append(ring.poly(det(rows, cols)))
     return Ideal(ring, tuple(gens))
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from reeskit.blowup import (blowup_of, is_smooth_away_from_irrelevant,
@@ -130,6 +132,30 @@ class TestSingularLocus:
     def test_affine_space_smooth(self, A2):
         assert singular_locus_ideal(Ideal(A2, ())).is_unit()
 
+    def test_printed_ideals(self, A2, tacnode_setup):
+        # singularLocusIdeal prints these; the smoothness test shares the
+        # generators but keeps them in the ambient ring.  The cusp's locus
+        # lists x*w_1 twice: two basis elements, x*w_1 and y*w_0, have
+        # the same normal form modulo the Rees relation
+        x, y = A2.gens()
+        assert str(singular_locus_ideal(Ideal(A2, (x ** 2 - y ** 4,)))) \
+            == "ideal[ x, y^3 ]"
+        assert str(singular_locus_ideal(Ideal(A2, (x ** 2 - y,)))) \
+            == "ideal[ 1 ]"
+        R, tacnode, _, chart = tacnode_setup
+        x, y = R.gens()
+        origin = blowup_of(Ideal(R, (x, y)))
+        cusp = strict_transform(origin, Ideal(R, (y ** 2 - x ** 3,)))
+        assert str(singular_locus_ideal(cusp)) == (
+            "ideal[ w_1^2, w_0*w_1, y*w_1, x*w_1, x*w_1, y^2, x*y, w_0^3, "
+            "x*w_0^2, x^2*w_0, x^3 ]")
+        assert str(singular_locus_ideal(total_transform(chart, tacnode))) \
+            == ("ideal[ x^2, x*y^2, y^3*w_1 - x*y*w_0, "
+                "x*y*w_0^2 - x*y*w_1^2, y^4 ]")
+        st = strict_transform(chart, tacnode)
+        assert str(singular_locus_ideal(st, expected_codim=3)) \
+            == "ideal[ w_0^2 - w_1^2, y^2*w_1 - x*w_0, y^4 - x^2 ]"
+
 
 class TestSmoothness:
     def test_tacnode_resolved_in_one_blowup(self, tacnode_setup):
@@ -159,13 +185,27 @@ def _agrees_with_saturation(chart, X):
     return got
 
 
+def _curves():
+    """(p, c) for the double-point curves: c = 0, 3 and three seeded draws
+    from 0..100 over both primes, as the benchmark's blowup ops draw c."""
+    rng = random.Random(11)
+    others = [c for c in range(101) if c not in (0, 3)]
+    return [(p, c) for p in (32003, 101)
+            for c in [0, 3] + rng.sample(others, 3)]
+
+
+CURVES = _curves()
+
+
 class TestSmoothnessAgreement:
-    @pytest.mark.parametrize("c", [0, 3])
+    # a GF(32003) case is named by c alone
+    @pytest.mark.parametrize("p, c", CURVES, ids=[
+        str(c) if p == 32003 else f"{c}-{p}" for p, c in CURVES])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_double_point_curves(self, c, n):
+    def test_double_point_curves(self, p, c, n):
         # (y + c x)^2 = x^n: one blowup of the origin resolves the node
         # (n = 2) and the cusp (n = 3), not the tacnode or the higher cusp
-        R = make_ring(32003, ["x", "y"])
+        R = make_ring(p, ["x", "y"])
         x, y = R.gens()
         chart = blowup_of(Ideal(R, (x, y)))
         st = strict_transform(chart, Ideal(R, ((y + c * x) ** 2 - x ** n,)))

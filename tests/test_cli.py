@@ -561,7 +561,11 @@ class TestMainEntry:
         ("print randomPoly(1, 2, true, 4);",
          "randomPoly takes 1 to 3 arguments, got 4"),
         ("print eliminate();", "eliminate takes at least 1 argument, got 0"),
-    ], ids=["row", "hand-written", "defaults", "variadic"])
+        # the rows of an ideal's Jacobian dual live in the Rees ring the op
+        # builds, so an ideal takes no rows
+        ("print jacobianDual(ideal(x^2, x*y), [x], [y]);",
+         "jacobianDual of an ideal takes 1 argument, got 3"),
+    ], ids=["row", "hand-written", "defaults", "variadic", "ideal-form"])
     def test_a_wrong_argument_count_exits_2(self, tmp_path, capsys, src,
                                             message):
         script = tmp_path / "n.rk"

@@ -1241,7 +1241,67 @@ class TestKernelOfMatrix:
         assert Ideal(R, tuple(f for (f,) in ker.columns())) == Ideal(R, (x,))
 
 
+def _laplace_minors(k, A):
+    """Reference: the Laplace expansion over ``Polynomial`` products and
+    ``ring.sum``, every product and sum normalised (modulo Q too)."""
+    ring = A.ring
+    if k == 0:
+        return Ideal(ring, (ring.one(),))
+    if k > min(A.rows, A.cols):
+        return Ideal(ring, ())
+    memo = {}
+
+    def det(rows, cols):
+        key = (rows, cols)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        if len(rows) == 1:
+            out = A.entries[rows[0]][cols[0]]
+        else:
+            r0, rest = rows[0], rows[1:]
+            terms = [A.entries[r0][c] * det(rest, cols[:t] + cols[t + 1:])
+                     for t, c in enumerate(cols)]
+            out = ring.sum(f if t % 2 == 0 else -f
+                           for t, f in enumerate(terms))
+        memo[key] = out
+        return out
+
+    return Ideal(ring, tuple(
+        det(rows, cols)
+        for rows in itertools.combinations(range(A.rows), k)
+        for cols in itertools.combinations(range(A.cols), k)))
+
+
 class TestMinors:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.sampled_from([2, 5, 101, 32003]),
+           st.booleans(), st.integers(1, 4), st.integers(1, 4))
+    def test_matches_the_polynomial_expansion(self, seed, p, quotient,
+                                              rows, cols):
+        rng = random.Random(seed)
+        names = ["x", "y", "z"]
+        R = make_ring(p, names)
+        if quotient:
+            q = [g for g in (sparse_poly(R, rng, [1, 2], [2, 3])
+                             for _ in range(rng.randint(1, 2)))
+                 if not g.is_zero()]
+            assume(q and not Ideal(R, q).is_unit())
+            R = make_ring(p, names, quotient=q)
+        A = FreeModuleMap(R, [[sparse_poly(R, rng, range(4), range(4))
+                               for _ in range(cols)] for _ in range(rows)])
+        for k in range(min(rows, cols) + 2):
+            got, want = minors_ideal(k, A).gens, _laplace_minors(k, A).gens
+            assert got == want
+            assert [g.terms for g in got] == [g.terms for g in want]
+
+    def test_exponent_overflow_raises(self, A2):
+        x, y = A2.gens()
+        big = x ** (2 ** 14 + 1)
+        A = FreeModuleMap(A2, [[big, y], [y, big]])
+        with pytest.raises(ValueError, match="exponent overflow"):
+            minors_ideal(2, A)
+
     def test_generic_2x3(self, A3):
         x, y, z = A3.gens()
         A = FreeModuleMap(A3, [[x, y, z], [y, z, x]])
