@@ -534,7 +534,8 @@ _TABLE = {
     "reesAlgebra": (rees_mod, "rees_presentation", (_as_module,)),
     "multiplicity": (rees_mod, "multiplicity", (_as_ideal,),
                      verify.multiplicity),
-    "analyticSpread": (rees_mod, "analytic_spread", (_as_ideal,)),
+    "analyticSpread": (rees_mod, "analytic_spread", (_as_ideal,),
+                       verify.analytic_spread),
     "whichGm": (rees_mod, "which_gm", (_as_ideal,)),
     "expectedReesIdeal": (rees_mod, "expected_rees_ideal", (_as_ideal,)),
     "blowupOf": (blowup_mod, "blowup_of", (_as_ideal,)),
@@ -695,13 +696,20 @@ def _registry():
     @op("isReduction", "rees")
     def _(ctx, I, J, cap=None):
         cap2 = _as_int(ctx, cap) if cap is not None else ctx.config.cap_reduction
-        return rees_mod.is_reduction(_as_ideal(ctx, I), _as_ideal(ctx, J),
-                                     cap=cap2)
+        I2, J2 = _as_ideal(ctx, I), _as_ideal(ctx, J)
+        out = rees_mod.is_reduction(I2, J2, cap=cap2)
+        if ctx.config.verify:
+            verify.is_reduction(I2, J2, cap2, out)
+        return out
 
     @op("reductionNumber", "rees")
     def _(ctx, I, J):
-        return rees_mod.reduction_number(_as_ideal(ctx, I), _as_ideal(ctx, J),
-                                         cap=ctx.config.cap_reduction)
+        I2, J2 = _as_ideal(ctx, I), _as_ideal(ctx, J)
+        cap = ctx.config.cap_reduction
+        out = rees_mod.reduction_number(I2, J2, cap=cap)
+        if ctx.config.verify:
+            verify.reduction_number(I2, J2, cap, out)
+        return out
 
     @op("jacobianDual", "rees")
     def _(ctx, x, X=None, T=None):

@@ -892,10 +892,23 @@ def _rabinowitsch_input(I: Ideal, elements):
         z_names.append(_fresh_name(taken, "#z"))
         taken.add(z_names[-1])
     ext = extend_ring(amb, z_names)
-    gens = [transport(g, ext) for g in _lift(I)]
-    gens.append(ext.sum([ext.one()] + [
-        -(transport(g, ext) * ext.var(z_name))
-        for g, z_name in zip(elements, z_names)]))
+    # the generators and the elements live in I's ring or its ambient ring,
+    # whose exponents are ext's with the z_i left out: appended zeros carry
+    # them over, and ext is grevlex, so only another ambient order sorts
+    zeros = (0,) * len(z_names)
+    resort = amb.order_spec != ext.order_spec
+    gens = []
+    for g in I.gens + I.ring.quotient:
+        terms = [(e + zeros, c) for e, c in g.terms]
+        if resort:
+            terms.sort(key=lambda t: ext.key(t[0]), reverse=True)
+        gens.append(Polynomial(ext, tuple(terms)))
+    one_minus = {(0,) * ext.nvars: 1}
+    for i, g in enumerate(elements):
+        z = zeros[:i] + (1,) + zeros[i + 1:]
+        for e, c in g.terms:
+            one_minus[e + z] = one_minus.get(e + z, 0) - c
+    gens.append(ext.poly(one_minus))
     return ext, z_names, gens
 
 

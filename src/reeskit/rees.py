@@ -22,7 +22,7 @@ from .gb import (
 )
 from .polyring import (
     FreeModuleMap, Polynomial, RingDescriptor, RingMap, RingMismatchError,
-    matrix_from_columns, row_times_matrix, transport,
+    is_degree_compatible, matrix_from_columns, row_times_matrix, transport,
 )
 
 DEFAULT_REDUCTION_CAP = 20
@@ -283,9 +283,38 @@ def _normal_cone_series(I: Ideal):
     return h, d
 
 
+def _standard_graded(ring) -> bool:
+    """Every variable of degree 1, and Q homogeneous."""
+    return (all(d == 1 for d in ring.degrees)
+            and all(q.is_homogeneous() for q in ring.quotient))
+
+
+def _form_degrees(I: Ideal):
+    """The degrees of I's nonzero generators, or None when one of them is
+    not a form."""
+    gens = [g for g in I.gens if not g.is_zero()]
+    if not all(g.is_homogeneous() for g in gens):
+        return None
+    return {g.total_degree() for g in gens}
+
+
 def multiplicity(I: Ideal) -> int:
-    """Hilbert-Samuel multiplicity of a zero-dimensional I: h(1), as
-    len(R/I^(n+1)) has generating function h(t)/(1 - t)^(d+1)."""
+    """Hilbert-Samuel multiplicity e(I) of a zero-dimensional I in a
+    standard graded ring R with homogeneous Q.
+
+    When I's nonzero generators are forms of one degree delta, I is
+    m-primary and e(I) = delta^d * e(R), d = dim R, with e(R) the degree
+    of the zero ideal.  After an extension of the field, which does not
+    change e, d general forms of degree delta in I are a homogeneous
+    system of parameters J; every form of degree delta is integral over
+    J, so J is a reduction of I and e(I) = e(J) (Northcott-Rees, *Proc.
+    Cambridge Philos. Soc.* 50, 1954), and e(J) = delta^d * e(R)
+    (Bruns-Herzog, *Cohen-Macaulay Rings*, 4.7).
+
+    Otherwise e(I) = h(1), as len(R/I^(n+1)) has generating function
+    h(t)/(1 - t)^(d+1), h from the normal cone (``_normal_cone_series``),
+    which ``verify.multiplicity`` also checks the theorem against.
+    """
     ring = I.ring
     if any(d != 1 for d in ring.degrees):
         raise ValueError("multiplicity needs a standard graded ring")
@@ -294,6 +323,10 @@ def multiplicity(I: Ideal) -> int:
             raise ValueError("multiplicity needs a graded base ring")
     if dimension_and_degree(I)[0] != 0:
         raise ValueError("multiplicity needs a zero-dimensional ideal")
+    degrees = _form_degrees(I)
+    if degrees is not None and len(degrees) == 1:
+        d, e = dimension_and_degree(Ideal(ring, ()))
+        return degrees.pop() ** d * e
     h, _ = _normal_cone_series(I)
     return sum(h.values())
 
@@ -323,9 +356,28 @@ def special_fiber_ideal(I: Ideal, mm: Ideal | None = None) -> Ideal:
 
 
 def analytic_spread(I: Ideal) -> int:
-    # the fiber depends on I alone; see _normal_cone_series
-    fib = special_fiber_ideal(_trimmed(I))
-    return dimension_and_degree(fib)[0]
+    """Analytic spread: the dimension of the special fiber of I.
+
+    An m-primary I of a local or standard graded ring R has spread dim R
+    (Swanson-Huneke, *Integral Closure of Ideals, Rings, and Modules*,
+    2006, ch. 8).  So when R is standard graded with homogeneous Q, its
+    order degree-compatible, and I's nonzero generators are forms that cut
+    out dimension 0, the spread is read off the ring.  Every other I takes
+    the fiber (``_fiber_dimension``), which ``verify.analytic_spread``
+    also checks the theorem against.
+    """
+    ring = I.ring
+    if (_form_degrees(I) and _standard_graded(ring)
+            and is_degree_compatible(ring.order_spec)
+            and dimension_and_degree(I)[0] == 0):
+        return ring_dimension(ring)
+    return _fiber_dimension(I)
+
+
+def _fiber_dimension(I: Ideal) -> int:
+    """Dimension of the special fiber of I's trimmed generators; the fiber
+    depends on I alone (see ``_normal_cone_series``)."""
+    return dimension_and_degree(special_fiber_ideal(_trimmed(I)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +397,32 @@ class ReductionCertificate:
 
 
 def is_reduction(I: Ideal, J: Ideal, cap=DEFAULT_REDUCTION_CAP):
-    """Search the smallest r <= cap with J * I^r = I^(r+1)."""
+    """Search the smallest r <= cap with J * I^r = I^(r+1): J is then a
+    reduction of I with reduction number r (Northcott-Rees, *Proc.
+    Cambridge Philos. Soc.* 50, 1954).
+
+    When the nonzero generators of I and J are forms of one degree delta
+    in a standard graded ring, J * I^r lies in I^(r+1) and both are
+    generated in degree D = (r + 1) * delta, so they are equal iff their
+    degree-D pieces have the same dimension: ranks of products of forms
+    (``_reduction_by_rank``), with no Groebner basis.  Every other input
+    compares the ideals (``_reduction_by_ideals``), which
+    ``verify.is_reduction`` also checks the ranks against.
+    """
     if I.ring != J.ring:
         raise RingMismatchError("reduction test needs matching rings")
     for g in J.gens:
         if not normal_form(g, I).is_zero():
             raise ValueError("J is not contained in I")
+    degrees = (_form_degrees(I), _form_degrees(J))
+    if (None not in degrees and len(degrees[0] | degrees[1]) == 1
+            and _standard_graded(I.ring)):
+        return _reduction_by_rank(I, J, cap)
+    return _reduction_by_ideals(I, J, cap)
+
+
+def _reduction_by_ideals(I: Ideal, J: Ideal, cap) -> ReductionCertificate:
+    """The reduction test by comparing the ideals J * I^r and I^(r+1)."""
     Ir = I ** 0
     for r in range(cap + 1):
         Inext = Ir * I
@@ -359,6 +431,48 @@ def is_reduction(I: Ideal, J: Ideal, cap=DEFAULT_REDUCTION_CAP):
         # regenerate from the Groebner basis to keep products small
         Ir = _with_basis(I.ring, Inext.display_gens(), Inext.groebner())
     return ReductionCertificate(False, None, cap)
+
+
+def _reduction_by_rank(I: Ideal, J: Ideal, cap) -> ReductionCertificate:
+    """The reduction test in one degree per step, for I and J generated by
+    forms of one degree: a basis of (I^r)_(r delta), carried from step to
+    step, times the generators of I spans (I^(r+1))_D, and times those of
+    J spans (J * I^r)_D.  In a quotient ring the products are already
+    normal forms, unique, so their ranks are the dimensions in R."""
+    basis = [I.ring.one()]
+    for r in range(cap + 1):
+        nxt = _independent([b * g for b in basis for g in I.gens])
+        if len(_independent([b * g for b in basis for g in J.gens])) \
+                == len(nxt):
+            return ReductionCertificate(True, r, cap)
+        basis = nxt
+    return ReductionCertificate(False, None, cap)
+
+
+def _independent(polys):
+    """The members of ``polys`` outside the span of those before them, a
+    basis of their span: Gaussian elimination mod p on coefficient rows,
+    whose columns are numbered as their monomials first occur."""
+    kept, pivots, column = [], {}, {}
+    for f in polys:
+        p = f.ring.p
+        row = {column.setdefault(e, len(column)): c for e, c in f.terms}
+        while row:
+            j = max(row)
+            pivot = pivots.get(j)
+            if pivot is None:
+                inv = pow(row[j], -1, p)
+                pivots[j] = {k: c * inv % p for k, c in row.items()}
+                kept.append(f)
+                break
+            c = row[j]
+            for k, v in pivot.items():
+                x = (row.get(k, 0) - c * v) % p
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+    return kept
 
 
 def reduction_number(I: Ideal, J: Ideal, cap=DEFAULT_REDUCTION_CAP) -> int:

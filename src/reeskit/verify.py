@@ -65,9 +65,11 @@ def rees_ideal(M, out):
 
 
 def multiplicity(I, out):
-    """Without the normal cone: len(R/I^(n+1)) is a polynomial in n from
+    """The normal cone's h(1), where the theorem gave the output, and
+    without the normal cone: len(R/I^(n+1)) is a polynomial in n from
     n = deg h - d on, and its d-th difference is e."""
     h, d = rees._normal_cone_series(I)
+    _check(sum(h.values()) == out, "multiplicity")
     top = max(max(h, default=0), d)
     powers = [I]
     while len(powers) <= top:
@@ -76,6 +78,24 @@ def multiplicity(I, out):
     for _ in range(d):
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
     _check(diffs == [out], "multiplicity")
+
+
+def analytic_spread(I, out):
+    """The dimension of the special fiber, where the theorem gave the
+    output for an m-primary ideal."""
+    _check(rees._fiber_dimension(I) == out, "analytic spread")
+
+
+def is_reduction(I, J, cap, out):
+    """The ideals J * I^r and I^(r+1) compared, where the ranks of their
+    graded pieces gave the output for forms of one degree."""
+    _check(rees._reduction_by_ideals(I, J, cap) == out, "reduction")
+
+
+def reduction_number(I, J, cap, out):
+    """The least r with J * I^r = I^(r+1), by comparing the ideals."""
+    cert = rees._reduction_by_ideals(I, J, cap)
+    _check(cert.accepted and cert.witness == out, "reduction number")
 
 
 def strict_transform(chart, X, out):

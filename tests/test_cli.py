@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from reeskit import rees
 from reeskit.cli import (Config, REGISTRY, ScriptError, emit, execute_script,
                          main, parse_script, render_value)
 from reeskit.decompose import ComponentReport
@@ -735,6 +736,27 @@ class TestMainEntry:
         # the colengths 6, 19, 39 of I, I^2, I^3 have second difference 7
         monkeypatch.setattr(rees, "_normal_cone_series",
                             lambda I: ({0: 1, 1: 2, 2: 3}, 2))
+        doc, _ = run_text(src, verify=True)
+        assert doc.status != 0 and "cross-check failed" in doc.message
+
+    @pytest.mark.parametrize("line, name, wrong", [
+        ("multiplicity(I)", "multiplicity", lambda I: 5),
+        ("analyticSpread(I)", "analytic_spread", lambda I: 3),
+        ("isReduction(I, ideal(x^2, y^2))", "_reduction_by_rank",
+         lambda I, J, cap: rees.ReductionCertificate(True, 0, cap)),
+        ("reductionNumber(I, ideal(x^2, y^2))", "_reduction_by_rank",
+         lambda I, J, cap: rees.ReductionCertificate(True, 2, cap)),
+    ], ids=["multiplicity", "analyticSpread", "isReduction",
+            "reductionNumber"])
+    def test_verify_catches_a_wrong_theorem_value(self, monkeypatch, line,
+                                                  name, wrong):
+        # (x, y)^2 is generated by forms of one degree, so each value comes
+        # from a theorem; the oracles recompute it on the computed path
+        src = ("ring P = zmod 101 [x,y];\n"
+               "ideal I = ideal(x^2, x*y, y^2);\n"
+               f"print {line};\n")
+        assert run_text(src, verify=True)[0].status == 0
+        monkeypatch.setattr(rees, name, wrong)
         doc, _ = run_text(src, verify=True)
         assert doc.status != 0 and "cross-check failed" in doc.message
 

@@ -502,6 +502,116 @@ class TestReductions:
             reduction_number(I, Ideal(A2, (x ** 2,)))
 
 
+def _graded_ring(p, kind):
+    """A standard graded ring: a polynomial ring, the quadric cone, or two
+    planes of 4-space meeting in a point, which is not Cohen-Macaulay."""
+    names = {"plane": "xy", "space": "xyz", "cone": "xyz", "planes": "xyzw"}
+    R0 = make_ring(p, list(names[kind]))
+    v = R0.gens()
+    quotient = {"cone": lambda: [v[0] * v[1] - v[2] ** 2],
+                "planes": lambda: [v[0] * v[2], v[0] * v[3], v[1] * v[2],
+                                   v[1] * v[3]]}.get(kind)
+    return R0 if quotient is None else make_ring(p, list(names[kind]),
+                                                 quotient=quotient())
+
+
+def _random_forms(R, delta, count, rng):
+    """``count`` random forms of degree ``delta`` of R, zeros dropped."""
+    exps = [e for e in itertools.product(range(delta + 1), repeat=R.nvars)
+            if sum(e) == delta]
+    forms = [R.poly({e: rng.randrange(R.p) for e in exps})
+             for _ in range(count)]
+    return [f for f in forms if not f.is_zero()]
+
+
+def _m_primary_forms(R, delta, rng):
+    """Random forms of degree ``delta`` that generate an m-primary ideal:
+    when the draw does not, the pure powers of the variables join it."""
+    gens = _random_forms(R, delta, rng.randint(1, R.nvars + 1), rng)
+    I = Ideal(R, tuple(gens))
+    if not gens or dimension_and_degree(I)[0] != 0:
+        I = Ideal(R, tuple(gens) + tuple(v ** delta for v in R.gens()))
+    return I
+
+
+RING_KINDS = ["plane", "space", "cone", "planes"]
+PRIMES_TESTED = [2, 5, 101, 32003]
+
+
+class TestInvariantsByTheorem:
+    """Each theorem-backed value against the computed path it replaces."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(PRIMES_TESTED), st.sampled_from(RING_KINDS),
+           st.integers(1, 3), st.integers(0, 10 ** 6))
+    def test_multiplicity_matches_the_normal_cone(self, p, kind, delta, seed):
+        R = _graded_ring(p, kind)
+        # cubics in 4 variables make normal cones too large for a test
+        delta = min(delta, 2) if kind == "planes" else delta
+        I = _m_primary_forms(R, delta, random.Random(seed))
+        h, _ = _normal_cone_series(I)
+        assert multiplicity(I) == sum(h.values())
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(PRIMES_TESTED), st.sampled_from(RING_KINDS),
+           st.integers(1, 3), st.integers(0, 10 ** 6))
+    def test_spread_matches_the_fiber(self, p, kind, delta, seed):
+        R = _graded_ring(p, kind)
+        delta = min(delta, 2) if kind == "planes" else delta
+        I = _m_primary_forms(R, delta, random.Random(seed))
+        assert analytic_spread(I) == rees_module._fiber_dimension(I) \
+            == ring_dimension(R)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(PRIMES_TESTED), st.sampled_from(RING_KINDS),
+           st.integers(1, 2), st.integers(1, 3), st.integers(0, 10 ** 6))
+    def test_reduction_by_rank_matches_the_ideals(self, p, kind, delta, cap,
+                                                  seed):
+        # J: random combinations of I's generators, often too few to be a
+        # reduction within the cap
+        rng = random.Random(seed)
+        R = _graded_ring(p, kind)
+        gens = _random_forms(R, delta, rng.randint(1, R.nvars + 1), rng)
+        if rng.random() < 0.5:
+            gens += [v ** delta for v in R.gens()]
+        assume(gens)
+        I = Ideal(R, tuple(gens))
+        combos = [R.sum(g * rng.randrange(p) for g in gens)
+                  for _ in range(rng.randint(1, R.nvars))]
+        J = Ideal(R, tuple(combos))
+        by_rank = rees_module._reduction_by_rank(I, J, cap)
+        assert by_rank == rees_module._reduction_by_ideals(I, J, cap)
+        assert is_reduction(I, J, cap) == by_rank
+
+    @pytest.mark.parametrize("n, k, e, ell", [(4, 3, 81, 4), (3, 5, 125, 3)])
+    def test_powers_of_the_maximal_ideal(self, n, k, e, ell):
+        R = make_ring(101, ["x", "y", "z", "w"][:n])
+        I = Ideal(R, tuple(R.gens())) ** k
+        assert multiplicity(I) == e
+        assert analytic_spread(I) == ell
+
+    def test_mixed_degrees_keep_the_computed_paths(self, A2, monkeypatch):
+        # (x^2, y^3) meets no theorem's hypothesis on one degree; (x, y)^2
+        # does, and forms no normal cone
+        calls = []
+        series = rees_module._normal_cone_series
+        monkeypatch.setattr(rees_module, "_normal_cone_series",
+                            lambda I: calls.append(I) or series(I))
+        x, y = A2.gens()
+        assert multiplicity(Ideal(A2, (x ** 2, y ** 3))) == 6
+        assert len(calls) == 1
+        assert multiplicity(Ideal(A2, (x ** 2, x * y, y ** 2))) == 4
+        assert len(calls) == 1
+
+    def test_spread_outside_the_theorem_takes_the_fiber(self, A2):
+        x, y = A2.gens()
+        I = Ideal(A2, (x,))  # not m-primary
+        assert analytic_spread(I) == rees_module._fiber_dimension(I) == 1
+        # not forms: the fiber refuses an ideal off the origin, as before
+        with pytest.raises(ValueError, match="not contained"):
+            analytic_spread(Ideal(A2, (x - 1, y)))
+
+
 class TestWhichGm:
     def test_maximal_ideal_infinite(self, A2):
         import math

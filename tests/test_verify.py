@@ -23,6 +23,8 @@ def _cases():
     tacnode = Ideal(P, (x ** 2 - y ** 4,))
     strict = blowup.strict_transform(chart, tacnode)
     f = (x ** 2 + y) * (x * y - 3)
+    veronese = Ideal(P, (x ** 2, x * y, y ** 2))
+    diagonal = Ideal(P, (x ** 2, y ** 2))
     return {
         # I : (x, y) = (xy) is larger than I
         "colon": (verify.colon, (I, m), gb.colon(I, m), I),
@@ -35,6 +37,14 @@ def _cases():
                        rees.symmetric_algebra_ideal(M)),
         "multiplicity": (verify.multiplicity,
                          (Ideal(P, (x ** 3, x * y, y ** 4)),), 7, 6),
+        # (x^2, y^2) is m-primary, so the theorem gives dim R = 2
+        "analytic_spread": (verify.analytic_spread, (diagonal,), 2, 1),
+        # (x^2, y^2) * (x, y)^2 = (x, y)^4, but (x^2, y^2) is not (x, y)^2
+        "is_reduction": (verify.is_reduction, (veronese, diagonal, 5),
+                         rees.is_reduction(veronese, diagonal, 5),
+                         rees.ReductionCertificate(True, 0, 5)),
+        "reduction_number": (verify.reduction_number,
+                             (veronese, diagonal, 5), 1, 0),
         "strict_transform": (verify.strict_transform, (chart, tacnode),
                              strict, blowup.total_transform(chart, tacnode)),
         "is_smooth_away_from_irrelevant": (
@@ -47,7 +57,8 @@ def _cases():
 
 
 NAMES = ["colon", "saturate", "radical_membership", "rees_ideal",
-         "multiplicity", "strict_transform",
+         "multiplicity", "analytic_spread", "is_reduction",
+         "reduction_number", "strict_transform",
          "is_smooth_away_from_irrelevant", "factorization"]
 
 
@@ -70,3 +81,15 @@ def test_oracle_rejects_a_wrong_output(name):
     assert wrong != right
     with pytest.raises(verify.CrossCheckError, match="cross-check failed$"):
         oracle(*inputs, wrong)
+
+
+def test_multiplicity_oracle_checks_the_theorem():
+    # (x, y)^2 takes the theorem, e = 2^2 * e(R) = 4; both the normal cone
+    # and the colengths of the powers refuse 5
+    P = make_ring(101, ["x", "y"])
+    x, y = P.gens()
+    I = Ideal(P, (x ** 2, x * y, y ** 2))
+    assert rees.multiplicity(I) == 4
+    assert verify.multiplicity(I, 4) is None
+    with pytest.raises(verify.CrossCheckError, match="cross-check failed$"):
+        verify.multiplicity(I, 5)
