@@ -735,8 +735,11 @@ def _registry():
 
     @op("intersectInP", "intersection")
     def _(ctx, I, J):
-        return intersection_mod.intersect_in_p(
-            _as_ideal(ctx, I), _as_ideal(ctx, J), seed=ctx.config.seed)
+        I2, J2 = _as_ideal(ctx, I), _as_ideal(ctx, J)
+        out = intersection_mod.intersect_in_p(I2, J2, seed=ctx.config.seed)
+        if ctx.config.verify:
+            verify.intersect_in_p(I2, J2, ctx.config.seed, out)
+        return out
 
     # blowup ---------------------------------------------------------------
     @op("singularLocusIdeal", "blowup")

@@ -929,7 +929,8 @@ def saturate(I: Ideal, by):
     g_i^N * f = 0 in A for every i, then s^M * f = 0 for M = k(N - 1) + 1,
     since each monomial of s^M holds some g_i^N, and
     f = f * (1 - s^M) lies in (1 - s).  A constant generator makes
-    J = (1), and I : (1)^inf = I needs no elimination.
+    J = (1), and I : (1)^inf = I needs no elimination: the result is born
+    with I's reduced basis.
 
     ``saturation_exponent(I, by)[1]``, which iterates ``colon(I, by)``
     until it is stable, is kept as the reference.  A zero element, or an
@@ -938,7 +939,7 @@ def saturate(I: Ideal, by):
     ring = I.ring
     elements = list(dict.fromkeys(_colon_elements(ring, by)))
     if any(g.is_constant() for g in elements):
-        return _descend(ring, _lift(I))
+        return _with_basis(ring, I.gens, I.groebner())
     ext, z_names, gens = _rabinowitsch_input(I, elements)
     sub, kept = _eliminate_raw(gens, ext, z_names)
     return _descend(ring, kept, sub.order_spec)

@@ -5,7 +5,9 @@ the two disagree.  ``cli`` calls them under ``--verify``; tests call them
 directly.
 """
 
-from . import blowup, coeff, gb, rees
+from collections import Counter
+
+from . import blowup, coeff, gb, intersection, polyring, rees
 from .gb import Ideal
 
 
@@ -110,3 +112,49 @@ def is_smooth_away_from_irrelevant(chart, X, out):
     alt = gb.saturation_exponent(blowup.singular_locus_ideal(X),
                                  chart.irrelevant)[1]
     _check(alt.is_unit() == out, "smoothness")
+
+
+def _complete_intersection(I, n):
+    """The number c of I's nonzero generators, when dim R/I = n - c: they
+    then form a regular sequence at every point of V(I)."""
+    c = sum(1 for g in I.gens if not g.is_zero())
+    return c if gb.dimension_and_degree(I)[0] == n - c else None
+
+
+def intersect_in_p(I, J, seed, out):
+    """(i) Where I and J are complete intersections of codimensions adding
+    up to n that meet in finitely many points, Tor vanishes and each
+    multiplicity is the length of R/(I + J) at its point: every prime
+    contains I + J, and the sum of multiplicity * colength(P) is
+    colength(I + J).  (ii) ``distinguished`` on the doubled projection, the
+    kernel between both normal cones, where it certifies every component:
+    an uncertified or refused result of that path cannot refute ``out``."""
+    ring = I.ring
+    n = ring.nvars
+    both = I + J
+    if polyring.is_degree_compatible(ring.order_spec) \
+            and gb.dimension_and_degree(both)[0] == 0:
+        cI, cJ = _complete_intersection(I, n), _complete_intersection(J, n)
+        if cI is not None and cJ is not None and cI + cJ == n:
+            _check(all(c.prime.contains(g) for c in out for g in both.gens)
+                   and sum(c.multiplicity * gb.vector_space_dimension(c.prime)
+                           for c in out) == gb.vector_space_dimension(both),
+                   "intersectInP colength")
+    try:
+        alt = _two_cone_components(I, J, seed)
+    except RuntimeError:
+        return
+    if all(c.certified for c in alt):
+        _check(Counter((c.multiplicity, c.prime) for c in alt)
+               == Counter((c.multiplicity, c.prime) for c in out),
+               "intersectInP")
+
+
+def _two_cone_components(I, J, seed):
+    """``distinguished`` on the doubled projection, with the kernel between
+    both normal cones, retracted to I's ring."""
+    diag, f = intersection._doubled_projection(I, J)
+    to_ring = intersection._retraction(I.ring, f.source)
+    return [intersection.WeightedComponent(c.multiplicity, to_ring(c.prime),
+                                           c.certified)
+            for c in intersection.distinguished(f, diag, seed=seed)]

@@ -307,10 +307,15 @@ class TestEmit:
         assert _describe([doubtful])[3] == unverified
         assert _describe([1, [sure, [doubtful, doubtful]]])[3] == unverified
         assert _describe([sure, [1, x]])[3] == ()
-        # the same flag as the bare list, from a script under --json
+        # the same flag as the bare list, from a script under --json: the
+        # distinguished components of the doubled projection of the cusp
+        # pair come back as one unverified candidate
         doc = execute_script(parse_script(
-            "ring P = zmod 101 [x,y];\n"
-            "print [intersectInP(ideal(y^2 - x^3), ideal(y^3 - x^2))];\n"),
+            "ring S = zmod 101 [x,y,u,v];\n"
+            "ring R = zmod 101 [x,y,u,v] / (ideal(y^2 - x^3, v^3 - u^2));\n"
+            "use S;\n"
+            "let f = ringmap(R, S, [x, y, u, v]);\n"
+            "print [distinguished(f, ideal(x - u, y - v))];\n"),
             Config())
         result, = json.loads(emit(doc, "json").decode())["results"]
         assert result["value"][0][0]["certified"] is False
@@ -757,6 +762,23 @@ class TestMainEntry:
                f"print {line};\n")
         assert run_text(src, verify=True)[0].status == 0
         monkeypatch.setattr(rees, name, wrong)
+        doc, _ = run_text(src, verify=True)
+        assert doc.status != 0 and "cross-check failed" in doc.message
+
+    def test_verify_catches_a_wrong_intersection_multiplicity(self,
+                                                              monkeypatch):
+        from reeskit import intersection
+        src = ("ring P = zmod 101 [x,y];\n"
+               "print intersectInP(ideal(x^2 - y), ideal(y));\n")
+        doc, _ = run_text(src, verify=True)
+        assert doc.status == 0
+        assert [c.multiplicity for c in doc.entries[0].value] == [2]
+        # a tangency counted once: the colength of (x^2 - y, y) is 2
+        real = intersection.intersect_in_p
+        monkeypatch.setattr(
+            intersection, "intersect_in_p",
+            lambda I, J, seed=0: [WeightedComponent(1, c.prime, c.certified)
+                                  for c in real(I, J, seed)])
         doc, _ = run_text(src, verify=True)
         assert doc.status != 0 and "cross-check failed" in doc.message
 

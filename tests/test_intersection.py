@@ -1,10 +1,18 @@
 import itertools
+import random
+from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from reeskit.gb import Ideal, dimension_and_degree, normal_form
-from reeskit.intersection import WeightedComponent, distinguished, intersect_in_p
+from reeskit.gb import (Ideal, dimension_and_degree, normal_form,
+                        vector_space_dimension)
+from reeskit.intersection import (WeightedComponent, _doubled_projection,
+                                  _meets_properly, _target_cone_kernel,
+                                  _two_cone_kernel, distinguished,
+                                  intersect_in_p)
 from reeskit.polyring import RingMap, make_ring
+from reeskit.verify import _two_cone_components
 
 
 def as_multiset(components):
@@ -97,3 +105,162 @@ class TestInvariants:
                      ((x ** 2 * y,), (x * y ** 2,))):
             got = intersect_in_p(Ideal(P, I), Ideal(P, J))
             assert all(w.certified for w in got)
+
+
+PRIMES = [2, 3, 5, 101, 32003]
+
+
+def _random_poly(R, rng, degree):
+    """A random polynomial of exact total degree ``degree``."""
+    p = R.p
+    terms = {(a, b): rng.randrange(p) for a in range(degree + 1)
+             for b in range(degree + 1 - a) if rng.random() < 0.6}
+    terms[(degree, 0) if rng.random() < 0.5 else (0, degree)] = \
+        rng.randrange(1, p)
+    return R.poly(terms)
+
+
+def _random_pair(p, df, dg, shared, seed):
+    """Two random plane curves of degrees df and dg, times a common line
+    when ``shared``."""
+    rng = random.Random(seed)
+    R = make_ring(p, ["x", "y"])
+    f, g = _random_poly(R, rng, df), _random_poly(R, rng, dg)
+    if shared:
+        h = _random_poly(R, rng, 1)
+        f, g = f * h, g * h
+    return R, Ideal(R, (f,)), Ideal(R, (g,))
+
+
+def _weights(components):
+    return Counter((c.multiplicity, c.prime) for c in components)
+
+
+class TestProperHypersurfaces:
+    """Two hypersurfaces meeting properly are decomposed in the base ring,
+    by Serre's formula; the multiplicities are lengths."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(PRIMES), st.integers(1, 3), st.integers(1, 3),
+           st.integers(0, 10 ** 6))
+    def test_agrees_with_both_cones_and_the_colength(self, p, df, dg, seed):
+        R, I, J = _random_pair(p, df, dg, False, seed)
+        both = I + J
+        assume(_meets_properly(I, J, both))
+        got = intersect_in_p(I, J)
+        assert all(c.certified for c in got)
+        assert all(c.prime.contains(g) for c in got for g in both.gens)
+        assert sum(c.multiplicity * vector_space_dimension(c.prime)
+                   for c in got) == vector_space_dimension(both)
+        try:
+            alt = _two_cone_components(I, J, 0)
+        except RuntimeError:
+            return      # the two-cone path refused: nothing to compare
+        if all(c.certified for c in alt):
+            assert _weights(alt) == _weights(got)
+
+    def test_cusp_pair(self):
+        # (y^2 - x^3) . (y^3 - x^2) = 9: 4 at the origin, and the points
+        # x^5 = 1, y = x^4, one of them rational over GF(32003)
+        R = make_ring(32003, ["x", "y"])
+        x, y = R.gens()
+        got = intersect_in_p(Ideal(R, (y ** 2 - x ** 3,)),
+                             Ideal(R, (y ** 3 - x ** 2,)))
+        assert [(c.multiplicity, vector_space_dimension(c.prime))
+                for c in got] == [(4, 1), (1, 1), (1, 4)]
+        assert all(c.certified for c in got)
+        assert [str(c) for c in got[:2]] == ["(4, ideal[ y, x ])",
+                                             "(1, ideal[ y - 1, x - 1 ])"]
+
+    def test_cusp_pair_over_gf101(self):
+        # all five points x^5 = 1 are rational over GF(101)
+        R = make_ring(101, ["x", "y"])
+        x, y = R.gens()
+        got = intersect_in_p(Ideal(R, (y ** 2 - x ** 3,)),
+                             Ideal(R, (y ** 3 - x ** 2,)))
+        assert [(c.multiplicity, vector_space_dimension(c.prime))
+                for c in got] == [(4, 1)] + [(1, 1)] * 5
+        assert all(c.certified for c in got)
+
+    def test_double_line_against_a_cubic(self):
+        # (y - x)^2 (y + x) . (y - x + x^3) over GF(32003): 7 at the
+        # origin and the conjugate pair x + y = 0, y^2 = 2
+        R = make_ring(32003, ["x", "y"])
+        x, y = R.gens()
+        got = intersect_in_p(Ideal(R, ((y - x) ** 2 * (y + x),)),
+                             Ideal(R, (y - x + x ** 3,)))
+        assert [str(c) for c in got] == ["(7, ideal[ y, x ])",
+                                         "(1, ideal[ x + y, y^2 - 2 ])"]
+        assert all(c.certified for c in got)
+
+    def test_surfaces_in_three_space_agree_with_both_cones(self, A3):
+        x, y, z = A3.gens()
+        for f, g in ((z - x * y, z), (x ** 2 + y ** 2 - z ** 2, z - 1),
+                     (z ** 2 - x ** 3, z - y ** 2)):
+            I, J = Ideal(A3, (f,)), Ideal(A3, (g,))
+            assert _meets_properly(I, J, I + J)
+            assert _weights(intersect_in_p(I, J)) == \
+                _weights(_two_cone_components(I, J, 0))
+
+    def test_runs_only_on_its_hypotheses(self, P, monkeypatch):
+        # which path ran is seen by which kernel was read
+        import reeskit.intersection as mod
+        x, y = P.gens()
+        calls = []
+        real = mod._target_cone_kernel
+        monkeypatch.setattr(mod, "_target_cone_kernel",
+                            lambda f, d: calls.append(1) or real(f, d))
+        intersect_in_p(Ideal(P, (x ** 2 - y,)), Ideal(P, (y,)))
+        assert calls == []
+        lex = make_ring(101, ["x", "y"], order="lex")
+        lx, ly = lex.gens()
+        for I, J in (((x ** 2 * y,), (x * y ** 2,)),     # shared factor
+                     ((x ** 2 * y,), (x ** 2 * y,)),     # equal
+                     ((x ** 2, y), (x, y)),              # not principal
+                     ((x,), (x + 1,))):                  # no point at all
+            I, J = Ideal(P, I), Ideal(P, J)
+            assert not _meets_properly(I, J, I + J)
+        I, J = Ideal(lex, (lx,)), Ideal(lex, (ly,))
+        assert not _meets_properly(I, J, I + J)
+        intersect_in_p(Ideal(P, (x ** 2 * y,)), Ideal(P, (x * y ** 2,)))
+        assert calls == [1]
+        # on a line, two points that miss each other have dim V = -1 = n - 2
+        line = make_ring(101, ["x"])
+        t = line.var("x")
+        I, J = Ideal(line, (t,)), Ideal(line, (t + 1,))
+        assert not _meets_properly(I, J, I + J)
+        with pytest.raises(ValueError, match="normal cone of the unit ideal"):
+            intersect_in_p(I, J)
+
+
+class TestDoubledRing:
+    """Every other input keeps the doubled ring, its kernel read off the
+    target cone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(PRIMES), st.integers(1, 3), st.integers(1, 3),
+           st.booleans(), st.integers(0, 10 ** 6))
+    def test_target_cone_is_the_two_cone_kernel(self, p, df, dg, shared,
+                                                seed):
+        R, I, J = _random_pair(p, df, dg, shared, seed)
+        assume(not (I + J).is_unit())
+        diag, f = _doubled_projection(I, J)
+        K, wnames = _target_cone_kernel(f, diag)
+        K2, wnames2 = _two_cone_kernel(f, diag)
+        assert K.ring == K2.ring and wnames == wnames2
+        assert K._basis_terms() == K2._basis_terms()
+        # and the basis K was born with is its reduced basis
+        assert K._basis_terms() == \
+            Ideal(K.ring, K.gens)._basis_terms()
+
+    def test_shared_factor_keeps_its_output(self, P):
+        x, y = P.gens()
+        got = intersect_in_p(Ideal(P, (x * (x - y),)), Ideal(P, (x * y,)))
+        assert as_multiset(got) == [(1, ("x",)), (3, ("x", "y"))]
+        assert all(c.certified for c in got)
+
+    def test_empty_intersection_keeps_its_error(self, P):
+        x, y = P.gens()
+        with pytest.raises(ValueError, match="normal cone of the unit ideal"):
+            intersect_in_p(Ideal(P, (x ** 2 * y,)),
+                           Ideal(P, (x * y ** 2 + 1,)))

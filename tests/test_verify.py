@@ -6,7 +6,7 @@ import inspect
 
 import pytest
 
-from reeskit import blowup, coeff, gb, rees, verify
+from reeskit import blowup, coeff, gb, intersection, rees, verify
 from reeskit.gb import Ideal
 from reeskit.polyring import make_ring
 
@@ -25,6 +25,7 @@ def _cases():
     f = (x ** 2 + y) * (x * y - 3)
     veronese = Ideal(P, (x ** 2, x * y, y ** 2))
     diagonal = Ideal(P, (x ** 2, y ** 2))
+    conic, tangent = Ideal(P, (x ** 2 - y,)), Ideal(P, (y,))
     return {
         # I : (x, y) = (xy) is larger than I
         "colon": (verify.colon, (I, m), gb.colon(I, m), I),
@@ -53,13 +54,17 @@ def _cases():
         "factorization": (verify.factorization, (f, 0),
                           coeff.factor_multivariate(f, seed=0),
                           (1, [(f, 1)])),
+        # a tangency counted once
+        "intersect_in_p": (verify.intersect_in_p, (conic, tangent, 0),
+                           intersection.intersect_in_p(conic, tangent),
+                           [intersection.WeightedComponent(1, m)]),
     }
 
 
 NAMES = ["colon", "saturate", "radical_membership", "rees_ideal",
          "multiplicity", "analytic_spread", "is_reduction",
          "reduction_number", "strict_transform",
-         "is_smooth_away_from_irrelevant", "factorization"]
+         "is_smooth_away_from_irrelevant", "factorization", "intersect_in_p"]
 
 
 def test_every_oracle_has_a_case():
@@ -93,3 +98,32 @@ def test_multiplicity_oracle_checks_the_theorem():
     assert verify.multiplicity(I, 4) is None
     with pytest.raises(verify.CrossCheckError, match="cross-check failed$"):
         verify.multiplicity(I, 5)
+
+
+def test_intersect_in_p_oracle_beyond_the_colength():
+    # an improper intersection, where the colength check does not apply:
+    # the two-cone kernel path certifies every component and refuses a
+    # multiplicity that is off by one
+    P = make_ring(101, ["x", "y"])
+    x, y = P.gens()
+    I, J = Ideal(P, (x ** 2 * y,)), Ideal(P, (x * y ** 2,))
+    out = intersection.intersect_in_p(I, J)
+    assert [c.multiplicity for c in out] == [2, 2, 5]
+    assert verify.intersect_in_p(I, J, 0, out) is None
+    wrong = out[:2] + [intersection.WeightedComponent(4, out[2].prime)]
+    with pytest.raises(verify.CrossCheckError, match="cross-check failed$"):
+        verify.intersect_in_p(I, J, 0, wrong)
+
+
+def test_intersect_in_p_oracle_skips_the_colength_in_excess():
+    # a double point against a reduced one: the distinguished multiplicity
+    # is 2, not the colength 1 of I + J, and the colength check stays out,
+    # as the codimensions of I and J add up to 4, not 2
+    P = make_ring(101, ["x", "y"])
+    x, y = P.gens()
+    I, J = Ideal(P, (x ** 2, y)), Ideal(P, (x, y))
+    out = intersection.intersect_in_p(I, J)
+    assert [(c.multiplicity, gb.vector_space_dimension(c.prime))
+            for c in out] == [(2, 1)]
+    assert gb.vector_space_dimension(I + J) == 1
+    assert verify.intersect_in_p(I, J, 0, out) is None
