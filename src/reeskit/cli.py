@@ -600,7 +600,11 @@ def _registry():
     # coeff ------------------------------------------------------------
     @op("factorUnivariate", "coeff")
     def _(ctx, f):
-        return coeff_mod.factor_univariate(_as_poly(ctx, f), seed=ctx.config.seed)
+        g = _as_poly(ctx, f)
+        out = coeff_mod.factor_univariate(g, seed=ctx.config.seed)
+        if ctx.config.verify:
+            verify.factor_univariate(g, out)
+        return out
 
     @op("factorMultivariate", "coeff")
     def _(ctx, f):

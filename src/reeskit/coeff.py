@@ -3,12 +3,15 @@
 Univariate polynomials are ascending coefficient lists with entries in
 [0, p).  Products are Kronecker-packed: each list becomes one Python int,
 one big-int multiplication does the convolution, and the slots are read
-back.  Univariate factorization is distinct-degree decomposition followed
-by Cantor-Zassenhaus equal-degree splitting (trace splitting for p = 2);
-both, and Rabin's irreducibility test, step h -> h^p mod f as a linear
-combination of the Frobenius rows x^(ip) mod f.  One modulus f serves a
-squarefree part's whole distinct-degree split, and the equal-degree split
-of each of its factors inherits x^p mod f.
+back; a product modulo a polynomial of small degree is one fused
+multiply-reduce instead.  Univariate factorization is distinct-degree
+decomposition followed by Cantor-Zassenhaus equal-degree splitting (trace
+splitting for p = 2); both, and Rabin's irreducibility test, step
+h -> h^p mod f as a linear combination of the Frobenius rows x^(ip) mod f.
+One modulus f serves a squarefree part's whole distinct-degree split, and
+the equal-degree split of each of its factors inherits x^p mod f.  Roots
+over odd p are split by GF(p) arithmetic: a quadratic's by the quadratic
+formula, more by powers of x + c.
 Bivariate factorization makes a random affine change of coordinates
 x, y -> b + a t + c s such that f becomes monic in t, factors one line
 restriction F(t, 0) of degree d, lifts its factors s-adically to precision
@@ -144,10 +147,14 @@ _BIG_ENDIAN = sys.byteorder == "big"
 # against 2.7 us, 4 x 8 3.5 against 2.8 us, 1 x 64 5.1 against 6.1 us.
 _SCHOOLBOOK_TERMS = 24
 
-# _Modulus multiplies schoolbook below this modulus degree.  Packed, the
-# distinct-degree split of degree-2 and degree-3 inputs over GF(7) took
-# 16.3 and 22.1 us against 13.7 and 18.6 us schoolbook; from degree 4 the
-# packed product is faster (3.4 against 6.2 us at p = 101).
+# _Modulus multiplies by the fused _mulmod below this modulus degree, and
+# packed from it on.  Measured on CPython 3.11 (2 vCPU), one product of two
+# residues at p = 7, 101 and 32003, fused against packed: degree 3 took
+# 2.5-4.2 against 3.7-6.3 us, degree 4 3.5-8.9 against 4.0-8.3 us (each
+# faster at some p), degree 5 3.8-12.8 against 4.2-9.0 us and degree 6
+# 5.8-16.2 against 4.6-9.1 us.  The distinct-degree split of a degree-4
+# modulus took 19-47 us fused against 24-57 us packed at p = 7, but
+# 97-170 against 81-174 us at p = 32003.
 _PACKED_MODULUS_DEGREE = 4
 
 
@@ -287,15 +294,39 @@ def _uv_inverse(a, m, p):
     return [c * inv % p for c in u1]
 
 
+def _mulmod(a, b, neg, p):
+    """a * b mod m for m monic of degree n = len(neg), given its negated
+    tail neg = (-m_0, ..., -m_(n-1)) mod p; a and b may be longer than m.
+    The schoolbook product is accumulated unreduced; each coefficient above
+    x^(n-1), from the top down, is reduced mod p and folded in as that
+    multiple of x^n = neg, and the rest is reduced mod p once, at the end."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    n = len(neg)
+    while len(out) > n:
+        c = out.pop() % p
+        if c:
+            for i, t in enumerate(neg, len(out) - n):
+                out[i] += c * t
+    return _trim([c % p for c in out])
+
+
 class _Modulus:
     """Arithmetic modulo a fixed polynomial m of degree n >= 1 over GF(p).
 
-    Residues are trimmed coefficient lists of length at most n.  A product
-    of two residues is reduced through the packed rows x^(n+k) mod m,
-    k < n - 1, built on the first product that needs them: the product's
-    high coefficients, reduced mod p, scale those rows and are added to
-    its packed low part.  Row k comes from row k-1 by one shift and one
-    multiple of row 0, so its slots are left unreduced below
+    Residues are trimmed coefficient lists of length at most n.  Below
+    _PACKED_MODULUS_DEGREE a product is one fused multiply-reduce
+    (`_mulmod`) by m's negated monic tail, computed once.  From there on a
+    product of two residues is reduced through the packed rows
+    x^(n+k) mod m, k < n - 1, built on the first product that needs them:
+    the product's high coefficients, reduced mod p, scale those rows and
+    are added to its packed low part.  Row k comes from row k-1 by one
+    shift and one multiple of row 0, so its slots are left unreduced below
     (p-1) + k (p-1)^2; the slot width covers the sum this gives.
 
     The Frobenius rows x^(ip) mod m, i < n, are built once, on first use;
@@ -307,6 +338,8 @@ class _Modulus:
     def __init__(self, m, p, xp=None):
         self.m, self.p, self.n = m, p, len(m) - 1
         n = self.n
+        inv = pow(m[-1], -1, p)
+        self.neg = [-c * inv % p for c in m[:-1]]   # x^n mod m
         self.size, self.code = _slot((2 * n - 1) * (p - 1) ** 2
                                      + (n - 1) * (n - 2) * (p - 1) ** 3 // 2)
         self.low_bits = 8 * self.size * n
@@ -316,9 +349,8 @@ class _Modulus:
         self.packed_frob = None
 
     def _build_rows(self):
-        m, p, n = self.m, self.p, self.n
-        inv = pow(m[-1], -1, p)
-        row = _pack([-c * inv % p for c in m[:-1]], self.size, self.code)
+        p, n = self.p, self.n
+        row = _pack(self.neg, self.size, self.code)
         top = 8 * self.size * (n - 1)
         low = (1 << top) - 1
         rows = [row]
@@ -331,7 +363,7 @@ class _Modulus:
         if not a or not b:
             return []
         if self.n < _PACKED_MODULUS_DEGREE:
-            return uv_mod(uv_mul(a, b, self.p), self.m, self.p)
+            return _mulmod(a, b, self.neg, self.p)
         size, code, p = self.size, self.code, self.p
         pa = _pack(a, size, code)
         c = pa * (pa if a is b else _pack(b, size, code))
@@ -358,10 +390,31 @@ class _Modulus:
                 r = self.mul(r, a)
         return r
 
+    def pow_linear(self, c, e):
+        """(x + c)^e mod m by left-to-right binary powering, where a step by
+        x + c is no general product: r (x + c) is r shifted up plus c r,
+        and its one coefficient at x^n is folded back in by m's tail."""
+        p, n, neg = self.p, self.n, self.neg
+        r = [1]
+        for bit in bin(e)[2:]:
+            r = self.mul(r, r)
+            if bit == "1":
+                out = [0] + r
+                if c:
+                    for i, a in enumerate(r):
+                        out[i] += c * a
+                if len(out) > n:
+                    t = out.pop() % p
+                    if t:
+                        for i, b in enumerate(neg):
+                            out[i] += t * b
+                r = _trim([v % p for v in out])
+        return r
+
     def frobenius(self, h):
         """h^p mod m for a residue h."""
         if self.xp is None:
-            self.xp = self.pow([0, 1], self.p)
+            self.xp = self.pow_linear(0, self.p)
         elif len(self.xp) > self.n:
             self.xp = uv_mod(self.xp, self.m, self.p)
         if h == [0, 1]:
@@ -453,6 +506,33 @@ def _distinct_degree(f, p):
     return out
 
 
+def _sqrt_mod(a, p):
+    """A square root of the square a in GF(p), p odd, by Tonelli-Shanks
+    (von zur Gathen & Gerhard, Modern Computer Algebra, 14.5); one power
+    when p = 3 mod 4.  With p - 1 = q 2^s, t = a^q lies in the 2-Sylow
+    subgroup, and each step multiplies it by an even power of the
+    generator c = z^q, z a non-square, so that its order drops."""
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while not q & 1:
+        q >>= 1
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t > 1:            # t = 0 only for a = 0, whose root r is 0
+        i, u = 0, t
+        while u != 1:
+            u = u * u % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
+
+
 def _equal_degree_split(f, d, p, rng, xp=None):
     """Cantor-Zassenhaus split of a product of degree-d irreducibles.
 
@@ -460,26 +540,37 @@ def _equal_degree_split(f, d, p, rng, xp=None):
     (a a^p ... a^(p^(d-1)))^((p-1)/2), the product taking d - 1 Frobenius
     steps; for p = 2 the trace a + a^2 + ... + a^(2^(d-1)) splits.  xp,
     when given, is x^p modulo a multiple of f; the Frobenius steps reduce it
-    mod f, and both halves of a split inherit it."""
+    mod f, and both halves of a split inherit it.
+
+    Roots (d = 1, odd p) are split by GF(p) arithmetic: the two of a
+    quadratic come from the quadratic formula, and more are split by
+    a = x + c (Rabin, SIAM J. Comput. 9, 1980): a root r of f is one of
+    (x + c)^((p-1)/2) - 1 iff r + c is a nonzero square."""
     n = _deg(f)
     if n == d:
         return [f]
+    if d == 1 and p != 2 and n == 2:
+        s = _sqrt_mod((f[1] * f[1] - 4 * f[0]) % p, p)
+        half = (p + 1) // 2
+        return [[(f[1] - s) * half % p, 1], [(f[1] + s) * half % p, 1]]
     mod = _Modulus(f, p, xp)
     while True:
-        a = [rng.randrange(p) for _ in range(n)]
-        a = _trim(a)
-        if _deg(a) < 1:
-            continue
-        b = t = a
-        if p == 2:
-            for _ in range(d - 1):
-                t = mod.mul(t, t)
-                b = uv_add(b, t, p)
+        if d == 1 and p != 2:
+            b = uv_sub(mod.pow_linear(rng.randrange(p), (p - 1) // 2), [1], p)
         else:
-            for _ in range(d - 1):
-                t = mod.frobenius(t)
-                b = mod.mul(b, t)
-            b = uv_sub(mod.pow(b, (p - 1) // 2), [1], p)
+            a = _trim([rng.randrange(p) for _ in range(n)])
+            if _deg(a) < 1:
+                continue
+            b = t = a
+            if p == 2:
+                for _ in range(d - 1):
+                    t = mod.mul(t, t)
+                    b = uv_add(b, t, p)
+            else:
+                for _ in range(d - 1):
+                    t = mod.frobenius(t)
+                    b = mod.mul(b, t)
+                b = uv_sub(mod.pow(b, (p - 1) // 2), [1], p)
         g = uv_gcd(b, f, p)
         if 0 < _deg(g) < n:
             xp = mod.xp
@@ -886,29 +977,40 @@ def _hensel_lift(F, lc, pieces, w, p):
     F - lc prod G_i has degree < w - 1 in t, and the partial fractions
     e / (lc prod g_i) = sum delta_i / g_i, with
     delta_i = (e / lc) (prod_{l != i} g_l)^(-1) mod g_i, are the s^j terms
-    of the G_i.  Every partial product has degree < w in t, so truncating
-    a packed product mod s^(j+1) keeps its first (j+1) w slots.
+    of the G_i.  Each G_i is kept as one Kronecker-packed int, and the
+    product of all r of them is formed by int multiplies, unreduced; the
+    slots of its s^j coefficient alone are read back.  A term t^i s^j of
+    G_i has i < deg g_i for j > 0, so every term of the product has
+    t-degree <= deg_t F < w and stays in its own slot, and a slot sums at
+    most (w^2)^(r-1) products of r residues.
     """
     inv_lc = pow(lc, -1, p)
     whole = [c * inv_lc % p for c in F[:w]]     # prod g_i
     invs = [[c * inv_lc % p
              for c in _uv_inverse(uv_divmod(whole, g, p)[0], g, p)]
             for g in pieces]
-    lifted = [list(g) for g in pieces]
+    negs = [[-c % p for c in g[:-1]] for g in pieces]
+    size, code = _slot((w * w) ** (len(pieces) - 1) * (p - 1) ** len(pieces))
+    bits = 8 * size
+    mask = (1 << bits * w) - 1                  # w slots
+    lifted = [_pack(g, size, code) for g in pieces]
     for j in range(1, w):
-        low, top = j * w, (j + 1) * w
+        low = j * w
         prod = lifted[0]
         for G in lifted[1:]:
-            prod = uv_mul(prod, G, p)[:top]
-        e = uv_sub(F[low:top], [c * lc % p for c in prod[low:top]], p)
+            prod *= G
+        have = _unpack(prod >> bits * low & mask, w, size, code, p)
+        want = F[low:low + w]
+        want += [0] * (w - len(want))
+        e = _trim([(a - lc * b) % p for a, b in zip(want, have)])
         if not e:
             continue
-        for G, g, inv in zip(lifted, pieces, invs):
-            delta = uv_mod(uv_mul(e, inv, p), g, p)
+        for k, (neg, inv) in enumerate(zip(negs, invs)):
+            delta = _mulmod(e, inv, neg, p)
             if delta:
-                G.extend([0] * (low - len(G)))
-                G.extend(delta)
-    return lifted
+                lifted[k] += _pack(delta, size, code) << bits * low
+    return [_unpack(G, (G.bit_length() + bits - 1) // bits, size, code, p)
+            for G in lifted]
 
 
 def _hensel_factors(f: Polynomial, used, p, rng, bound, attempts=12):

@@ -32,6 +32,25 @@ def factorization(f, seed, out):
     _check(alt == out, "factorization")
 
 
+def factor_univariate(f, out):
+    """The unit times the product of the factors, to their multiplicities,
+    multiplies back to f by ``uv_mul``, which packs all but the smallest
+    operands; each factor is monic and passes Rabin's irreducibility test,
+    which uses neither the root split nor Cantor-Zassenhaus."""
+    unit, factors = out
+    used = f.support_vars()
+    i = used[0] if used else 0
+    p = f.ring.p
+    prod = [unit % p]
+    for q, m in factors:
+        g = coeff._poly_to_uv(q, i)
+        _check(q.support_vars() == used and g[-1] == 1
+               and coeff.is_irreducible_univariate(g, p), "factorUnivariate")
+        for _ in range(m):
+            prod = coeff.uv_mul(prod, g, p)
+    _check(prod == coeff._poly_to_uv(f, i), "factorUnivariate")
+
+
 def colon(I, by, out):
     """The t-trick elimination gives I meet (g) = g * (I : g), and I : J is
     the meet of the I : g."""

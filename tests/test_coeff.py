@@ -5,8 +5,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from reeskit import coeff
 from reeskit.coeff import (
-    _decode, _digit_table, _hensel_factors, _kronecker_factors,
-    _line_certifies_irreducible, _Modulus, _restrict_to_line, _uv_inverse,
+    _decode, _digit_table, _hensel_factors, _hensel_lift, _kronecker_factors,
+    _line_certifies_irreducible, _Modulus, _mulmod, _PACKED_MODULUS_DEGREE,
+    _restrict_to_line, _sqrt_mod, _uv_inverse,
     GFElement, factor_multivariate, factor_univariate, factor_univariate_list,
     gf_add, gf_div, gf_inv, gf_mul, gf_pow, gf_sub, is_irreducible_univariate,
     KRONECKER_DEGREE_BOUND, KroneckerBoundError, uv_divmod, uv_gcd, uv_mul,
@@ -465,6 +466,69 @@ class TestSplitKernels:
         assert uv_divmod([], [3, 5], p) == ([], [])
 
 
+class TestFusedKernels:
+    @pytest.mark.parametrize("p", KERNEL_PRIMES)
+    def test_mulmod_matches_schoolbook(self, p):
+        # monic and non-monic moduli, residues and operands longer than
+        # the modulus (the lift's e against a piece g_i)
+        rng = random.Random(p)
+        for n in range(1, _PACKED_MODULUS_DEGREE + 1):
+            top, rand, _ = _shapes(n, p, rng)
+            for m in (top + [1], rand + [1], rand + [rng.randrange(1, p)],
+                      top + [rng.randrange(1, p)]):
+                mod = _Modulus(m, p)
+                for _ in range(12):
+                    a, b = (rng.choice(_shapes(rng.randrange(n + 1), p, rng))
+                            for _ in range(2))
+                    want = _school_mod(_school_mul(a, b, p), m, p)
+                    assert _mulmod(a, b, mod.neg, p) == want, (n, a, b)
+                    a, b = _strip(a), _strip(b)
+                    assert mod.mul(a, b) == want, (n, a, b)
+                    a, b = (rng.choice(_shapes(rng.randrange(3 * n + 3), p,
+                                              rng)) for _ in range(2))
+                    assert _mulmod(a, b, mod.neg, p) == _school_mod(
+                        _school_mul(a, b, p), m, p), (n, a, b)
+
+    @pytest.mark.parametrize("p", KERNEL_PRIMES)
+    def test_pow_linear_matches_schoolbook(self, p):
+        rng = random.Random(p)
+        for n in (1, 2, 3, 4, 5, 8, 13):
+            top, rand, _ = _shapes(n, p, rng)
+            for m in (top + [1], rand + [rng.randrange(1, p)]):
+                mod = _Modulus(m, p)
+                for c in {0, 1, p - 1, rng.randrange(p)}:
+                    for e in (0, 1, 2, 3, rng.randrange(4, 300), p,
+                              (p - 1) // 2):
+                        assert mod.pow_linear(c, e) == _school_pow_mod(
+                            [c, 1], e, m, p), (n, c, e)
+            # (x + c)^e is 0 modulo (x + c)^n from e = n on
+            c = rng.randrange(p)
+            mod = _Modulus(_school_prod([[c, 1]] * n, p), p)
+            assert mod.pow_linear(c, n - 1) != []
+            assert mod.pow_linear(c, n) == mod.pow_linear(c, n + 2) == []
+
+    @pytest.mark.parametrize("p", [3, 5, 13, 17, 101, 257, 7681, 65537])
+    def test_sqrt_of_every_square(self, p):
+        # 7681 = 15 * 2^9 + 1 and 65537 = 2^16 + 1 run the Tonelli-Shanks
+        # loop many times; 101 = 25 * 2^2 + 1 barely enters it, 3 takes
+        # the one power of p = 3 mod 4
+        for x in range((p + 1) // 2):
+            a = x * x % p
+            assert _sqrt_mod(a, p) ** 2 % p == a, (p, a)
+
+    @pytest.mark.parametrize("p", KERNEL_PRIMES)
+    def test_quadratic_split_returns_both_roots(self, p):
+        rng = random.Random(p)
+        for _ in range(20 if p > 3 else 3):
+            r1, r2 = rng.sample(range(p), 2)
+            f = _school_mul([-r1 % p, 1], [-r2 % p, 1], p)
+            state = rng.getstate()
+            got = coeff._equal_degree_split(f, 1, p, rng)
+            assert sorted(got) == sorted([[-r1 % p, 1], [-r2 % p, 1]])
+            # only GF(2) draws: its one quadratic x^2 + x takes the trace
+            assert (rng.getstate() == state) == (p != 2)
+
+
 # ---------------------------------------------------------------------------
 # factorization against an independent oracle, and Kronecker recombination
 # ---------------------------------------------------------------------------
@@ -788,7 +852,72 @@ class TestDigitTable:
                 == _division_decode(coeffs, D, order, box, nv))
 
 
+def _list_hensel_lift(F, lc, pieces, w, p):
+    """The linear lift on coefficient lists, as _hensel_lift ran before it
+    packed its factors: every partial product has degree < w in t, so
+    truncating a product mod s^(j+1) keeps its first (j+1) w slots."""
+    inv_lc = pow(lc, -1, p)
+    whole = [c * inv_lc % p for c in F[:w]]
+    invs = [[c * inv_lc % p
+             for c in _uv_inverse(uv_divmod(whole, g, p)[0], g, p)]
+            for g in pieces]
+    lifted = [list(g) for g in pieces]
+    for j in range(1, w):
+        low, top = j * w, (j + 1) * w
+        prod = lifted[0]
+        for G in lifted[1:]:
+            prod = uv_mul(prod, G, p)[:top]
+        e = uv_sub(F[low:top], [c * lc % p for c in prod[low:top]], p)
+        if not e:
+            continue
+        for G, g, inv in zip(lifted, pieces, invs):
+            delta = uv_divmod(uv_mul(e, inv, p), g, p)[1]
+            if delta:
+                G.extend([0] * (low - len(G)))
+                G.extend(delta)
+    return lifted
+
+
 class TestHenselLifting:
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    @pytest.mark.parametrize("p", KERNEL_PRIMES)
+    def test_packed_lift_matches_lists(self, p, r):
+        """Seeded F with F(t, 0) = lc prod g_i and s^j coefficients of
+        t-degree < d; at p = 2^31 - 1 with five pieces the product's slots
+        are over 20 bytes wide, past every array typecode."""
+        rng = random.Random(p * 10 + r)
+        for trial in range(6):
+            pieces = []
+            while len(pieces) < r:
+                # over GF(2) a bad early draw can leave no coprime piece
+                # of degree <= 3: start over
+                for _ in range(50):
+                    g = [rng.randrange(p) for _ in range(rng.randint(1, 3))]
+                    if all(len(_school_gcd(g + [1], h, p)) == 1
+                           for h in pieces):
+                        pieces.append(g + [1])
+                        break
+                else:
+                    pieces = []
+            lc = rng.randrange(1, p)
+            d = sum(len(g) - 1 for g in pieces)
+            w = d + 1
+            F = [c * lc % p for c in _school_prod(pieces, p)]
+            for j in range(1, w):
+                row = ([p - 1] * d if trial == 0 else
+                       [rng.randrange(p) for _ in range(d)])
+                F += [0] * (j * w - len(F)) + row
+            F = _strip(F[:w * w])
+            got = _hensel_lift(F, lc, pieces, w, p)
+            assert got == _list_hensel_lift(F, lc, pieces, w, p)
+            # lc prod G_i = F mod s^w, and G_i = g_i mod s
+            prod = [lc]
+            for G in got:
+                prod = _school_mul(prod, G, p)[:w * w]
+            assert _strip(prod) == F
+            assert all(G[:w] == g + [0] * (len(G[:w]) - len(g))
+                       for G, g in zip(got, pieces))
+
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from([2, 3, 5, 7, 101, 32003]),
            st.lists(st.integers(1, 3), min_size=1, max_size=3),

@@ -26,6 +26,7 @@ def _cases():
     veronese = Ideal(P, (x ** 2, x * y, y ** 2))
     diagonal = Ideal(P, (x ** 2, y ** 2))
     conic, tangent = Ideal(P, (x ** 2 - y,)), Ideal(P, (y,))
+    quartic = x ** 4 + 1    # two quadratics over GF(101), 101 = 5 mod 8
     return {
         # I : (x, y) = (xy) is larger than I
         "colon": (verify.colon, (I, m), gb.colon(I, m), I),
@@ -51,6 +52,10 @@ def _cases():
         "is_smooth_away_from_irrelevant": (
             verify.is_smooth_away_from_irrelevant, (chart, strict),
             True, False),
+        # x^4 + 1 multiplies back to itself but is not irreducible
+        "factor_univariate": (verify.factor_univariate, (quartic,),
+                              coeff.factor_univariate(quartic),
+                              (1, [(quartic, 1)])),
         "factorization": (verify.factorization, (f, 0),
                           coeff.factor_multivariate(f, seed=0),
                           (1, [(f, 1)])),
@@ -64,7 +69,8 @@ def _cases():
 NAMES = ["colon", "saturate", "radical_membership", "rees_ideal",
          "multiplicity", "analytic_spread", "is_reduction",
          "reduction_number", "strict_transform",
-         "is_smooth_away_from_irrelevant", "factorization", "intersect_in_p"]
+         "is_smooth_away_from_irrelevant", "factor_univariate",
+         "factorization", "intersect_in_p"]
 
 
 def test_every_oracle_has_a_case():
@@ -98,6 +104,22 @@ def test_multiplicity_oracle_checks_the_theorem():
     assert verify.multiplicity(I, 4) is None
     with pytest.raises(verify.CrossCheckError, match="cross-check failed$"):
         verify.multiplicity(I, 5)
+
+
+def test_factor_univariate_oracle_multiplies_back():
+    # irreducible monic factors that miss f: a wrong unit, a lost
+    # multiplicity; a constant has no factors
+    P = make_ring(101, ["x", "y"])
+    x, y = P.gens()
+    f = 3 * (y - 2) ** 2 * (y ** 2 + 2)
+    unit, factors = coeff.factor_univariate(f)
+    assert (unit, [m for _, m in factors]) == (3, [2, 1])
+    assert verify.factor_univariate(f, (unit, factors)) is None
+    assert verify.factor_univariate(P.poly({(0, 0): 5}), (5, [])) is None
+    for wrong in ((1, factors), (unit, [(g, 1) for g, _ in factors])):
+        with pytest.raises(verify.CrossCheckError,
+                           match="cross-check failed$"):
+            verify.factor_univariate(f, wrong)
 
 
 def test_intersect_in_p_oracle_beyond_the_colength():
