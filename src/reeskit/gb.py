@@ -1170,6 +1170,20 @@ def dimension_and_degree(I: Ideal):
     return (n - times, sum(num.values()))
 
 
+def _complete_intersection(I: Ideal):
+    """The number c of I's nonzero generators, when c <= n, the ring's
+    order is degree-compatible and dim R/I = n - c, n the number of
+    variables; None otherwise.  In a polynomial ring they then form a
+    regular sequence at every point of V(I).  A count above n is refused
+    before any Groebner basis is computed."""
+    ring = I.ring
+    n = ring.nvars
+    c = sum(1 for g in I.gens if not g.is_zero())
+    if c > n or not is_degree_compatible(ring.order_spec):
+        return None
+    return c if dimension_and_degree(I)[0] == n - c else None
+
+
 def ring_dimension(ring) -> int:
     return dimension_and_degree(Ideal(ring, ()))[0]
 

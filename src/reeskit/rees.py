@@ -14,8 +14,9 @@ import random
 from dataclasses import dataclass
 
 from .gb import (
-    Ideal, _cancel_one_minus_t, _coefficients, _hilbert_numerator, _trim,
-    _trimmed, _with_basis, codimension, dimension_and_degree, eliminate,
+    Ideal, _cancel_one_minus_t, _coefficients, _complete_intersection,
+    _descend, _hilbert_numerator, _trim, _trimmed, _with_basis, codimension,
+    dimension_and_degree, eliminate,
     kernel_of_matrix, kernel_of_ring_map, minors_ideal, normal_form,
     reduced_groebner_raw, ring_dimension, saturate, trim_homogeneous,
     INFINITY,
@@ -35,20 +36,24 @@ DEFAULT_REDUCTION_CAP = 20
 class PresentedModule:
     """Module given by generators and a presentation matrix R^s -> R^m."""
 
-    def __init__(self, ring, presentation=None, gens=None, is_ideal=False):
+    def __init__(self, ring, presentation=None, gens=None, ideal=None):
         self.ring = ring
         self._presentation = presentation
         self.gens = tuple(gens) if gens is not None else None
-        self.is_ideal = is_ideal
+        self.ideal = ideal        # the Ideal this module is, if it is one
         self._cache = {}
 
     @classmethod
     def from_ideal(cls, I: Ideal) -> "PresentedModule":
         got = I._cache.get("module")
         if got is None:
-            got = cls(I.ring, gens=I.gens, is_ideal=True)
+            got = cls(I.ring, gens=I.gens, ideal=I)
             I._cache["module"] = got
         return got
+
+    @property
+    def is_ideal(self):
+        return self.ideal is not None
 
     @classmethod
     def from_matrix(cls, phi: FreeModuleMap) -> "PresentedModule":
@@ -190,9 +195,12 @@ def rees_ideal(M, f: Polynomial | None = None) -> Ideal:
     Default: symmetric kernel of an embedding into a free module.  For an
     ideal the inclusion into the base ring is used (the Rees algebra of an
     ideal does not depend on the embedding); general modules go through the
-    universal embedding.  With ``f``: the
-    saturation strategy I0 : f^infinity, legal when f is a non-zerodivisor
-    with M[1/f] of linear type.
+    universal embedding.  An ideal of a polynomial ring whose generators
+    form a complete intersection skips the kernel: its Rees ideal is
+    the Koszul relations' (``_koszul_rees_ideal``), which
+    ``verify.rees_ideal`` checks against the saturation strategy.  With
+    ``f``: the saturation strategy I0 : f^infinity, legal when f is a
+    non-zerodivisor with M[1/f] of linear type.
     """
     M = as_module(M)
     if f is not None:
@@ -203,10 +211,36 @@ def rees_ideal(M, f: Polynomial | None = None) -> Ideal:
     got = M._cache.get("rees_ideal")
     if got is not None:
         return got
-    emb = M.generator_row() if M.is_ideal else universal_embedding(M)
-    out = symmetric_kernel(emb)
+    out = _koszul_rees_ideal(M.ideal) if M.is_ideal else None
+    if out is None:
+        emb = M.generator_row() if M.is_ideal else universal_embedding(M)
+        out = symmetric_kernel(emb)
     M._cache["rees_ideal"] = out
     return out
+
+
+def _koszul_rees_ideal(I: Ideal):
+    """The Rees ideal of I from its generators alone, when I is an ideal
+    of a polynomial ring whose r nonzero generators g_i cut out dimension
+    n - r (``gb._complete_intersection``); None otherwise.
+
+    They then form a regular sequence at every point of V(I), so I is of
+    linear type (Micali; Huneke, *J. Algebra* 62, 1980), and grade I = r,
+    so the Koszul syzygies generate all of them: the Rees ideal is
+    (w_i * g_j - w_j * g_i), plus w_j for a zero g_j.  Its reduced basis is
+    unique, so the result, born with it, is the kernel path's ideal with
+    the same generators.
+    """
+    ring = I.ring
+    if ring.quotient or _complete_intersection(I) is None:
+        return None
+    W = rees_ring(ring, len(I.gens))
+    w = [W.var(n) for n in rees_variable_names(W)]
+    g = [transport(f, W) for f in I.gens]
+    rels = [w[i] * g[j] - w[j] * g[i]
+            for j in range(len(g)) for i in range(j)]
+    rels += [wj for wj, gj in zip(w, g) if gj.is_zero()]
+    return _descend(W, reduced_groebner_raw(rels, W), W.order_spec)
 
 
 def is_linear_type(M) -> bool:
@@ -311,9 +345,15 @@ def multiplicity(I: Ideal) -> int:
     Cambridge Philos. Soc.* 50, 1954), and e(J) = delta^d * e(R)
     (Bruns-Herzog, *Cohen-Macaulay Rings*, 4.7).
 
+    When R is a polynomial ring and I has exactly n = dim R nonzero
+    generators, forms or not, they are a parameter ideal of each local
+    ring R_P at a point P of V(I), which is Cohen-Macaulay, so
+    e(I_P) = len(R_P/I_P) (Bruns-Herzog 4.7) and e(I), their sum, is the
+    colength dim_k R/I: the degree of the zero-dimensional I.
+
     Otherwise e(I) = h(1), as len(R/I^(n+1)) has generating function
     h(t)/(1 - t)^(d+1), h from the normal cone (``_normal_cone_series``),
-    which ``verify.multiplicity`` also checks the theorem against.
+    which ``verify.multiplicity`` also checks both theorems against.
     """
     ring = I.ring
     if any(d != 1 for d in ring.degrees):
@@ -321,12 +361,15 @@ def multiplicity(I: Ideal) -> int:
     for q in ring.quotient:
         if not q.is_homogeneous():
             raise ValueError("multiplicity needs a graded base ring")
-    if dimension_and_degree(I)[0] != 0:
+    dim, colength = dimension_and_degree(I)
+    if dim != 0:
         raise ValueError("multiplicity needs a zero-dimensional ideal")
     degrees = _form_degrees(I)
     if degrees is not None and len(degrees) == 1:
         d, e = dimension_and_degree(Ideal(ring, ()))
         return degrees.pop() ** d * e
+    if not ring.quotient and _complete_intersection(I) == ring.nvars:
+        return colength
     h, _ = _normal_cone_series(I)
     return sum(h.values())
 

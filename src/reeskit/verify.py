@@ -133,13 +133,6 @@ def is_smooth_away_from_irrelevant(chart, X, out):
     _check(alt.is_unit() == out, "smoothness")
 
 
-def _complete_intersection(I, n):
-    """The number c of I's nonzero generators, when dim R/I = n - c: they
-    then form a regular sequence at every point of V(I)."""
-    c = sum(1 for g in I.gens if not g.is_zero())
-    return c if gb.dimension_and_degree(I)[0] == n - c else None
-
-
 def intersect_in_p(I, J, seed, out):
     """(i) Where I and J are complete intersections of codimensions adding
     up to n that meet in finitely many points, Tor vanishes and each
@@ -149,12 +142,11 @@ def intersect_in_p(I, J, seed, out):
     kernel between both normal cones, where it certifies every component:
     an uncertified or refused result of that path cannot refute ``out``."""
     ring = I.ring
-    n = ring.nvars
     both = I + J
     if polyring.is_degree_compatible(ring.order_spec) \
             and gb.dimension_and_degree(both)[0] == 0:
-        cI, cJ = _complete_intersection(I, n), _complete_intersection(J, n)
-        if cI is not None and cJ is not None and cI + cJ == n:
+        cI, cJ = gb._complete_intersection(I), gb._complete_intersection(J)
+        if cI is not None and cJ is not None and cI + cJ == ring.nvars:
             _check(all(c.prime.contains(g) for c in out for g in both.gens)
                    and sum(c.multiplicity * gb.vector_space_dimension(c.prime)
                            for c in out) == gb.vector_space_dimension(both),

@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from reeskit import blowup as blowup_module
 from reeskit.blowup import (blowup_of, is_smooth_away_from_irrelevant,
                             singular_locus_ideal, strict_transform,
                             total_transform)
 from reeskit.decompose import minimal_primes
-from reeskit.gb import (Ideal, dimension_and_degree, normal_form,
+from reeskit.gb import (Ideal, _lift, _saturates_to_unit,
+                        dimension_and_degree, normal_form,
                         radical_membership, saturate, saturation_exponent)
 from reeskit.polyring import make_ring
 
@@ -235,3 +238,60 @@ class TestSmoothnessAgreement:
                           (Ideal(B, (w0 - x - 1,)), False),
                           (Ideal(B, (w0 - 1, y ** 2 - x)), False)):
             assert _agrees_with_saturation(chart, X) == smooth, X.gens
+
+
+CENTERS = {"(x, y)": lambda x, y: (x, y),
+           "(x, y^2)": lambda x, y: (x, y ** 2),
+           "(x^2, y)": lambda x, y: (x ** 2, y)}
+
+
+def _w_degrees(f):
+    """The w-degrees of the terms of f, a polynomial of a chart ring."""
+    ws = [f.ring.var_index(n) for n in ("w_0", "w_1")]
+    return {sum(e[k] for k in ws) for e, _ in f.terms}
+
+
+class TestSmoothnessByCharts:
+    """The chart-by-chart test against the one Rabinowitsch basis that
+    every input which is not w-homogeneous keeps."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 3, 101, 32003]), st.sampled_from(sorted(CENTERS)),
+           st.integers(0, 10 ** 6))
+    def test_charts_match_the_rabinowitsch_basis(self, p, center, seed):
+        # random plane curves of degree <= 4, often through the origin and
+        # singular there, so that their strict transforms go both ways
+        rng = random.Random(seed)
+        R = make_ring(p, ["x", "y"])
+        x, y = R.gens()
+        low = rng.choice([0, 1, 2, 2])
+        f = R.poly({(a, b): rng.randrange(p) for a in range(5)
+                    for b in range(5 - a)
+                    if a + b >= low and rng.random() < 0.4})
+        assume(not f.is_zero())
+        chart = blowup_of(Ideal(R, CENTERS[center](x, y)))
+        st_ = strict_transform(chart, Ideal(R, (f,)))
+        # a strict transform is w-homogeneous, so the charts decide it
+        assert all(len(_w_degrees(g)) == 1 for g in _lift(st_)
+                   if not g.is_zero())
+        amb = st_.ring.ambient
+        want = _saturates_to_unit(
+            Ideal(amb, blowup_module._singular_locus_gens(st_)),
+            [amb.var("w_0"), amb.var("w_1")])
+        assert is_smooth_away_from_irrelevant(chart, st_) == want
+
+    def test_input_not_w_homogeneous_takes_the_rabinowitsch_basis(
+            self, tacnode_setup, monkeypatch):
+        _, tacnode, _, chart = tacnode_setup
+        calls = []
+        basis = blowup_module._saturates_to_unit
+        monkeypatch.setattr(blowup_module, "_saturates_to_unit",
+                            lambda *a: calls.append(a) or basis(*a))
+        B = chart.ring
+        x, w1 = B.var("x"), B.var("w_1")
+        # w_1 + x - 1 mixes w-degrees 1 and 0
+        assert is_smooth_away_from_irrelevant(chart, Ideal(B, (w1 + x - 1,)))
+        assert len(calls) == 1
+        assert is_smooth_away_from_irrelevant(
+            chart, strict_transform(chart, tacnode))
+        assert len(calls) == 1

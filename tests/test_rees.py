@@ -591,16 +591,19 @@ class TestInvariantsByTheorem:
         assert analytic_spread(I) == ell
 
     def test_mixed_degrees_keep_the_computed_paths(self, A2, monkeypatch):
-        # (x^2, y^3) meets no theorem's hypothesis on one degree; (x, y)^2
-        # does, and forms no normal cone
+        # (x^2, x*y^2, y^3) meets no theorem's hypothesis: mixed degrees,
+        # and three generators in two variables; (x, y)^2 has one degree,
+        # and (x^2, y^3) is a complete intersection: neither forms a
+        # normal cone
         calls = []
         series = rees_module._normal_cone_series
         monkeypatch.setattr(rees_module, "_normal_cone_series",
                             lambda I: calls.append(I) or series(I))
         x, y = A2.gens()
-        assert multiplicity(Ideal(A2, (x ** 2, y ** 3))) == 6
+        assert multiplicity(Ideal(A2, (x ** 2, x * y ** 2, y ** 3))) == 6
         assert len(calls) == 1
         assert multiplicity(Ideal(A2, (x ** 2, x * y, y ** 2))) == 4
+        assert multiplicity(Ideal(A2, (x ** 2, y ** 3))) == 6
         assert len(calls) == 1
 
     def test_spread_outside_the_theorem_takes_the_fiber(self, A2):
@@ -610,6 +613,91 @@ class TestInvariantsByTheorem:
         # not forms: the fiber refuses an ideal off the origin, as before
         with pytest.raises(ValueError, match="not contained"):
             analytic_spread(Ideal(A2, (x - 1, y)))
+
+
+def _random_polys(R, count, rng, homogeneous=False):
+    """``count`` random polynomials of degree 1 to 3 (2 in three or more
+    variables), forms when ``homogeneous``, none zero."""
+    top = 3 if R.nvars == 2 else 2
+    out = []
+    while len(out) < count:
+        d = rng.randint(1, top)
+        exps = [e for e in itertools.product(range(d + 1), repeat=R.nvars)
+                if sum(e) <= d and (sum(e) == d or not homogeneous)]
+        f = R.poly({e: rng.randrange(R.p) for e in exps
+                    if rng.random() < 0.6})
+        if not f.is_zero():
+            out.append(f)
+    return out
+
+
+class TestCompleteIntersectionsByTheorem:
+    """The Koszul Rees ideal and the colength multiplicity against the
+    computed paths they replace."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(PRIMES_TESTED), st.integers(2, 3),
+           st.integers(1, 3), st.integers(0, 10 ** 6))
+    def test_koszul_rees_ideal_matches_the_kernel(self, p, n, r, seed):
+        # a shared factor, or a zero generator, spoils a complete
+        # intersection half the time
+        rng = random.Random(seed)
+        R = make_ring(p, ["x", "y", "z"][:n])
+        gens = _random_polys(R, r, rng, homogeneous=rng.random() < 0.5)
+        if rng.random() < 0.3:
+            common = _random_polys(R, 1, rng)[0]
+            gens = [g * common for g in gens]
+        if rng.random() < 0.2:
+            gens.insert(rng.randrange(len(gens) + 1), R.zero())
+        I = Ideal(R, tuple(gens))
+        M = PresentedModule.from_ideal(I)
+        want = symmetric_kernel(M.generator_row())
+        got = rees_module._koszul_rees_ideal(I)
+        if got is None:
+            assert gb_module._complete_intersection(I) is None
+            got = rees_ideal(I)
+        assert [g.terms for g in got.gens] == [g.terms for g in want.gens]
+        assert got._basis_terms() == want._basis_terms()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(PRIMES_TESTED), st.integers(2, 3), st.booleans(),
+           st.integers(0, 10 ** 6))
+    def test_colength_matches_the_normal_cone(self, p, n, homogeneous, seed):
+        rng = random.Random(seed)
+        R = make_ring(p, ["x", "y", "z"][:n])
+        I = Ideal(R, tuple(_random_polys(R, n, rng, homogeneous)))
+        assume(gb_module._complete_intersection(I) == n)
+        h, _ = _normal_cone_series(I)
+        assert multiplicity(I) == dimension_and_degree(I)[1] \
+            == sum(h.values())
+
+    def test_too_many_generators_cost_no_groebner_basis(self, A3,
+                                                       monkeypatch):
+        calls = []
+        engine = gb_module._gb_core
+        monkeypatch.setattr(gb_module, "_gb_core",
+                            lambda *a, **k: calls.append(a) or engine(*a, **k))
+        x, y, z = A3.gens()
+        I = Ideal(A3, (x, y, z)) ** 2
+        assert gb_module._complete_intersection(I) is None
+        assert rees_module._koszul_rees_ideal(I) is None
+        assert not calls
+        assert gb_module._complete_intersection(Ideal(A3, (x, y ** 2))) == 2
+
+    def test_the_kernel_stays_for_quotients_and_lex(self):
+        lex = make_ring(101, ["x", "y"], order="lex")
+        x, y = lex.gens()
+        assert rees_module._koszul_rees_ideal(Ideal(lex, (x, y ** 2))) is None
+        S = make_ring(101, ["x", "y", "z"])
+        cone = make_ring(101, ["x", "y", "z"],
+                         quotient=[S.var("x") * S.var("y") - S.var("z") ** 2])
+        x, y, z = cone.gens()
+        assert rees_module._koszul_rees_ideal(Ideal(cone, (x, z))) is None
+        # three generators in three variables, but the cone has dimension
+        # 2: the colength 2 is not e, which the normal cone gives
+        I = Ideal(cone, (x ** 2, y, z))
+        assert vector_space_dimension(I) == 2
+        assert multiplicity(I) == 3
 
 
 class TestWhichGm:
