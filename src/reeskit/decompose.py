@@ -2,9 +2,10 @@
 
 The pipeline splits along factors of Groebner basis elements, then handles
 zero-dimensional ideals in one pass over the variables (Seidenberg).  Each
-variable's eliminant, its monic minimal polynomial modulo J, is factored:
-two or more irreducible factors split J; a power q^m of one irreducible
-adjoins q(v) to J and the pass goes on.  The eliminants met earlier stay
+variable's eliminant, its monic minimal polynomial modulo J, the first
+dependency among its powers in one ``gb._Echelon``, is factored: two or
+more irreducible factors split J; a power q^m of one irreducible adjoins
+q(v) to J and the pass goes on.  The eliminants met earlier stay
 irreducible, since q(v) is nilpotent modulo J, hence not a unit, and so
 cannot cut them down to a proper factor.  After the pass every eliminant
 is squarefree, so J is radical.  Primality is certified by a
@@ -18,9 +19,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .coeff import factor_multivariate, factor_univariate_list, uv_monic, _trim
-from .gb import (Ideal, _ambient_ideal, _descend, dimension_and_degree,
-                 normal_form)
+from .coeff import factor_multivariate, factor_univariate_list
+from .gb import (Ideal, _Echelon, _ambient_ideal, _descend,
+                 dimension_and_degree, normal_form)
 from .polyring import Polynomial, RingDescriptor, RingMap
 
 
@@ -44,31 +45,17 @@ def _min_poly(f: Polynomial, J: Ideal, D: int):
     """Monic minimal polynomial of f modulo the zero-dimensional ideal J,
     whose quotient has dimension D over GF(p).
 
-    Returns the ascending coefficient list.  The powers of f are reduced
-    against echelon rows kept as sparse dicts over normal-form terms."""
-    p = J.ring.p
-    rows = []      # (pivot term, row, combination of powers of f)
-    g = J.ring.one()
+    Returns the ascending coefficient list.  The row of f^k is its normal
+    form, on monomial columns numbered from 0, and 1 in the column -1 - k,
+    which cannot be a pivot while a monomial column is left: the first row
+    that the ``_Echelon`` reduces to negative columns is the dependency."""
+    echelon, column, g = _Echelon(J.ring.p), {}, J.ring.one()
     for k in range(D + 1):
-        vec = dict(g.terms)
-        combo = [0] * k + [1]
-        for pivot, row, rcombo in rows:
-            c = vec.get(pivot)
-            if c:
-                for e, a in row.items():
-                    a = (vec.get(e, 0) - c * a) % p
-                    if a:
-                        vec[e] = a
-                    else:
-                        del vec[e]
-                for i, a in enumerate(rcombo):
-                    combo[i] = (combo[i] - c * a) % p
-        if not vec:
-            return uv_monic(_trim(combo), p)
-        pivot = next(iter(vec))
-        inv = pow(vec[pivot], -1, p)
-        rows.append((pivot, {e: a * inv % p for e, a in vec.items()},
-                     [a * inv % p for a in combo]))
+        rest = echelon.reduce({column.setdefault(e, len(column)): c
+                               for e, c in g.terms} | {-1 - k: 1})
+        if max(rest) < 0:
+            return [rest.get(-1 - i, 0) for i in range(k + 1)]
+        echelon.keep(rest)
         g = normal_form(g * f, J)
     raise RuntimeError("minimal polynomial search exceeded dimension")
 

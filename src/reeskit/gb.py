@@ -396,6 +396,37 @@ def reduced_groebner_raw(polys, amb, basis=()):
             for _, g in _engine_basis(vecs, amb, padding=padding)]
 
 
+class _Echelon:
+    """Row echelon form over GF(p) of {column: coefficient} rows, each kept
+    row monic at its largest int column, its pivot, no two on one pivot: a
+    row lies in their span iff ``reduce`` clears it, in any row order."""
+
+    def __init__(self, p):
+        self.p, self.pivots = p, {}
+
+    def reduce(self, row):
+        """The rest of ``row`` (consumed), led by a column that is no pivot."""
+        p, pivots = self.p, self.pivots
+        while row:
+            j = max(row)
+            if j not in pivots:
+                break
+            c = row[j]
+            for k, v in pivots[j].items():
+                x = (row.get(k, 0) - c * v) % p
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+        return row
+
+    def keep(self, rest):
+        """Store a nonempty ``reduce`` result as a pivot row."""
+        j = max(rest)
+        inv = pow(rest[j], -1, self.p)
+        self.pivots[j] = {k: c * inv % self.p for k, c in rest.items()}
+
+
 # ---------------------------------------------------------------------------
 # public types
 # ---------------------------------------------------------------------------
@@ -1157,13 +1188,15 @@ def _cancel_one_minus_t(num, most):
 def dimension_and_degree(I: Ideal):
     """Krull dimension of ring/I and degree of the projective closure:
     the pole order at T = 1 of the lead-term ideal's Hilbert series
-    N(T)/(1 - T)^n, and N/(1 - T)^(n - dim) at T = 1."""
-    ring = I.ring
-    if not is_degree_compatible(ring.order_spec):
-        raise ValueError("dimension needs a degree-compatible order")
+    N(T)/(1 - T)^n, and N/(1 - T)^(n - dim) at T = 1, the same in every
+    degree-compatible order: other orders read it in a grevlex copy."""
+    amb = I.ring.ambient
+    if not is_degree_compatible(amb.order_spec):
+        copy = RingDescriptor(amb.p, amb.blocks, ("grevlex",), amb.degrees)
+        I = Ideal(copy, [transport(g, copy) for g in _lift(I)])
     if I.is_unit():
         return (-1, 0)
-    n = ring.ambient.nvars
+    n = amb.nvars
     lt = [g.terms[0][0] for g in I.groebner().ambient_elements]
     num = _hilbert_numerator(lt, (1,) * n)
     num, times = _cancel_one_minus_t(num, n)

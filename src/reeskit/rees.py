@@ -5,7 +5,8 @@ base[w_0..w_{m-1}]; the Rees ideal is the kernel of the symmetric-algebra
 map induced by an embedding into a free module.  For an ideal the inclusion
 into the base ring itself is such an embedding and the kernel becomes the
 classical elimination computation; for general modules the versal map is
-computed first from the presentation.
+computed first from the presentation.  The reduction test of forms of one
+degree eliminates no variable: it compares ranks in ``gb._Echelon``.
 """
 
 from __future__ import annotations
@@ -14,16 +15,16 @@ import random
 from dataclasses import dataclass
 
 from .gb import (
-    Ideal, _cancel_one_minus_t, _coefficients, _complete_intersection,
-    _descend, _hilbert_numerator, _trim, _trimmed, _with_basis, codimension,
-    dimension_and_degree, eliminate,
+    Ideal, _Echelon, _cancel_one_minus_t, _coefficients,
+    _complete_intersection, _descend, _hilbert_numerator, _trim, _trimmed,
+    _with_basis, codimension, dimension_and_degree, eliminate,
     kernel_of_matrix, kernel_of_ring_map, minors_ideal, normal_form,
     reduced_groebner_raw, ring_dimension, saturate, trim_homogeneous,
     INFINITY,
 )
 from .polyring import (
     FreeModuleMap, Polynomial, RingDescriptor, RingMap, RingMismatchError,
-    is_degree_compatible, matrix_from_columns, row_times_matrix, transport,
+    matrix_from_columns, row_times_matrix, transport,
 )
 
 DEFAULT_REDUCTION_CAP = 20
@@ -403,17 +404,14 @@ def analytic_spread(I: Ideal) -> int:
 
     An m-primary I of a local or standard graded ring R has spread dim R
     (Swanson-Huneke, *Integral Closure of Ideals, Rings, and Modules*,
-    2006, ch. 8).  So when R is standard graded with homogeneous Q, its
-    order degree-compatible, and I's nonzero generators are forms that cut
-    out dimension 0, the spread is read off the ring.  Every other I takes
-    the fiber (``_fiber_dimension``), which ``verify.analytic_spread``
-    also checks the theorem against.
+    2006, ch. 8).  So when R is standard graded with homogeneous Q and I's
+    nonzero generators are forms that cut out dimension 0, the spread is
+    read off the ring, in any order.  Every other I takes the fiber
+    (``_fiber_dimension``), which ``verify.analytic_spread`` also checks.
     """
-    ring = I.ring
-    if (_form_degrees(I) and _standard_graded(ring)
-            and is_degree_compatible(ring.order_spec)
+    if (_form_degrees(I) and _standard_graded(I.ring)
             and dimension_and_degree(I)[0] == 0):
-        return ring_dimension(ring)
+        return ring_dimension(I.ring)
     return _fiber_dimension(I)
 
 
@@ -480,42 +478,25 @@ def _reduction_by_rank(I: Ideal, J: Ideal, cap) -> ReductionCertificate:
     """The reduction test in one degree per step, for I and J generated by
     forms of one degree: a basis of (I^r)_(r delta), carried from step to
     step, times the generators of I spans (I^(r+1))_D, and times those of
-    J spans (J * I^r)_D.  In a quotient ring the products are already
-    normal forms, unique, so their ranks are the dimensions in R."""
-    basis = [I.ring.one()]
+    J spans (J * I^r)_D; each side keeps the products outside the span of
+    those before them in an ``_Echelon``.  In a quotient ring they are
+    already normal forms, unique, so their ranks are the dimensions in R."""
+    p, basis = I.ring.p, [I.ring.one()]
     for r in range(cap + 1):
-        nxt = _independent([b * g for b in basis for g in I.gens])
-        if len(_independent([b * g for b in basis for g in J.gens])) \
-                == len(nxt):
+        spans = []
+        for gens in (I.gens, J.gens):
+            echelon, kept, column = _Echelon(p), [], {}
+            for f in (b * g for b in basis for g in gens):
+                rest = echelon.reduce({column.setdefault(e, len(column)): c
+                                       for e, c in f.terms})
+                if rest:
+                    echelon.keep(rest)
+                    kept.append(f)
+            spans.append(kept)
+        if len(spans[1]) == len(spans[0]):
             return ReductionCertificate(True, r, cap)
-        basis = nxt
+        basis = spans[0]
     return ReductionCertificate(False, None, cap)
-
-
-def _independent(polys):
-    """The members of ``polys`` outside the span of those before them, a
-    basis of their span: Gaussian elimination mod p on coefficient rows,
-    whose columns are numbered as their monomials first occur."""
-    kept, pivots, column = [], {}, {}
-    for f in polys:
-        p = f.ring.p
-        row = {column.setdefault(e, len(column)): c for e, c in f.terms}
-        while row:
-            j = max(row)
-            pivot = pivots.get(j)
-            if pivot is None:
-                inv = pow(row[j], -1, p)
-                pivots[j] = {k: c * inv % p for k, c in row.items()}
-                kept.append(f)
-                break
-            c = row[j]
-            for k, v in pivot.items():
-                x = (row.get(k, 0) - c * v) % p
-                if x:
-                    row[k] = x
-                else:
-                    del row[k]
-    return kept
 
 
 def reduction_number(I: Ideal, J: Ideal, cap=DEFAULT_REDUCTION_CAP) -> int:

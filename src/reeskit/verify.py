@@ -7,7 +7,7 @@ directly.
 
 from collections import Counter
 
-from . import blowup, coeff, gb, intersection, polyring, rees
+from . import blowup, coeff, gb, intersection, rees
 from .gb import Ideal
 
 
@@ -141,12 +141,10 @@ def intersect_in_p(I, J, seed, out):
     colength(I + J).  (ii) ``distinguished`` on the doubled projection, the
     kernel between both normal cones, where it certifies every component:
     an uncertified or refused result of that path cannot refute ``out``."""
-    ring = I.ring
     both = I + J
-    if polyring.is_degree_compatible(ring.order_spec) \
-            and gb.dimension_and_degree(both)[0] == 0:
+    if gb.dimension_and_degree(both)[0] == 0:
         cI, cJ = gb._complete_intersection(I), gb._complete_intersection(J)
-        if cI is not None and cJ is not None and cI + cJ == ring.nvars:
+        if cI is not None and cJ is not None and cI + cJ == I.ring.nvars:
             _check(all(c.prime.contains(g) for c in out for g in both.gens)
                    and sum(c.multiplicity * gb.vector_space_dimension(c.prime)
                            for c in out) == gb.vector_space_dimension(both),

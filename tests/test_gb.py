@@ -1145,6 +1145,127 @@ class TestDimensionDegree:
         if all(a <= 1 for e in exps for a in e):
             assert degree == len(covers)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["lex", ("block", (1, 2)), ("block", (2, 1))]),
+           st.booleans(), st.integers(0, 10 ** 6))
+    def test_any_order_matches_the_grevlex_copy(self, order, quotient, seed):
+        # the same ideal, over the same quotient, in grevlex: a
+        # degree-compatible order fixes the affine Hilbert function
+        rng = random.Random(seed)
+        p = rng.choice([2, 7, 101])
+        names = ["x", "y", "z"]
+        R, G = make_ring(p, names, order=order), make_ring(p, names)
+        gens = [sparse_poly(R, rng, range(1, 4), range(4))
+                for _ in range(rng.randint(0, 3))]
+        extra = [g for g in (sparse_poly(R, rng, range(1, 3), range(1, 3))
+                             for _ in range(2)) if not g.is_zero()]
+        if quotient and extra and not Ideal(G, tuple(
+                transport(g, G) for g in extra)).is_unit():
+            R = make_ring(p, names, order=order, quotient=extra)
+            G = make_ring(p, names, quotient=[transport(g, G) for g in extra])
+        I = Ideal(R, tuple(transport(g, R) for g in gens))
+        assert dimension_and_degree(I) == dimension_and_degree(
+            Ideal(G, tuple(transport(g, G) for g in I.gens)))
+        assert ring_dimension(R) == ring_dimension(G)
+
+
+def dense_rank(rows, p):
+    """Oracle: the rank over GF(p) of {column: coefficient} rows, by dense
+    Gauss-Jordan elimination over the columns that occur."""
+    cols = sorted({j for r in rows for j in r})
+    m = [[r.get(j, 0) % p for j in cols] for r in rows]
+    rank = 0
+    for c in range(len(cols)):
+        i = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if i is None:
+            continue
+        m[rank], m[i] = m[i], m[rank]
+        inv = pow(m[rank][c], -1, p)
+        m[rank] = [a * inv % p for a in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][c]:
+                f = m[i][c]
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def _combine(rows, coeffs, p):
+    """sum(coeffs[i] * rows[i]) as a row, zero coefficients dropped."""
+    out = {}
+    for a, r in zip(coeffs, rows):
+        for j, c in r.items():
+            out[j] = (out.get(j, 0) + a * c) % p
+    return {j: c for j, c in out.items() if c}
+
+
+ECHELON_PRIMES = [2, 3, 101, 32003, 2 ** 31 - 1]
+
+
+class TestEchelon:
+    """``gb._Echelon`` against a dense elimination kept in this file."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(ECHELON_PRIMES), st.integers(0, 10 ** 6))
+    def test_matches_dense_elimination(self, p, seed):
+        # rows inside and outside the span, empty rows, and negative
+        # columns such as the combination columns of decompose._min_poly
+        rng = random.Random(seed)
+        cols = list(range(-3, rng.randint(1, 8)))
+        echelon, seen = gb_module._Echelon(p), []
+        for _ in range(rng.randint(1, 14)):
+            draw = rng.random()
+            if draw < 0.15:
+                row = {}
+            elif draw < 0.45 and seen:
+                row = _combine(seen, [rng.randrange(p) for _ in seen], p)
+            else:
+                row = {j: rng.randrange(1, p)
+                       for j in rng.sample(cols, rng.randint(1, len(cols)))}
+            rest = echelon.reduce(dict(row))
+            assert bool(rest) == (dense_rank(seen + [row], p)
+                                  > dense_rank(seen, p))
+            assert all(0 < c < p for c in rest.values())
+            # what was cleared is a combination of the rows before
+            cleared = {j: (row.get(j, 0) - rest.get(j, 0)) % p
+                       for j in set(row) | set(rest)}
+            assert dense_rank(seen + [cleared], p) == dense_rank(seen, p)
+            if rest:
+                j = max(rest)
+                assert j not in echelon.pivots
+                echelon.keep(rest)
+                pivot = echelon.pivots[j]
+                assert pivot[j] == 1 and max(pivot) == j
+            seen.append(row)
+        assert len(echelon.pivots) == dense_rank(seen, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(ECHELON_PRIMES), st.integers(0, 10 ** 6))
+    def test_first_rest_on_negative_columns_is_the_first_dependency(
+            self, p, seed):
+        # as in decompose._min_poly: the k-th vector's row carries 1 in
+        # the column -1 - k, and m + 1 vectors in m columns are dependent
+        rng = random.Random(seed)
+        m = rng.randint(1, 6)
+        echelon, vecs = gb_module._Echelon(p), []
+        for k in range(m + 1):
+            if vecs and rng.random() < 0.3:
+                v = _combine(vecs, [rng.randrange(p) for _ in vecs], p)
+            else:
+                v = {j: rng.randrange(1, p)
+                     for j in rng.sample(range(m), rng.randint(0, m))}
+            vecs.append(v)
+            rest = echelon.reduce({**v, -1 - k: 1})
+            if max(rest) < 0:
+                coeffs = [rest.get(-1 - i, 0) for i in range(k + 1)]
+                assert coeffs[k] == 1
+                assert not _combine(vecs, coeffs, p)
+                assert dense_rank(vecs[:k], p) == k
+                return
+            echelon.keep(rest)
+            assert dense_rank(vecs, p) == k + 1
+        raise AssertionError("m + 1 vectors in m columns are dependent")
+
 
 class TestHilbertSeries:
     def test_principal_quadric(self, A2):

@@ -259,6 +259,17 @@ class TestDoubledRing:
         assert as_multiset(got) == [(1, ("x",)), (3, ("x", "y"))]
         assert all(c.certified for c in got)
 
+    def test_lex_ring_gives_the_grevlex_answer(self):
+        # a lex ring takes the doubled ring, whose components are sorted
+        # by dimension, which a lex ring reads in its grevlex copy
+        out = []
+        for order in ("lex", "grevlex"):
+            R = make_ring(2, ["x", "y"], order=order)
+            x, y = R.gens()
+            out.append([str(c) for c in intersect_in_p(
+                Ideal(R, (x + y + 1,)), Ideal(R, (y + 1,)))])
+        assert out[0] == out[1] == ["(1, ideal[ y + 1, x ])"]
+
     def test_empty_intersection_keeps_its_error(self, P):
         x, y = P.gens()
         with pytest.raises(ValueError, match="normal cone of the unit ideal"):
