@@ -519,7 +519,8 @@ _TABLE = {
     "dimensionAndDegree": (gb_mod, "dimension_and_degree", (_as_ideal,)),
     "codim": (gb_mod, "codimension", (_as_ideal,)),
     "hilbertSeries": (gb_mod, "hilbert_series", (_as_ideal,)),
-    "kernelOfMatrix": (gb_mod, "kernel_of_matrix", (_as_matrix,)),
+    "kernelOfMatrix": (gb_mod, "kernel_of_matrix", (_as_matrix,),
+                       verify.kernel_of_matrix),
     "minorsIdeal": (gb_mod, "minors_ideal", (_as_int, _as_matrix)),
     "trimHomogeneous": (gb_mod, "trim_homogeneous", (_as_ideal,)),
     "radicalMembership": (gb_mod, "radical_membership",

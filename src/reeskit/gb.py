@@ -42,11 +42,16 @@ Groebner bases and, by the usual graph construction (``_graph_basis``),
 both syzygies and lifts: the coefficients of members of an ideal on its
 generators (``_coefficients``, behind ``rees.jacobian_dual``).
 
-Padding.  An input that is already a reduced basis, Q in every row or an
-ideal's carried basis, is passed as padding (``_padded``): the engine
-inserts it first and forms no pair inside it, as standard-basis engines
-treat the generators of a quotient ring (Greuel and Pfister, "A Singular
-Introduction to Commutative Algebra").
+Padding.  A reduced basis that every row needs, Q or an ideal's carried
+basis, enters the engine once, as polynomials with a row count
+(``_gb_core``'s ``padding`` and ``rows``), as standard-basis engines keep
+the ideal of a quotient ring once and apply it in every component (Greuel
+and Pfister, "A Singular Introduction to Commutative Algebra").  The
+engine packs each polynomial once and derives its copy in each row by a
+component shift, checks the basis once, inserts the copies first and
+forms no pair among them.  A caller that keeps only the elements led past
+the rows, as ``_syzygies`` does, asks for those alone (``least``), and
+the others are neither interreduced nor unpacked.
 
 Every normal form, here and in quotient rings, is computed by the one term
 reducer ``polyring._reduce_vec``, which returns the remainder and nothing
@@ -116,16 +121,20 @@ def _vec_to_polys(vec, amb, rank):
     return tuple(Polynomial(amb, tuple(b)) for b in buckets)
 
 
-def _gb_core(vectors, amb, spec=None, padding=None):
-    """Reduced Groebner basis of the module generated by ``vectors``.
+def _gb_core(vectors, amb, spec=None, padding=(), rows=1, least=0):
+    """Reduced Groebner basis of the module generated by ``vectors`` and
+    ``padding`` in each of the first ``rows`` components.
 
     ``vectors`` are term dicts {(component, exponents): coeff} of ``amb``,
     and ``spec`` the order spec, ``amb``'s own by default, under position
-    over term.  ``padding`` flags the vectors of a reduced basis, ascending
-    in each component (``_padded``): they go in first and make no pairs
-    among themselves.  Returns ``(basis,)``: a list of monic term dicts
-    sorted by ascending lead, each dict carrying its lead under the key
-    ``"_lead"``.
+    over term.  ``padding`` is a reduced Groebner basis of polynomials of
+    ``amb``, ascending (a quotient basis Q, or an ideal's ambient basis):
+    the engine packs each polynomial once, derives its copy in every row
+    by a component shift, inserts the copies first and forms no pair
+    among them (see ``_buchberger``).  Returns ``(basis,)``: a list of
+    monic term dicts sorted by ascending lead, each dict carrying its lead
+    under the key ``"_lead"``, of the basis elements led in a component
+    >= ``least``; the others are neither interreduced nor unpacked.
     The one-element tuple and the key are the shape that the basis-term
     counter of ``perfbench/tracer.py`` reads; inside reeskit only
     ``_engine_basis`` reads it.
@@ -137,16 +146,19 @@ def _gb_core(vectors, amb, spec=None, padding=None):
     """
     p = amb.p
     spec = spec or amb.order_spec
-    if padding is None:
-        padding = [False] * len(vectors)
-    w = _Packing.width(max((sum(m[1]) for vec in vectors for m in vec),
-                           default=0))
+    w = _Packing.width(max(
+        itertools.chain((sum(m[1]) for vec in vectors for m in vec),
+                        (sum(e) for q in padding for e, _ in q.terms)),
+        default=0))
     while True:
         pk = _Packing(spec, amb.nvars, w)
+        pack = pk.pack
         try:
             found = _buchberger(
-                [{pk.pack(*m): c % p for m, c in vec.items() if c % p}
-                 for vec in vectors], pk, p, padding)
+                [{pack(*m): c % p for m, c in vec.items() if c % p}
+                 for vec in vectors], pk, p,
+                [{pack(0, e): c for e, c in q.terms} for q in padding],
+                rows, least)
             break
         except _Overflow:
             w += 2
@@ -159,34 +171,42 @@ def _gb_core(vectors, amb, spec=None, padding=None):
     return (basis,)
 
 
-def _engine_basis(vectors, amb, spec=None, padding=None):
+def _engine_basis(vectors, amb, spec=None, padding=(), rows=1, least=0):
     """``_gb_core``'s reduced basis as (lead, term dict) pairs, ascending.
 
     The one reader of the engine's output layout: every caller of the
     engine goes through here, so the ``"_lead"`` key appears nowhere else.
     """
-    basis, = _gb_core(vectors, amb, spec, padding)
+    basis, = _gb_core(vectors, amb, spec, padding, rows, least)
     return [(g.pop("_lead"), g) for g in basis]
 
 
-def _buchberger(vectors, pk, p, padding):
+def _buchberger(vectors, pk, p, padding, rows, least):
     """``_gb_core`` on packed term dicts of the packing ``pk``; returns
-    (lead, element) per basis element, ascending, or raises
-    ``_Overflow`` when a term outgrows ``pk``.
+    (lead, element) per basis element led in a component >= ``least``,
+    ascending, or raises ``_Overflow`` when a term outgrows ``pk``.
 
     Every reduction is ``polyring._reduce_vec``, searching the leads
     ``bycomp`` of the elements so far and using the monic ``tails`` that
     ``add`` appends to.
 
-    Padding.  The vectors flagged in ``padding`` are inserted first, as
-    they are, without ``update``: they are a reduced Groebner basis, so
-    every S-vector of two of them reduces to zero by them alone and no
-    pair inside them is formed.  They take part in the pairs of every
-    later element like any other.  The one check of that contract is an
-    assertion: no earlier padding reduces a padding vector, and each lead
-    exceeds the one before it in its component, so no padding lead divides
-    another.  Then the other inputs are inserted, reduced by the padding
-    first.
+    Padding.  ``padding`` holds the packed polynomials of a reduced
+    Groebner basis in component 0, and the engine puts a copy of each in
+    every component below ``rows``.  A packed component sits above the
+    slots as -c, so the copy in row i is row 0's monic element with ``i <<
+    cshift`` subtracted from its lead and every tail term; its plain lead,
+    sugar and flags are row 0's.  The copies are inserted first,
+    polynomial by polynomial and row by row within each, without
+    ``update``: in every row they are a reduced Groebner basis, so every
+    S-vector of two of them reduces to zero by them alone and no pair
+    inside them is formed.  They take part in the pairs of every later
+    element like any other.  The one check of that contract is an
+    assertion, made once per polynomial, in row 0: no earlier padding
+    reduces it, and its lead exceeds the one before it, so no padding lead
+    divides another.  Once is the whole check, not a sample: the copy in
+    row i is searched only against the earlier copies in row i, which are
+    row 0's shifted by the same amount, so row 0 decides it for every row.
+    Then the other inputs are inserted, reduced by the padding first.
 
     Packed terms.  A term is one int whose integer order is the module
     order (``_Packing``): the next term of a reduction is a plain ``max``,
@@ -244,7 +264,9 @@ def _buchberger(vectors, pk, p, padding):
     divisible by no earlier lead; the elements that no later lead divides
     (``Gpairs`` still set) are therefore a minimal basis.  Reducing each of
     their tails once against that Groebner basis gives the unique normal
-    form, so one pass yields the reduced basis.
+    form, so one pass yields the reduced basis.  Each tail is reduced on
+    its own, so the pass skips the elements led in a component below
+    ``least``, which still reduce the others.
     """
     g, w1, cshift, tmask = pk.guard, pk.w - 1, pk.cshift, pk.tmask
     plain, order, slot = pk.plain, pk.order, pk.slot
@@ -336,22 +358,36 @@ def _buchberger(vectors, pk, p, padding):
         tails.append(tuple((m, c * inv % p) for m, c in vec.items()
                            if m != lead))
         Goff.append(max(sugar - degree(lead), 0))
-        Gsingle.append(len({m >> cshift for m in vec}) == 1)
+        # one component's terms are contiguous in int order
+        Gsingle.append(lead >> cshift == min(vec) >> cshift)
         Gpairs.append(True)
         bycomp.setdefault(lead >> cshift, []).append((Gpack[gi], (lead, gi)))
         return gi
 
-    # the padding first: a reduced basis, so no pair inside it is formed
-    for vec, pad in zip(vectors, padding):
-        if pad and vec:
-            lead = max(vec)
-            earlier = active.setdefault(lead >> cshift, [])
-            assert ((not earlier or Glead[earlier[-1]] < lead)
-                    and _reduce_vec(vec, search, tails, p, g) == vec), \
-                "padding is not a reduced basis, ascending"
-            earlier.append(add(vec, max(map(degree, vec))))
-    for vec, pad in zip(vectors, padding):
-        if not pad and vec:
+    # the padding first, a reduced basis in every row, so no pair inside it
+    # is formed: asserted and added in row 0, then shifted into each row
+    for vec in padding if rows else ():
+        lead = max(vec)
+        earlier = active.setdefault(0, [])
+        assert ((not earlier or Glead[earlier[-1]] < lead)
+                and _reduce_vec(vec, search, tails, p, g) == vec), \
+            "padding is not a reduced basis, ascending"
+        gi = add(vec, max(map(degree, vec)))
+        earlier.append(gi)
+        tail, off, packed = tails[gi], Goff[gi], Gpack[gi]
+        for i in range(1, rows):
+            shift = i << cshift
+            gi = len(tails)
+            Glead.append(lead - shift)
+            Gpack.append(packed)
+            tails.append(tuple([(m - shift, c) for m, c in tail]))
+            Goff.append(off)
+            Gsingle.append(True)
+            Gpairs.append(True)
+            bycomp.setdefault(-i, []).append((packed, (lead - shift, gi)))
+            active.setdefault(-i, []).append(gi)
+    for vec in vectors:
+        if vec:
             red = _reduce_vec(vec, search, tails, p, g)
             if red:
                 update(add(red, max(map(degree, vec))))
@@ -375,7 +411,8 @@ def _buchberger(vectors, pk, p, padding):
             update(add(red, sugar))
 
     # one pass over the tails of the minimal basis
-    alive = sorted((k for k in range(len(Glead)) if Gpairs[k]),
+    alive = sorted((k for k in range(len(Glead))
+                    if Gpairs[k] and Glead[k] >> cshift <= -least),
                    key=Glead.__getitem__)
     final = pk.search({c: [e for e in cands if Gpairs[e[1][1]]]
                        for c, cands in bycomp.items()})
@@ -389,11 +426,10 @@ def _buchberger(vectors, pk, p, padding):
 
 def reduced_groebner_raw(polys, amb, basis=()):
     """Reduced GB of an ideal given by polynomials of an ambient ring, plus
-    ``basis``, a reduced basis there that pads them (``_padded``)."""
-    vecs, padding = _padded(
-        [_poly_to_vec(f) for f in polys if not f.is_zero()], basis)
+    ``basis``, a reduced basis there that pads them (see ``_gb_core``)."""
+    vecs = [_poly_to_vec(f) for f in polys if not f.is_zero()]
     return [_vec_to_polys(g, amb, 1)[0]
-            for _, g in _engine_basis(vecs, amb, padding=padding)]
+            for _, g in _engine_basis(vecs, amb, padding=basis)]
 
 
 class _Echelon:
@@ -603,29 +639,48 @@ def _descend(ring, polys, spec=None) -> Ideal:
 
 def _modulo_quotient(ring, basis):
     """The nonzero normal forms modulo Q of ``basis``, a reduced ambient
-    basis of an ideal that contains Q, in their order.
+    basis of an ideal that contains Q, in their order, but for any unit
+    multiple of an earlier one.
 
     By the lemma of the module docstring, the normal form of g is g
     itself, or g - q for the q in Q with lead(q) = lead(g), whose terms
-    are the merged tails of both; no reduction is run.
+    are the merged tails of both; no reduction is run.  Unit multiples
+    share their lead, so an image is compared term by term only with the
+    kept images of its lead, and one lookup clears an image that has none.
     """
     p, key = ring.p, ring.key
     by_lead = {q.terms[0][0]: q.terms for q in ring.quotient}
-    out = []
+    out, kept = [], {}
     for g in basis:
-        q = by_lead.get(g.terms[0][0])
-        if q is None:
-            out.append(Polynomial(ring, g.terms))
-            continue
-        d = dict(g.terms[1:])
-        for e, c in q[1:]:
-            d[e] = (d.get(e, 0) - c) % p
-        terms = [(e, c) for e, c in d.items() if c]
-        if terms:
+        terms = g.terms
+        q = by_lead.get(terms[0][0])
+        if q is not None:
+            d = dict(terms[1:])
+            for e, c in q[1:]:
+                d[e] = (d.get(e, 0) - c) % p
+            terms = [(e, c) for e, c in d.items() if c]
+            if not terms:
+                continue
             # two descending runs, which the sort merges
             terms.sort(key=lambda t: key(t[0]), reverse=True)
-            out.append(Polynomial(ring, tuple(terms)))
+            terms = tuple(terms)
+        same_lead = kept.get(terms[0][0])
+        if same_lead is None:
+            kept[terms[0][0]] = [terms]
+        elif any(_unit_multiples(t, terms, p) for t in same_lead):
+            continue
+        else:
+            same_lead.append(terms)
+        out.append(Polynomial(ring, terms))
     return tuple(out)
+
+
+def _unit_multiples(a, b, p):
+    """Whether the term tuples ``a`` and ``b``, descending with one lead,
+    differ by a unit factor mod p."""
+    ca, cb = a[0][1], b[0][1]
+    return len(a) == len(b) and all(
+        e == f and x * cb % p == y * ca % p for (e, x), (f, y) in zip(a, b))
 
 
 def _ambient_ideal(I: Ideal) -> Ideal:
@@ -645,27 +700,18 @@ def _module_vec(polys, amb):
     return vec
 
 
-def _padded(vecs, basis, rank=1):
-    """``vecs`` followed by ``basis`` in each of ``rank`` components, and the
-    padding flags that mark it.  ``basis`` is a reduced Groebner basis in
-    the ambient ring, ascending (a quotient basis Q, or an ideal's ambient
-    basis, Q included): the engine inserts it first and forms no pair
-    inside it, and asserts that no earlier padding reduces any of it."""
-    pad = [_poly_to_vec(q, comp=i) for q in basis for i in range(rank)]
-    return vecs + pad, [False] * len(vecs) + [True] * len(pad)
-
-
-def _graph_basis(columns, rows, basis, amb):
-    """Reduced basis of the graph module of ``columns`` modulo ``basis``.
+def _graph_basis(columns, rows, basis, amb, least=0):
+    """Reduced basis of the graph module of ``columns`` modulo ``basis``:
+    its elements led in a component >= ``least``.
 
     ``columns`` are vectors of ``rows`` polynomials.  Column j goes over the
     unit vector e_(rows + j) and every row component is padded with
-    ``basis`` (see ``_padded``); the position-over-term order puts the rows
-    first.  Each element (v; r) of the result has v = sum_j r_j * column_j
-    modulo ``basis`` in every row.  Those with a lead in a component >=
-    ``rows`` have v = 0 (``_syzygies``); those with a lead in a row form a
-    Groebner basis of the column span plus ``basis`` and keep the
-    coefficients in their other components (``_coefficients``).
+    ``basis`` (see ``_gb_core``); the position-over-term order puts the
+    rows first.  Each element (v; r) of the result has v = sum_j r_j *
+    column_j modulo ``basis`` in every row.  Those with a lead in a
+    component >= ``rows`` have v = 0 (``_syzygies``); those with a lead in
+    a row form a Groebner basis of the column span plus ``basis`` and keep
+    the coefficients in their other components (``_coefficients``).
     """
     unit = (0,) * amb.nvars
     vecs = []
@@ -673,21 +719,20 @@ def _graph_basis(columns, rows, basis, amb):
         v = _module_vec(col, amb)
         v[(rows + j, unit)] = 1
         vecs.append(v)
-    vecs, padding = _padded(vecs, basis, rows)
-    return _engine_basis(vecs, amb, padding=padding)
+    return _engine_basis(vecs, amb, padding=basis, rows=rows, least=least)
 
 
 def _syzygies(columns, rows, basis, amb):
     """Lifts of the syzygies of ``columns`` modulo ``basis`` in every row.
 
     The elements of ``_graph_basis`` with a lead in a component >= ``rows``
-    generate the r with sum_j r_j * column_j in basis * R^rows.  Returns
-    them as tuples of ambient polynomials, one entry per column.
+    generate the r with sum_j r_j * column_j in basis * R^rows; the engine
+    returns only those.  Returns them as tuples of ambient polynomials, one
+    entry per column.
     """
     return [_vec_to_polys({(c - rows, e): co for (c, e), co in g.items()},
                           amb, len(columns))
-            for lead, g in _graph_basis(columns, rows, basis, amb)
-            if lead[0] >= rows]
+            for _, g in _graph_basis(columns, rows, basis, amb, rows)]
 
 
 def _coefficients(ring, polys, gens):
@@ -727,11 +772,10 @@ def groebner_basis(target) -> GroebnerBasis:
         raise TypeError("groebner_basis wants an Ideal or a FreeModuleMap")
     ring = target.ring
     amb = ring.ambient
-    vecs, padding = _padded(
-        [v for v in (_module_vec(col, amb) for col in columns) if v],
-        ring.quotient, max(rank, 1))
+    vecs = [v for v in (_module_vec(col, amb) for col in columns) if v]
     vectors = [_vec_to_polys(g, amb, max(rank, 1))
-               for _, g in _engine_basis(vecs, amb, padding=padding)]
+               for _, g in _engine_basis(vecs, amb, padding=ring.quotient,
+                                         rows=max(rank, 1))]
     if rank:
         return GroebnerBasis(ring, rank, vectors, vectors)
     # Q pads the run, so the ideal of the basis contains it
@@ -1434,11 +1478,13 @@ def _trim(ring, columns, rows, shifts):
                   key=itemgetter(0))
     kept = []
     for _, same_degree in itertools.groupby(walk, key=itemgetter(0)):
-        reducers, padding = _padded([_module_vec(c, amb) for c in kept],
-                                    ring.quotient, rows)
-        if kept:  # Q alone is already a reduced basis
-            reducers = [g for _, g in _engine_basis(reducers, amb,
-                                                    padding=padding)]
+        if kept:
+            reducers = [g for _, g in _engine_basis(
+                [_module_vec(c, amb) for c in kept], amb,
+                padding=ring.quotient, rows=rows)]
+        else:  # Q in every row is already a reduced basis
+            reducers = [_poly_to_vec(q, comp=i)
+                        for q in ring.quotient for i in range(rows)]
         reducer = _Reducer(reducers, amb.order_spec, amb.nvars, amb.p)
         for _, col in same_degree:
             rem = reducer.reduce(_module_vec(col, amb))

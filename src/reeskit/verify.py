@@ -9,6 +9,7 @@ from collections import Counter
 
 from . import blowup, coeff, gb, intersection, rees
 from .gb import Ideal
+from .polyring import FreeModuleMap, row_times_matrix, transport
 
 
 class CrossCheckError(Exception):
@@ -61,6 +62,53 @@ def colon(I, by, out):
         _check(gb.intersect_ideals(I, g_ideal) == g_ideal * piece, "colon")
         meet = piece if meet is None else gb.intersect_ideals(meet, piece)
     _check(meet == out, "colon")
+
+
+def kernel_of_matrix(A, out):
+    """Every column of ``out`` maps to 0 in R, and every syzygy of A found
+    without padding (``_syzygies_without_padding``) lies in the span of
+    those columns and of Q in every row, taken without padding too."""
+    s, rows = A.cols, A.transpose()
+    _check(out.rows == s and all(
+        f.is_zero() for col in out.columns()
+        for f in row_times_matrix(col, rows)), "kernelOfMatrix")
+    span = gb.groebner_basis(_with_quotient(A.ring, out.columns(), s))
+    _check(all(gb.module_contains(span, col)
+               for col in _syzygies_without_padding(A)), "kernelOfMatrix")
+
+
+def _with_quotient(ring, columns, rows):
+    """``columns`` of ``ring``, followed by q * e_i for every q in Q and row
+    i, as a matrix of the ambient ring, which has no quotient to pad with:
+    its columns span the preimage of theirs in the ambient module."""
+    amb = ring.ambient
+    zero = amb.zero()
+    cols = [tuple(transport(f, amb) for f in c) for c in columns]
+    cols += [tuple(q if k == i else zero for k in range(rows))
+             for q in ring.quotient for i in range(rows)]
+    return FreeModuleMap(amb, [[c[i] for c in cols] for i in range(rows)],
+                         rows=rows, cols=len(cols))
+
+
+def _syzygies_without_padding(A):
+    """Lifts of generators of ker(A), from the graph construction of A's
+    columns and of q * e_i, for every q in Q and row i, as plain inputs:
+    the engine pairs them all, the q * e_i among themselves too.  The
+    q * e_i carry no unit vector, as their coefficients would be
+    projected away, and go in first: put after the columns, they are
+    reduced by them into elements with unit vectors, and one 4-row draw
+    ran for minutes."""
+    amb, m = A.ring.ambient, A.rows
+    unit = (0,) * amb.nvars
+    vecs = [gb._poly_to_vec(q, comp=i)
+            for q in A.ring.quotient for i in range(m)]
+    for j, col in enumerate(A.columns()):
+        v = gb._module_vec(col, amb)
+        v[(m + j, unit)] = 1
+        vecs.append(v)
+    return [gb._vec_to_polys({(c - m, e): co for (c, e), co in g.items()},
+                             amb, A.cols)
+            for lead, g in gb._engine_basis(vecs, amb) if lead[0] >= m]
 
 
 def saturate(I, by, out):

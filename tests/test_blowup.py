@@ -138,8 +138,9 @@ class TestSingularLocus:
     def test_printed_ideals(self, A2, tacnode_setup):
         # singularLocusIdeal prints these; the smoothness test shares the
         # generators but keeps them in the ambient ring.  The cusp's locus
-        # lists x*w_1 twice: two basis elements, x*w_1 and y*w_0, have
-        # the same normal form modulo the Rees relation
+        # lists x*w_1 once: two basis elements, x*w_1 and y*w_0, have the
+        # same normal form modulo the Rees relation, and the second is
+        # left out
         x, y = A2.gens()
         assert str(singular_locus_ideal(Ideal(A2, (x ** 2 - y ** 4,)))) \
             == "ideal[ x, y^3 ]"
@@ -150,7 +151,7 @@ class TestSingularLocus:
         origin = blowup_of(Ideal(R, (x, y)))
         cusp = strict_transform(origin, Ideal(R, (y ** 2 - x ** 3,)))
         assert str(singular_locus_ideal(cusp)) == (
-            "ideal[ w_1^2, w_0*w_1, y*w_1, x*w_1, x*w_1, y^2, x*y, w_0^3, "
+            "ideal[ w_1^2, w_0*w_1, y*w_1, x*w_1, y^2, x*y, w_0^3, "
             "x*w_0^2, x^2*w_0, x^3 ]")
         assert str(singular_locus_ideal(total_transform(chart, tacnode))) \
             == ("ideal[ x^2, x*y^2, y^3*w_1 - x*y*w_0, "

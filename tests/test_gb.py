@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from reeskit import gb as gb_module, rees as rees_module
+from reeskit import verify as verify_module
 from reeskit.blowup import blowup_of
 from reeskit.cli import Config, execute_script, parse_script
 from reeskit.gb import (
@@ -458,9 +459,10 @@ def assert_cone_is_fresh(I):
 
 
 class TestPadding:
-    """A padding is a reduced basis, ascending: the engine inserts it first,
-    forms no pair inside it, and asserts that no earlier padding reduces
-    any of it."""
+    """A padding is a reduced basis, ascending, given once with a row
+    count: the engine copies it into every row, inserts it first, forms no
+    pair inside it, and asserts once per polynomial that no earlier
+    padding reduces it."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 10 ** 6), st.sampled_from(sorted(ORDERS)),
@@ -486,23 +488,59 @@ class TestPadding:
                                                    range(4)), amb)
                              for _ in range(rank)))
                 for _ in range(rng.randint(1, 4))]
-        vecs, padding = gb_module._padded([v for v in cols if v], basis,
-                                          rank)
-        assert (gb_module._engine_basis(vecs, amb, padding=padding)
-                == gb_module._engine_basis(vecs, amb))
+        # the same basis as plain inputs, one copy per row
+        vecs = [v for v in cols if v]
+        copies = [{(i, e): c for e, c in q.terms}
+                  for q in basis for i in range(rank)]
+        assert (gb_module._engine_basis(vecs, amb, padding=basis, rows=rank)
+                == gb_module._engine_basis(vecs + copies, amb))
 
-    @pytest.mark.parametrize("pad", [["x^2", "x^3"], ["x^2", "x"],
-                                     ["x*y", "x^2 + x*y"]])
-    def test_padding_that_is_not_reduced_ascending_raises(self, A2, pad):
+    @pytest.mark.parametrize("pad, rows", [
+        pytest.param(pad, rows, id=f"pad{k}" + ("" if rows == 1 else "-3rows"))
+        for rows in (1, 3)
+        for k, pad in enumerate([["x^2", "x^3"], ["x^2", "x"],
+                                 ["x*y", "x^2 + x*y"]])])
+    def test_padding_that_is_not_reduced_ascending_raises(self, A2, pad,
+                                                          rows):
         # x^3 is a multiple of x^2, x^2 of the later x, and x^2 + x*y has
-        # a tail that x*y reduces
+        # a tail that x*y reduces; checked once, in the first row, for
+        # every row count
         x, y = A2.gens()
         polys = {"x^2": x ** 2, "x^3": x ** 3, "x": x, "x*y": x * y,
                  "x^2 + x*y": x ** 2 + x * y}
-        vecs, padding = gb_module._padded([vec_of((y ** 2 - x,))],
-                                          [polys[k] for k in pad])
         with pytest.raises(AssertionError):
-            gb_module._engine_basis(vecs, A2, padding=padding)
+            gb_module._engine_basis([vec_of((y ** 2 - x,))], A2,
+                                    padding=[polys[k] for k in pad],
+                                    rows=rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 4))
+    def test_kernel_matches_the_route_without_padding(self, seed, rows):
+        # grevlex over a random quotient ring: the kernel, whose syzygies
+        # the engine finds with Q given once for all rows, spans the same
+        # module modulo Q as the syzygies that the --verify oracle finds
+        # with Q in every row as plain inputs.  Q and the entries have
+        # terms of degree 1 and 2: with cubics in Q one draw in a few
+        # hundred runs for seconds in either route
+        rng = random.Random(seed)
+        p = rng.choice([7, 101])
+        names = ["x", "y", "z"]
+        R0 = make_ring(p, names)
+        qs = [q for q in (sparse_poly(R0, rng, range(1, 3), range(1, 3))
+                          for _ in range(3)) if not q.is_zero()]
+        assume(qs)
+        R = make_ring(p, names, quotient=qs)
+        A = matrix_from_columns(R, [
+            tuple(sparse_poly(R, rng, range(1, 3), range(1, 3))
+                  for _ in range(rows))
+            for _ in range(rng.randint(1, 3))])
+
+        def span(columns):
+            return groebner_basis(verify_module._with_quotient(
+                R, columns, A.cols)).ambient_elements
+
+        assert (span(kernel_of_matrix(A).columns())
+                == span(verify_module._syzygies_without_padding(A)))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10 ** 6), st.booleans())

@@ -8,7 +8,7 @@ import pytest
 
 from reeskit import blowup, coeff, gb, intersection, rees, verify
 from reeskit.gb import Ideal
-from reeskit.polyring import make_ring
+from reeskit.polyring import make_ring, matrix_from_columns
 
 
 @functools.cache
@@ -27,6 +27,9 @@ def _cases():
     diagonal = Ideal(P, (x ** 2, y ** 2))
     conic, tangent = Ideal(P, (x ** 2 - y,)), Ideal(P, (y,))
     quartic = x ** 4 + 1    # two quadratics over GF(101), 101 = 5 mod 8
+    Q = make_ring(101, ["x", "y"], quotient=[x ** 2])
+    row = matrix_from_columns(Q, [(Q.var("x"),), (Q.var("y"),)])
+    kernel = gb.kernel_of_matrix(row)
     return {
         # I : (x, y) = (xy) is larger than I
         "colon": (verify.colon, (I, m), gb.colon(I, m), I),
@@ -59,6 +62,11 @@ def _cases():
         "factorization": (verify.factorization, (f, 0),
                           coeff.factor_multivariate(f, seed=0),
                           (1, [(f, 1)])),
+        # x * x = 0 in P / (x^2), so (x, 0) lies in the kernel of (x, y)
+        # beside (y, -x); without it the span misses a syzygy
+        "kernel_of_matrix": (verify.kernel_of_matrix, (row,), kernel,
+                             matrix_from_columns(Q, kernel.columns()[:1],
+                                                 rows=2)),
         # a tangency counted once
         "intersect_in_p": (verify.intersect_in_p, (conic, tangent, 0),
                            intersection.intersect_in_p(conic, tangent),
@@ -66,8 +74,8 @@ def _cases():
     }
 
 
-NAMES = ["colon", "saturate", "radical_membership", "rees_ideal",
-         "multiplicity", "analytic_spread", "is_reduction",
+NAMES = ["colon", "kernel_of_matrix", "saturate", "radical_membership",
+         "rees_ideal", "multiplicity", "analytic_spread", "is_reduction",
          "reduction_number", "strict_transform",
          "is_smooth_away_from_irrelevant", "factor_univariate",
          "factorization", "intersect_in_p"]
