@@ -16,11 +16,16 @@ polynomial through the same parser (``eval_polynomial``) and rejects any
 text containing ``#``.
 
 Every public operation of every module is reachable through ``REGISTRY``.
-A plain operation is one row of ``_TABLE``: module, function name, one
-coercer per argument and, for some, a ``--verify`` oracle from
-``verify.py``.  Only ops that take the seed or the reduction cap, have
-default or variadic arguments, or call no module function are written out
-by hand.  Every op checks its argument count in ``_counted``.
+An operation that calls one module function is one row of ``_TABLE``:
+module, function name, one entry per argument of the function and, for
+some, a ``--verify`` oracle from ``verify.py``.  An entry coerces a script
+argument, possibly a trailing optional one with its default, or reads a
+value the script does not pass: the run's seed, the reduction cap or the
+active ring.  ``_plain`` runs every row, and is the only place an oracle
+runs, on the row's arguments and the output.  Only ops that read part of
+a result, take variadic arguments, have two call shapes or call no module
+function are written out by hand.  Every op checks its argument count in
+``_counted``.
 ``reeskit run FILE`` executes a script, ``reeskit eval EXPR`` evaluates
 one expression.  Exit codes: 0 ok, 1 assertion failure,
 2 parse or runtime error.  ``_describe`` is the one place that knows how a
@@ -494,12 +499,31 @@ def _kind_name(x):
     return type(x).__name__
 
 
-def _sub_seed(seed, k):
-    return seed * 1_000_003 + k
+def _as_sub_seed(ctx, k):
+    """The run's seed split by the script's index ``k``, so that calls
+    drawing with distinct indices draw apart."""
+    return ctx.config.seed * 1_000_003 + _as_int(ctx, k)
 
 
-# every plain operation: name -> (module, function name, argument
-# coercers[, --verify oracle called with the arguments and the output])
+class _Run:
+    """A row entry that the script does not pass: a value of the run."""
+
+    def __init__(self, read):
+        self.read = read
+
+
+_SEED = _Run(lambda ctx: ctx.config.seed)
+_CAP = _Run(lambda ctx: ctx.config.cap_reduction)
+_RING = _Run(lambda ctx: ctx.require_ring())
+
+
+# every plain operation: name -> (module, function name, entries[,
+# --verify oracle]).  The function takes one value per entry, in order;
+# the oracle takes the same values and then the output.  An entry is the
+# coercer of a script argument; a (coercer, default) pair, a trailing
+# script argument that may be left out; or _SEED, _CAP or _RING, a value
+# of the run.  A left-out argument is its default, read off the run if it
+# is one of those, and coerced as a given one would be, unless it is None
 _TABLE = {
     "gfAdd": (coeff_mod, "gf_add", (_as_int, _as_int, _as_int)),
     "gfSub": (coeff_mod, "gf_sub", (_as_int, _as_int, _as_int)),
@@ -507,7 +531,13 @@ _TABLE = {
     "gfDiv": (coeff_mod, "gf_div", (_as_int, _as_int, _as_int)),
     "gfInv": (coeff_mod, "gf_inv", (_as_int, _as_int)),
     "gfPow": (coeff_mod, "gf_pow", (_as_int, _as_int, _as_int)),
+    "factorUnivariate": (coeff_mod, "factor_univariate", (_as_poly, _SEED),
+                         verify.factor_univariate),
+    "factorMultivariate": (coeff_mod, "factor_multivariate",
+                           (_as_poly, _SEED), verify.factorization),
     "homogenize": (polyring_mod, "homogenize_ideal", (_as_ideal, _as_str)),
+    "randomPoly": (polyring_mod, "random_poly",
+                   (_RING, _as_int, (_as_sub_seed, 0), (_as_bool, False))),
     "groebnerBasis": (gb_mod, "groebner_basis", (_as_ideal_or_matrix,)),
     "normalForm": (gb_mod, "normal_form", (_as_poly, _as_ideal)),
     "kernelOfRingMap": (gb_mod, "kernel_of_ring_map", (_as_map,)),
@@ -519,26 +549,48 @@ _TABLE = {
     "dimensionAndDegree": (gb_mod, "dimension_and_degree", (_as_ideal,)),
     "codim": (gb_mod, "codimension", (_as_ideal,)),
     "hilbertSeries": (gb_mod, "hilbert_series", (_as_ideal,)),
+    "gradedPieceDim": (gb_mod, "graded_piece_dim",
+                       (_as_int, _as_ideal, (_as_str, "total"))),
     "kernelOfMatrix": (gb_mod, "kernel_of_matrix", (_as_matrix,),
                        verify.kernel_of_matrix),
     "minorsIdeal": (gb_mod, "minors_ideal", (_as_int, _as_matrix)),
     "trimHomogeneous": (gb_mod, "trim_homogeneous", (_as_ideal,)),
     "radicalMembership": (gb_mod, "radical_membership",
                           (_as_poly, _as_ideal), verify.radical_membership),
+    "minimalPrimes": (decompose_mod, "minimal_primes", (_as_ideal, _SEED),
+                      verify.minimal_primes),
+    "decompose": (decompose_mod, "minimal_primes", (_as_ideal, _SEED),
+                  verify.minimal_primes),
     "universalEmbedding": (rees_mod, "universal_embedding", (_as_module,)),
     "symmetricKernel": (rees_mod, "symmetric_kernel", (_as_matrix,)),
     "symmetricAlgebraIdeal": (rees_mod, "symmetric_algebra_ideal",
                               (_as_module,)),
+    "reesIdeal": (rees_mod, "rees_ideal", (_as_module, (_as_poly, None)),
+                  verify.rees_ideal),
     "isLinearType": (rees_mod, "is_linear_type", (_as_module,)),
     "normalCone": (rees_mod, "normal_cone", (_as_ideal,)),
     "associatedGradedRing": (rees_mod, "normal_cone", (_as_ideal,)),
     "reesAlgebra": (rees_mod, "rees_presentation", (_as_module,)),
     "multiplicity": (rees_mod, "multiplicity", (_as_ideal,),
                      verify.multiplicity),
+    "specialFiberIdeal": (rees_mod, "special_fiber_ideal",
+                          (_as_ideal, (_as_ideal, None))),
     "analyticSpread": (rees_mod, "analytic_spread", (_as_ideal,),
                        verify.analytic_spread),
+    "minimalReduction": (rees_mod, "minimal_reduction",
+                         (_as_ideal, (_as_sub_seed, 0), _CAP),
+                         verify.minimal_reduction),
+    "isReduction": (rees_mod, "is_reduction",
+                    (_as_ideal, _as_ideal, (_as_int, _CAP)),
+                    verify.is_reduction),
+    "reductionNumber": (rees_mod, "reduction_number",
+                        (_as_ideal, _as_ideal, _CAP), verify.reduction_number),
     "whichGm": (rees_mod, "which_gm", (_as_ideal,)),
     "expectedReesIdeal": (rees_mod, "expected_rees_ideal", (_as_ideal,)),
+    "distinguished": (intersection_mod, "distinguished",
+                      (_as_map, _as_ideal, _SEED)),
+    "intersectInP": (intersection_mod, "intersect_in_p",
+                     (_as_ideal, _as_ideal, _SEED), verify.intersect_in_p),
     "blowupOf": (blowup_mod, "blowup_of", (_as_ideal,)),
     "totalTransform": (blowup_mod, "total_transform", (_as_chart, _as_ideal)),
     "strictTransform": (blowup_mod, "strict_transform",
@@ -547,6 +599,8 @@ _TABLE = {
                                    "is_smooth_away_from_irrelevant",
                                    (_as_chart, _as_ideal),
                                    verify.is_smooth_away_from_irrelevant),
+    "singularLocusIdeal": (blowup_mod, "singular_locus_ideal",
+                           (_as_ideal, (_as_int, None))),
     "ge": (operator, "ge", (_as_bound, _as_bound)),
     "gt": (operator, "gt", (_as_bound, _as_bound)),
     "le": (operator, "le", (_as_bound, _as_bound)),
@@ -568,16 +622,33 @@ def _counted(name, lo, hi, fn):
     return run
 
 
-def _plain(name, module, function, coercers, oracle=None):
-    """The runner of one table row.  The function is looked up when the op
-    runs, so a patched or traced module function is the one called."""
+def _value(ctx, entry, args):
+    """The value of one row entry, taking its script argument, if it has
+    one, off the iterator ``args``."""
+    if isinstance(entry, _Run):
+        return entry.read(ctx)
+    coerce, default = entry if isinstance(entry, tuple) else (entry, None)
+    x = next(args, default)
+    if isinstance(x, _Run):
+        x = x.read(ctx)
+    return None if x is None else coerce(ctx, x)
+
+
+def _plain(name, module, function, entries, oracle=None):
+    """The runner of one table row, and the one place where a ``--verify``
+    oracle runs.  The function is looked up when the op runs, so a patched
+    or traced module function is the one called."""
+    script = [e for e in entries if not isinstance(e, _Run)]
+
     def run(ctx, *args):
-        args = [coerce(ctx, a) for coerce, a in zip(coercers, args)]
-        out = getattr(module, function)(*args)
+        args = iter(args)
+        values = [_value(ctx, e, args) for e in entries]
+        out = getattr(module, function)(*values)
         if oracle is not None and ctx.config.verify:
-            oracle(*args, out)
+            oracle(*values, out)
         return out
-    return _counted(name, len(coercers), len(coercers), run)
+    lo = sum(not isinstance(e, tuple) for e in script)
+    return _counted(name, lo, len(script), run)
 
 
 # every public operation, callable from the script language
@@ -585,8 +656,8 @@ def _registry():
     R = {name: (row[0].__name__.rpartition(".")[2], _plain(name, *row))
          for name, row in _TABLE.items()}
 
-    # an op written out by hand takes the seed or the reduction cap, has
-    # default or variadic arguments, or calls no module function; its
+    # an op written out by hand reads part of a result, takes variadic
+    # arguments, has two call shapes or calls no module function; its
     # argument count is read off its own signature, past ``ctx``
     def op(name, module):
         def deco(fn):
@@ -598,34 +669,10 @@ def _registry():
             return fn
         return deco
 
-    # coeff ------------------------------------------------------------
-    @op("factorUnivariate", "coeff")
-    def _(ctx, f):
-        g = _as_poly(ctx, f)
-        out = coeff_mod.factor_univariate(g, seed=ctx.config.seed)
-        if ctx.config.verify:
-            verify.factor_univariate(g, out)
-        return out
-
-    @op("factorMultivariate", "coeff")
-    def _(ctx, f):
-        g = _as_poly(ctx, f)
-        out = coeff_mod.factor_multivariate(g, seed=ctx.config.seed)
-        if ctx.config.verify:
-            verify.factorization(g, ctx.config.seed, out)
-        return out
-
     # polyring ----------------------------------------------------------
     @op("applyRingMap", "polyring")
     def _(ctx, f, x):
         return _as_map(ctx, f)(x)
-
-    @op("randomPoly", "polyring")
-    def _(ctx, degree, sub=0, homogeneous=False):
-        return polyring_mod.random_poly(
-            ctx.require_ring(), _as_int(ctx, degree),
-            _sub_seed(ctx.config.seed, _as_int(ctx, sub)),
-            homogeneous=_as_bool(ctx, homogeneous))
 
     @op("ringmap", "polyring")
     def _(ctx, target, source, images):
@@ -663,59 +710,7 @@ def _registry():
     def _(ctx, I):
         return gb_mod.dimension_and_degree(_as_ideal(ctx, I))[1]
 
-    @op("gradedPieceDim", "gb")
-    def _(ctx, d, I, grading="total"):
-        return gb_mod.graded_piece_dim(_as_int(ctx, d), _as_ideal(ctx, I),
-                                       _as_str(ctx, grading))
-
-    # decompose -------------------------------------------------------------
-    @op("decompose", "decompose")
-    @op("minimalPrimes", "decompose")
-    def _(ctx, I):
-        return decompose_mod.minimal_primes(_as_ideal(ctx, I),
-                                            seed=ctx.config.seed)
-
     # rees -------------------------------------------------------------------
-    @op("reesIdeal", "rees")
-    def _(ctx, M, f=None):
-        M2 = _as_module(ctx, M)
-        if f is not None:
-            return rees_mod.rees_ideal(M2, f=_as_poly(ctx, f))
-        out = rees_mod.rees_ideal(M2)
-        if ctx.config.verify:
-            verify.rees_ideal(M2, out)
-        return out
-
-    @op("specialFiberIdeal", "rees")
-    def _(ctx, I, mm=None):
-        mm2 = _as_ideal(ctx, mm) if mm is not None else None
-        return rees_mod.special_fiber_ideal(_as_ideal(ctx, I), mm2)
-
-    @op("minimalReduction", "rees")
-    def _(ctx, I, sub=0):
-        return rees_mod.minimal_reduction(
-            _as_ideal(ctx, I),
-            seed=_sub_seed(ctx.config.seed, _as_int(ctx, sub)),
-            cap=ctx.config.cap_reduction)
-
-    @op("isReduction", "rees")
-    def _(ctx, I, J, cap=None):
-        cap2 = _as_int(ctx, cap) if cap is not None else ctx.config.cap_reduction
-        I2, J2 = _as_ideal(ctx, I), _as_ideal(ctx, J)
-        out = rees_mod.is_reduction(I2, J2, cap=cap2)
-        if ctx.config.verify:
-            verify.is_reduction(I2, J2, cap2, out)
-        return out
-
-    @op("reductionNumber", "rees")
-    def _(ctx, I, J):
-        I2, J2 = _as_ideal(ctx, I), _as_ideal(ctx, J)
-        cap = ctx.config.cap_reduction
-        out = rees_mod.reduction_number(I2, J2, cap=cap)
-        if ctx.config.verify:
-            verify.reduction_number(I2, J2, cap, out)
-        return out
-
     @op("jacobianDual", "rees")
     def _(ctx, x, X=None, T=None):
         if isinstance(x, FreeModuleMap):
@@ -732,26 +727,7 @@ def _registry():
                 f"jacobianDual of an ideal takes 1 argument, got {got}")
         return rees_mod.jacobian_dual(I)
 
-    # intersection -------------------------------------------------------------
-    @op("distinguished", "intersection")
-    def _(ctx, f, I):
-        return intersection_mod.distinguished(
-            _as_map(ctx, f), _as_ideal(ctx, I), seed=ctx.config.seed)
-
-    @op("intersectInP", "intersection")
-    def _(ctx, I, J):
-        I2, J2 = _as_ideal(ctx, I), _as_ideal(ctx, J)
-        out = intersection_mod.intersect_in_p(I2, J2, seed=ctx.config.seed)
-        if ctx.config.verify:
-            verify.intersect_in_p(I2, J2, ctx.config.seed, out)
-        return out
-
     # blowup ---------------------------------------------------------------
-    @op("singularLocusIdeal", "blowup")
-    def _(ctx, X, c=None):
-        c2 = _as_int(ctx, c) if c is not None else None
-        return blowup_mod.singular_locus_ideal(_as_ideal(ctx, X), c2)
-
     @op("chartRing", "blowup")
     def _(ctx, chart):
         return _as_chart(ctx, chart).ring
@@ -1101,10 +1077,16 @@ def emit(doc: ResultDocument, mode="text") -> bytes:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _build_config(args) -> Config:
+def _build_config(parser, args) -> Config:
+    """The run's settings; a ``REESKIT_SEED`` that is no integer fails as
+    ``--seed`` does, through ``parser``."""
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("REESKIT_SEED", "0"))
+        raw = os.environ.get("REESKIT_SEED", "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            parser.error(f"REESKIT_SEED: invalid int value: {raw!r}")
     return Config(seed=seed, cap_reduction=args.cap_reduction,
                   json=args.json, verify=args.verify)
 
@@ -1125,7 +1107,7 @@ def main(argv=None) -> int:
     evalp = sub.add_parser("eval", help="evaluate one expression")
     evalp.add_argument("expr")
     args = parser.parse_args(argv)
-    config = _build_config(args)
+    config = _build_config(parser, args)
     if args.command == "run":
         try:
             with open(args.file, "r", encoding="utf-8") as fh:

@@ -28,6 +28,8 @@ from .polyring import (
 )
 
 DEFAULT_REDUCTION_CAP = 20
+# the draws of ``minimal_reduction``, split over its pools of generators
+_REDUCTION_TRIES = 10
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +508,11 @@ def reduction_number(I: Ideal, J: Ideal, cap=DEFAULT_REDUCTION_CAP) -> int:
     return cert.witness
 
 
-def minimal_reduction(I: Ideal, seed=0, tries=10,
-                      cap=DEFAULT_REDUCTION_CAP) -> Ideal:
-    """ell(I) random scalar combinations of the generators, retried until
-    they pass the reduction test; deterministic per seed.
+def minimal_reduction(I: Ideal, seed=0, cap=DEFAULT_REDUCTION_CAP) -> Ideal:
+    """ell(I) random scalar combinations of the generators, redrawn until
+    they pass the reduction test within ``cap``; deterministic per seed.
+    ``_REDUCTION_TRIES`` draws are split evenly over the pools below, at
+    least one each.
 
     When the generators are homogeneous of mixed degrees, scalar
     combinations of all of them generically vanish outside V(I) and the
@@ -547,7 +550,7 @@ def minimal_reduction(I: Ideal, seed=0, tries=10,
     for pool in pools:
         equigenerated = all_homog and len(
             {g.total_degree() for _, g in pool}) == 1
-        for _ in range(max(1, tries // len(pools))):
+        for _ in range(max(1, _REDUCTION_TRIES // len(pools))):
             coeffs = [[rng.randrange(ring.p) for _ in pool]
                       for _ in range(ell)]
             combos = [ring.sum(g * c for c, (_, g) in zip(row, pool))
@@ -571,7 +574,8 @@ def minimal_reduction(I: Ideal, seed=0, tries=10,
             if is_reduction(I, J, cap).accepted:
                 return J
     raise RuntimeError(
-        f"no minimal reduction found in {tries} tries; try another seed")
+        f"no minimal reduction found in {_REDUCTION_TRIES} tries; "
+        "try another seed")
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """The ``--verify`` oracles.  Each takes an operation's inputs and its
 output ``out``, recomputes the result by an independent strategy, and
 raises CrossCheckError, whose message ends in ``cross-check failed``, when
-the two disagree.  ``cli`` calls them under ``--verify``; tests call them
-directly.
+the two disagree.  Under ``--verify``, ``cli._plain`` calls each with the
+values of its op's table row; tests call them directly.
 """
 
+import functools
 from collections import Counter
 
-from . import blowup, coeff, gb, intersection, rees
+from . import blowup, coeff, decompose, gb, intersection, rees
 from .gb import Ideal
 from .polyring import FreeModuleMap, row_times_matrix, transport
 
@@ -33,11 +34,12 @@ def factorization(f, seed, out):
     _check(alt == out, "factorization")
 
 
-def factor_univariate(f, out):
+def factor_univariate(f, seed, out):
     """The unit times the product of the factors, to their multiplicities,
     multiplies back to f by ``uv_mul``, which packs all but the smallest
     operands; each factor is monic and passes Rabin's irreducibility test,
-    which uses neither the root split nor Cantor-Zassenhaus."""
+    which uses neither the root split nor Cantor-Zassenhaus.  Neither
+    draws, so the seed goes unused."""
     unit, factors = out
     used = f.support_vars()
     i = used[0] if used else 0
@@ -123,9 +125,14 @@ def radical_membership(f, I, out):
                "radical membership")
 
 
-def rees_ideal(M, out):
-    """For an ideal of a polynomial ring, the default strategy against the
-    saturation strategy by its first nonzero generator."""
+def rees_ideal(M, f, out):
+    """The saturation strategy by f against the default strategy: f is
+    legal only when M[1/f] is of linear type, which nothing else checks.
+    Without f, for an ideal of a polynomial ring, the default strategy
+    against the saturation strategy by its first nonzero generator."""
+    if f is not None:
+        _check(rees.rees_ideal(M) == out, "reesIdeal strategy")
+        return
     if not M.is_ideal or M.ring.quotient:
         return
     nz = next((g for g in M.gens if not g.is_zero()), None)
@@ -161,6 +168,17 @@ def is_reduction(I, J, cap, out):
     _check(rees._reduction_by_ideals(I, J, cap) == out, "reduction")
 
 
+def minimal_reduction(I, seed, cap, out):
+    """out lies in I, has at most ell(I) nonzero generators, and out * I^r
+    = I^(r+1) for some r up to the cap, by comparing the ideals, where the
+    op may have compared ranks of graded pieces.  The seed goes unused."""
+    gens = [g for g in out.gens if not g.is_zero()]
+    _check(all(I.contains(g) for g in gens)
+           and len(gens) <= rees.analytic_spread(I)
+           and rees._reduction_by_ideals(I, out, cap).accepted,
+           "minimalReduction")
+
+
 def reduction_number(I, J, cap, out):
     """The least r with J * I^r = I^(r+1), by comparing the ideals."""
     cert = rees._reduction_by_ideals(I, J, cap)
@@ -179,6 +197,20 @@ def is_smooth_away_from_irrelevant(chart, X, out):
     alt = gb.saturation_exponent(blowup.singular_locus_ideal(X),
                                  chart.irrelevant)[1]
     _check(alt.is_unit() == out, "smoothness")
+
+
+def minimal_primes(I, seed, out):
+    """Each prime contains I, none contains another, and every generator
+    of their intersection lies in rad(I) (``radical_membership``): the
+    primes cut out V(I), each of them needed.  The seed goes unused."""
+    primes = [c.prime for c in out]
+    inside = decompose._contains_ideal
+    _check(primes and all(inside(I, P) for P in primes)
+           and not any(i != j and inside(P, Q) for i, P in enumerate(primes)
+                       for j, Q in enumerate(primes)), "minimalPrimes")
+    meet = functools.reduce(gb.intersect_ideals, primes)
+    _check(all(gb.radical_membership(g, I) for g in meet.gens),
+           "minimalPrimes")
 
 
 def intersect_in_p(I, J, seed, out):

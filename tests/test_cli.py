@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from reeskit import rees
+from reeskit import cli, rees, verify
 from reeskit.cli import (Config, REGISTRY, ScriptError, emit, execute_script,
                          main, parse_script, render_value)
 from reeskit.decompose import ComponentReport
@@ -705,6 +706,19 @@ class TestMainEntry:
         out_env = capsys.readouterr().out
         assert out_flag == out_env
 
+    def test_malformed_env_seed_exits_2(self, capsys, monkeypatch):
+        # as --seed abc does: argparse's usage and one error line, no
+        # traceback, where int() raised a ValueError that exited 1
+        monkeypatch.setenv("REESKIT_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "1"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("usage: reeskit ")
+        assert [line for line in err.splitlines() if "error" in line] == \
+            ["reeskit: error: REESKIT_SEED: invalid int value: 'abc'"]
+
     def test_verify_flag_runs_cross_checks(self, tmp_path):
         script = tmp_path / "v.rk"
         script.write_text("ring P = zmod 101 [x,y];\n"
@@ -809,3 +823,81 @@ class TestMainEntry:
         monkeypatch.setattr(blowup, name, wrong)
         doc, _ = run_text(src, verify=True)
         assert doc.status != 0 and "cross-check failed" in doc.message
+
+
+class TestTable:
+    """The rows of ``cli._TABLE``: each op that calls one module function,
+    with the run's values and optional arguments as row entries."""
+
+    def test_every_oracle_binds_to_its_row(self):
+        # an oracle takes one value per row entry and then the output, and
+        # every public oracle of verify.py runs from some row
+        wired = set()
+        for _, _, entries, *oracle in cli._TABLE.values():
+            for check in oracle:
+                inspect.signature(check).bind(*entries, "out")
+                wired.add(check.__name__)
+        public = {name for name, v in vars(verify).items()
+                  if inspect.isfunction(v) and v.__module__ == verify.__name__
+                  and not name.startswith("_")}
+        assert wired == public
+
+    # the count each op gave when it was written out by hand
+    COUNTS = {
+        "factorUnivariate(x, 1)": "1 argument, got 2",
+        "factorMultivariate()": "1 argument, got 0",
+        "minimalPrimes(x, 1)": "1 argument, got 2",
+        "decompose()": "1 argument, got 0",
+        "distinguished(x)": "2 arguments, got 1",
+        "intersectInP(x, y, 1)": "2 arguments, got 3",
+        "isReduction(x)": "2 to 3 arguments, got 1",
+        "reductionNumber(x, x, 3)": "2 arguments, got 3",
+        "minimalReduction()": "1 to 2 arguments, got 0",
+        "reesIdeal(x, y, 1)": "1 to 2 arguments, got 3",
+        "specialFiberIdeal()": "1 to 2 arguments, got 0",
+        "singularLocusIdeal(x, 1, 2)": "1 to 2 arguments, got 3",
+        "gradedPieceDim(1)": "2 to 3 arguments, got 1",
+        "randomPoly()": "1 to 3 arguments, got 0",
+    }
+
+    @pytest.mark.parametrize("call", COUNTS,
+                             ids=lambda call: call.partition("(")[0])
+    def test_argument_count_of_each_row(self, call):
+        doc, out = run_text(f"ring P = zmod 101 [x,y];\nprint {call};\n")
+        assert (doc.status, out) == (2, "")
+        name = call.partition("(")[0]
+        assert doc.message == \
+            f"line 2 col 7: {name} takes {self.COUNTS[call]}"
+
+    def test_left_out_arguments_take_their_defaults(self):
+        # the cap of isReduction is the run's, the draw index of randomPoly
+        # and minimalReduction is 0, and the rest are the function's own
+        pairs = [("isReduction(I, ideal(x^2, x*y))",
+                  "isReduction(I, ideal(x^2, x*y), 3)"),
+                 ("randomPoly(2)", "randomPoly(2, 0, false)"),
+                 ("minimalReduction(I)", "minimalReduction(I, 0)"),
+                 ("reesIdeal(I)", "reesIdeal(I, x)"),
+                 ("specialFiberIdeal(I)", "specialFiberIdeal(I, ideal(x, y))"),
+                 ("gradedPieceDim(3, I)", 'gradedPieceDim(3, I, "total")'),
+                 ("singularLocusIdeal(ideal(y^2 - x^3))",
+                  "singularLocusIdeal(ideal(y^2 - x^3), 1)")]
+        src = "ring P = zmod 101 [x,y];\nideal I = ideal(x, y)^2;\n" + "".join(
+            f"print {a};\nprint {b};\n" for a, b in pairs)
+        doc, out = run_text(src, seed=5, cap_reduction=3, verify=True)
+        assert doc.status == 0, doc.message
+        lines = out.splitlines()
+        assert lines[0] == "not-a-reduction[ cap = 3 ]"
+        assert lines[::2] == lines[1::2]
+
+    def test_verify_checks_a_saturation_element(self):
+        # I[1/z] is not of linear type, so z is no legal saturation element:
+        # its output misses w_1^2 - w_0*w_2
+        src = ("ring P = zmod 101 [x,y,z];\n"
+               "print reesIdeal(ideal(x^2, x*y, y^2), z);\n")
+        doc, out = run_text(src)
+        assert doc.status == 0
+        assert out == "ideal[ y*w_1 - x*w_2, y*w_0 - x*w_1, x*w_1^2 - x*w_0*w_2 ]\n"
+        doc, out = run_text(src, verify=True)
+        assert (doc.status, out) == (2, "")
+        assert doc.message == \
+            "line 2 col 7: reesIdeal strategy cross-check failed"

@@ -6,7 +6,7 @@ import inspect
 
 import pytest
 
-from reeskit import blowup, coeff, gb, intersection, rees, verify
+from reeskit import blowup, coeff, decompose, gb, intersection, rees, verify
 from reeskit.gb import Ideal
 from reeskit.polyring import make_ring, matrix_from_columns
 
@@ -38,7 +38,7 @@ def _cases():
                                (x * y, Ideal(P, (x ** 2, y ** 3))),
                                True, False),
         # (x^2, xy, y^2) is not of linear type
-        "rees_ideal": (verify.rees_ideal, (M,), rees.rees_ideal(M),
+        "rees_ideal": (verify.rees_ideal, (M, None), rees.rees_ideal(M),
                        rees.symmetric_algebra_ideal(M)),
         "multiplicity": (verify.multiplicity,
                          (Ideal(P, (x ** 3, x * y, y ** 4)),), 7, 6),
@@ -50,13 +50,22 @@ def _cases():
                          rees.ReductionCertificate(True, 0, 5)),
         "reduction_number": (verify.reduction_number,
                              (veronese, diagonal, 5), 1, 0),
+        # (x^2, xy) is no reduction: it vanishes on all of x = 0
+        "minimal_reduction": (verify.minimal_reduction, (veronese, 0, 5),
+                              rees.minimal_reduction(veronese),
+                              Ideal(P, (x ** 2, x * y))),
+        # (x) alone misses the component y = 0 of V(xy)
+        "minimal_primes": (verify.minimal_primes, (Ideal(P, (x * y,)), 0),
+                           decompose.minimal_primes(Ideal(P, (x * y,))),
+                           [decompose.ComponentReport(Ideal(P, (x,)),
+                                                      True)]),
         "strict_transform": (verify.strict_transform, (chart, tacnode),
                              strict, blowup.total_transform(chart, tacnode)),
         "is_smooth_away_from_irrelevant": (
             verify.is_smooth_away_from_irrelevant, (chart, strict),
             True, False),
         # x^4 + 1 multiplies back to itself but is not irreducible
-        "factor_univariate": (verify.factor_univariate, (quartic,),
+        "factor_univariate": (verify.factor_univariate, (quartic, 0),
                               coeff.factor_univariate(quartic),
                               (1, [(quartic, 1)])),
         "factorization": (verify.factorization, (f, 0),
@@ -76,7 +85,8 @@ def _cases():
 
 NAMES = ["colon", "kernel_of_matrix", "saturate", "radical_membership",
          "rees_ideal", "multiplicity", "analytic_spread", "is_reduction",
-         "reduction_number", "strict_transform",
+         "reduction_number", "minimal_reduction", "minimal_primes",
+         "strict_transform",
          "is_smooth_away_from_irrelevant", "factor_univariate",
          "factorization", "intersect_in_p"]
 
@@ -122,12 +132,12 @@ def test_factor_univariate_oracle_multiplies_back():
     f = 3 * (y - 2) ** 2 * (y ** 2 + 2)
     unit, factors = coeff.factor_univariate(f)
     assert (unit, [m for _, m in factors]) == (3, [2, 1])
-    assert verify.factor_univariate(f, (unit, factors)) is None
-    assert verify.factor_univariate(P.poly({(0, 0): 5}), (5, [])) is None
+    assert verify.factor_univariate(f, 0, (unit, factors)) is None
+    assert verify.factor_univariate(P.poly({(0, 0): 5}), 0, (5, [])) is None
     for wrong in ((1, factors), (unit, [(g, 1) for g, _ in factors])):
         with pytest.raises(verify.CrossCheckError,
                            match="cross-check failed$"):
-            verify.factor_univariate(f, wrong)
+            verify.factor_univariate(f, 0, wrong)
 
 
 def test_intersect_in_p_oracle_beyond_the_colength():
@@ -157,3 +167,53 @@ def test_intersect_in_p_oracle_skips_the_colength_in_excess():
             for c in out] == [(2, 1)]
     assert gb.vector_space_dimension(I + J) == 1
     assert verify.intersect_in_p(I, J, 0, out) is None
+
+
+def test_rees_ideal_oracle_checks_the_saturation_element():
+    # I = (x^2, xy, y^2): I[1/x] is the unit ideal, so x is a legal
+    # saturation element; I[1/z] is not of linear type, and saturating by z
+    # misses w_1^2 - w_0*w_2
+    P = make_ring(101, ["x", "y", "z"])
+    x, y, z = P.gens()
+    M = rees.as_module(Ideal(P, (x ** 2, x * y, y ** 2)))
+    right = rees.rees_ideal(M, f=x)
+    assert right == rees.rees_ideal(M)
+    assert verify.rees_ideal(M, x, right) is None
+    wrong = rees.rees_ideal(M, f=z)
+    assert wrong != right
+    with pytest.raises(verify.CrossCheckError,
+                       match="^reesIdeal strategy cross-check failed$"):
+        verify.rees_ideal(M, z, wrong)
+
+
+def test_minimal_reduction_oracle_rejects_each_defect():
+    # (x, y)^2 has spread 2: (x^2, xy) is no reduction, (x^2, xy, y^2) has
+    # one generator too many, and (x^3, y^2) is no reduction either, as x^2
+    # is not integral over it; a generator outside I is refused too
+    P = make_ring(101, ["x", "y"])
+    x, y = P.gens()
+    I = Ideal(P, (x ** 2, x * y, y ** 2))
+    assert verify.minimal_reduction(I, 0, 5, Ideal(P, (x ** 2, y ** 2))) \
+        is None
+    for gens in ((x ** 2, x * y), (x ** 2, y ** 2, x * y), (x ** 3, y ** 2),
+                 (x, y ** 2)):
+        with pytest.raises(verify.CrossCheckError,
+                           match="cross-check failed$"):
+            verify.minimal_reduction(I, 0, 5, Ideal(P, gens))
+
+
+def test_minimal_primes_oracle_rejects_each_defect():
+    # the minimal primes of (xy) are (x) and (y): a prime that does not
+    # contain xy, one that contains another, and a list that misses y = 0
+    P = make_ring(101, ["x", "y"])
+    x, y = P.gens()
+    I = Ideal(P, (x * y,))
+
+    def primes(*gens):
+        return [decompose.ComponentReport(Ideal(P, g), True) for g in gens]
+    assert verify.minimal_primes(I, 0, primes((y,), (x,))) is None
+    for wrong in (primes((x,), (y - 1,)), primes((x,), (y,), (x, y)),
+                  primes((x, y)), []):
+        with pytest.raises(verify.CrossCheckError,
+                           match="cross-check failed$"):
+            verify.minimal_primes(I, 0, wrong)
