@@ -10,8 +10,11 @@ irreducible, since q(v) is nilpotent modulo J, hence not a unit, and so
 cannot cut them down to a proper factor.  After the pass every eliminant
 is squarefree, so J is radical.  Primality is certified by a
 primitive-element check in dimension zero or by a triangular-tower
-argument in positive dimension.  Candidates that resist certification are
-returned flagged ``unverified`` rather than silently guessed.
+argument in positive dimension.  A positive-dimensional candidate that
+the tower does not certify is decomposed again in the ring of the
+variables its basis uses, which is exact (``_Decomposer.in_subring``).
+Candidates that still resist certification are returned flagged
+``unverified`` rather than silently guessed.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from .coeff import factor_multivariate, factor_univariate_list
 from .gb import (Ideal, _Echelon, _ambient_ideal, _descend,
                  dimension_and_degree, normal_form)
-from .polyring import Polynomial, RingDescriptor, RingMap
+from .polyring import Polynomial, RingDescriptor, RingMap, transport
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,7 @@ def _min_poly(f: Polynomial, J: Ideal, D: int):
 class _Decomposer:
     def __init__(self, amb, seed, shape_retries):
         self.amb = amb
+        self.seed = seed
         self.line = RingDescriptor(amb.p, (("t",),))  # k[t], for eliminants
         self.rng = random.Random(seed)
         self.retries = shape_retries
@@ -107,8 +111,10 @@ class _Decomposer:
             dim, D = dimension_and_degree(J)
             if dim == 0:
                 self.zero_dimensional(J, D, stack)
+            elif self.tower_certified(basis):
+                self.found.append((J, True, dim))
             else:
-                self.found.append((J, self.tower_certified(basis), dim))
+                self.found.extend(self.in_subring(J, basis, dim))
 
     def at(self, coeffs, f: Polynomial) -> Polynomial:
         """The univariate polynomial with ascending ``coeffs``, an element
@@ -157,6 +163,26 @@ class _Decomposer:
         self.found.append((J, False, 0))
 
     # -- positive dimension ---------------------------------------------------
+    def in_subring(self, J: Ideal, basis, dim):
+        """The candidates of J decomposed in k[V], V the variables its
+        ``basis`` uses, as (prime, certified, dim) entries of ``found``.
+
+        With U the other variables, P is prime in k[V] iff P k[V, U] is,
+        of dimension larger by |U|, so the minimal primes of J are those
+        of J meet k[V] extended.  J itself comes back, unverified, when
+        its basis uses every variable."""
+        amb = self.amb
+        used = sorted(set().union(*(g.support_vars() for g in basis)))
+        if len(used) == amb.nvars:
+            return [(J, False, dim)]
+        sub = RingDescriptor(amb.p, (tuple(amb.names[i] for i in used),))
+        dec = _Decomposer(sub, self.seed, self.retries)
+        dec.run(Ideal(sub, tuple(transport(g, sub) for g in basis)))
+        free = amb.nvars - len(used)
+        return [(Ideal(amb, tuple(transport(g, amb)
+                                  for g in P.groebner().ambient_elements)),
+                 cert, d + free) for P, cert, d in dec.found]
+
     def tower_certified(self, basis) -> bool:
         """Prime certificate: peel variables that appear linearly with a
         constant coefficient, then ask for one irreducible generator."""

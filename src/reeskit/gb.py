@@ -70,15 +70,18 @@ slot width comes from the input degrees; a term that outgrows it restarts
 the computation wider.  The engine returns its basis as term dicts that
 carry their lead under a sentinel key; ``_engine_basis`` is the one
 function that calls it and reads that layout, and hands every caller
-(lead, term dict) pairs.  Pairs of two monomials are never reduced: their
-S-vector is zero.  Pairs are taken lowest sugar first (Giovini, Mora,
-Niesi, Robbiano and Traverso, "One sugar cube, please", ISSAC 1991), then
-smallest lcm: under the block orders of elimination, where the lcm order
-is not degree-compatible, this takes low-degree pairs first.  Under a
-one-block order every sugar is 0 and the lcm alone decides.  The engine's
-final interreduction is a single pass: its minimal basis is already a
-Groebner basis, so one reduction of each tail gives the unique reduced
-basis.
+(lead, term dict) pairs.  A pair is formed only when criteria M and F
+keep it and it is not known to reduce to zero: no pair is formed inside
+the padding, nor between two monomials (their S-vector is zero) or two
+single-component elements with coprime leads, and those pairs only serve
+as witnesses that drop others.  Pairs are taken lowest sugar first
+(Giovini, Mora, Niesi, Robbiano and Traverso, "One sugar cube, please",
+ISSAC 1991), then smallest lcm: under the block orders of elimination,
+where the lcm order is not degree-compatible, this takes low-degree pairs
+first.  Under a one-block order every sugar is 0 and the lcm alone
+decides.  The engine's final interreduction is a single pass: its minimal
+basis is already a Groebner basis, so one reduction of each tail gives
+the unique reduced basis.
 """
 
 from __future__ import annotations
@@ -245,6 +248,21 @@ def _buchberger(vectors, pk, p, padding, rows, least):
     witness; so have the unformed pairs inside the padding, on which M and
     F may rest as well.
 
+    F keeps one new pair per lcm: a witness when the lcm has one, and
+    otherwise the first in active order; M drops an lcm properly divisible
+    by another new lcm.  ``_select_pairs`` applies both, in one of two ways.
+    A new element with a tail groups the new lcms and sorts them.  A new
+    monomial, lead a, would make a witness with every active monomial, so
+    it tests each pair it can make instead: with L_j = lcm(a, b_j) for the
+    active lead b_j, it queues (j, new) for every j with a tail that is no
+    coprime witness and such that every other active k with b_k | L_j
+    comes after j, has a tail, is no coprime witness and has
+    lcm(a, b_k) = L_j.  Proof: a | L_j, so b_k | L_j iff lcm(a, b_k) | L_j,
+    and then lcm(a, b_k) either divides L_j properly, so M drops L_j, or
+    equals it, so F keeps j only if k is no witness and comes later; a k
+    with b_k not dividing L_j bears on neither.  This is one divisibility
+    test per active lead and candidate, where the sort computes every lcm.
+
     Pairs are popped by the heap key (sugar, packed lcm, i, j), the sugar
     strategy of Giovini, Mora, Niesi, Robbiano and Traverso ("One sugar
     cube, please", ISSAC 1991).  The sugar of an input is its largest
@@ -301,47 +319,27 @@ def _buchberger(vectors, pk, p, padding, rows, least):
             if (lcm_packed(a, Gpack[i]) != lp
                     and lcm_packed(a, Gpack[j]) != lp):
                 del pending[pair]
-        # criterion F: one new pair per lcm, a zero witness preferred
-        groups = {}
-        mono, single, off = not tails[gi], Gsingle[gi], Goff[gi]
+        act = active.get(comp, ())
+        off = Goff[gi]
+        for gj, lcm in _select_pairs(a, not tails[gi], Gsingle[gi], act,
+                                     Gpack, tails, Gsingle, g, w1):
+            term = order(lcm)
+            if term & g:
+                raise _Overflow
+            sugar = Goff[gj] if Goff[gj] > off else off
+            for t in tops:
+                sugar += (term >> t) & slot
+            term += comp << cshift
+            pending[(gj, gi)] = (comp, lcm, term)
+            heapq.heappush(heap, (sugar, term, gj, gi))
         still = []
-        for gj in active.get(comp, ()):
-            b = Gpack[gj]
-            t = ((b | g) - a) & g  # guard of slot k set iff b_k >= a_k
-            lcm = a ^ ((a ^ b) & (t - (t >> w1)))
-            zero = ((mono and not tails[gj])
-                    or (single and Gsingle[gj] and a + b == lcm))
-            got = groups.get(lcm)
-            if got is None or (zero and not got[1]):
-                groups[lcm] = (gj, zero)
-            if t == g:
+        for gj in act:
+            if ((Gpack[gj] | g) - a) & g == g:
                 Gpairs[gj] = False  # the new lead divides this one
             else:
                 still.append(gj)
         still.append(gi)
         active[comp] = still
-        # criterion M: drop an lcm properly divisible by another new lcm;
-        # a proper divisor is slot-wise no larger, so a smaller plain int,
-        # and ascending ints only need the minimal lcms kept so far
-        kept = []
-        for lcm in sorted(groups):
-            xg = lcm | g
-            for m in kept:
-                if (xg - m) & g == g:
-                    break
-            else:
-                kept.append(lcm)
-                gj, zero = groups[lcm]
-                if not zero:
-                    term = order(lcm)
-                    if term & g:
-                        raise _Overflow
-                    sugar = Goff[gj] if Goff[gj] > off else off
-                    for t in tops:
-                        sugar += (term >> t) & slot
-                    term += comp << cshift
-                    pending[(gj, gi)] = (comp, lcm, term)
-                    heapq.heappush(heap, (sugar, term, gj, gi))
 
     def degree(m):
         d = 0
@@ -421,6 +419,69 @@ def _buchberger(vectors, pk, p, padding, rows, least):
         d = {Glead[k]: 1}
         d.update(_reduce_vec(tails[k], final, tails, p, g))
         out.append((Glead[k], d))
+    return out
+
+
+def _select_pairs(a, mono, single, act, Gpack, tails, Gsingle, g, w1):
+    """The pairs (j, new) that criteria M and F keep and that are not zero
+    witnesses, as (j, plain lcm), for a new element with plain lead ``a``,
+    empty tail iff ``mono`` and a single component iff ``single``; ``act``
+    lists the active elements of its component in insertion order, and
+    ``Gpack``, ``tails`` and ``Gsingle`` are ``_buchberger``'s.
+
+    A new monomial tests each pair it can make against the active leads;
+    any other element groups the lcms and sorts them (``_buchberger``).
+    """
+    if mono:
+        out = []
+        for pos, j in enumerate(act):
+            if not tails[j]:
+                continue  # two monomials: a zero witness
+            b = Gpack[j]
+            t = ((b | g) - a) & g  # guard of slot k set iff b_k >= a_k
+            lcm = a ^ ((a ^ b) & (t - (t >> w1)))
+            if single and Gsingle[j] and a + b == lcm:
+                continue  # coprime: a zero witness
+            xg = lcm | g
+            for k in act[:pos]:
+                if (xg - Gpack[k]) & g == g:
+                    break  # an earlier lead divides lcm
+            else:
+                for k in act[pos + 1:]:
+                    c = Gpack[k]
+                    if (xg - c) & g != g:
+                        continue
+                    t = ((c | g) - a) & g
+                    if (not tails[k] or a ^ ((a ^ c) & (t - (t >> w1))) != lcm
+                            or (single and Gsingle[k] and a + c == lcm)):
+                        break
+                else:
+                    out.append((j, lcm))
+        return out
+    # criterion F: one new pair per lcm, a zero witness preferred
+    groups = {}
+    for j in act:
+        b = Gpack[j]
+        t = ((b | g) - a) & g
+        lcm = a ^ ((a ^ b) & (t - (t >> w1)))
+        zero = single and Gsingle[j] and a + b == lcm
+        got = groups.get(lcm)
+        if got is None or (zero and not got[1]):
+            groups[lcm] = (j, zero)
+    # criterion M: drop an lcm properly divisible by another new lcm;
+    # a proper divisor is slot-wise no larger, so a smaller plain int,
+    # and ascending ints only need the minimal lcms kept so far
+    kept, out = [], []
+    for lcm in sorted(groups):
+        xg = lcm | g
+        for m in kept:
+            if (xg - m) & g == g:
+                break
+        else:
+            kept.append(lcm)
+            j, zero = groups[lcm]
+            if not zero:
+                out.append((j, lcm))
     return out
 
 

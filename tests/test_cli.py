@@ -297,7 +297,8 @@ class TestEmit:
         ]
         assert [_describe(v) for v in values] == want
 
-    def test_describe_flags_components_at_any_depth(self):
+    def test_describe_flags_components_at_any_depth(self, monkeypatch):
+        from reeskit import intersection
         from reeskit.cli import _describe
         from reeskit.polyring import make_ring
         P = make_ring(101, ["x", "y"])
@@ -309,14 +310,14 @@ class TestEmit:
         assert _describe([1, [sure, [doubtful, doubtful]]])[3] == unverified
         assert _describe([sure, [1, x]])[3] == ()
         # the same flag as the bare list, from a script under --json: the
-        # distinguished components of the doubled projection of the cusp
-        # pair come back as one unverified candidate
+        # op returns one unverified component, here the ideal it was given
+        monkeypatch.setattr(
+            intersection, "distinguished",
+            lambda f, I, seed=0: [WeightedComponent(1, I, certified=False)])
         doc = execute_script(parse_script(
-            "ring S = zmod 101 [x,y,u,v];\n"
-            "ring R = zmod 101 [x,y,u,v] / (ideal(y^2 - x^3, v^3 - u^2));\n"
-            "use S;\n"
-            "let f = ringmap(R, S, [x, y, u, v]);\n"
-            "print [distinguished(f, ideal(x - u, y - v))];\n"),
+            "ring S = zmod 101 [x,y];\n"
+            "let f = ringmap(S, S, [x, y]);\n"
+            "print [distinguished(f, ideal(x - y))];\n"),
             Config())
         result, = json.loads(emit(doc, "json").decode())["results"]
         assert result["value"][0][0]["certified"] is False

@@ -227,6 +227,27 @@ class TestKnownDecompositions:
         assert gens_set(comps) == [["x"]]
 
 
+    def test_cylinders_decompose_in_the_ring_of_their_basis(self):
+        # the basis of I uses x and y only: its primes are those of the
+        # cusp pair's five points in k[x, y], each times the (u, v) plane
+        R = make_ring(101, ["x", "y", "u", "v"])
+        x, y, _, _ = R.gens()
+        comps = minimal_primes(Ideal(R, (y ** 2 - x ** 3, y ** 3 - x ** 2)))
+        assert [dimension_and_degree(c.prime) for c in comps] == [(2, 1)] * 6
+        assert gens_set(comps) == [
+            ["x", "y"], ["x + 14", "y - 36"], ["x + 17", "y + 6"],
+            ["x + 6", "y + 17"], ["x - 1", "y - 1"], ["x - 36", "y + 14"]]
+        assert all(c.certified for c in comps)
+
+    def test_a_candidate_in_every_variable_stays_put(self):
+        R = make_ring(101, ["x", "y"])
+        x, y = R.gens()
+        J = Ideal(R, (y ** 2 - x ** 3,))
+        dec = _Decomposer(R, 0, 5)
+        assert dec.in_subring(J, J.groebner().ambient_elements, 1) == \
+            [(J, False, 1)]
+
+
 class TestInvariants:
     @pytest.fixture
     def sample(self):

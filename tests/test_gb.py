@@ -3,12 +3,13 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import (HealthCheck, assume, example, given, settings,
+                        strategies as st)
 
 from reeskit import gb as gb_module, rees as rees_module
 from reeskit import verify as verify_module
 from reeskit.blowup import blowup_of
-from reeskit.cli import Config, execute_script, parse_script
+from reeskit.cli import Config, emit, execute_script, parse_script
 from reeskit.gb import (
     GroebnerBasis, HilbertSeries, Ideal, codimension, dimension_and_degree,
     eliminate, graded_piece_dim, groebner_basis, hilbert_series,
@@ -659,6 +660,164 @@ class TestSugarSelection:
             runs = self._spy_pairs(mp)
             Ideal(ring, tuple(gens)).groebner()
         assert all(sugar == 0 for run in runs for sugar in run["queued"])
+
+
+def _sorted_pairs(a, mono, single, act, Gpack, tails, Gsingle, g, w1):
+    """Criteria F and M by grouping and sorting the lcms, for every new
+    element: the reference for ``gb._select_pairs``."""
+    groups = {}
+    for j in act:
+        b = Gpack[j]
+        t = ((b | g) - a) & g
+        lcm = a ^ ((a ^ b) & (t - (t >> w1)))
+        zero = ((mono and not tails[j])
+                or (single and Gsingle[j] and a + b == lcm))
+        got = groups.get(lcm)
+        if got is None or (zero and not got[1]):
+            groups[lcm] = (j, zero)
+    kept, out = [], []
+    for lcm in sorted(groups):
+        xg = lcm | g
+        if all((xg - m) & g != g for m in kept):
+            kept.append(lcm)
+            j, zero = groups[lcm]
+            if not zero:
+                out.append((j, lcm))
+    return out
+
+
+def _queued_pairs(select, compute):
+    """The set of pairs (i, j) queued in each run of ``_buchberger`` while
+    ``compute()`` runs with ``select`` as the pair selection, and what
+    ``compute`` returned."""
+    runs = []
+    run_engine = gb_module._buchberger
+    push = gb_module.heapq.heappush
+
+    def engine(*args):
+        runs.append(set())
+        return run_engine(*args)
+
+    def spy(heap, item):
+        runs[-1].add(item[-2:])  # the pair (i, j) ends the heap key
+        push(heap, item)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(gb_module, "_buchberger", engine)
+        m.setattr(gb_module.heapq, "heappush", spy)
+        m.setattr(gb_module, "_select_pairs", select)
+        out = compute()
+    return runs, out
+
+
+class TestMonomialPairRule:
+    """A new monomial tests each pair it can make against the active
+    leads; it must queue exactly the pairs that criteria F and M keep."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 3), st.integers(2, 3),
+           st.lists(st.tuples(st.lists(st.integers(0, 3), min_size=3,
+                                       max_size=3),
+                              st.booleans(), st.booleans(), st.booleans()),
+                    max_size=9),
+           st.lists(st.integers(0, 3), min_size=3, max_size=3),
+           st.booleans(), st.booleans())
+    # the ties of F with a = x: the later y, a coprime witness or a
+    # monomial, makes the group of lcm xy a witness, so xy queues nothing;
+    # with y first, y is the group's pair and xy is dropped
+    @example(2, 2, [([1, 1, 0], False, True, True),
+                    ([0, 1, 0], False, True, True)], [1, 0, 0], True, True)
+    @example(2, 2, [([1, 1, 0], False, False, True),
+                    ([0, 1, 0], True, False, True)], [1, 0, 0], True, False)
+    @example(2, 2, [([0, 1, 0], False, False, True),
+                    ([1, 1, 0], False, False, True)], [1, 0, 0], True, False)
+    def test_matches_the_sort(self, n, d, elements, exps, mono, single):
+        # exponents up to 3 in at most 3 variables give coprime leads,
+        # repeated lcms and leads that divide each other; each element is
+        # a monomial or not, single-component or not, active or not
+        pk = _Packing(("grevlex",), n, _Packing.width(3 * d + 3))
+
+        def lead(e):
+            return pk.plain(pk.pack(0, tuple(min(x, d) for x in e[:n])))
+
+        Gpack = [lead(e) for e, _, _, _ in elements]
+        tails = [() if m else ((0, 1),) for _, m, _, _ in elements]
+        Gsingle = [s for _, _, s, _ in elements]
+        act = [j for j, (_, _, _, on) in enumerate(elements) if on]
+        args = (lead(exps), mono, single, act, Gpack, tails, Gsingle,
+                pk.guard, pk.w - 1)
+        got = gb_module._select_pairs(*args)
+        assert sorted(got) == sorted(_sorted_pairs(*args))
+        assert len({j for j, _ in got}) == len(got)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.sampled_from(sorted(ORDERS)),
+           st.booleans())
+    def test_engine_queues_the_same_pairs(self, seed, order, quotient):
+        # mostly monomial columns, as in the versal kernels, over a
+        # quotient Q given as padding rows; lex and block draws stay
+        # small, as larger ones can run for seconds in the engine
+        rng = random.Random(seed)
+        p = rng.choice([7, 101])
+        names = ["x", "y", "z"][:3 if order == "block" else
+                                2 + rng.randrange(2)]
+        n = len(names)
+        small = order != "grevlex"
+        rank = rng.randint(1, 2 if small else 3)
+
+        def exps(lo, hi):
+            e = [0] * n
+            for _ in range(rng.randrange(lo, hi + 1)):
+                e[rng.randrange(n)] += 1
+            return tuple(e)
+
+        def term(lo, hi):
+            return exps(lo, hi), rng.randrange(1, p)
+
+        qterms = ([[term(2, 3), term(2, 3)], [term(3, 4)]]
+                  if quotient else [])
+        top = 2 if small else 4
+        cols = []
+        for _ in range(rng.randrange(2, 5 if small else 8)):
+            col = [[] for _ in range(rank)]
+            col[rng.randrange(rank)].append(term(0, top))
+            for _ in range(rng.randrange(4) if rng.random() < 0.4 else 0):
+                col[rng.randrange(rank)].append(term(0, top))
+            cols.append(col)
+
+        def compute():
+            R0 = make_ring(p, names, order=ORDERS[order])
+            qs = [R0.poly(dict(t)) for t in qterms]
+            qs = [q for q in qs if not q.is_zero()]
+            R = (make_ring(p, names, order=ORDERS[order], quotient=qs)
+                 if qs and not Ideal(R0, qs).is_unit() else R0)
+            entries = [tuple(R.poly(dict(t)) for t in col) for col in cols]
+            if rank == 1:
+                return Ideal(R, [c[0] for c in entries]).groebner()\
+                    .ambient_elements
+            return groebner_basis(matrix_from_columns(
+                R, entries, rows=rank)).ambient_elements
+
+        got = _queued_pairs(gb_module._select_pairs, compute)
+        assert got == _queued_pairs(_sorted_pairs, compute)
+
+    def test_corpus_queues_the_same_pairs(self):
+        # every engine run of the regression scripts, versal among them,
+        # where almost every new element is a monomial
+        news = []
+        select = gb_module._select_pairs
+
+        def counted(a, mono, *rest):
+            news.append(mono)
+            return select(a, mono, *rest)
+
+        for path in sorted(REGRESSIONS.glob("*.rk")):
+            def compute():
+                return emit(execute_script(parse_script(path.read_text()),
+                                           Config(seed=0)))
+            assert (_queued_pairs(counted, compute)
+                    == _queued_pairs(_sorted_pairs, compute))
+        assert 0 < news.count(False) < news.count(True)
 
 
 class TestSympyOracle:

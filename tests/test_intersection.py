@@ -182,6 +182,18 @@ class TestProperHypersurfaces:
                 for c in got] == [(4, 1)] + [(1, 1)] * 5
         assert all(c.certified for c in got)
 
+    def test_cusp_pair_times_a_plane(self):
+        # the cylinders over the cusp pair in k[x, y, u, v]: the same 4 + 5
+        # points, each times the (u, v) plane, decomposed in k[x, y]
+        R = make_ring(101, ["x", "y", "u", "v"])
+        x, y, _, _ = R.gens()
+        got = intersect_in_p(Ideal(R, (y ** 2 - x ** 3,)),
+                             Ideal(R, (y ** 3 - x ** 2,)))
+        assert [(c.multiplicity, dimension_and_degree(c.prime))
+                for c in got] == [(4, (2, 1))] + [(1, (2, 1))] * 5
+        assert all(c.certified for c in got)
+        assert str(got[0]) == "(4, ideal[ y, x ])"
+
     def test_double_line_against_a_cubic(self):
         # (y - x)^2 (y + x) . (y - x + x^3) over GF(32003): 7 at the
         # origin and the conjugate pair x + y = 0, y^2 = 2
@@ -269,6 +281,19 @@ class TestDoubledRing:
             out.append([str(c) for c in intersect_in_p(
                 Ideal(R, (x + y + 1,)), Ideal(R, (y + 1,)))])
         assert out[0] == out[1] == ["(1, ideal[ y + 1, x ])"]
+
+    def test_doubled_projection_of_the_cusp_pair(self):
+        # distinguished of R = S / (y^2 - x^3, v^3 - u^2) against the
+        # diagonal (x - u, y - v): the cusp pair's 4 + 5 points
+        S = make_ring(101, ["x", "y", "u", "v"])
+        x, y, u, v = S.gens()
+        R = S.with_quotient([y ** 2 - x ** 3, v ** 3 - u ** 2])
+        f = RingMap(S, R, list(R.gens()))
+        got = distinguished(f, Ideal(S, (x - u, y - v)))
+        assert [(c.multiplicity, dimension_and_degree(c.prime))
+                for c in got] == [(4, (0, 1))] + [(1, (0, 1))] * 5
+        assert all(c.certified for c in got)
+        assert str(got[0]) == "(4, ideal[ v, u, y, x ])"
 
     def test_empty_intersection_keeps_its_error(self, P):
         x, y = P.gens()
