@@ -1,14 +1,22 @@
 """Minimal primes of an ideal, complete at desk scale.
 
-The pipeline splits along factors of Groebner basis elements, then handles
-zero-dimensional ideals in one pass over the variables (Seidenberg).  Each
-variable's eliminant, its monic minimal polynomial modulo J, the first
-dependency among its powers in one ``gb._Echelon``, is factored: two or
-more irreducible factors split J; a power q^m of one irreducible adjoins
-q(v) to J and the pass goes on.  The eliminants met earlier stay
-irreducible, since q(v) is nilpotent modulo J, hence not a unit, and so
-cannot cut them down to a proper factor.  After the pass every eliminant
-is squarefree, so J is radical.  Primality is certified by a
+The dimension of each candidate J decides its route.  When the leads of
+J leave finitely many standard monomials, in any monomial order, J is
+zero-dimensional, of colength D their number, and goes straight to one
+pass over the variables (Seidenberg), which splits and radicalizes it on
+its own.  Each variable's eliminant, the monic generator of J meet k[v],
+is read off J's reduced basis when an element of it lies in k[v]
+(``_Decomposer.eliminant``), and is otherwise v's minimal polynomial
+modulo J, the first dependency among its powers in one ``gb._Echelon``
+(``_min_poly``).  It is factored: two or more irreducible factors split
+J; a power q^m of one irreducible adjoins q(v) to J and the pass goes
+on.  The eliminants met earlier stay irreducible, since q(v) is
+nilpotent modulo J, hence not a unit, and so cannot cut them down to a
+proper factor.  After the pass every eliminant is squarefree, so J is
+radical.  A positive-dimensional J splits along the factors of its
+Groebner basis elements first.  Every child J + (q) is born with its
+reduced basis, from a run that J's basis pads (``gb._adjoin``), so no
+child recomputes its parent's basis.  Primality is certified by a
 primitive-element check in dimension zero or by a triangular-tower
 argument in positive dimension.  A positive-dimensional candidate that
 the tower does not certify is decomposed again in the ring of the
@@ -23,8 +31,8 @@ import random
 from dataclasses import dataclass
 
 from .coeff import factor_multivariate, factor_univariate_list
-from .gb import (Ideal, _Echelon, _ambient_ideal, _descend,
-                 dimension_and_degree, normal_form)
+from .gb import (Ideal, _Echelon, _adjoin, _ambient_ideal, _descend,
+                 dimension_and_degree, normal_form, vector_space_dimension)
 from .polyring import Polynomial, RingDescriptor, RingMap, transport
 
 
@@ -51,7 +59,9 @@ def _min_poly(f: Polynomial, J: Ideal, D: int):
     Returns the ascending coefficient list.  The row of f^k is its normal
     form, on monomial columns numbered from 0, and 1 in the column -1 - k,
     which cannot be a pivot while a monomial column is left: the first row
-    that the ``_Echelon`` reduces to negative columns is the dependency."""
+    that the ``_Echelon`` reduces to negative columns is the dependency.
+    The decomposer asks for it only when J's reduced basis does not hold
+    the eliminant already (``_Decomposer.eliminant``)."""
     echelon, column, g = _Echelon(J.ring.p), {}, J.ring.one()
     for k in range(D + 1):
         rest = echelon.reduce({column.setdefault(e, len(column)): c
@@ -67,7 +77,6 @@ class _Decomposer:
     def __init__(self, amb, seed, shape_retries):
         self.amb = amb
         self.seed = seed
-        self.line = RingDescriptor(amb.p, (("t",),))  # k[t], for eliminants
         self.rng = random.Random(seed)
         self.retries = shape_retries
         self.factor_cache = {}
@@ -94,34 +103,70 @@ class _Decomposer:
             if key in self.seen:
                 continue
             self.seen.add(key)
-            basis = J.groebner().ambient_elements
-            split = None
-            for g in basis:
-                fs = self.factors_of(g)
-                if len(fs) == 1 and fs[0][1] == 1:
-                    continue
-                parts = [q for q, _ in fs]
-                if all(not normal_form(q, J).is_zero() for q in parts):
-                    split = parts
-                    break
-            if split is not None:
-                for q in reversed(split):
-                    stack.append(Ideal(self.amb, J.gens + (q,)))
-                continue
-            dim, D = dimension_and_degree(J)
-            if dim == 0:
+            try:
+                D = vector_space_dimension(J)
+            except ValueError:  # infinitely many standard monomials
+                pass
+            else:
+                # the variable pass splits and radicalizes on its own
                 self.zero_dimensional(J, D, stack)
-            elif self.tower_certified(basis):
+                continue
+            basis = J.groebner().ambient_elements
+            if self.split(J, basis, stack):
+                continue
+            dim = dimension_and_degree(J)[0]
+            if self.tower_certified(basis):
                 self.found.append((J, True, dim))
             else:
                 self.found.extend(self.in_subring(J, basis, dim))
 
+    def split(self, J: Ideal, basis, stack) -> bool:
+        """Push J + (q) for the irreducible factors q of the first element
+        of ``basis`` that is not irreducible and has none of them in J;
+        whether there was one."""
+        for g in basis:
+            fs = self.factors_of(g)
+            if len(fs) == 1 and fs[0][1] == 1:
+                continue
+            parts = [q for q, _ in fs]
+            if all(not normal_form(q, J).is_zero() for q in parts):
+                stack.extend(_adjoin(J, q) for q in reversed(parts))
+                return True
+        return False
+
     def at(self, coeffs, f: Polynomial) -> Polynomial:
-        """The univariate polynomial with ascending ``coeffs``, an element
-        of k[t], under the ring map k[t] -> amb, t -> f."""
-        line = self.line
-        return RingMap(line, self.amb, [f])(
-            line.poly({(k,): c for k, c in enumerate(coeffs)}))
+        """q(f) for the q of k[t] with ascending ``coeffs``, by Horner's
+        rule: one product by f per coefficient."""
+        out = self.amb.const(coeffs[-1])
+        for c in reversed(coeffs[:-1]):
+            out = out * f + c
+        return out
+
+    def at_variable(self, coeffs, i) -> Polynomial:
+        """q(x_i) for the q of k[t] with ascending ``coeffs``, built from
+        its terms, with no product."""
+        unit = (0,) * self.amb.nvars
+        return self.amb.poly({unit[:i] + (k,) + unit[i + 1:]: c
+                              for k, c in enumerate(coeffs)})
+
+    def eliminant(self, J: Ideal, i, D):
+        """The monic generator of J meet k[x_i], ascending, for J of
+        colength D: an element of J's reduced basis when one lies in k[x_i]
+        alone, else x_i's minimal polynomial modulo J (``_min_poly``).
+
+        Such an element g is that generator e.  As g lies in J, e divides
+        g, so deg e <= deg g.  As e lies in J, its lead, a power of x_i, is
+        divisible by the lead of a basis element h, a power x_i^c with c <=
+        deg e.  A reduced basis is minimal, so lead(h) divides lead(g) only
+        for h = g; hence c = deg g, so deg e = deg g and e = g, both
+        monic."""
+        for g in J.groebner().ambient_elements:
+            if g.support_vars() == [i]:
+                out = [0] * (g.terms[0][0][i] + 1)
+                for e, c in g.terms:
+                    out[e[i]] = c
+                return out
+        return _min_poly(self.amb.gens()[i], J, D)
 
     # -- dimension zero ------------------------------------------------------
     def zero_dimensional(self, J: Ideal, D: int, stack):
@@ -129,13 +174,12 @@ class _Decomposer:
         radicalize it in the same pass, then certify it (module docstring)."""
         amb = self.amb
         p = amb.p
-        for name in amb.names:
-            v = amb.var(name)
-            _, parts = factor_univariate_list(_min_poly(v, J, D), p,
+        for i in range(amb.nvars):
+            _, parts = factor_univariate_list(self.eliminant(J, i, D), p,
                                               random.Random(0))
             if len(parts) > 1:
-                for q, _ in reversed(parts):
-                    stack.append(Ideal(amb, J.gens + (self.at(q, v),)))
+                stack.extend(_adjoin(J, self.at_variable(q, i))
+                             for q, _ in reversed(parts))
                 return
             q, m = parts[0]
             if m == 1 and len(q) - 1 == D:
@@ -143,8 +187,8 @@ class _Decomposer:
                 self.found.append((J, True, 0))
                 return
             if m > 1:
-                J = Ideal(amb, J.gens + (self.at(q, v),))
-                D = dimension_and_degree(J)[1]
+                J = _adjoin(J, self.at_variable(q, i))
+                D = vector_space_dimension(J)
         # primitive element certificate
         for _ in range(self.retries):
             lam = amb.sum(amb.var(name) * self.rng.randrange(p)
@@ -154,8 +198,8 @@ class _Decomposer:
             e = _min_poly(lam, J, D)
             _, parts = factor_univariate_list(e, p, random.Random(0))
             if len(parts) > 1 or parts[0][1] > 1:
-                for q, _ in reversed(parts):
-                    stack.append(Ideal(amb, J.gens + (self.at(q, lam),)))
+                stack.extend(_adjoin(J, self.at(q, lam))
+                             for q, _ in reversed(parts))
                 return
             if len(e) - 1 == D:
                 self.found.append((J, True, 0))
@@ -176,7 +220,7 @@ class _Decomposer:
         if len(used) == amb.nvars:
             return [(J, False, dim)]
         sub = RingDescriptor(amb.p, (tuple(amb.names[i] for i in used),))
-        dec = _Decomposer(sub, self.seed, self.retries)
+        dec = type(self)(sub, self.seed, self.retries)
         dec.run(Ideal(sub, tuple(transport(g, sub) for g in basis)))
         free = amb.nvars - len(used)
         return [(Ideal(amb, tuple(transport(g, amb)

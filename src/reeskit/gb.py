@@ -32,8 +32,9 @@ Q is an element of the basis or reduces to 0 by it (a kernel of an
 unchecked ``RingMap`` need not contain Q), the result is born with it
 (``_with_basis``), its generators read off it as above, and its first
 ``groebner()`` runs no Buchberger.  Ideals rebuilt from a basis already
-at hand share it the same way: ``_ambient_ideal(I)``, and an ideal
-regenerated from its own ``display_gens``.
+at hand share it the same way: ``_ambient_ideal(I)``, an ideal
+regenerated from its own ``display_gens``, and ``_adjoin(J, q)``, whose
+run is padded with J's basis and has q as its one input.
 
 Module elements are dicts mapping (component, exponents) to coefficients;
 ideals are rank-one modules with component 0.  The module order is
@@ -751,6 +752,17 @@ def _ambient_ideal(I: Ideal) -> Ideal:
     basis = I.groebner().ambient_elements
     return _with_basis(amb, _lift(I),
                        GroebnerBasis(amb, 0, basis, basis))
+
+
+def _adjoin(J: Ideal, q: Polynomial) -> Ideal:
+    """J + (q) for an ideal J of a ring without quotient, born with its
+    reduced basis: J's reduced basis pads the run (see ``_gb_core``), so
+    q is the one new input and only its pairs are formed."""
+    ring = J.ring
+    assert not ring.quotient
+    basis = reduced_groebner_raw([q], ring, J.groebner().ambient_elements)
+    return _with_basis(ring, J.gens + (q,),
+                       GroebnerBasis(ring, 0, basis, basis))
 
 
 def _module_vec(polys, amb):
