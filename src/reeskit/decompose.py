@@ -263,6 +263,20 @@ class _Decomposer:
         return False
 
 
+def _minimal(cands):
+    """The (J, certified, dim) entries of ``cands`` that contain no other
+    candidate K.  Their reduced bases are distinct, so K inside J means K
+    strictly inside J.  For primes of R = k[x_1..x_n], dim R/K = dim R/J +
+    ht(J/K), so primes of one dimension that contain one another are
+    equal, and a prime never contains one of lower dimension: K inside J
+    needs dim K > dim J.  An ``unverified`` candidate may not be prime, so
+    a pair with one is tested whatever the dimensions."""
+    return [(J, cert, dim) for i, (J, cert, dim) in enumerate(cands)
+            if not any(k != i and (dK > dim or not (cert and cK))
+                       and _contains_ideal(K, J)
+                       for k, (K, cK, dK) in enumerate(cands))]
+
+
 def minimal_primes(I: Ideal, seed=0, shape_retries=5):
     """Minimal primes over I, as a deterministic list of ComponentReports."""
     amb = I.ring.ambient
@@ -279,11 +293,7 @@ def minimal_primes(I: Ideal, seed=0, shape_retries=5):
         old = by_key.get(key)
         if old is None or (cert and not old[1]):
             by_key[key] = (J, cert, dim)
-    cands = list(by_key.values())
-    # distinct reduced bases, so K inside J means K strictly inside J
-    keep = [(J, cert, dim) for i, (J, cert, dim) in enumerate(cands)
-            if not any(k != i and _contains_ideal(K, J)
-                       for k, (K, _, _) in enumerate(cands))]
+    keep = _minimal(list(by_key.values()))
     keep.sort(key=lambda t: (-t[2], t[0]._basis_terms()))
     return [ComponentReport(_descend(I.ring, J.groebner().ambient_elements,
                                      amb.order_spec), cert)

@@ -6,7 +6,9 @@ map induced by an embedding into a free module.  For an ideal the inclusion
 into the base ring itself is such an embedding and the kernel becomes the
 classical elimination computation; for general modules the versal map is
 computed first from the presentation.  The reduction test of forms of one
-degree eliminates no variable: it compares ranks in ``gb._Echelon``.
+degree eliminates no variable: it compares ranks in ``gb._Echelon``, and
+a minimal reduction of an m-primary ideal of a polynomial ring takes no
+special fiber (Rees's criterion, ``minimal_reduction``).
 """
 
 from __future__ import annotations
@@ -451,17 +453,35 @@ def is_reduction(I: Ideal, J: Ideal, cap=DEFAULT_REDUCTION_CAP):
     (``_reduction_by_rank``), with no Groebner basis.  Every other input
     compares the ideals (``_reduction_by_ideals``), which
     ``verify.is_reduction`` also checks the ranks against.
+
+    The least r depends on the ideals alone, not on their generators or
+    the cap.  So once a test accepts, its witness is carried on J, keyed
+    by I's reduced basis, and a later test of J against an equal I reads
+    it: accepted iff r <= its own cap.  It is stored only after J was
+    found inside I, and J's generators do not change, so the read needs
+    only the ring check.  ``reduction_number`` of the pair that
+    ``minimal_reduction`` returns runs no second search; the
+    ``verify`` oracles recompute it.
     """
     if I.ring != J.ring:
         raise RingMismatchError("reduction test needs matching rings")
+    key = ("reduction_number", I._basis_terms())
+    r = J._cache.get(key)
+    if r is not None:
+        return (ReductionCertificate(True, r, cap) if r <= cap
+                else ReductionCertificate(False, None, cap))
     for g in J.gens:
         if not normal_form(g, I).is_zero():
             raise ValueError("J is not contained in I")
     degrees = (_form_degrees(I), _form_degrees(J))
     if (None not in degrees and len(degrees[0] | degrees[1]) == 1
             and _standard_graded(I.ring)):
-        return _reduction_by_rank(I, J, cap)
-    return _reduction_by_ideals(I, J, cap)
+        cert = _reduction_by_rank(I, J, cap)
+    else:
+        cert = _reduction_by_ideals(I, J, cap)
+    if cert.accepted:
+        J._cache[key] = cert.witness
+    return cert
 
 
 def _reduction_by_ideals(I: Ideal, J: Ideal, cap) -> ReductionCertificate:
@@ -508,6 +528,16 @@ def reduction_number(I: Ideal, J: Ideal, cap=DEFAULT_REDUCTION_CAP) -> int:
     return cert.witness
 
 
+def _rees_criterion_holds(I: Ideal) -> bool:
+    """Whether ``minimal_reduction`` screens the draws of I by Rees's
+    criterion: I is an m-primary ideal of a standard graded polynomial
+    ring, and its nonzero generators are forms.  ``analytic_spread`` has
+    left I's basis in its cache."""
+    ring = I.ring
+    return (_form_degrees(I) is not None and not ring.quotient
+            and _standard_graded(ring) and dimension_and_degree(I)[0] == 0)
+
+
 def minimal_reduction(I: Ideal, seed=0, cap=DEFAULT_REDUCTION_CAP) -> Ideal:
     """ell(I) random scalar combinations of the generators, redrawn until
     they pass the reduction test within ``cap``; deterministic per seed.
@@ -520,6 +550,23 @@ def minimal_reduction(I: Ideal, seed=0, cap=DEFAULT_REDUCTION_CAP) -> Ideal:
     of the lowest-degree generators (then widening the degree window) are
     attempted as well.  A homogeneous generating set with a redundant
     generator is trimmed first, so that it does not skew those windows.
+
+    A draw from a pool of forms of one degree is screened before the
+    reduction test.  When R is a polynomial ring in d variables and I is
+    m-primary and generated by forms of least degree delta, the screen is
+    Rees's criterion: J, d forms of degree delta, is a reduction of I iff
+    J is m-primary.  If it is, R is finite over k[J's generators] (graded
+    Nakayama), so m^delta is integral over J; and J inside I inside
+    m^delta makes J a reduction of I.  A reduction of an m-primary ideal
+    has the same radical, m (Swanson-Huneke, *Integral Closure of Ideals,
+    Rings, and Modules*, 2006, Cor. 1.2.5 and ch. 8).  Every other input
+    is screened by the Northcott-Rees fiber cut: J is a reduction iff the
+    linear forms it adds cut I's special fiber down to dimension 0.  Both
+    screens are exact, so they pass the same draws.  The reduction test
+    still runs on a passed draw, because it enforces ``cap``: a J whose
+    reduction number exceeds it is redrawn.  Its witness stays on J
+    (``is_reduction``), so ``reduction_number(I, J)`` costs no second
+    search.  ``verify.minimal_reduction`` checks the answer.
     """
     ring = I.ring
     gens = [g for g in I.gens if not g.is_zero()]
@@ -533,6 +580,7 @@ def minimal_reduction(I: Ideal, seed=0, cap=DEFAULT_REDUCTION_CAP) -> Ideal:
     rng = random.Random(seed)
     if ell >= len(gens):
         return Ideal(ring, tuple(gens))
+    by_rees = _rees_criterion_holds(I)
     pools = [list(enumerate(I.gens))]
     if all_homog:
         degs = sorted({g.total_degree() for g in gens})
@@ -557,7 +605,12 @@ def minimal_reduction(I: Ideal, seed=0, cap=DEFAULT_REDUCTION_CAP) -> Ideal:
                       for row in coeffs]
             if any(g.is_zero() for g in combos):
                 continue
-            if equigenerated:
+            J = Ideal(ring, tuple(combos))
+            if by_rees and equigenerated:
+                # Rees's criterion: J is a reduction iff it is m-primary
+                if dimension_and_degree(J)[0] != 0:
+                    continue
+            elif equigenerated:
                 # Northcott-Rees: homogeneous J is a reduction iff its image
                 # cuts the special fiber down to dimension 0
                 if fiber is None:
@@ -570,7 +623,6 @@ def minimal_reduction(I: Ideal, seed=0, cap=DEFAULT_REDUCTION_CAP) -> Ideal:
                 cut = Ideal(fring, tuple(fiber.gens) + tuple(lins))
                 if dimension_and_degree(cut)[0] != 0:
                     continue
-            J = Ideal(ring, tuple(combos))
             if is_reduction(I, J, cap).accepted:
                 return J
     raise RuntimeError(

@@ -574,3 +574,58 @@ def test_evaluation_by_horner_matches_the_ring_map(seed, p, n, order):
     v = R.gens()[i]
     assert dec.at_variable(coeffs, i) == RingMap(line, R, [v])(q)
     assert dec.at_variable(coeffs, i) == dec.at(coeffs, v)
+
+
+def _all_pairs(cands):
+    """The minimality filter that tests every ordered pair of candidates."""
+    return [(J, cert, dim) for i, (J, cert, dim) in enumerate(cands)
+            if not any(k != i and decompose._contains_ideal(K, J)
+                       for k, (K, _, _) in enumerate(cands))]
+
+
+class TestMinimalityFilter:
+    """The filter by dimension keeps the candidates that the all-pairs
+    filter keeps."""
+
+    @staticmethod
+    def both_filters(case):
+        """``case()`` with the filter by dimension and with the all-pairs
+        filter, once both are found to keep the same entries of every
+        candidate list the run filtered."""
+        seen = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decompose, "_minimal",
+                       lambda cands: seen.append(cands) or _all_pairs(cands))
+            want = case()
+        got = case()
+        for cands in seen:
+            assert decompose._minimal(cands) == _all_pairs(cands)
+        return got, want
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_random_inputs(self, seed):
+        I = prime_shape_ideal(random.Random(seed))
+        got, want = self.both_filters(lambda: minimal_primes(I))
+        assert [str(c) for c in got] == [str(c) for c in want]
+
+    def test_cylinders(self):
+        got, want = self.both_filters(cylinders)
+        assert [[str(c) for c in r] for r in got] \
+            == [[str(c) for c in r] for r in want]
+
+    def test_unverified_candidates_are_tested_in_every_dimension(self):
+        # the cusp pair's lump is not prime, and lies inside the origin and
+        # (1, 1), of its own dimension: so the pairs are tested when the
+        # lump is flagged unverified, and when the points are
+        R = make_ring(101, ["x", "y"])
+        x, y = R.gens()
+        lump = Ideal(R, (y ** 2 - x ** 3, y ** 3 - x ** 2))
+        origin, one = Ideal(R, (x, y)), Ideal(R, (x - 1, y - 1))
+        line = Ideal(R, (x + y - 5,))
+        for flags in ((False, True, True), (True, False, False)):
+            cands = [(K, cert, dim) for K, cert, dim in zip(
+                (lump, origin, one, line), flags + (True,), (0, 0, 0, 1))]
+            kept = decompose._minimal(cands)
+            assert kept == _all_pairs(cands)
+            assert [K for K, _, _ in kept] == [lump, line]

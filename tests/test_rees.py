@@ -450,9 +450,12 @@ class TestReductions:
             assert len(J.gens) == 2
             assert reduction_number(I, J) == 0
 
-    def test_redundant_generators_take_one_fiber(self, A2, monkeypatch):
-        # the trimmed ideal's special fiber serves both the analytic spread
-        # and the Northcott-Rees test: one elimination, not one per object
+    def test_redundant_generators_take_one_fiber(self, A2, A3, monkeypatch):
+        # in A^3 the ideal is not m-primary, so the trimmed ideal's special
+        # fiber serves both the analytic spread and the Northcott-Rees
+        # test: one elimination, not one per object.  In A^2 it is
+        # m-primary: Rees's criterion takes the place of the fiber, and
+        # nothing is eliminated
         calls = [0]
         eliminate = rees_module.eliminate
 
@@ -461,11 +464,13 @@ class TestReductions:
             return eliminate(*args, **kwargs)
 
         monkeypatch.setattr(rees_module, "eliminate", spy)
-        x, y = A2.gens()
-        I = Ideal(A2, (x ** 2, x * y, y ** 2, x ** 3, x * y ** 2))
-        J = minimal_reduction(I, seed=0)
-        assert str(J) == "ideal[ x*y - 10*y^2, x^2 + 44*y^2, y^3 ]"
-        assert calls[0] == 1
+        for R, want in ((A3, 1), (A2, 0)):
+            calls[0] = 0
+            x, y = R.gens()[:2]
+            I = Ideal(R, (x ** 2, x * y, y ** 2, x ** 3, x * y ** 2))
+            J = minimal_reduction(I, seed=0)
+            assert str(J) == "ideal[ x*y - 10*y^2, x^2 + 44*y^2, y^3 ]"
+            assert calls[0] == want
 
     @pytest.mark.parametrize("redundant", [False, True])
     def test_generators_are_trimmed_once(self, A2, monkeypatch, redundant):
@@ -613,6 +618,159 @@ class TestInvariantsByTheorem:
         # not forms: the fiber refuses an ideal off the origin, as before
         with pytest.raises(ValueError, match="not contained"):
             analytic_spread(Ideal(A2, (x - 1, y)))
+
+
+def _m_primary_ideal(R, delta, mixed, rng):
+    """From n to n + 2 random forms of degree ``delta``, n = dim R, and
+    more of degree ``delta`` + 1 when ``mixed``, that generate an m-primary
+    ideal: when the draw does not, the pure powers of the variables join
+    it, in one of the two degrees."""
+    gens = _random_forms(R, delta, rng.randint(R.nvars, R.nvars + 2), rng)
+    if mixed:
+        gens += _random_forms(R, delta + 1, rng.randint(1, R.nvars), rng)
+    if not gens or dimension_and_degree(Ideal(R, tuple(gens)))[0] != 0:
+        top = delta + (mixed and rng.random() < 0.5)
+        gens += [v ** top for v in R.gens()]
+    return Ideal(R, tuple(gens))
+
+
+def _minimal_reduction_and_number(I, seed, cap):
+    """(J's generators, its reduction number) from a fresh copy of I, or
+    the message of the error ``minimal_reduction`` raises."""
+    I = Ideal(I.ring, I.gens)
+    try:
+        J = minimal_reduction(I, seed=seed, cap=cap)
+    except RuntimeError as exc:
+        return str(exc)
+    return J.gens, reduction_number(I, J, cap)
+
+
+def _spy(mp, name):
+    """The calls of the ``rees`` function ``name`` from now on."""
+    calls = []
+    fn = getattr(rees_module, name)
+    mp.setattr(rees_module, name, lambda *a: calls.append(a) or fn(*a))
+    return calls
+
+
+class TestReesCriterion:
+    """Rees's criterion in ``minimal_reduction`` against the fiber cut it
+    replaces on m-primary ideals of polynomial rings."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 3, 101, 32003]), st.integers(2, 3),
+           st.integers(1, 2), st.booleans(), st.integers(0, 3),
+           st.integers(0, 10 ** 6))
+    def test_the_fiber_cut_returns_the_same_reduction(self, p, n, delta,
+                                                      mixed, seed, draw):
+        R = make_ring(p, ["x", "y", "z"][:n])
+        I = _m_primary_ideal(R, delta, mixed, random.Random(draw))
+        assert rees_module._rees_criterion_holds(I)
+        with pytest.MonkeyPatch.context() as mp:
+            fibers = _spy(mp, "special_fiber_ideal")
+            # a mixed-degree pool can run the ideal comparison up to the
+            # cap on every draw, so the cap stays small
+            got = _minimal_reduction_and_number(I, seed, 3)
+            assert not fibers
+            mp.setattr(rees_module, "_rees_criterion_holds", lambda I: False)
+            want = _minimal_reduction_and_number(I, seed, 3)
+        assert got == want
+
+    @pytest.mark.parametrize("kind, primary", [
+        ("cone", True), ("planes", True), ("space", False), ("space", True)])
+    def test_quotient_rings_and_other_ideals_keep_the_fiber(self, kind,
+                                                            primary):
+        # over a quotient ring, and for an ideal that is not m-primary, the
+        # draws of one degree go through the special fiber
+        R = _graded_ring(101, kind)
+        x, y = R.gens()[:2]
+        gens = (x ** 2, x * y, y ** 2)
+        if primary:
+            gens += tuple(v ** 2 for v in R.gens()[2:])
+        I = Ideal(R, gens)
+        held = []
+        holds = rees_module._rees_criterion_holds
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rees_module, "_rees_criterion_holds",
+                       lambda I: held.append(holds(I)) or held[-1])
+            fibers = _spy(mp, "special_fiber_ideal")
+            J = minimal_reduction(I, seed=0)
+        rule = kind == "space" and primary
+        assert held == [rule]
+        assert bool(fibers) != rule
+        assert is_reduction(I, J).accepted
+
+
+class TestCarriedCertificate:
+    """The witness that ``is_reduction`` carries on J, read back instead
+    of a second search."""
+
+    def test_the_number_of_a_minimal_reduction_runs_one_rank_loop(
+            self, A3, monkeypatch):
+        rank = _spy(monkeypatch, "_reduction_by_rank")
+        ideals = _spy(monkeypatch, "_reduction_by_ideals")
+        x, y, z = A3.gens()
+        I = Ideal(A3, (x, y, z)) ** 2
+        J = minimal_reduction(I, seed=0)
+        assert reduction_number(I, J) == 1
+        assert str(is_reduction(I, J, 4)) == "reduction[ r = 1 ]"
+        # an equal ideal with other generators reads the same witness
+        other = Ideal(A3, I.gens + (x * y + z ** 2,))
+        assert reduction_number(other, J) == 1
+        assert len(rank) == 1 and not ideals
+
+    def test_a_cap_below_the_witness_refutes_as_recomputing_does(self, A3):
+        x, y, z = A3.gens()
+        I = Ideal(A3, (x, y, z)) ** 3
+        J = minimal_reduction(I, seed=0)
+        assert reduction_number(I, J) == 2
+        for cap in range(4):
+            fresh = is_reduction(Ideal(A3, I.gens), Ideal(A3, J.gens), cap)
+            assert is_reduction(I, J, cap) == fresh
+        assert str(is_reduction(I, J, 1)) == "not-a-reduction[ cap = 1 ]"
+        with pytest.raises(ValueError, match="within cap 1"):
+            reduction_number(I, J, 1)
+
+    def test_a_witness_is_read_for_its_own_ideal_only(self, A2, monkeypatch):
+        x, y = A2.gens()
+        I = Ideal(A2, (x ** 2, x * y, y ** 2))
+        J = Ideal(A2, (x ** 2, y ** 2))
+        assert reduction_number(I, J) == 1
+        rank = _spy(monkeypatch, "_reduction_by_rank")
+        assert reduction_number(Ideal(A2, J.gens), J) == 0
+        assert len(rank) == 1
+        # the ring check comes first: the same generators over GF(2) have
+        # the same reduced basis terms, the key of I's witness, and are
+        # refused; an I that misses J is refused and leaves no witness
+        B = make_ring(2, ["x", "y"])
+        u, v = B.gens()
+        other = Ideal(B, (u ** 2, u * v, v ** 2))
+        assert other._basis_terms() == I._basis_terms()
+        with pytest.raises(RingMismatchError):
+            is_reduction(other, J)
+        small = Ideal(A2, (x ** 2, x * y))
+        with pytest.raises(ValueError, match="not contained"):
+            is_reduction(small, J)
+        assert ("reduction_number", small._basis_terms()) not in J._cache
+
+    def test_the_oracles_recompute_and_refute_a_forged_witness(
+            self, A2, monkeypatch):
+        from reeskit import verify
+        x, y = A2.gens()
+        I = Ideal(A2, (x ** 2, x * y, y ** 2))
+        J = Ideal(A2, (x ** 2, y ** 2))
+        cert = is_reduction(I, J)
+        ideals = _spy(monkeypatch, "_reduction_by_ideals")
+        verify.is_reduction(I, J, 20, cert)
+        verify.reduction_number(I, J, 20, reduction_number(I, J))
+        assert len(ideals) == 2
+        J._cache[("reduction_number", I._basis_terms())] = 3
+        forged = is_reduction(I, J)
+        assert forged.witness == 3
+        with pytest.raises(verify.CrossCheckError):
+            verify.is_reduction(I, J, 20, forged)
+        with pytest.raises(verify.CrossCheckError):
+            verify.reduction_number(I, J, 20, reduction_number(I, J))
 
 
 def _random_polys(R, count, rng, homogeneous=False):
