@@ -205,15 +205,6 @@ def uv_mul(f, g, p):
     return _trim(_unpack(r, len(f) + len(g) - 1, size, code, p))
 
 
-def uv_add(f, g, p):
-    out = [0] * max(len(f), len(g))
-    for i, a in enumerate(f):
-        out[i] = a
-    for i, b in enumerate(g):
-        out[i] = (out[i] + b) % p
-    return _trim(out)
-
-
 def uv_sub(f, g, p):
     out = [0] * max(len(f), len(g))
     for i, a in enumerate(f):
@@ -538,7 +529,8 @@ def _equal_degree_split(f, d, p, rng, xp=None):
 
     For odd p, a^((p^d - 1)/2) is computed as
     (a a^p ... a^(p^(d-1)))^((p-1)/2), the product taking d - 1 Frobenius
-    steps; for p = 2 the trace a + a^2 + ... + a^(2^(d-1)) splits.  xp,
+    steps; for p = 2 the trace a + a^2 + ... + a^(2^(d-1)) splits, summed
+    by uv_sub, since a + b = a - b over GF(2).  xp,
     when given, is x^p modulo a multiple of f; the Frobenius steps reduce it
     mod f, and both halves of a split inherit it.
 
@@ -565,7 +557,7 @@ def _equal_degree_split(f, d, p, rng, xp=None):
             if p == 2:
                 for _ in range(d - 1):
                     t = mod.mul(t, t)
-                    b = uv_add(b, t, p)
+                    b = uv_sub(b, t, p)
             else:
                 for _ in range(d - 1):
                     t = mod.frobenius(t)
@@ -683,30 +675,14 @@ def _uv_to_poly(coeffs, ring, var_index):
 
 
 def factor_univariate(f: Polynomial, seed=0):
-    """(unit, [(irreducible monic factor, multiplicity)]); deterministic per seed."""
-    if f.is_zero():
-        raise ValueError("cannot factor the zero polynomial")
-    used = f.support_vars()
-    if len(used) > 1:
+    """(unit, [(irreducible monic factor, multiplicity)]) of a polynomial in
+    one variable, of any ring; deterministic per seed."""
+    if len(f.support_vars()) > 1:
         raise ValueError("factorUnivariate needs a univariate input")
-    ring = f.ring
-    p = ring.p
-    if not used:
-        return f.constant_value(), []
-    i = used[0]
-    rng = random.Random(seed)
-    unit, factors = factor_univariate_list(_poly_to_uv(f, i), p, rng)
-    out = [(_uv_to_poly(q, ring, i), m) for q, m in factors]
-    out.sort(key=lambda t: (t[0].total_degree(), _canon_key(t[0])))
-    return unit, out
+    return _factorization(f, seed, KRONECKER_DEGREE_BOUND, _hensel_factors)
 
 
-def _canon_key(f: Polynomial):
-    return tuple((e, c) for e, c in f.terms)
-
-
-def factor_multivariate(f: Polynomial, seed=0, bound=KRONECKER_DEGREE_BOUND,
-                        method="hensel"):
+def factor_multivariate(f: Polynomial, seed=0, bound=KRONECKER_DEGREE_BOUND):
     """Factor into irreducibles over GF(p).
 
     Returns (unit, [(factor, multiplicity)]).  Factors are monic with respect
@@ -717,21 +693,23 @@ def factor_multivariate(f: Polynomial, seed=0, bound=KRONECKER_DEGREE_BOUND,
     through Kronecker substitution.  `bound` limits Kronecker image degrees
     only.  KroneckerBoundError is raised when an image would exceed it, or
     when recombination refuses the image of f and of a few random
-    translates of f.  ``method="kronecker"`` sends
-    two-variable inputs through Kronecker substitution too; it is kept as
-    the reference.
+    translates of f.
     """
+    if f.ring.quotient:
+        raise ValueError("factorization works over polynomial rings only")
+    return _factorization(f, seed, bound, _hensel_factors)
+
+
+def _factorization(f: Polynomial, seed, bound, bivariate):
+    """(unit, [(monic factor, multiplicity)]), sorted: the monomial content
+    splits off, the rest is factored in one variable as a list, in two by
+    ``bivariate`` (``verify.factorization`` passes _kronecker_factors) and
+    in more by _kronecker_factors, all drawing from one Random(seed)."""
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    if method not in ("hensel", "kronecker"):
-        raise ValueError(f"unknown factorization method {method!r}")
-    ring = f.ring
-    if ring.quotient:
-        raise ValueError("factorization works over polynomial rings only")
-    p = ring.p
+    ring, p = f.ring, f.ring.p
     rng = random.Random(seed)
-    factors = {}
-    unit = 1
+    factors, unit = {}, 1
 
     # monomial content: each variable power splits off
     min_exps = [min(e[i] for e, _ in f.terms) for i in range(ring.nvars)]
@@ -740,7 +718,7 @@ def factor_multivariate(f: Polynomial, seed=0, bound=KRONECKER_DEGREE_BOUND,
         f = ring.poly(d)
         for i, m in enumerate(min_exps):
             if m:
-                factors[_canon_key(ring.var(ring.names[i]))] = m
+                factors[ring.var(ring.names[i]).terms] = m
 
     used = f.support_vars()
     if not used:
@@ -748,20 +726,17 @@ def factor_multivariate(f: Polynomial, seed=0, bound=KRONECKER_DEGREE_BOUND,
     elif len(used) == 1:
         unit, parts = factor_univariate_list(_poly_to_uv(f, used[0]), p, rng)
         for q, m in parts:
-            key = _canon_key(_uv_to_poly(q, ring, used[0]))
+            key = _uv_to_poly(q, ring, used[0]).terms
             factors[key] = factors.get(key, 0) + m
     else:
-        if len(used) == 2 and method == "hensel":
-            found = _hensel_factors(f, used, p, rng, bound)
-        else:
-            found = _kronecker_factors(f, used, p, rng, bound)
-        for g in found:
+        route = bivariate if len(used) == 2 else _kronecker_factors
+        for g in route(f, used, p, rng, bound):
             unit = unit * g.lead_coeff() % p
-            key = _canon_key(g.monic())
+            key = g.monic().terms
             factors[key] = factors.get(key, 0) + 1
 
     out = [(Polynomial(ring, key), m) for key, m in factors.items()]
-    out.sort(key=lambda t: (t[0].total_degree(), _canon_key(t[0])))
+    out.sort(key=lambda t: (t[0].total_degree(), t[0].terms))
     return unit, out
 
 
@@ -825,15 +800,20 @@ def _affine_map(terms, forms, p, size):
     return _trim(_unpack(acc, size, width, code, p))
 
 
+_LINE_DRAWS = 12    # lines drawn by a certification or a Hensel lift
+
+
 def _restrict_to_line(f: Polynomial, used, p, rng):
-    """f evaluated along a random affine line, as a univariate coeffs list."""
+    """(line, restriction): a random affine line, {i: (a_i, b_i)} for the
+    variables i in `used`, drawn in order, and f evaluated along
+    x_i = b_i + a_i t, as a univariate coefficient list."""
     line = {i: (rng.randrange(p), rng.randrange(p)) for i in used}
-    return _affine_map(f.terms, {i: [b, a] for i, (a, b) in line.items()},
-                       p, f.total_degree() + 1)
+    return line, _affine_map(
+        f.terms, {i: [b, a] for i, (a, b) in line.items()}, p,
+        f.total_degree() + 1)
 
 
-def _line_certifies_irreducible(f: Polynomial, used, p, rng, attempts=12,
-                                give_up=False):
+def _line_certifies_irreducible(f: Polynomial, used, p, rng, give_up=False):
     """Sound one-sided test: if a full-degree line restriction is
     irreducible then so is f (factors would restrict to factors).
 
@@ -845,15 +825,15 @@ def _line_certifies_irreducible(f: Polynomial, used, p, rng, attempts=12,
     once two draws in a row leave that set unchanged, as further draws
     would most likely not certify either.  Giving up early changes no
     output, because the recombination that follows a False is exhaustive;
-    without give_up all `attempts` draws are tried.
+    without give_up all _LINE_DRAWS draws are tried.
     """
     d = f.total_degree()
     if d == 1:
         return True
     sums = None         # bit k set: k is a subset sum in every draw so far
     still = 0
-    for _ in range(attempts):
-        g = _restrict_to_line(f, used, p, rng)
+    for _ in range(_LINE_DRAWS):
+        _, g = _restrict_to_line(f, used, p, rng)
         if not give_up:
             if len(g) - 1 == d and is_irreducible_univariate(g, p):
                 return True
@@ -1013,7 +993,7 @@ def _hensel_lift(F, lc, pieces, w, p):
             for G in lifted]
 
 
-def _hensel_factors(f: Polynomial, used, p, rng, bound, attempts=12):
+def _hensel_factors(f: Polynomial, used, p, rng, bound):
     """The irreducible factors of f in the two variables `used`, whose
     product is f, by Hensel lifting from one line.
 
@@ -1038,7 +1018,7 @@ def _hensel_factors(f: Polynomial, used, p, rng, bound, attempts=12):
     degree in t, so it passes.  The factors are mapped back through the
     inverse change of coordinates.
 
-    After `attempts` draws with no usable line, _kronecker_factors runs;
+    After _LINE_DRAWS draws with no usable line, _kronecker_factors runs;
     `bound` applies there only.
     """
     d = f.total_degree()
@@ -1059,10 +1039,8 @@ def _hensel_factors(f: Polynomial, used, p, rng, bound, attempts=12):
             return None
         return prod, complement()
 
-    for _ in range(attempts):
-        line = {i: (rng.randrange(p), rng.randrange(p)) for i in used}
-        g = _affine_map(f.terms, {i: [b, a] for i, (a, b) in line.items()},
-                        p, w)
+    for _ in range(_LINE_DRAWS):
+        line, g = _restrict_to_line(f, used, p, rng)
         if len(g) != w:
             continue
         lc = g[-1]

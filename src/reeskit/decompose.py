@@ -189,12 +189,16 @@ class _Decomposer:
             if m > 1:
                 J = _adjoin(J, self.at_variable(q, i))
                 D = vector_space_dimension(J)
-        # primitive element certificate
-        for _ in range(self.retries):
-            lam = amb.sum(amb.var(name) * self.rng.randrange(p)
-                          for name in amb.names)
-            if lam.is_zero() or lam.is_constant():
+        # primitive element certificate: distinct nonzero linear forms, all
+        # of them when there are fewer than retries
+        tried = set()
+        while len(tried) < min(self.retries, p ** amb.nvars - 1):
+            row = tuple(self.rng.randrange(p) for _ in amb.names)
+            if not any(row) or row in tried:
                 continue
+            tried.add(row)
+            lam = amb.sum(amb.var(name) * c
+                          for name, c in zip(amb.names, row))
             e = _min_poly(lam, J, D)
             _, parts = factor_univariate_list(e, p, random.Random(0))
             if len(parts) > 1 or parts[0][1] > 1:

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 from .gb import (
     Ideal, _Echelon, _cancel_one_minus_t, _coefficients,
-    _complete_intersection, _descend, _hilbert_numerator, _trim, _trimmed,
-    _with_basis, codimension, dimension_and_degree, eliminate,
-    kernel_of_matrix, kernel_of_ring_map, minors_ideal, normal_form,
-    reduced_groebner_raw, ring_dimension, saturate, trim_homogeneous,
-    INFINITY,
+    _complete_intersection, _descend, _hilbert_numerator, _saturates_to_unit,
+    _trim, _trimmed, _with_basis, codimension, dimension_and_degree,
+    eliminate, kernel_of_matrix, kernel_of_ring_map, minors_ideal,
+    normal_form, reduced_groebner_raw, ring_dimension, saturate,
+    trim_homogeneous, INFINITY,
 )
 from .polyring import (
     FreeModuleMap, Polynomial, RingDescriptor, RingMap, RingMismatchError,
@@ -408,13 +408,12 @@ def analytic_spread(I: Ideal) -> int:
 
     An m-primary I of a local or standard graded ring R has spread dim R
     (Swanson-Huneke, *Integral Closure of Ideals, Rings, and Modules*,
-    2006, ch. 8).  So when R is standard graded with homogeneous Q and I's
-    nonzero generators are forms that cut out dimension 0, the spread is
-    read off the ring, in any order.  Every other I takes the fiber
+    2006, ch. 8).  So when I is m-primary and generated by forms
+    (``_rees_criterion_holds``), the spread is read off the ring, in any
+    order.  Every other I, the zero ideal too, takes the fiber
     (``_fiber_dimension``), which ``verify.analytic_spread`` also checks.
     """
-    if (_form_degrees(I) and _standard_graded(I.ring)
-            and dimension_and_degree(I)[0] == 0):
+    if _rees_criterion_holds(I):
         return ring_dimension(I.ring)
     return _fiber_dimension(I)
 
@@ -529,13 +528,12 @@ def reduction_number(I: Ideal, J: Ideal, cap=DEFAULT_REDUCTION_CAP) -> int:
 
 
 def _rees_criterion_holds(I: Ideal) -> bool:
-    """Whether ``minimal_reduction`` screens the draws of I by Rees's
-    criterion: I is an m-primary ideal of a standard graded polynomial
-    ring, and its nonzero generators are forms.  ``analytic_spread`` has
-    left I's basis in its cache."""
-    ring = I.ring
-    return (_form_degrees(I) is not None and not ring.quotient
-            and _standard_graded(ring) and dimension_and_degree(I)[0] == 0)
+    """Whether I is a nonzero m-primary ideal of a standard graded ring,
+    generated by forms: then ``analytic_spread`` reads dim R off the ring
+    and ``minimal_reduction`` screens its draws by Rees's criterion.  The
+    first call leaves I's basis in its cache for the second."""
+    return (bool(_form_degrees(I)) and _standard_graded(I.ring)
+            and dimension_and_degree(I)[0] == 0)
 
 
 def minimal_reduction(I: Ideal, seed=0, cap=DEFAULT_REDUCTION_CAP) -> Ideal:
@@ -551,18 +549,23 @@ def minimal_reduction(I: Ideal, seed=0, cap=DEFAULT_REDUCTION_CAP) -> Ideal:
     attempted as well.  A homogeneous generating set with a redundant
     generator is trimmed first, so that it does not skew those windows.
 
-    A draw from a pool of forms of one degree is screened before the
-    reduction test.  When R is a polynomial ring in d variables and I is
-    m-primary and generated by forms of least degree delta, the screen is
-    Rees's criterion: J, d forms of degree delta, is a reduction of I iff
-    J is m-primary.  If it is, R is finite over k[J's generators] (graded
-    Nakayama), so m^delta is integral over J; and J inside I inside
-    m^delta makes J a reduction of I.  A reduction of an m-primary ideal
-    has the same radical, m (Swanson-Huneke, *Integral Closure of Ideals,
-    Rings, and Modules*, 2006, Cor. 1.2.5 and ch. 8).  Every other input
+    Every draw is screened before the reduction test.  When R is
+    standard graded of dimension d and I is m-primary and generated by
+    forms of least degree delta, a draw from a pool of forms of one degree
+    is screened by Rees's criterion: J, d forms of degree delta, is a
+    reduction of I iff J is m-primary.  If it is, R/J has finite length,
+    so R is finite over k[J's generators] (graded Nakayama) and m^delta
+    is integral over J; and J inside I inside m^delta makes J a reduction
+    of I.  A reduction of an m-primary ideal has the same radical, m
+    (Swanson-Huneke, *Integral Closure of Ideals, Rings, and Modules*,
+    2006, Cor. 1.2.5 and ch. 8).  Every other pool of forms of one degree
     is screened by the Northcott-Rees fiber cut: J is a reduction iff the
     linear forms it adds cut I's special fiber down to dimension 0.  Both
-    screens are exact, so they pass the same draws.  The reduction test
+    screens are exact, so they pass the same draws.  No exact screen
+    covers a pool that is not of one degree, but a reduction has I's
+    radical, so a draw with J : I^inf != (1), which vanishes somewhere
+    off V(I), is refused (``gb._saturates_to_unit``) before the ideal
+    comparison forms I^r up to the cap.  The reduction test
     still runs on a passed draw, because it enforces ``cap``: a J whose
     reduction number exceeds it is redrawn.  Its witness stays on J
     (``is_reduction``), so ``reduction_number(I, J)`` costs no second
@@ -623,6 +626,9 @@ def minimal_reduction(I: Ideal, seed=0, cap=DEFAULT_REDUCTION_CAP) -> Ideal:
                 cut = Ideal(fring, tuple(fiber.gens) + tuple(lins))
                 if dimension_and_degree(cut)[0] != 0:
                     continue
+            elif not _saturates_to_unit(J, gens):
+                # V(J) leaves V(I): J lacks I's radical
+                continue
             if is_reduction(I, J, cap).accepted:
                 return J
     raise RuntimeError(

@@ -24,11 +24,13 @@ def _check(agree, what):
 
 def factorization(f, seed, out):
     """A bivariate ``factor_multivariate`` (Hensel lifting) against
-    Kronecker substitution, where the latter does not refuse."""
+    Kronecker substitution, run by the same factorization body, where the
+    latter does not refuse."""
     if len(f.support_vars()) != 2:
         return
     try:
-        alt = coeff.factor_multivariate(f, seed=seed, method="kronecker")
+        alt = coeff._factorization(f, seed, coeff.KRONECKER_DEGREE_BOUND,
+                                   coeff._kronecker_factors)
     except coeff.KroneckerBoundError:
         return
     _check(alt == out, "factorization")

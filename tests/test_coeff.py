@@ -141,6 +141,35 @@ class TestFactorUnivariate:
             back = back * g ** m
         assert back == f
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 3, 101]), st.integers(1, 3),
+           st.integers(0, 10 ** 6))
+    def test_matches_factor_multivariate(self, p, nv, seed):
+        """One body serves both: a polynomial in one of nv variables, its
+        monomial content and repeated factors included, factors alike
+        either way."""
+        rng = random.Random(seed)
+        R = make_ring(p, ["x", "y", "z"][:nv])
+        v = R.gens()[rng.randrange(nv)]
+        f = R.const(rng.randrange(1, p)) * v ** rng.randrange(3)
+        for _ in range(rng.randrange(1, 4)):
+            f = f * R.sum(v ** i * rng.randrange(p)
+                          for i in range(rng.randint(2, 4)))
+        assume(not f.is_zero())
+        assert factor_univariate(f, seed) == factor_multivariate(f, seed)
+
+    def test_a_quotient_ring(self):
+        # factorUnivariate takes any ring, factorMultivariate only
+        # polynomial rings; x^2 is the monomial content
+        R0 = make_ring(101, ["x"])
+        R = make_ring(101, ["x"], quotient=[R0.var("x") ** 5])
+        x = R.var("x")
+        unit, factors = factor_univariate(x ** 3 + x ** 2)
+        assert (unit, [(str(g), m) for g, m in factors]) == (
+            1, [("x", 2), ("x + 1", 1)])
+        with pytest.raises(ValueError, match="polynomial rings only"):
+            factor_multivariate(x ** 3 + x ** 2)
+
 
 class TestFactorMultivariate:
     def test_difference_of_square_and_fourth_power(self):
@@ -634,8 +663,8 @@ class TestKroneckerRecombination:
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([2, 3, 7, 101]), st.integers(0, 10 ** 6))
     def test_line_restriction(self, p, seed):
-        """f(b + a t) term by term, with the line drawn as (a, b) per used
-        variable in order; p = 2, 3 often draw a = 0 or b = 0."""
+        """The line, drawn as (a, b) per used variable in order, and f(b + a
+        t) term by term; p = 2, 3 often draw a = 0 or b = 0."""
         rng = random.Random(seed)
         R = make_ring(p, ["x", "y", "z"])
         f = R.zero()
@@ -656,7 +685,7 @@ class TestKroneckerRecombination:
             want = _strip([(u + v) % p for u, v in zip(
                 want + [0] * len(piece), piece + [0] * len(want))])
         got = _restrict_to_line(f, used, p, random.Random(seed + 1))
-        assert got == want
+        assert got == (line, want)
 
     @pytest.mark.parametrize("p, seed, text", [
         (101, 75, "-7*x^2 - 40*x*y + 27*y^2"),

@@ -202,6 +202,18 @@ class TestZeroDimensional:
         (comp,) = minimal_primes(I)
         assert str(comp) == want + " certified"
 
+    def test_every_form_is_tried_over_a_small_field(self):
+        # over GF(2) the points of (x^2 + x + 1, y^2 + y + 1) lie over GF(4),
+        # and of the 3 nonzero forms only x + y separates the two orbits;
+        # five draws with zeros and repeats can miss it, distinct forms not
+        R = make_ring(2, ["x", "y"])
+        x, y = R.gens()
+        I = Ideal(R, (x ** 2 + x + 1, y ** 2 + y + 1))
+        for seed in range(60):
+            assert [str(c) for c in minimal_primes(I, seed=seed)] == [
+                "ideal[ x + y, y^2 + y + 1 ] certified",
+                "ideal[ x + y + 1, y^2 + y + 1 ] certified"]
+
     @pytest.mark.parametrize("seed", range(20))
     def test_pinned_outputs(self, seed):
         J = zero_dimensional_ideal(random.Random(seed))
@@ -530,9 +542,8 @@ class TestRoutes:
         # the minimal primes are unique, and so are the reports once every
         # prime is certified.  Only the primitive-element draws are random,
         # and the routes reach them with different draws: over GF(2) a
-        # candidate that five draws of a form over GF(2) leave unverified on
-        # one route may be split on the other (2 of 1,398 GF(2) draws of
-        # zero_dimensional_ideal, one each way)
+        # candidate that five distinct forms leave unverified on one route
+        # may be split on the other
         if not zero_dim or all(c.certified for c in got + want):
             assert got == want
             assert [str(c) for c in got] == [str(c) for c in want]

@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -655,15 +656,19 @@ def _spy(mp, name):
 
 class TestReesCriterion:
     """Rees's criterion in ``minimal_reduction`` against the fiber cut it
-    replaces on m-primary ideals of polynomial rings."""
+    replaces on m-primary ideals of standard graded rings, and the
+    saturation screen of the pools that are not of one degree."""
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from([2, 3, 101, 32003]), st.integers(2, 3),
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3, 101, 32003]), st.sampled_from(RING_KINDS),
            st.integers(1, 2), st.booleans(), st.integers(0, 3),
            st.integers(0, 10 ** 6))
-    def test_the_fiber_cut_returns_the_same_reduction(self, p, n, delta,
+    def test_the_fiber_cut_returns_the_same_reduction(self, p, kind, delta,
                                                       mixed, seed, draw):
-        R = make_ring(p, ["x", "y", "z"][:n])
+        # R/J of finite length makes R finite over k[J], so J is a
+        # reduction of m^delta, which contains I: the criterion holds over
+        # the quotients too, Cohen-Macaulay (the cone) or not (the planes)
+        R = _graded_ring(p, kind)
         I = _m_primary_ideal(R, delta, mixed, random.Random(draw))
         assert rees_module._rees_criterion_holds(I)
         with pytest.MonkeyPatch.context() as mp:
@@ -680,8 +685,9 @@ class TestReesCriterion:
         ("cone", True), ("planes", True), ("space", False), ("space", True)])
     def test_quotient_rings_and_other_ideals_keep_the_fiber(self, kind,
                                                             primary):
-        # over a quotient ring, and for an ideal that is not m-primary, the
-        # draws of one degree go through the special fiber
+        # an m-primary ideal skips the special fiber over a quotient ring
+        # too; one that is not m-primary takes it for its spread and for
+        # its draws of one degree
         R = _graded_ring(101, kind)
         x, y = R.gens()[:2]
         gens = (x ** 2, x * y, y ** 2)
@@ -695,10 +701,49 @@ class TestReesCriterion:
                        lambda I: held.append(holds(I)) or held[-1])
             fibers = _spy(mp, "special_fiber_ideal")
             J = minimal_reduction(I, seed=0)
-        rule = kind == "space" and primary
-        assert held == [rule]
-        assert bool(fibers) != rule
+        # analytic_spread asks first, then minimal_reduction
+        assert held == [primary, primary]
+        assert bool(fibers) != primary
         assert is_reduction(I, J).accepted
+
+    def test_a_mixed_pool_without_a_reduction_ends_at_the_default_cap(self):
+        # three quadrics whose draws are never m-primary, and two cubics:
+        # each draw from all five vanishes off the origin, and the ideal
+        # comparison of one such draw ran past 30 s at cap 20
+        R = make_ring(3, ["x", "y", "z"])
+        I = _m_primary_ideal(R, 2, True, random.Random(8))
+
+        def stop(signum, frame):
+            raise TimeoutError("minimal_reduction did not end in 5 s")
+
+        saved = signal.signal(signal.SIGALRM, stop)
+        signal.alarm(5)
+        try:
+            with pytest.raises(RuntimeError,
+                               match="no minimal reduction found"):
+                minimal_reduction(I, seed=0)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, saved)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 3, 101]), st.integers(2, 3),
+           st.booleans(), st.booleans(), st.integers(0, 10 ** 6))
+    def test_the_saturation_screen_passes_every_reduction(
+            self, p, n, primary, whole, seed):
+        # J: combinations of I's generators, sometimes with all of them,
+        # so that some are reductions; I m-primary or a cone over a curve
+        rng = random.Random(seed)
+        R = make_ring(p, ["x", "y", "z"][:n])
+        I = _m_primary_ideal(R, 1, True, rng)
+        if not primary:
+            I = Ideal(R, tuple(g * R.gens()[0] for g in I.gens))
+        gens = [g for g in I.gens if not g.is_zero()]
+        combos = [R.sum(g * rng.randrange(p) for g in gens)
+                  for _ in range(rng.randint(1, n))]
+        J = Ideal(R, tuple(combos) + (tuple(gens) if whole else ()))
+        if is_reduction(I, J, 2).accepted:
+            assert gb_module._saturates_to_unit(J, gens)
 
 
 class TestCarriedCertificate:

@@ -140,6 +140,24 @@ def test_factor_univariate_oracle_multiplies_back():
             verify.factor_univariate(f, 0, wrong)
 
 
+def test_factorization_oracle_runs_kronecker_through_the_one_body(
+        monkeypatch):
+    # the reference takes the same monomial-content split, sort and draws
+    # as factor_multivariate, with _kronecker_factors for the Hensel lift
+    P = make_ring(101, ["x", "y"])
+    x, y = P.gens()
+    f = x * (x ** 2 + y) * (x * y - 3)
+    routes = []
+    body = coeff._factorization
+    monkeypatch.setattr(coeff, "_factorization",
+                        lambda *args: routes.append(args[3]) or body(*args))
+    out = coeff.factor_multivariate(f)
+    assert verify.factorization(f, 0, out) is None
+    assert routes == [coeff._hensel_factors, coeff._kronecker_factors]
+    with pytest.raises(verify.CrossCheckError, match="cross-check failed$"):
+        verify.factorization(f, 0, (out[0], out[1][1:]))
+
+
 def test_intersect_in_p_oracle_beyond_the_colength():
     # an improper intersection, where the colength check does not apply:
     # the two-cone kernel path certifies every component and refuses a
